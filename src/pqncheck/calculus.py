@@ -1,23 +1,26 @@
 """Differential-graded operators on forms.
 
-Implements the Cartan differential, the differential d_N attached to a (1,1)
-tensor (computed through the commutator of i_N with d), the Nijenhuis
-torsion, the deformed Lie bracket of vector fields, the Koszul bracket of a
-Poisson bivector on forms of every degree, and the Poisson bracket on
-functions.
+Implements the Cartan differential, the deformed Lie bracket and Nijenhuis
+torsion of a (1,1) tensor, the Poisson bracket on functions, and two derived
+differentials built by one commutator with d: d_N = [i_N, d] for a (1,1)
+tensor and d_pi = [i_pi, d] for a bivector.  The Koszul bracket on forms of
+every degree is the derived bracket of d_pi.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from functools import partial
+from typing import Callable
 
-from .errors import ChartMismatchError, DegreeError
+from .errors import ChartMismatchError
 from .exterior import (
     Bivector,
     Form,
     Tensor11,
     VectorField,
+    interior,
     lie_bracket,
+    pi_sharp,
     tensor_interior,
     wedge,
 )
@@ -56,7 +59,12 @@ def nijenhuis_d(tensor: Tensor11, form: Form) -> Form:
     """
     if tensor.chart != form.chart:
         raise ChartMismatchError("differential across charts")
-    return tensor_interior(tensor, cartan_d(form)) - cartan_d(tensor_interior(tensor, form))
+    return _derived_differential(partial(tensor_interior, tensor), form)
+
+
+def _derived_differential(contract: Callable[[Form], Form], form: Form) -> Form:
+    """The commutator [i_X, d] = i_X o d - d o i_X of a contraction with d."""
+    return contract(cartan_d(form)) - cartan_d(contract(form))
 
 
 def deformed_lie_bracket(tensor: Tensor11, x: VectorField, y: VectorField) -> VectorField:
@@ -137,131 +145,57 @@ def poisson_bracket(pi: Bivector, f: ScalarField, g: ScalarField) -> ScalarField
 
 
 # ---------------------------------------------------------------------------
-# Koszul bracket
+# Koszul bracket: the derived bracket of d_pi = [i_pi, d], where
+# i_pi a = sum_{i<j} pi^{ij} i_{d_j} i_{d_i} a, is
 #
-# The bracket of 1-forms
+#     [a, b] = (-1)^|a| (d_pi(a ^ b) - d_pi a ^ b - (-1)^|a| a ^ d_pi b),
 #
-#     [a, b] = L_{pi# a} b - L_{pi# b} a - d<b, pi# a>
-#
-# extends uniquely to all form degrees subject to graded antisymmetry, the
-# pairing rule against functions, and the graded Leibniz rule for the wedge
-# product.  The extension is computed here by monomial peeling: decompose both
-# arguments into wedge lists of functions and coordinate differentials, peel
-# the right argument with the Leibniz rule, flip by graded antisymmetry
-# whenever the left argument is not a single factor, and close on three bases:
-# [f, g] = 0, [dx_i, g] = sum_j pi^{ij} d_j g, and [dx_i, dx_j] = d(pi^{ij}).
+# which on 1-forms is L_{pi# a} b - L_{pi# b} a - d<b, pi# a>.  A function
+# argument f reduces it to an interior product, far cheaper than expanding d_pi
+# on a wedge product:  [f, a] = i_{pi# df} a  and  [a, f] = (-1)^|a| i_{pi# df} a.
 # ---------------------------------------------------------------------------
 
 
-class _Atom:
-    """A wedge factor: either a function (degree 0) or a coordinate differential."""
-
-    __slots__ = ("degree", "field", "index")
-
-    def __init__(self, degree: int, field: ScalarField | None, index: int | None):
-        self.degree = degree
-        self.field = field
-        self.index = index
-
-
-def _atoms_of_monomial(chart: Chart, key: tuple[int, ...], coeff: ScalarField) -> list[_Atom]:
-    atoms = []
-    if coeff.constant_value != Fraction(1):
-        atoms.append(_Atom(0, coeff, None))
-    atoms.extend(_Atom(1, None, i) for i in key)
-    if not atoms:
-        atoms.append(_Atom(0, chart.one(), None))
-    return atoms
+def _pi_interior(pi: Bivector, form: Form) -> Form:
+    """i_pi a = sum_{i<j} pi^{ij} i_{d_j} i_{d_i} a; lowers the degree by two."""
+    out: dict[tuple[int, ...], ScalarField] = {}
+    for key, coeff in form.terms():
+        for t in range(1, len(key)):
+            for s in range(t):
+                entry = pi.entries[key[s]][key[t]]
+                if entry.is_zero_tree:
+                    continue
+                reduced = key[:s] + key[s + 1 : t] + key[t + 1 :]
+                value = coeff * entry
+                if (s + t) % 2 == 0:
+                    value = -value
+                out[reduced] = out[reduced] + value if reduced in out else value
+    return Form(form.chart, form.degree - 2, out)
 
 
-def _atom_form(chart: Chart, atom: _Atom) -> Form:
-    if atom.degree == 0:
-        return Form.from_scalar(atom.field)
-    return Form(chart, 1, {(atom.index,): 1})
-
-
-def _atoms_form(chart: Chart, atoms: list[_Atom]) -> Form:
-    out = Form(chart, 0, {(): 1})
-    for atom in atoms:
-        out = wedge(out, _atom_form(chart, atom))
-    return out
-
-
-def _atoms_degree(atoms: list[_Atom]) -> int:
-    return sum(a.degree for a in atoms)
-
-
-def _coerce_degree(form: Form, degree: int) -> Form:
-    # The degenerate bracket of two 0-forms is the zero 0-form standing in
-    # for a degree -1 object; re-grade zero forms so sums line up.
-    if form.degree != degree:
-        if not form.is_zero:
-            raise DegreeError(f"internal: expected degree {degree}, got {form.degree}")
-        return Form.zero(form.chart, degree)
-    return form
-
-
-def _kb_atoms(pi: Bivector, left: list[_Atom], right: list[_Atom]) -> Form:
-    chart = pi.chart
-    if len(right) > 1:
-        # Leibniz rule: peel the first factor of the right argument.
-        head, tail = right[0], right[1:]
-        q = _atoms_degree(left)
-        target = max(q + _atoms_degree(right) - 1, 0)
-        first = wedge(_kb_atoms(pi, left, [head]), _atoms_form(chart, tail))
-        second = wedge(_atom_form(chart, head), _kb_atoms(pi, left, tail))
-        if (q - 1) * head.degree % 2 == 1:
-            second = -second
-        return _coerce_degree(first, target) + _coerce_degree(second, target)
-    if len(left) > 1:
-        # graded antisymmetry: flip so the multi-factor side gets peeled.
-        q = _atoms_degree(left)
-        qp = _atoms_degree(right)
-        flipped = _kb_atoms(pi, right, left)
-        if (q - 1) * (qp - 1) % 2 == 0:
-            flipped = -flipped
-        return flipped
-    a, b = left[0], right[0]
-    if a.degree == 0 and b.degree == 0:
-        return Form.zero(chart, 0)
-    if a.degree == 1 and b.degree == 0:
-        # pairing rule: [dx_i, g] = <dg, pi# dx_i> = sum_j pi^{ij} d_j g
-        out = chart.zero()
-        for j in range(chart.dim):
-            entry = pi.entries[a.index][j]
-            if not entry.is_zero_tree:
-                out = out + entry * b.field.partial(j)
-        return Form.from_scalar(out)
-    if a.degree == 0 and b.degree == 1:
-        return -_kb_atoms(pi, right, left)
-    # [dx_i, dx_j] = d(pi^{ij})
-    entry = pi.entries[a.index][b.index]
-    return Form(chart, 1, {(j,): entry.partial(j) for j in range(chart.dim)})
+def _koszul_differential(pi: Bivector, form: Form) -> Form:
+    """d_pi = [i_pi, d]; i_pi of a 1-form is zero of degree -1, leaving i_pi o d."""
+    contract = partial(_pi_interior, pi)
+    return contract(cartan_d(form)) if form.degree < 2 else _derived_differential(contract, form)
 
 
 def koszul_bracket(pi: Bivector, a: Form, b: Form) -> Form:
     """Koszul bracket of two forms; the result has degree deg a + deg b - 1.
 
     For two 0-forms the degree would be negative and the zero 0-form is
-    returned.  The result is independent of how the arguments decompose into
-    monomials (graded bilinearity over the reals).
+    returned.
     """
     if pi.chart != a.chart or pi.chart != b.chart:
         raise ChartMismatchError("bracket across charts")
-    chart = pi.chart
-    degree = max(a.degree + b.degree - 1, 0)
-    out = Form.zero(chart, degree)
-    if a.degree + b.degree - 1 < 0:
-        return out
-    if a.degree == 0 and a.is_zero:
-        return out
-    if b.degree == 0 and b.is_zero:
-        return out
-    a_monomials = list(a.terms()) if a.degree > 0 else [((), a.as_scalar())]
-    b_monomials = list(b.terms()) if b.degree > 0 else [((), b.as_scalar())]
-    for key_a, coeff_a in a_monomials:
-        left = _atoms_of_monomial(chart, key_a, coeff_a)
-        for key_b, coeff_b in b_monomials:
-            right = _atoms_of_monomial(chart, key_b, coeff_b)
-            out = out + _coerce_degree(_kb_atoms(pi, left, right), degree)
-    return out
+    if a.degree == 0 and b.degree == 0:
+        return Form.zero(pi.chart, 0)
+    if a.degree == 0:
+        return interior(pi_sharp(pi, differential(a.as_scalar())), b)
+    if b.degree == 0:
+        out = interior(pi_sharp(pi, differential(b.as_scalar())), a)
+        return -out if a.degree % 2 else out
+    whole = _koszul_differential(pi, wedge(a, b))
+    left = wedge(_koszul_differential(pi, a), b)
+    right = wedge(a, _koszul_differential(pi, b))
+    # the sign (-1)^|a| grouped so that one form is negated
+    return left - (whole + right) if a.degree % 2 else whole - (left + right)

@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -196,6 +197,16 @@ def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+@contextmanager
+def _config_errors():
+    """Report a value the model or zero-test constructors reject as a config error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+@_config_errors()
 def _zero_test_config(cfg: RunConfig) -> ZeroTestConfig:
     base = CALOGERO_ZERO_TEST if cfg.model == "calogero" else ZeroTestConfig()
     overrides = {}
@@ -220,6 +231,7 @@ def _require_n(cfg: RunConfig, default: int | None = None) -> int:
     raise ConfigError("--n is required for this model")
 
 
+@_config_errors()
 def build_bundle(cfg: RunConfig) -> ModelBundle:
     if cfg.model is None:
         raise ConfigError(f"--model is required; known models: {', '.join(MODEL_NAMES)}")
@@ -425,6 +437,7 @@ def cmd_involutivity(cfg: RunConfig) -> int:
     return 0 if report.overall else 1
 
 
+@_config_errors()
 def _base_pair(cfg: RunConfig) -> tuple[str, Chart, Bivector, Tensor11]:
     name = cfg.model or "canonical"
     if name == "identity":
@@ -440,6 +453,7 @@ def _base_pair(cfg: RunConfig) -> tuple[str, Chart, Bivector, Tensor11]:
     raise ConfigError(f"unknown deformation base {name!r}; known bases: {', '.join(BASE_NAMES)}")
 
 
+@_config_errors()
 def _omega_source(cfg: RunConfig, chart: Chart) -> Form:
     if cfg.omega_form is not None:
         return parse_form(chart, cfg.omega_form)

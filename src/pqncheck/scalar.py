@@ -20,6 +20,7 @@ zero test instead.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import re
@@ -736,24 +737,10 @@ class ZeroTestConfig:
             raise ValueError("separation must be nonnegative")
 
     def replace(self, **kwargs) -> "ZeroTestConfig":
-        data = {
-            "sample_count": self.sample_count,
-            "box_halfwidth": self.box_halfwidth,
-            "separation": self.separation,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-        }
-        data.update(kwargs)
-        return ZeroTestConfig(**data)
+        return dataclasses.replace(self, **kwargs)
 
     def as_dict(self) -> dict:
-        return {
-            "sample_count": self.sample_count,
-            "box_halfwidth": self.box_halfwidth,
-            "separation": self.separation,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from pqncheck.cli import main, parse_form, serialize_form, serialize_tensor
 from pqncheck.models import closed_toda
 from pqncheck.scalar import Chart
@@ -240,6 +242,25 @@ class TestDeformCommand:
 
     def test_missing_omega_exits_two(self):
         assert run_cli("deform", "--model", "canonical", "--n", "2") == 2
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--model", "closed-toda", "--n", "3", "--samples", "0"),
+            ("check", "--model", "closed-toda", "--n", "3", "--tol", "-1"),
+            ("check", "--model", "closed-toda", "--n", "0"),
+            ("involutivity", "--model", "calogero", "--n", "0"),
+            ("deform", "--model", "canonical", "--omega", "toda", "--n", "0"),
+        ],
+    )
+    def test_rejected_value_is_a_one_line_config_error(self, argv, capsys):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
 
 
 class TestConsoleEntryPoint:
