@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from .errors import ChartMismatchError
+from .errors import ChartMismatchError, DegreeError
 from .exterior import (
     Bivector,
     Form,
@@ -128,19 +128,23 @@ def nijenhuis_torsion(tensor: Tensor11) -> Torsion12:
     return Torsion12(chart, components)
 
 
-def poisson_bracket(pi: Bivector, f: ScalarField, g: ScalarField) -> ScalarField:
-    """{f, g} = pi(df, dg) = sum_{ij} pi^{ij} (d_i f)(d_j g)."""
-    if pi.chart != f.chart or pi.chart != g.chart:
+def poisson_bracket(pi: Bivector, f: ScalarField | Form, g: ScalarField | Form) -> ScalarField:
+    """{f, g} = pi(df, dg) = sum_{ij} pi^{ij} (d_i f)(d_j g).
+
+    Either argument may be given by its differential, a 1-form, so a caller
+    that brackets each of several functions with many others takes each
+    function's partials once.
+    """
+    df, dg = (h if isinstance(h, Form) else differential(h) for h in (f, g))
+    if pi.chart != df.chart or pi.chart != dg.chart:
         raise ChartMismatchError("bracket across charts")
+    if df.degree != 1 or dg.degree != 1:
+        raise DegreeError("the Poisson bracket takes functions or their differentials")
     out = pi.chart.zero()
     for i, j, entry in pi.nonzero_entries():
-        fi = f.partial(i)
-        if fi.is_zero_tree:
-            continue
-        gj = g.partial(j)
-        if gj.is_zero_tree:
-            continue
-        out = out + entry * fi * gj
+        fi, gj = df.coeffs.get((i,)), dg.coeffs.get((j,))
+        if fi is not None and gj is not None:
+            out = out + entry * fi * gj
     return out
 
 

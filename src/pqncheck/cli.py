@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
-from .errors import ConfigError, HypothesisViolationError, PqnError
+from .errors import ConfigError, HypothesisViolationError, PqnError, UnsupportedExpressionError
 from .exterior import Bivector, Form, Tensor11
 from .models import (
     CALOGERO_ZERO_TEST,
@@ -199,10 +199,10 @@ def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
 
 @contextmanager
 def _config_errors():
-    """Report a value the model or zero-test constructors reject as a config error."""
+    """Report a value or expression the model or zero-test constructors reject as a config error."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, UnsupportedExpressionError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

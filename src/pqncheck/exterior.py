@@ -14,6 +14,7 @@ raises 1-forms through (pi_sharp a)^i = sum_j pi^{ji} a_j, so its matrix has
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -131,20 +132,24 @@ class Form:
         if self.chart != other.chart:
             raise ChartMismatchError("forms live on different charts")
 
-    def __add__(self, other: "Form") -> "Form":
+    def _combine(self, other: "Form", op, lone) -> "Form":
+        """op coefficient-wise on shared keys, lone(value) on keys only ``other`` has."""
         self._require_same_chart(other)
         if self.degree != other.degree:
-            raise DegreeError(f"cannot add forms of degrees {self.degree} and {other.degree}")
+            raise DegreeError(f"cannot combine forms of degrees {self.degree} and {other.degree}")
         out: dict[tuple[int, ...], CoeffLike] = dict(self.coeffs)
         for key, value in other.coeffs.items():
-            out[key] = out[key] + value if key in out else value
+            out[key] = op(out[key], value) if key in out else lone(value)
         return Form(self.chart, self.degree, out)
+
+    def __add__(self, other: "Form") -> "Form":
+        return self._combine(other, operator.add, lambda value: value)
 
     def __neg__(self) -> "Form":
         return Form(self.chart, self.degree, {k: -v for k, v in self.coeffs.items()})
 
     def __sub__(self, other: "Form") -> "Form":
-        return self + (-other)
+        return self._combine(other, operator.sub, operator.neg)
 
     def __mul__(self, scalar: CoeffLike) -> "Form":
         value = _coerce_scalar(self.chart, scalar)
@@ -208,16 +213,19 @@ class VectorField:
     def is_zero(self) -> bool:
         return all(c.is_zero_tree for c in self.components)
 
-    def __add__(self, other: "VectorField") -> "VectorField":
+    def _combine(self, other: "VectorField", op) -> "VectorField":
         if self.chart != other.chart:
             raise ChartMismatchError("vector fields live on different charts")
-        return VectorField(self.chart, [a + b for a, b in zip(self.components, other.components)])
+        return VectorField(self.chart, [op(a, b) for a, b in zip(self.components, other.components)])
+
+    def __add__(self, other: "VectorField") -> "VectorField":
+        return self._combine(other, operator.add)
 
     def __neg__(self) -> "VectorField":
         return VectorField(self.chart, [-c for c in self.components])
 
     def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, scalar: CoeffLike) -> "VectorField":
         value = _coerce_scalar(self.chart, scalar)
@@ -305,19 +313,22 @@ class Tensor11:
             comps.append(acc)
         return VectorField(self.chart, comps)
 
-    def __add__(self, other: "Tensor11") -> "Tensor11":
+    def _combine(self, other: "Tensor11", op) -> "Tensor11":
         if self.chart != other.chart:
             raise ChartMismatchError("tensors live on different charts")
         return Tensor11(
             self.chart,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
+            [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
         )
+
+    def __add__(self, other: "Tensor11") -> "Tensor11":
+        return self._combine(other, operator.add)
 
     def __neg__(self) -> "Tensor11":
         return Tensor11(self.chart, [[-e for e in row] for row in self.entries])
 
     def __sub__(self, other: "Tensor11") -> "Tensor11":
-        return self + (-other)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, scalar: CoeffLike) -> "Tensor11":
         value = _coerce_scalar(self.chart, scalar)

@@ -1,21 +1,22 @@
 """Scalar fields on a 2n-dimensional chart.
 
-A scalar field is an expression tree over the node set
+A scalar field is an element of the ring generated by the node set
 
     {coordinate, rational constant, sum, product, integer power, exp}
 
-with exp restricted to affine combinations of coordinates.  The set is closed
-under partial differentiation, so every derivative of a supported field is
-again a supported field.  Constants are exact ``Fraction`` values; floats only
-appear when a field is evaluated at a point.
+with exp restricted to affine combinations of coordinates.  The ring is closed
+under partial differentiation.  Constants are exact ``Fraction`` values; floats
+only appear when a field is evaluated at a point.
 
-Every ``ScalarField`` stores its tree in a canonical layout (sums flattened
-and sorted, products expanded and merged, exp factors combined), which makes
-structural equality meaningful: two fields that are equal as functions and
-stay inside the polynomial-times-exponential part of the ring normalize to
-the same tree.  Identities that leave that part (e.g. rational-function
-cancellations against expanded polynomials) are handled by the probabilistic
-zero test instead.
+Every ``ScalarField`` stores one canonical polynomial: monomials in
+coordinates, one merged exp factor and negative powers of content-normalized
+sums, with exact coefficients.  Arithmetic and differentiation work on it
+directly, so two fields that are equal as functions and stay inside the
+polynomial-times-exponential part of the ring have equal polynomials.
+Identities that leave that part (e.g. rational-function cancellations against
+expanded polynomials) are handled by the probabilistic zero test instead.
+Expression trees are only the boundary: parsed input is normalized into a
+polynomial, and the canonical tree is built from it for printing and evaluation.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import (
@@ -105,7 +107,7 @@ class Chart:
         return self.coordinate(self.p_index(i))
 
     def constant(self, value: RationalLike) -> "ScalarField":
-        return ScalarField(self, Const(_as_fraction(value)))
+        return ScalarField(self, value)
 
     def zero(self) -> "ScalarField":
         return self.constant(0)
@@ -176,6 +178,11 @@ class Sum(Node):
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
 
+    @cached_property
+    def poly(self) -> "Polynomial":
+        """The polynomial of this sum, kept for sums that serve as negative-power bases."""
+        return _poly(self)
+
 
 @dataclass(frozen=True, repr=False)
 class Product(Node):
@@ -202,6 +209,11 @@ class Exp(Node):
     """exp of an affine combination of coordinates (checked during normalization)."""
 
     argument: Node
+
+    @cached_property
+    def affine(self) -> "Polynomial":
+        """The polynomial of the argument, checked to be affine."""
+        return _require_affine(_poly(self.argument))
 
 
 _ZERO = Fraction(0)
@@ -265,31 +277,24 @@ def _poly_scale(poly: Polynomial, scale: Fraction) -> Polynomial:
     return {mono: coeff * scale for mono, coeff in poly.items()}
 
 
-def _affine_parts(node: Node) -> tuple[Fraction, dict[int, Fraction]]:
-    """Split a canonical affine tree into (constant, {coordinate index: coefficient})."""
-    const = _ZERO
-    coeffs: dict[int, Fraction] = {}
-    for mono, coeff in _poly(node).items():
-        if mono == ():
-            const += coeff
-        elif len(mono) == 1 and isinstance(mono[0][0], Coord) and mono[0][1] == 1:
-            idx = mono[0][0].index
-            coeffs[idx] = coeffs.get(idx, _ZERO) + coeff
-        else:
+def _require_affine(poly: Polynomial) -> Polynomial:
+    for mono in poly:
+        if mono and (len(mono) != 1 or not isinstance(mono[0][0], Coord) or mono[0][1] != 1):
             raise UnsupportedExpressionError(
-                f"exp argument must be affine in the coordinates, got {to_prefix(node)}"
+                f"exp argument must be affine in the coordinates, got {to_prefix(_poly_to_node(poly))}"
             )
-    return const, {i: c for i, c in coeffs.items() if c != 0}
+    return poly
 
 
-def _affine_node(const: Fraction, coeffs: Mapping[int, Fraction]) -> Node:
-    poly: Polynomial = {}
-    if const != 0:
-        poly[()] = const
-    for idx, c in coeffs.items():
-        if c != 0:
-            poly[((Coord(idx), 1),)] = c
-    return _poly_to_node(poly)
+def _exp_base(affine: Polynomial) -> Exp:
+    """The canonical base exp(affine), with its argument polynomial cached."""
+    base = Exp(_poly_to_node(affine))
+    base.__dict__["affine"] = affine
+    return base
+
+
+def _exp_poly(affine: Polynomial) -> Polynomial:
+    return {((_exp_base(affine), 1),): _ONE} if affine else {(): _ONE}
 
 
 def _canonical_monomial(powers: Mapping[Node, int]) -> Polynomial:
@@ -300,25 +305,26 @@ def _canonical_monomial(powers: Mapping[Node, int]) -> Polynomial:
     full polynomial rather than a single monomial.
     """
     plain: dict[Node, int] = {}
-    exp_const = _ZERO
-    exp_coeffs: dict[int, Fraction] = {}
+    exps: list[tuple[Exp, int]] = []
     expansions: list[Polynomial] = []
     for base, exponent in powers.items():
         if exponent == 0:
             continue
         if isinstance(base, Exp):
-            const, coeffs = _affine_parts(base.argument)
-            exp_const += const * exponent
-            for idx, c in coeffs.items():
-                exp_coeffs[idx] = exp_coeffs.get(idx, _ZERO) + c * exponent
+            exps.append((base, exponent))
         elif isinstance(base, Sum) and exponent > 0:
-            expansions.append(_poly_int_pow(_poly(base), exponent))
+            expansions.append(_poly_int_pow(base.poly, exponent))
         else:
-            plain[base] = plain.get(base, 0) + exponent
-    exp_coeffs = {i: c for i, c in exp_coeffs.items() if c != 0}
-    if exp_const != 0 or exp_coeffs:
-        plain[Exp(_affine_node(exp_const, exp_coeffs))] = 1
-    mono = tuple(sorted(((b, e) for b, e in plain.items() if e != 0), key=lambda be: _node_key(be[0])))
+            plain[base] = exponent
+    if len(exps) == 1 and exps[0][1] == 1:  # a lone canonical exp factor stays as it is
+        plain[exps[0][0]] = 1
+    elif exps:
+        affine: Polynomial = {}
+        for base, exponent in exps:
+            _poly_add_into(affine, base.affine, exponent)
+        if affine:
+            plain[_exp_base(affine)] = 1
+    mono = tuple(sorted(plain.items(), key=lambda be: _node_key(be[0])))
     result: Polynomial = {mono: _ONE}
     for expansion in expansions:
         result = _poly_mul(result, expansion)
@@ -326,9 +332,7 @@ def _canonical_monomial(powers: Mapping[Node, int]) -> Polynomial:
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Polynomial:
-    powers: dict[Node, int] = {}
-    for base, exponent in m1:
-        powers[base] = powers.get(base, 0) + exponent
+    powers: dict[Node, int] = dict(m1)
     for base, exponent in m2:
         powers[base] = powers.get(base, 0) + exponent
     return _canonical_monomial(powers)
@@ -363,7 +367,9 @@ def _poly_int_pow(poly: Polynomial, exponent: int) -> Polynomial:
     # sum share one base.
     lead = min(poly, key=_monomial_key)
     content = poly[lead]
-    base = _poly_to_node(_poly_scale(poly, 1 / content))
+    monic = _poly_scale(poly, 1 / content)
+    base = _poly_to_node(monic)
+    base.__dict__["poly"] = monic  # seeds Sum.poly, so derivatives never rebuild it
     return {((base, exponent),): content**exponent}
 
 
@@ -385,10 +391,7 @@ def _poly(node: Node) -> Polynomial:
     if isinstance(node, Power):
         return _poly_int_pow(_poly(node.base), node.exponent)
     if isinstance(node, Exp):
-        const, coeffs = _affine_parts(node.argument)
-        if const == 0 and not coeffs:
-            return {(): _ONE}
-        return {((Exp(_affine_node(const, coeffs)), 1),): _ONE}
+        return _exp_poly(node.affine)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -404,8 +407,10 @@ def _mono_to_node(mono: Monomial, coeff: Fraction) -> Node:
 def _poly_to_node(poly: Polynomial) -> Node:
     if not poly:
         return _CONST_ZERO
-    terms = [_mono_to_node(mono, poly[mono]) for mono in sorted(poly, key=_monomial_key)]
-    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+    if len(poly) == 1:  # one term: nothing to sort
+        return _mono_to_node(*next(iter(poly.items())))
+    ordered = sorted(poly.items(), key=lambda item: _monomial_key(item[0]))
+    return Sum(tuple(_mono_to_node(mono, coeff) for mono, coeff in ordered))
 
 
 def normalize(node: Node) -> Node:
@@ -454,12 +459,11 @@ def _poly_diff(poly: Polynomial, index: int) -> Polynomial:
                 rest = _replace_exponent(mono, pos, exponent - 1)
                 _poly_add_into(out, {rest: _ONE}, coeff * exponent)
             elif isinstance(base, Exp):
-                _, coeffs = _affine_parts(base.argument)
-                rate = coeffs.get(index, _ZERO)
-                if rate != 0:
+                rate = base.affine.get(((Coord(index), 1),))
+                if rate is not None:
                     _poly_add_into(out, {mono: _ONE}, coeff * rate)
             else:  # negative power of a sum
-                inner = _poly_diff(_poly(base), index)
+                inner = _poly_diff(base.poly, index)
                 if not inner:
                     continue
                 lowered = {_replace_exponent(mono, pos, exponent - 1): coeff * exponent}
@@ -509,26 +513,33 @@ def _eval_node(node: Node, values: Sequence[float]) -> float:
 
 
 class ScalarField:
-    """An expression-tree scalar field bound to a chart, stored canonically.
+    """A scalar field bound to a chart, stored as its canonical polynomial.
 
+    ``poly`` maps monomials to nonzero ``Fraction`` coefficients, and every
+    operator reads and writes it directly.  The canonical tree ``root`` is
+    built from it once, on first use, for printing and evaluation.
     Immutable; all arithmetic returns new fields.  Safe to share across
     threads.
     """
 
-    __slots__ = ("chart", "root")
+    __slots__ = ("chart", "poly", "_root")
 
     def __init__(self, chart: Chart, tree):
         if isinstance(tree, ScalarField):
             if tree.chart != chart:
                 raise ChartMismatchError("scalar field belongs to a different chart")
-            root = tree.root
+            poly = tree.poly
         elif isinstance(tree, Node):
-            root = normalize(tree)
+            poly = _poly(tree)
+            for mono in poly:
+                for base, _ in mono:
+                    self._check_indices(chart, base)
         else:
-            root = Const(_as_fraction(tree))
-        self._check_indices(chart, root)
+            value = _as_fraction(tree)
+            poly = {(): value} if value else {}
         object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "_root", None)
 
     @staticmethod
     def _check_indices(chart: Chart, node: Node) -> None:
@@ -552,34 +563,40 @@ class ScalarField:
         raise AttributeError("ScalarField is immutable")
 
     @classmethod
-    def _wrap(cls, chart: Chart, canonical_root: Node) -> "ScalarField":
+    def _wrap(cls, chart: Chart, poly: Polynomial) -> "ScalarField":
         obj = object.__new__(cls)
         object.__setattr__(obj, "chart", chart)
-        object.__setattr__(obj, "root", canonical_root)
+        object.__setattr__(obj, "poly", poly)
+        object.__setattr__(obj, "_root", None)
         return obj
 
     # -- structure ----------------------------------------------------------
 
     @property
+    def root(self) -> Node:
+        """The canonical expression tree of the polynomial, built on first use."""
+        if self._root is None:
+            object.__setattr__(self, "_root", _poly_to_node(self.poly))
+        return self._root
+
+    @property
     def is_zero_tree(self) -> bool:
-        """True when the canonical form is literally the zero constant."""
-        return isinstance(self.root, Const) and self.root.value == 0
+        """True when the canonical polynomial is literally zero."""
+        return not self.poly
 
     @property
     def constant_value(self) -> Fraction | None:
         """The exact value when the field is a constant, else None."""
-        return self.root.value if isinstance(self.root, Const) else None
+        if not self.poly:
+            return _ZERO
+        return self.poly.get(()) if len(self.poly) == 1 else None
 
     def __eq__(self, other):
         if isinstance(other, ScalarField):
-            return self.chart == other.chart and self.root == other.root
+            return self.chart == other.chart and self.poly == other.poly
         if isinstance(other, (int, Fraction)):
-            return self.root == Const(_as_fraction(other))
+            return self.poly == ScalarField(self.chart, other).poly
         return NotImplemented
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
 
     def __repr__(self):
         return f"ScalarField({self.to_prefix()})"
@@ -599,43 +616,40 @@ class ScalarField:
             return ScalarField(self.chart, other)
         return None
 
-    def __add__(self, other):
+    def _plus(self, other, scale: Fraction):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        poly = dict(_poly(self.root))
-        _poly_add_into(poly, _poly(other.root))
-        return ScalarField._wrap(self.chart, _poly_to_node(poly))
+        poly = dict(self.poly)
+        _poly_add_into(poly, other.poly, scale)
+        return ScalarField._wrap(self.chart, poly)
+
+    def __add__(self, other):
+        return self._plus(other, _ONE)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarField._wrap(self.chart, _poly_to_node(_poly_scale(_poly(self.root), Fraction(-1))))
+        return ScalarField._wrap(self.chart, _poly_scale(self.poly, -_ONE))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -_ONE)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return (-self) + other
+        return (-self)._plus(other, _ONE)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return ScalarField._wrap(self.chart, _poly_to_node(_poly_mul(_poly(self.root), _poly(other.root))))
+        return ScalarField._wrap(self.chart, _poly_mul(self.poly, other.poly))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
             raise UnsupportedExpressionError("only integer powers are supported")
-        return ScalarField._wrap(self.chart, _poly_to_node(_poly_int_pow(_poly(self.root), exponent)))
+        return ScalarField._wrap(self.chart, _poly_int_pow(self.poly, exponent))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -655,7 +669,7 @@ class ScalarField:
         """Exact partial derivative with respect to the 0-based coordinate ``index``."""
         if not 0 <= index < self.chart.dim:
             raise IndexError(f"coordinate index {index} out of range for dim {self.chart.dim}")
-        return ScalarField._wrap(self.chart, _poly_to_node(_poly_diff(_poly(self.root), index)))
+        return ScalarField._wrap(self.chart, _poly_diff(self.poly, index))
 
     def evaluate(self, point: Point | Sequence[float]) -> float:
         values = point.values if isinstance(point, Point) else tuple(float(v) for v in point)
@@ -687,7 +701,7 @@ class ScalarField:
 
     def exp(self) -> "ScalarField":
         """exp of this field; the field must be affine in the coordinates."""
-        return ScalarField(self.chart, Exp(self.root))
+        return ScalarField._wrap(self.chart, _exp_poly(_require_affine(self.poly)))
 
 
 def exp(field: ScalarField) -> ScalarField:

@@ -4,7 +4,7 @@ A geometric structure is a chart together with a Poisson candidate, a (1,1)
 tensor, and a 3-form controlling its torsion (the zero form for torsionless
 candidates).  Checkers return :class:`CheckReport` objects: one entry per
 axiom, each either verified structurally ("symbolic": the normalized
-difference is the zero tree) or probabilistically ("sampled": residuals at
+difference is the zero polynomial) or probabilistically ("sampled": residuals at
 seeded sample points stay below tolerance).  Reports are deterministic given
 the seed.
 """
@@ -412,16 +412,30 @@ def deform_to_pn(
 # ---------------------------------------------------------------------------
 
 
+def _product_trace(a: Tensor11, b: Tensor11) -> ScalarField:
+    """tr(A B) = sum_i sum_k A_ik B_ki, without the off-diagonal entries of A B."""
+    acc = a.chart.zero()
+    for i, row in enumerate(a.entries):
+        for k, a_ik in enumerate(row):
+            b_ki = b.entries[k][i]
+            if not a_ik.is_zero_tree and not b_ki.is_zero_tree:
+                acc = acc + a_ik * b_ki
+    return acc
+
+
 def trace_invariants(tensor: Tensor11, k_max: int) -> list[ScalarField]:
     """The functions (1/2k) tr(N^k) for k = 1..k_max."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    out = []
+    out = [tensor.trace() * Fraction(1, 2)]
     power = tensor
-    for k in range(1, k_max + 1):
-        out.append(power.trace() * Fraction(1, 2 * k))
+    for k in range(2, k_max + 1):
         if k < k_max:
             power = power @ tensor
+            trace = power.trace()
+        else:  # only the diagonal of the last product is needed
+            trace = _product_trace(power, tensor)
+        out.append(trace * Fraction(1, 2 * k))
     return out
 
 
@@ -505,14 +519,15 @@ def involutivity_matrix(
     """Zero-test {H_j, H_k} for every pair; the matrix mirrors its witnesses.
 
     {H_k, H_j} is minus {H_j, H_k}, so the mirrored cell reuses the verdict of
-    the computed one.
+    the computed one.  Each invariant is differentiated once, not once per pair.
     """
     cfg = config or ZeroTestConfig()
     cells: dict[tuple[int, int], InvolutivityCell] = {}
     size = len(invariants)
+    gradients = [differential(h) for h in invariants]
     for j in range(1, size + 1):
         for k in range(j, size + 1):
-            bracket = poisson_bracket(pi, invariants[j - 1], invariants[k - 1])
+            bracket = poisson_bracket(pi, gradients[j - 1], gradients[k - 1])
             if bracket.is_zero_tree:
                 cell = InvolutivityCell(True, 0.0, None, "symbolic")
             else:

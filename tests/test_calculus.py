@@ -13,6 +13,7 @@ from pqncheck.calculus import (
     nijenhuis_torsion,
     poisson_bracket,
 )
+from pqncheck.errors import DegreeError
 from pqncheck.exterior import (
     Form,
     Tensor11,
@@ -276,6 +277,19 @@ class TestPoissonBracket:
         lhs = poisson_bracket(pi, f, g * h)
         rhs = poisson_bracket(pi, f, g) * h + g * poisson_bracket(pi, f, h)
         assert (lhs - rhs).is_zero_tree
+
+    def test_differentials_stand_in_for_functions(self):
+        bundle = closed_toda(3)
+        rng = seeded(37)
+        f = random_scalar_field(bundle.chart, rng)
+        g = random_scalar_field(bundle.chart, rng)
+        pi = bundle.poisson
+        expected = poisson_bracket(pi, f, g)
+        assert poisson_bracket(pi, differential(f), g) == expected
+        assert poisson_bracket(pi, f, differential(g)) == expected
+        assert poisson_bracket(pi, differential(f), differential(g)) == expected
+        with pytest.raises(DegreeError):
+            poisson_bracket(pi, cartan_d(dq(bundle.chart, 1) * f), g)
 
     def test_total_momentum_commutes_with_pair_hamiltonians(self):
         # The deformed tensor depends only on coordinate differences, so the

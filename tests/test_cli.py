@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -261,6 +262,42 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--model", "two-particle", "--v", "(^ q1 q2)"),
+            ("check", "--model", "two-particle", "--v", "(exp (* q1 p1))"),
+            ("check", "--model", "two-particle", "--v", "(^ q1"),
+            ("check", "--model", "two-particle", "--v", "q3"),
+            ("check", "--model", "two-particle", "--v", "(^ (+ q1 (* -1 q1)) -1)"),
+            ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": {"1,2": "(exp (* x x))"}}),
+        ],
+    )
+    def test_malformed_expression_is_a_one_line_config_error(self, argv, tmp_path, capsys):
+        args = []
+        for arg in argv:
+            if isinstance(arg, dict):
+                path = tmp_path / "cfg.json"
+                path.write_text(json.dumps(arg), encoding="utf-8")
+                arg = str(path)
+            args.append(arg)
+        assert run_cli(*args) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: ")
+        assert "Traceback" not in err
+
+
+class TestReportPin:
+    def test_closed_toda_report_bytes(self, capsys):
+        # Every entry of this report is decided symbolically, so it holds no
+        # sampled floats and its bytes do not depend on the platform's libm.
+        assert run_cli("check", "--model", "closed-toda", "--n", "3", "--seed", "11", "--format", "json") == 0
+        out = capsys.readouterr().out
+        assert {e["mode"] for e in json.loads(out)["entries"]} == {"symbolic"}
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "ed8dca5a1386887941bbff8d02faae790b2290d81bee64df113bbd19b0b669f2"
 
 
 class TestConsoleEntryPoint:

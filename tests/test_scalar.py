@@ -204,6 +204,25 @@ class TestNormalization:
         raw = _eval_raw(tree, point)
         assert field.evaluate(point) == pytest.approx(raw, rel=1e-9, abs=1e-9)
 
+    @given(raw_trees(), raw_trees(), st.integers(-1, 2))
+    @settings(max_examples=100, deadline=None)
+    def test_operators_match_normalized_raw_trees(self, a, b, k):
+        chart = Chart(2)
+        f, g = ScalarField(chart, a), ScalarField(chart, b)
+        cases = [
+            (f + g, Sum((a, b))),
+            (f - g, Sum((a, Product((Const(Fraction(-1)), b))))),
+            (f * g, Product((a, b))),
+        ]
+        if k >= 0 or not f.is_zero_tree:
+            cases.append((f**k, Power(a, k)))
+        point = [0.37, -0.61, 0.93, -1.17]
+        for result, raw in cases:
+            assert result.root == normalize(raw)
+            expected = ScalarField(chart, raw)
+            assert result.evaluate(point) == expected.evaluate(point)
+            assert result.term_scale(point) == expected.term_scale(point)
+
     def test_structural_identities(self):
         chart = Chart(2)
         q1, q2, p1 = chart.q(1), chart.q(2), chart.p(1)
