@@ -36,17 +36,16 @@ def differential(field: ScalarField) -> Form:
 def cartan_d(form: Form) -> Form:
     """Exterior derivative: d(f dx_I) = sum_i (d_i f) dx_i ^ dx_I.  Satisfies d o d = 0."""
     chart = form.chart
-    out: dict[tuple[int, ...], ScalarField] = {}
-    for key, coeff in form.terms():
-        for i in range(chart.dim):
-            if i in key:
-                continue
-            dcoeff = coeff.partial(i)
-            if dcoeff.is_zero_tree:
-                continue
-            new_key = (i,) + key
-            out[new_key] = out[new_key] + dcoeff if new_key in out else dcoeff
-    return Form(chart, form.degree + 1, out)
+
+    def terms():
+        for key, coeff in form.terms():
+            for i in range(chart.dim):
+                if i not in key:
+                    dcoeff = coeff.partial(i)
+                    if not dcoeff.is_zero_tree:  # most partials vanish; skip them before sign-sorting
+                        yield (i,) + key, dcoeff
+
+    return Form(chart, form.degree + 1, terms())
 
 
 def nijenhuis_d(tensor: Tensor11, form: Form) -> Form:
@@ -162,19 +161,17 @@ def poisson_bracket(pi: Bivector, f: ScalarField | Form, g: ScalarField | Form) 
 
 def _pi_interior(pi: Bivector, form: Form) -> Form:
     """i_pi a = sum_{i<j} pi^{ij} i_{d_j} i_{d_i} a; lowers the degree by two."""
-    out: dict[tuple[int, ...], ScalarField] = {}
-    for key, coeff in form.terms():
-        for t in range(1, len(key)):
-            for s in range(t):
-                entry = pi.entries[key[s]][key[t]]
-                if entry.is_zero_tree:
-                    continue
-                reduced = key[:s] + key[s + 1 : t] + key[t + 1 :]
-                value = coeff * entry
-                if (s + t) % 2 == 0:
-                    value = -value
-                out[reduced] = out[reduced] + value if reduced in out else value
-    return Form(form.chart, form.degree - 2, out)
+
+    def terms():
+        for key, coeff in form.terms():
+            for t in range(1, len(key)):
+                for s in range(t):
+                    entry = pi.entries[key[s]][key[t]]
+                    if not entry.is_zero_tree:
+                        value = coeff * entry
+                        yield key[:s] + key[s + 1 : t] + key[t + 1 :], value if (s + t) % 2 else -value
+
+    return Form(form.chart, form.degree - 2, terms())
 
 
 def _koszul_differential(pi: Bivector, form: Form) -> Form:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -27,7 +28,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import __version__
-from .errors import ConfigError, HypothesisViolationError, PqnError, UnsupportedExpressionError
+from .errors import (
+    ChartMismatchError,
+    ConfigError,
+    DegreeError,
+    HypothesisViolationError,
+    PqnError,
+    UnsupportedExpressionError,
+)
 from .exterior import Bivector, Form, Tensor11
 from .models import (
     CALOGERO_ZERO_TEST,
@@ -120,11 +128,18 @@ class RunConfig:
         return {k: v for k, v in data.items() if v is not None}
 
 
-def _parse_fractions(text: str) -> list[Fraction]:
+def _parse_fractions(raw: str | list) -> list[Fraction]:
+    """Couplings from a comma-separated string (flag or config) or a config-file list."""
+    if isinstance(raw, str):
+        parts = [part.strip() for part in raw.split(",") if part.strip()]
+    elif isinstance(raw, list):
+        parts = [str(x) for x in raw]
+    else:
+        raise ConfigError(f"cannot parse couplings {raw!r}")
     try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+        return [Fraction(part) for part in parts]
     except ValueError as exc:
-        raise ConfigError(f"cannot parse coupling list {text!r}: {exc}") from exc
+        raise ConfigError(f"cannot parse coupling list {raw!r}: {exc}") from exc
 
 
 def _load_config_file(path: str) -> dict:
@@ -152,20 +167,17 @@ def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
             return flag_value
         if key in file_data and file_data[key] is not None:
             value = file_data[key]
-            return convert(value) if convert else value
+            try:
+                return convert(value) if convert else value
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key!r} has an unusable value {value!r}: {exc}") from exc
         return None
 
     cfg.model = pick(args.model, "model")
     cfg.n = pick(args.n, "n", int)
     cfg.kmax = pick(getattr(args, "kmax", None), "kmax", int)
     raw_f = pick(args.f, "f")
-    if raw_f is not None:
-        if isinstance(raw_f, str):
-            cfg.f = _parse_fractions(raw_f)
-        elif isinstance(raw_f, list):
-            cfg.f = [Fraction(str(x)) for x in raw_f]
-        else:
-            raise ConfigError(f"cannot parse couplings {raw_f!r}")
+    cfg.f = None if raw_f is None else _parse_fractions(raw_f)
     potentials = file_data.get("potentials")
     if potentials is not None:
         if not isinstance(potentials, dict):
@@ -178,11 +190,11 @@ def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
         if not isinstance(omega_form, dict):
             raise ConfigError("omega_form must be a serialized form object")
         cfg.omega_form = omega_form
-    cfg.expect = pick(getattr(args, "expect", None), "expect")
+    cfg.expect = pick(getattr(args, "expect", None), "expect", str)
     cfg.format = pick(args.format, "format") or "text"
     if cfg.format not in ("text", "json"):
         raise ConfigError(f"unknown output format {cfg.format!r}")
-    cfg.out = pick(args.out, "out")
+    cfg.out = pick(args.out, "out", os.fspath)
     cfg.samples = pick(args.samples, "samples", int)
     cfg.box_halfwidth = pick(None, "box_halfwidth", float)
     cfg.separation = pick(None, "separation", float)
@@ -285,18 +297,20 @@ def serialize_form(form: Form) -> dict:
 def parse_form(chart: Chart, data: dict) -> Form:
     try:
         degree = int(data["degree"])
-        terms = data["terms"]
+        terms = list(data["terms"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed form object: {exc}") from exc
-    coeffs = {}
-    for term in terms:
+
+    def parse_term(term):
         try:
-            key = tuple(int(i) - 1 for i in term["indices"])
-            coeff = parse_prefix(str(term["coeff"]), chart)
+            return tuple(int(i) - 1 for i in term["indices"]), parse_prefix(str(term["coeff"]), chart)
         except (KeyError, TypeError, ValueError, PqnError) as exc:
             raise ConfigError(f"malformed form term {term!r}: {exc}") from exc
-        coeffs[key] = coeffs[key] + coeff if key in coeffs else coeff
-    return Form(chart, degree, coeffs)
+
+    try:
+        return Form(chart, degree, map(parse_term, terms))
+    except (ChartMismatchError, DegreeError) as exc:
+        raise ConfigError(f"malformed form object: {exc}") from exc
 
 
 def serialize_tensor(tensor: Tensor11) -> dict:
@@ -321,8 +335,11 @@ def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
     else:
         content = "\n".join(text_lines) + "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(content)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(content)
+        except OSError as exc:
+            raise ConfigError(f"cannot write the report to {cfg.out}: {exc}") from exc
     else:
         sys.stdout.write(content)
 
@@ -456,7 +473,10 @@ def _base_pair(cfg: RunConfig) -> tuple[str, Chart, Bivector, Tensor11]:
 @_config_errors()
 def _omega_source(cfg: RunConfig, chart: Chart) -> Form:
     if cfg.omega_form is not None:
-        return parse_form(chart, cfg.omega_form)
+        omega = parse_form(chart, cfg.omega_form)
+        if omega.degree != 2:
+            raise ConfigError(f"omega_form must be a 2-form, got degree {omega.degree}")
+        return omega
     name = cfg.omega
     if name is None:
         raise ConfigError(f"deform needs --omega or an omega_form config entry; names: {', '.join(OMEGA_NAMES)}")

@@ -2,8 +2,12 @@
 
 All coefficients are :class:`~pqncheck.scalar.ScalarField` values on a shared
 chart.  Forms are sparse: a p-form maps strictly increasing index tuples to
-coefficients, with wedge anticommutativity realized by sign-sorting on
-construction and zero coefficients pruned.
+nonzero coefficients.  The :class:`Form` constructor is the one place that
+knows wedge anticommutativity: it takes raw ``(indices, coefficient)`` terms
+in any index order, sign-sorts each tuple, drops repeated indices and zero
+coefficients, and sums terms that land on the same key.  The operators below
+(wedge, interior products, and those of the calculus module) only generate
+raw terms and hand them to it.
 
 Matrix conventions (pinned by the two-particle fixtures in the models
 module): a (1,1) tensor acts on column component vectors, entry (i, j) being
@@ -32,6 +36,15 @@ def _coerce_scalar(chart: Chart, value: CoeffLike) -> ScalarField:
     return ScalarField(chart, value)
 
 
+def _dot(chart: Chart, left: Iterable[ScalarField], right: Iterable[ScalarField]) -> ScalarField:
+    """sum_k left_k * right_k, skipping the products with a zero factor."""
+    acc = chart.zero()
+    for a, b in zip(left, right):
+        if not a.is_zero_tree and not b.is_zero_tree:
+            acc = acc + a * b
+    return acc
+
+
 def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Sort a wedge index tuple, returning the permutation sign (0 on repeats)."""
     idx = list(indices)
@@ -49,25 +62,36 @@ def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 
 class Form:
-    """A differential form of fixed degree with sparse antisymmetric storage."""
+    """A differential form of fixed degree with sparse antisymmetric storage.
+
+    ``terms`` is a mapping or an iterable of ``(indices, coefficient)`` pairs.
+    Index tuples may be unsorted and may repeat across pairs: each is sorted
+    with its permutation sign, a tuple with a repeated index or a zero
+    coefficient is dropped, and terms with the same sorted tuple are summed.
+    """
 
     __slots__ = ("chart", "degree", "coeffs")
 
-    def __init__(self, chart: Chart, degree: int, terms: Mapping[tuple[int, ...], CoeffLike] | None = None):
+    def __init__(
+        self,
+        chart: Chart,
+        degree: int,
+        terms: Mapping[tuple[int, ...], CoeffLike] | Iterable[tuple[Sequence[int], CoeffLike]] | None = None,
+    ):
         if degree < 0:
             raise DegreeError(f"form degree must be nonnegative, got {degree}")
+        dim = chart.dim
         coeffs: dict[tuple[int, ...], ScalarField] = {}
-        for raw_key, raw_value in (terms or {}).items():
-            key = tuple(raw_key)
-            if len(key) != degree:
-                raise DegreeError(f"index tuple {key} does not match degree {degree}")
-            for i in key:
-                if not 0 <= i < chart.dim:
-                    raise ChartMismatchError(f"coordinate index {i} out of range for dim {chart.dim}")
-            sorted_key, sign = _sort_with_sign(key)
-            if sign == 0:
-                continue
+        for raw_key, raw_value in terms.items() if isinstance(terms, Mapping) else terms or ():
+            sorted_key, sign = _sort_with_sign(raw_key)
+            if len(sorted_key) != degree:
+                raise DegreeError(f"index tuple {tuple(raw_key)} does not match degree {degree}")
+            if sorted_key and not (0 <= sorted_key[0] and sorted_key[-1] < dim):
+                bad = sorted_key[0] if sorted_key[0] < 0 else sorted_key[-1]
+                raise ChartMismatchError(f"coordinate index {bad} out of range for dim {dim}")
             value = _coerce_scalar(chart, raw_value)
+            if sign == 0 or value.is_zero_tree:
+                continue
             if sign < 0:
                 value = -value
             if sorted_key in coeffs:
@@ -248,10 +272,7 @@ def pairing(alpha: Form, vector: VectorField) -> ScalarField:
         raise DegreeError("pairing requires a 1-form")
     if alpha.chart != vector.chart:
         raise ChartMismatchError("pairing across charts")
-    out = alpha.chart.zero()
-    for (i,), coeff in alpha.terms():
-        out = out + coeff * vector.components[i]
-    return out
+    return _dot(alpha.chart, alpha.coeffs.values(), (vector.components[i] for (i,) in alpha.coeffs))
 
 
 class Tensor11:
@@ -304,14 +325,7 @@ class Tensor11:
     def apply(self, vector: VectorField) -> VectorField:
         if vector.chart != self.chart:
             raise ChartMismatchError("tensor and vector live on different charts")
-        comps = []
-        for row in self.entries:
-            acc = self.chart.zero()
-            for entry, comp in zip(row, vector.components):
-                if not entry.is_zero_tree and not comp.is_zero_tree:
-                    acc = acc + entry * comp
-            comps.append(acc)
-        return VectorField(self.chart, comps)
+        return VectorField(self.chart, [_dot(self.chart, row, vector.components) for row in self.entries])
 
     def _combine(self, other: "Tensor11", op) -> "Tensor11":
         if self.chart != other.chart:
@@ -339,21 +353,8 @@ class Tensor11:
     def __matmul__(self, other: "Tensor11") -> "Tensor11":
         if self.chart != other.chart:
             raise ChartMismatchError("tensors live on different charts")
-        dim = self.chart.dim
-        zero = self.chart.zero()
-        rows = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                acc = zero
-                for k in range(dim):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not a.is_zero_tree and not b.is_zero_tree:
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return Tensor11(self.chart, rows)
+        columns = list(zip(*other.entries))
+        return Tensor11(self.chart, [[_dot(self.chart, row, column) for column in columns] for row in self.entries])
 
     def power(self, k: int) -> "Tensor11":
         if k < 0:
@@ -364,10 +365,7 @@ class Tensor11:
         return out
 
     def trace(self) -> ScalarField:
-        acc = self.chart.zero()
-        for i in range(self.chart.dim):
-            acc = acc + self.entries[i][i]
-        return acc
+        return sum((row[i] for i, row in enumerate(self.entries)), self.chart.zero())
 
 
 class Bivector:
@@ -444,17 +442,16 @@ def wedge(a: Form, b: Form) -> Form:
     degree = a.degree + b.degree
     if degree > a.chart.dim:
         return Form.zero(a.chart, degree)
-    accum: dict[tuple[int, ...], ScalarField] = {}
-    for key_a, coeff_a in a.terms():
-        for key_b, coeff_b in b.terms():
-            key, sign = _sort_with_sign(key_a + key_b)
-            if sign == 0:
-                continue
-            value = coeff_a * coeff_b
-            if sign < 0:
-                value = -value
-            accum[key] = accum[key] + value if key in accum else value
-    return Form(a.chart, degree, accum)
+    return Form(
+        a.chart,
+        degree,
+        (
+            (key_a + key_b, coeff_a * coeff_b)
+            for key_a, coeff_a in a.terms()
+            for key_b, coeff_b in b.terms()
+            if set(key_a).isdisjoint(key_b)  # a shared index wedges to zero; skip the product
+        ),
+    )
 
 
 def interior(vector: VectorField, form: Form) -> Form:
@@ -463,18 +460,16 @@ def interior(vector: VectorField, form: Form) -> Form:
         raise ChartMismatchError("interior product across charts")
     if form.degree == 0:
         raise DegreeError("interior product of a 0-form is undefined")
-    out: dict[tuple[int, ...], ScalarField] = {}
-    for key, coeff in form.terms():
-        for slot, index in enumerate(key):
-            comp = vector.components[index]
-            if comp.is_zero_tree:
-                continue
-            reduced = key[:slot] + key[slot + 1 :]
-            value = coeff * comp
-            if slot % 2 == 1:
-                value = -value
-            out[reduced] = out[reduced] + value if reduced in out else value
-    return Form(form.chart, form.degree - 1, out)
+
+    def terms():
+        for key, coeff in form.terms():
+            for slot, index in enumerate(key):
+                comp = vector.components[index]
+                if not comp.is_zero_tree:
+                    value = coeff * comp
+                    yield key[:slot] + key[slot + 1 :], -value if slot % 2 else value
+
+    return Form(form.chart, form.degree - 1, terms())
 
 
 def pair_interior(x: VectorField, y: VectorField, form: Form) -> Form:
@@ -491,22 +486,16 @@ def tensor_interior(tensor: Tensor11, form: Form) -> Form:
         raise ChartMismatchError("tensor contraction across charts")
     if form.degree == 0:
         return Form.zero(form.chart, 0)
-    accum: dict[tuple[int, ...], ScalarField] = {}
-    for key, coeff in form.terms():
-        for slot, index in enumerate(key):
-            # replace dx_{key[slot]} with sum_j N^{key[slot]}_j dx_j
-            for j in range(form.chart.dim):
-                entry = tensor.entries[index][j]
-                if entry.is_zero_tree:
-                    continue
-                new_key, sign = _sort_with_sign(key[:slot] + (j,) + key[slot + 1 :])
-                if sign == 0:
-                    continue
-                value = coeff * entry
-                if sign < 0:
-                    value = -value
-                accum[new_key] = accum[new_key] + value if new_key in accum else value
-    return Form(form.chart, form.degree, accum)
+
+    def terms():
+        for key, coeff in form.terms():
+            for slot, index in enumerate(key):
+                # replace dx_{key[slot]} with sum_j N^{key[slot]}_j dx_j
+                for j, entry in enumerate(tensor.entries[index]):
+                    if not entry.is_zero_tree and (j == index or j not in key):  # else a repeated index
+                        yield key[:slot] + (j,) + key[slot + 1 :], coeff * entry
+
+    return Form(form.chart, form.degree, terms())
 
 
 def pi_sharp(pi: Bivector, alpha: Form) -> VectorField:

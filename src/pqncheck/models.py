@@ -29,8 +29,6 @@ from .scalar import (
     Sum,
     Const,
     ZeroTestConfig,
-    _poly,
-    _poly_to_node,
     is_zero,
     parse_prefix_tree,
     substitute,
@@ -188,42 +186,31 @@ def _univariate_antiderivative(spec: Node) -> Node | None:
     leaves the node set (such as 1/x).  Integration constants are zero.
     """
     x = Coord(0)
-    result: dict = {}
-    for mono, coeff in _poly(spec).items():
-        dependent = [(base, e) for base, e in mono if base == x or not isinstance(base, Coord)]
-        constant_part = [(base, e) for base, e in mono if (base, e) not in dependent]
-        if constant_part:
-            # A pair potential has no second variable; anything else is unsupported.
+    line = Chart(1)
+    pieces = []
+    for mono, coeff in ScalarField(line, spec).poly.items():
+        if len(mono) > 1:
             return None
-        if not dependent:
-            piece = {((x, 1),): coeff}
-        elif len(dependent) > 1:
-            return None
+        base, e = mono[0] if mono else (x, 0)
+        if base == x and e != -1:
+            pieces.append(Product((Const(coeff / (e + 1)), Power(x, e + 1))))
+        elif isinstance(base, Exp) and _slope(base.affine):
+            pieces.append(Product((Const(coeff / _slope(base.affine)), base)))
+        elif isinstance(base, Sum) and e != -1 and _slope(base.poly):
+            pieces.append(Product((Const(coeff / ((e + 1) * _slope(base.poly))), Power(base, e + 1))))
         else:
-            base, e = dependent[0]
-            if base == x:
-                if e == -1:
-                    return None
-                piece = {((x, e + 1),): coeff / (e + 1)}
-            elif isinstance(base, Exp):
-                arg_poly = _poly(base.argument)
-                rate = arg_poly.get(((x, 1),), Fraction(0))
-                if rate == 0 or any(k not in ((), ((x, 1),)) for k in arg_poly):
-                    return None
-                piece = {mono: coeff / rate}
-            elif isinstance(base, Sum):
-                if e == -1:
-                    return None
-                base_poly = _poly(base)
-                rate = base_poly.get(((x, 1),), Fraction(0))
-                if rate == 0 or any(k not in ((), ((x, 1),)) for k in base_poly):
-                    return None
-                piece = {((base, e + 1),): coeff / ((e + 1) * rate)}
-            else:
-                return None
-        for key, value in piece.items():
-            result[key] = result.get(key, Fraction(0)) + value
-    return _poly_to_node({k: v for k, v in result.items() if v != 0})
+            return None
+    # Built as a tree and normalized once: field arithmetic here would add ring
+    # operations to every model build.
+    return ScalarField(line, Sum(tuple(pieces))).root
+
+
+def _slope(poly) -> Fraction:
+    """The x-coefficient of a polynomial affine in x alone; 0 for any other polynomial."""
+    linear = ((Coord(0), 1),)
+    if any(mono not in ((), linear) for mono in poly):
+        return Fraction(0)
+    return poly.get(linear, Fraction(0))
 
 
 def _normalize_pairs(n: int, potentials: Mapping[tuple[int, int], object]) -> dict[tuple[int, int], Node]:
@@ -243,11 +230,11 @@ def _normalize_pairs(n: int, potentials: Mapping[tuple[int, int], object]) -> di
 def pair_differential_display(chart: Chart, fields: Mapping[tuple[int, int], ScalarField]) -> Form:
     """Closed form of the tensor differential of the pair 2-form:
     sum over pairs of V_ij dq_i ^ dq_j ^ (dp_i + dp_j)."""
-    phi = Form.zero(chart, 3)
-    for (i, j), v in fields.items():
-        qi, qj = chart.q_index(i), chart.q_index(j)
-        phi = phi + Form(chart, 3, {(qi, qj, chart.p_index(i)): v, (qi, qj, chart.p_index(j)): v})
-    return phi
+    return Form(
+        chart,
+        3,
+        (((chart.q_index(i), chart.q_index(j), chart.p_index(m)), v) for (i, j), v in fields.items() for m in (i, j)),
+    )
 
 
 def pair_self_bracket_display(chart: Chart, fields: Mapping[tuple[int, int], ScalarField]) -> Form:
@@ -255,25 +242,22 @@ def pair_self_bracket_display(chart: Chart, fields: Mapping[tuple[int, int], Sca
     2 sum V'_ij dq_i ^ dq_j ^ sum_{k<l} ((delta_il - delta_jl) dp_k +
     (delta_jk - delta_ik) dp_l)."""
     n = chart.n
-    phi = Form.zero(chart, 3)
-    for (i, j), v in fields.items():
-        qi, qj = chart.q_index(i), chart.q_index(j)
-        v_prime = v.partial(qi)
-        if v_prime.is_zero_tree:
-            continue
-        terms: dict[tuple[int, int, int], ScalarField] = {}
-        for k in range(1, n + 1):
-            for l in range(k + 1, n + 1):
-                coeff_k = (1 if l == i else 0) - (1 if l == j else 0)
-                coeff_l = (1 if k == j else 0) - (1 if k == i else 0)
-                for m, coeff in ((k, coeff_k), (l, coeff_l)):
-                    if coeff == 0:
-                        continue
-                    key = (qi, qj, chart.p_index(m))
-                    value = v_prime * (2 * coeff)
-                    terms[key] = terms[key] + value if key in terms else value
-        phi = phi + Form(chart, 3, terms)
-    return phi
+
+    def terms():
+        for (i, j), v in fields.items():
+            qi, qj = chart.q_index(i), chart.q_index(j)
+            v_prime = v.partial(qi)
+            if v_prime.is_zero_tree:
+                continue
+            for k in range(1, n + 1):
+                for l in range(k + 1, n + 1):
+                    coeff_k = (1 if l == i else 0) - (1 if l == j else 0)
+                    coeff_l = (1 if k == j else 0) - (1 if k == i else 0)
+                    for m, coeff in ((k, coeff_k), (l, coeff_l)):
+                        if coeff != 0:
+                            yield (qi, qj, chart.p_index(m)), v_prime * (2 * coeff)
+
+    return Form(chart, 3, terms())
 
 
 def _phi_closed_form(chart: Chart, fields: Mapping[tuple[int, int], ScalarField]) -> Form:
@@ -330,21 +314,19 @@ def pair_potential_model(
 
     theta: Form | None = None
     if all(p is not None for p in primitives.values()):
-        theta_terms: dict[tuple[int, ...], object] = {}
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                key_p = (chart.p_index(i),)
-                pj = chart.p(j)
-                theta_terms[key_p] = theta_terms[key_p] + pj if key_p in theta_terms else pj
-                if (i, j) in primitives:
-                    diff = Sum(
-                        (Coord(chart.q_index(i)), Product((Const(Fraction(-1)), Coord(chart.q_index(j)))))
-                    )
-                    prim = ScalarField(chart, substitute(primitives[(i, j)], {0: diff}))
-                    key_q = (chart.q_index(i),)
-                    value = -prim
-                    theta_terms[key_q] = theta_terms[key_q] + value if key_q in theta_terms else value
-        theta = Form(chart, 1, theta_terms)
+
+        def theta_terms():
+            # theta = sum_{i<j} p_j dp_i - W_ij(q_i - q_j) dq_i, with W_ij a primitive of V_ij
+            for i in range(1, n + 1):
+                for j in range(i + 1, n + 1):
+                    yield (chart.p_index(i),), chart.p(j)
+                    if (i, j) in primitives:
+                        diff = Sum(
+                            (Coord(chart.q_index(i)), Product((Const(Fraction(-1)), Coord(chart.q_index(j)))))
+                        )
+                        yield (chart.q_index(i),), -ScalarField(chart, substitute(primitives[(i, j)], {0: diff}))
+
+        theta = Form(chart, 1, theta_terms())
 
     phi = _phi_closed_form(chart, fields)
     expected = ExpectedOutcome(

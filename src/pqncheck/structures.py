@@ -31,6 +31,7 @@ from .exterior import (
     Form,
     Tensor11,
     VectorField,
+    _dot,
     dx,
     lie_derivative,
     pair_interior,
@@ -241,17 +242,7 @@ def check_compatibility(pi: Bivector, tensor: Tensor11, config: ZeroTestConfig |
 def _induced_bivector(pi: Bivector, tensor: Tensor11) -> Bivector:
     """The bivector with raising map N o pi_sharp (antisymmetric when compatible)."""
     chart = pi.chart
-    dim = chart.dim
-    entries = [[chart.zero() for _ in range(dim)] for _ in range(dim)]
-    for a in range(dim):
-        for b in range(dim):
-            acc = chart.zero()
-            for k in range(dim):
-                p = pi.entries[a][k]
-                n = tensor.entries[b][k]
-                if not p.is_zero_tree and not n.is_zero_tree:
-                    acc = acc + n * p
-            entries[a][b] = acc
+    entries = [[_dot(chart, n_row, p_row) for n_row in tensor.entries] for p_row in pi.entries]
     return Bivector(chart, entries, _validate=False)
 
 
@@ -414,13 +405,9 @@ def deform_to_pn(
 
 def _product_trace(a: Tensor11, b: Tensor11) -> ScalarField:
     """tr(A B) = sum_i sum_k A_ik B_ki, without the off-diagonal entries of A B."""
-    acc = a.chart.zero()
-    for i, row in enumerate(a.entries):
-        for k, a_ik in enumerate(row):
-            b_ki = b.entries[k][i]
-            if not a_ik.is_zero_tree and not b_ki.is_zero_tree:
-                acc = acc + a_ik * b_ki
-    return acc
+    left = (a_ik for row in a.entries for a_ik in row)
+    right = (b_ki for column in zip(*b.entries) for b_ki in column)
+    return _dot(a.chart, left, right)
 
 
 def trace_invariants(tensor: Tensor11, k_max: int) -> list[ScalarField]:

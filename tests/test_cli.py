@@ -16,6 +16,18 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def config_args(argv, tmp_path) -> list[str]:
+    """The CLI arguments with each dict written to a JSON config file in its place."""
+    args = []
+    for arg in argv:
+        if isinstance(arg, dict):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(arg), encoding="utf-8")
+            arg = str(path)
+        args.append(arg)
+    return args
+
+
 def read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -245,6 +257,10 @@ class TestDeformCommand:
         assert run_cli("deform", "--model", "canonical", "--n", "2") == 2
 
 
+def _omega_form(degree: int, terms) -> dict:
+    return {"omega_form": {"degree": degree, "terms": [{"indices": i, "coeff": c} for i, c in terms]}}
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv",
@@ -254,10 +270,16 @@ class TestBadInput:
             ("check", "--model", "closed-toda", "--n", "0"),
             ("involutivity", "--model", "calogero", "--n", "0"),
             ("deform", "--model", "canonical", "--omega", "toda", "--n", "0"),
+            ("check", "--model", "closed-toda", "--config", {"n": "abc"}),
+            ("check", "--model", "closed-toda", "--n", "3", "--config", {"f": [1, "a", 1]}),
+            ("check", "--model", "closed-toda", "--n", "3", "--config", {"box_halfwidth": "wide"}),
+            ("check", "--model", "canonical", "--n", "1", "--config", {"expect": 5}),
+            ("check", "--model", "canonical", "--n", "1", "--config", {"out": 5}),
+            ("check", "--model", "canonical", "--n", "1", "--out", "/nonexistent/dir/r.json"),
         ],
     )
-    def test_rejected_value_is_a_one_line_config_error(self, argv, capsys):
-        assert run_cli(*argv) == 2
+    def test_rejected_value_is_a_one_line_config_error(self, argv, tmp_path, capsys):
+        assert run_cli(*config_args(argv, tmp_path)) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("config error: ")
@@ -272,17 +294,15 @@ class TestBadInput:
             ("check", "--model", "two-particle", "--v", "q3"),
             ("check", "--model", "two-particle", "--v", "(^ (+ q1 (* -1 q1)) -1)"),
             ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": {"1,2": "(exp (* x x))"}}),
+            ("deform", "--n", "2", "--config", _omega_form(2, [([1, 9], "1")])),
+            ("deform", "--n", "2", "--config", _omega_form(2, [([0, 1], "1")])),
+            ("deform", "--n", "2", "--config", _omega_form(2, [([1], "1")])),
+            ("deform", "--n", "2", "--config", _omega_form(3, [([1, 2, 3], "1")])),
+            ("deform", "--n", "2", "--config", {"omega_form": {"degree": 2, "terms": 5}}),
         ],
     )
     def test_malformed_expression_is_a_one_line_config_error(self, argv, tmp_path, capsys):
-        args = []
-        for arg in argv:
-            if isinstance(arg, dict):
-                path = tmp_path / "cfg.json"
-                path.write_text(json.dumps(arg), encoding="utf-8")
-                arg = str(path)
-            args.append(arg)
-        assert run_cli(*args) == 2
+        assert run_cli(*config_args(argv, tmp_path)) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("config error: ")
@@ -298,6 +318,16 @@ class TestReportPin:
         assert {e["mode"] for e in json.loads(out)["entries"]} == {"symbolic"}
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "ed8dca5a1386887941bbff8d02faae790b2290d81bee64df113bbd19b0b669f2"
+
+    def test_toda_deformation_report_bytes(self, capsys):
+        # Also symbolic throughout; unlike the check above it runs the wedge
+        # product and the general branch of the Koszul bracket.
+        argv = ("deform", "--model", "canonical", "--omega", "toda", "--n", "3", "--seed", "13", "--format", "json")
+        assert run_cli(*argv) == 0
+        out = capsys.readouterr().out
+        assert {e["mode"] for e in json.loads(out)["entries"]} == {"symbolic"}
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "a7c33e0da59788c6509a33f3f6db5889c62ac2f0197e281099a46343f2fa5a51"
 
 
 class TestConsoleEntryPoint:

@@ -47,6 +47,17 @@ class TestFormStorage:
     def test_repeated_indices_vanish(self, chart2):
         assert Form(chart2, 2, {(1, 1): 5}).is_zero
 
+    def test_raw_terms_are_sign_sorted_and_summed(self, chart2):
+        f, g, h = chart2.q(1), chart2.p(2), chart2.q(2) * chart2.p(1)
+        raw = [((1, 0), f), ((0, 1), g), ((0, 0), h), ((2, 1), 0)]
+        assert Form(chart2, 2, raw) == Form(chart2, 2, {(0, 1): g - f})
+        assert Form(chart2, 2, iter(raw)) == Form(chart2, 2, {(0, 1): g - f})
+        assert Form(chart2, 1, [((0,), f), ((0,), -f)]).is_zero
+
+    def test_bad_index_in_raw_terms_rejected(self, chart2):
+        with pytest.raises(ChartMismatchError):
+            Form(chart2, 2, (((i, 4), 1) for i in range(2)))
+
     def test_degree_mismatch_rejected(self, chart2):
         with pytest.raises(DegreeError):
             Form(chart2, 2, {(0,): 1})
