@@ -94,8 +94,8 @@ class Torsion12:
         if j == k:
             return self.chart.zero()
         if j < k:
-            return self.components[(j, k)].components[i]
-        return -self.components[(k, j)].components[i]
+            return self.components[(j, k)].component(i)
+        return -self.components[(k, j)].component(i)
 
     def coordinate_pairs(self):
         return self.components.items()
@@ -104,10 +104,12 @@ class Torsion12:
         if x.chart != self.chart or y.chart != self.chart:
             raise ChartMismatchError("torsion evaluated across charts")
         out = VectorField.zero(self.chart)
-        for (j, k), base in self.components.items():
-            weight = x.components[j] * y.components[k] - x.components[k] * y.components[j]
-            if not weight.is_zero_tree:
-                out = out + base * weight
+        for j, xj in x.terms():
+            for k, yk in y.terms():
+                if j < k:
+                    out = out + self.components[(j, k)] * (xj * yk)
+                elif j > k:
+                    out = out - self.components[(k, j)] * (xj * yk)
         return out
 
 
@@ -166,8 +168,8 @@ def _pi_interior(pi: Bivector, form: Form) -> Form:
         for key, coeff in form.terms():
             for t in range(1, len(key)):
                 for s in range(t):
-                    entry = pi.entries[key[s]][key[t]]
-                    if not entry.is_zero_tree:
+                    entry = pi.coeffs.get((key[s], key[t]))
+                    if entry is not None:
                         value = coeff * entry
                         yield key[:s] + key[s + 1 : t] + key[t + 1 :], value if (s + t) % 2 else -value
 

@@ -168,6 +168,8 @@ def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
         if key in file_data and file_data[key] is not None:
             value = file_data[key]
             try:
+                if isinstance(value, bool) or (convert is int and isinstance(value, float) and not value.is_integer()):
+                    raise ValueError("expected a whole number" if convert is int else "no key takes a boolean")
                 return convert(value) if convert else value
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config key {key!r} has an unusable value {value!r}: {exc}") from exc

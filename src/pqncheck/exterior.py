@@ -1,13 +1,18 @@
 """Graded differential forms, vector fields, (1,1) tensors, and bivectors.
 
 All coefficients are :class:`~pqncheck.scalar.ScalarField` values on a shared
-chart.  Forms are sparse: a p-form maps strictly increasing index tuples to
-nonzero coefficients.  The :class:`Form` constructor is the one place that
-knows wedge anticommutativity: it takes raw ``(indices, coefficient)`` terms
-in any index order, sign-sorts each tuple, drops repeated indices and zero
-coefficients, and sums terms that land on the same key.  The operators below
-(wedge, interior products, and those of the calculus module) only generate
-raw terms and hand them to it.
+chart.  All four types follow one sparse storage rule: ``coeffs`` maps a key
+to a nonzero coefficient, and an absent key stands for zero.  The key is a
+strictly increasing index tuple for a p-form, i for the vector component X^i,
+(i, j) for the tensor entry N^i_j, and (i, j) with i < j for the bivector
+entry pi^{ij} (the degree-2 form rule: pi^{ji} = -pi^{ij} is not stored).
+One constructor loop builds all four from raw ``(key, coefficient)`` terms:
+it normalizes each key (for forms and bivectors it sorts the index tuple with
+its permutation sign and drops repeated indices, the one place that knows
+wedge anticommutativity), drops zero coefficients, and sums equal keys.  The
+operators below only generate raw terms over stored entries.
+``VectorField.components`` and the ``entries`` of ``Tensor11`` and
+``Bivector`` are read-only dense views.
 
 Matrix conventions (pinned by the two-particle fixtures in the models
 module): a (1,1) tensor acts on column component vectors, entry (i, j) being
@@ -36,15 +41,6 @@ def _coerce_scalar(chart: Chart, value: CoeffLike) -> ScalarField:
     return ScalarField(chart, value)
 
 
-def _dot(chart: Chart, left: Iterable[ScalarField], right: Iterable[ScalarField]) -> ScalarField:
-    """sum_k left_k * right_k, skipping the products with a zero factor."""
-    acc = chart.zero()
-    for a, b in zip(left, right):
-        if not a.is_zero_tree and not b.is_zero_tree:
-            acc = acc + a * b
-    return acc
-
-
 def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """Sort a wedge index tuple, returning the permutation sign (0 on repeats)."""
     idx = list(indices)
@@ -61,7 +57,109 @@ def _sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(idx), sign
 
 
-class Form:
+def _check_range(low: int, high: int, dim: int) -> None:
+    if not (0 <= low and high < dim):
+        raise ChartMismatchError(f"coordinate index {low if low < 0 else high} out of range for dim {dim}")
+
+
+def _wedge_key(raw_key: Sequence[int], degree: int, dim: int) -> tuple[tuple[int, ...], int]:
+    """The sorted index tuple of a wedge monomial and its permutation sign."""
+    key, sign = _sort_with_sign(raw_key)
+    if len(key) != degree:
+        raise DegreeError(f"index tuple {tuple(raw_key)} does not match degree {degree}")
+    if key:
+        _check_range(key[0], key[-1], dim)
+    return key, sign
+
+
+def _matrix_terms(chart: Chart, rows: Sequence[Sequence[CoeffLike]]):
+    """The ``((i, j), entry)`` terms of a dense chart.dim x chart.dim matrix."""
+    if len(rows) != chart.dim or any(len(row) != chart.dim for row in rows):
+        raise ChartMismatchError(f"expected a {chart.dim}x{chart.dim} matrix")
+    return (((i, j), entry) for i, row in enumerate(rows) for j, entry in enumerate(row))
+
+
+class _Sparse:
+    """Storage and linear algebra shared by the four tensor types.
+
+    A subclass defines ``_key(raw_key, dim) -> (key, sign)``; sign 0 drops the term.
+    """
+
+    __slots__ = ("chart", "coeffs")
+
+    def _store(self, chart: Chart, terms) -> None:
+        """Normalize a mapping or an iterable of raw ``(key, coefficient)`` pairs into ``coeffs``."""
+        dim = chart.dim
+        coeffs: dict = {}
+        for raw_key, raw_value in terms.items() if isinstance(terms, Mapping) else terms:
+            key, sign = self._key(raw_key, dim)
+            value = _coerce_scalar(chart, raw_value)
+            if sign == 0 or value.is_zero_tree:
+                continue
+            if sign < 0:
+                value = -value
+            if key in coeffs:
+                value = coeffs[key] + value
+            if value.is_zero_tree:
+                coeffs.pop(key, None)
+            else:
+                coeffs[key] = value
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, terms):
+        """A value of the same type and shape as ``self`` built from ``terms``."""
+        return type(self)(self.chart, terms)
+
+    def _require_like(self, other) -> None:
+        if self.chart != other.chart:
+            raise ChartMismatchError(f"{type(self).__name__} operands live on different charts")
+
+    def _get(self, key) -> ScalarField:
+        value = self.coeffs.get(key)
+        return self.chart.zero() if value is None else value
+
+    @property
+    def is_zero(self) -> bool:
+        """Structurally zero: no coefficient survived normalization."""
+        return not self.coeffs
+
+    def terms(self) -> Iterable[tuple]:
+        return self.coeffs.items()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.chart == other.chart and self.coeffs == other.coeffs
+
+    def _combine(self, other, op, lone):
+        """op coefficient-wise on shared keys, lone(value) on keys only ``other`` has."""
+        self._require_like(other)
+        out = dict(self.coeffs)
+        for key, value in other.coeffs.items():
+            out[key] = op(out[key], value) if key in out else lone(value)
+        return self._like(out)
+
+    def __add__(self, other):
+        return self._combine(other, operator.add, lambda value: value)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub, operator.neg)
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.coeffs.items()})
+
+    def __mul__(self, scalar: CoeffLike):
+        value = _coerce_scalar(self.chart, scalar)
+        return self._like({k: v * value for k, v in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+
+class Form(_Sparse):
     """A differential form of fixed degree with sparse antisymmetric storage.
 
     ``terms`` is a mapping or an iterable of ``(indices, coefficient)`` pairs.
@@ -70,7 +168,7 @@ class Form:
     coefficient is dropped, and terms with the same sorted tuple are summed.
     """
 
-    __slots__ = ("chart", "degree", "coeffs")
+    __slots__ = ("degree",)
 
     def __init__(
         self,
@@ -80,32 +178,19 @@ class Form:
     ):
         if degree < 0:
             raise DegreeError(f"form degree must be nonnegative, got {degree}")
-        dim = chart.dim
-        coeffs: dict[tuple[int, ...], ScalarField] = {}
-        for raw_key, raw_value in terms.items() if isinstance(terms, Mapping) else terms or ():
-            sorted_key, sign = _sort_with_sign(raw_key)
-            if len(sorted_key) != degree:
-                raise DegreeError(f"index tuple {tuple(raw_key)} does not match degree {degree}")
-            if sorted_key and not (0 <= sorted_key[0] and sorted_key[-1] < dim):
-                bad = sorted_key[0] if sorted_key[0] < 0 else sorted_key[-1]
-                raise ChartMismatchError(f"coordinate index {bad} out of range for dim {dim}")
-            value = _coerce_scalar(chart, raw_value)
-            if sign == 0 or value.is_zero_tree:
-                continue
-            if sign < 0:
-                value = -value
-            if sorted_key in coeffs:
-                value = coeffs[sorted_key] + value
-            if value.is_zero_tree:
-                coeffs.pop(sorted_key, None)
-            else:
-                coeffs[sorted_key] = value
-        object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coeffs", coeffs)
+        self._store(chart, terms or ())
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Form is immutable")
+    def _key(self, raw_key: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
+        return _wedge_key(raw_key, self.degree, dim)
+
+    def _like(self, terms) -> "Form":
+        return Form(self.chart, self.degree, terms)
+
+    def _require_like(self, other: "Form") -> None:
+        super()._require_like(other)
+        if self.degree != other.degree:
+            raise DegreeError(f"cannot combine forms of degrees {self.degree} and {other.degree}")
 
     @classmethod
     def zero(cls, chart: Chart, degree: int) -> "Form":
@@ -118,29 +203,19 @@ class Form:
     def as_scalar(self) -> ScalarField:
         if self.degree != 0:
             raise DegreeError(f"only a 0-form is a scalar, got degree {self.degree}")
-        return self.coeffs.get((), self.chart.zero())
-
-    @property
-    def is_zero(self) -> bool:
-        """Structurally zero (all coefficients normalize away)."""
-        return not self.coeffs
+        return self._get(())
 
     def coefficient(self, *indices: int) -> ScalarField:
         key, sign = _sort_with_sign(indices)
         if sign == 0:
             return self.chart.zero()
-        value = self.coeffs.get(key)
-        if value is None:
-            return self.chart.zero()
+        value = self._get(key)
         return value if sign > 0 else -value
-
-    def terms(self) -> Iterable[tuple[tuple[int, ...], ScalarField]]:
-        return self.coeffs.items()
 
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        return self.chart == other.chart and self.degree == other.degree and self.coeffs == other.coeffs
+        return self.degree == other.degree and super().__eq__(other)
 
     def __repr__(self):
         if not self.coeffs:
@@ -151,35 +226,6 @@ class Form:
             basis = "^".join(f"d{names[i]}" for i in key) or "1"
             parts.append(f"({self.coeffs[key].to_prefix()}) {basis}")
         return f"Form<deg {self.degree}>(" + " + ".join(parts) + ")"
-
-    def _require_same_chart(self, other: "Form") -> None:
-        if self.chart != other.chart:
-            raise ChartMismatchError("forms live on different charts")
-
-    def _combine(self, other: "Form", op, lone) -> "Form":
-        """op coefficient-wise on shared keys, lone(value) on keys only ``other`` has."""
-        self._require_same_chart(other)
-        if self.degree != other.degree:
-            raise DegreeError(f"cannot combine forms of degrees {self.degree} and {other.degree}")
-        out: dict[tuple[int, ...], CoeffLike] = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            out[key] = op(out[key], value) if key in out else lone(value)
-        return Form(self.chart, self.degree, out)
-
-    def __add__(self, other: "Form") -> "Form":
-        return self._combine(other, operator.add, lambda value: value)
-
-    def __neg__(self) -> "Form":
-        return Form(self.chart, self.degree, {k: -v for k, v in self.coeffs.items()})
-
-    def __sub__(self, other: "Form") -> "Form":
-        return self._combine(other, operator.sub, operator.neg)
-
-    def __mul__(self, scalar: CoeffLike) -> "Form":
-        value = _coerce_scalar(self.chart, scalar)
-        return Form(self.chart, self.degree, {k: v * value for k, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
 
     def wedge(self, other: "Form") -> "Form":
         return wedge(self, other)
@@ -194,75 +240,55 @@ class Form:
         return result.as_scalar()
 
 
-class VectorField:
-    """A vector field given by its 2n coordinate components."""
+class VectorField(_Sparse):
+    """A vector field sum_i X^i d/dx_i, stored as ``{i: X^i}``.
 
-    __slots__ = ("chart", "components")
+    ``components`` is a dense sequence of all chart.dim components, or a
+    mapping or iterable of raw ``(i, X^i)`` terms (summed by index).
+    """
 
-    def __init__(self, chart: Chart, components: Sequence[CoeffLike]):
-        comps = tuple(_coerce_scalar(chart, c) for c in components)
-        if len(comps) != chart.dim:
-            raise ChartMismatchError(f"expected {chart.dim} components, got {len(comps)}")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "components", comps)
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("VectorField is immutable")
+    def __init__(self, chart: Chart, components: Sequence[CoeffLike] | Mapping[int, CoeffLike] | Iterable):
+        if isinstance(components, Sequence):
+            if len(components) != chart.dim:
+                raise ChartMismatchError(f"expected {chart.dim} components, got {len(components)}")
+            components = enumerate(components)
+        self._store(chart, components)
+
+    @staticmethod
+    def _key(index: int, dim: int) -> tuple[int, int]:
+        _check_range(index, index, dim)
+        return index, 1
 
     @classmethod
     def zero(cls, chart: Chart) -> "VectorField":
-        return cls(chart, [0] * chart.dim)
+        return cls(chart, {})
 
     @classmethod
     def basis(cls, chart: Chart, index: int) -> "VectorField":
-        comps = [0] * chart.dim
-        comps[index] = 1
-        return cls(chart, comps)
+        return cls(chart, {index: 1})
 
-    def __eq__(self, other):
-        if not isinstance(other, VectorField):
-            return NotImplemented
-        return self.chart == other.chart and self.components == other.components
+    @property
+    def components(self) -> tuple[ScalarField, ...]:
+        """Dense read-only view: all chart.dim components, zeros included."""
+        return tuple(self._get(i) for i in range(self.chart.dim))
+
+    def component(self, index: int) -> ScalarField:
+        return self._get(index)
 
     def __repr__(self):
         names = self.chart.coordinate_names()
-        parts = [
-            f"({c.to_prefix()}) d/d{names[i]}"
-            for i, c in enumerate(self.components)
-            if not c.is_zero_tree
-        ]
+        parts = [f"({c.to_prefix()}) d/d{names[i]}" for i, c in sorted(self.terms())]
         return "VectorField(" + (" + ".join(parts) or "0") + ")"
 
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero_tree for c in self.components)
-
-    def _combine(self, other: "VectorField", op) -> "VectorField":
-        if self.chart != other.chart:
-            raise ChartMismatchError("vector fields live on different charts")
-        return VectorField(self.chart, [op(a, b) for a, b in zip(self.components, other.components)])
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return self._combine(other, operator.add)
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(self.chart, [-c for c in self.components])
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self._combine(other, operator.sub)
-
-    def __mul__(self, scalar: CoeffLike) -> "VectorField":
-        value = _coerce_scalar(self.chart, scalar)
-        return VectorField(self.chart, [c * value for c in self.components])
-
-    __rmul__ = __mul__
-
     def __call__(self, field: ScalarField) -> ScalarField:
-        """Directional derivative of a scalar field."""
+        """Directional derivative X(f) = sum_j X^j d_j f of a scalar field."""
         out = self.chart.zero()
-        for j, comp in enumerate(self.components):
-            if not comp.is_zero_tree:
-                out = out + comp * field.partial(j)
+        for j, comp in self.terms():
+            derivative = field.partial(j)
+            if not derivative.is_zero_tree:
+                out = out + comp * derivative
         return out
 
 
@@ -272,89 +298,82 @@ def pairing(alpha: Form, vector: VectorField) -> ScalarField:
         raise DegreeError("pairing requires a 1-form")
     if alpha.chart != vector.chart:
         raise ChartMismatchError("pairing across charts")
-    return _dot(alpha.chart, alpha.coeffs.values(), (vector.components[i] for (i,) in alpha.coeffs))
+    products = (coeff * vector.coeffs[i] for (i,), coeff in alpha.terms() if i in vector.coeffs)
+    return sum(products, alpha.chart.zero())
 
 
-class Tensor11:
-    """A (1,1) tensor field as a 2n x 2n matrix acting on column vectors.
+class _Matrix(_Sparse):
+    """A sparse type keyed by index pairs (i, j), with a dense matrix view."""
+
+    __slots__ = ()
+
+    @property
+    def entries(self) -> tuple[tuple[ScalarField, ...], ...]:
+        """Dense read-only view: the full chart.dim x chart.dim matrix, zeros included."""
+        dim = self.chart.dim
+        return tuple(tuple(self.entry(i, j) for j in range(dim)) for i in range(dim))
+
+    def __repr__(self):
+        rows = "; ".join(", ".join(e.to_prefix() for e in row) for row in self.entries)
+        return f"{type(self).__name__}([{rows}])"
+
+
+class Tensor11(_Matrix):
+    """A (1,1) tensor field N acting on column vectors, stored as ``{(i, j): N^i_j}``.
 
     Entry (i, j) is the i-th component of the image of the j-th coordinate
-    field.
+    field.  ``entries`` is a dense chart.dim x chart.dim matrix (a sequence
+    of rows), or a mapping or iterable of raw ``((i, j), N^i_j)`` terms.
     """
 
-    __slots__ = ("chart", "entries")
+    __slots__ = ()
 
-    def __init__(self, chart: Chart, entries: Sequence[Sequence[CoeffLike]]):
-        rows = tuple(tuple(_coerce_scalar(chart, e) for e in row) for row in entries)
-        if len(rows) != chart.dim or any(len(row) != chart.dim for row in rows):
-            raise ChartMismatchError(f"expected a {chart.dim}x{chart.dim} matrix")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "entries", rows)
+    def __init__(self, chart: Chart, entries: Sequence[Sequence[CoeffLike]] | Mapping | Iterable):
+        self._store(chart, _matrix_terms(chart, entries) if isinstance(entries, Sequence) else entries)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor11 is immutable")
+    @staticmethod
+    def _key(key: tuple[int, int], dim: int) -> tuple[tuple[int, int], int]:
+        i, j = key
+        _check_range(min(i, j), max(i, j), dim)
+        return (i, j), 1
 
     @classmethod
     def identity(cls, chart: Chart) -> "Tensor11":
-        return cls(chart, [[1 if i == j else 0 for j in range(chart.dim)] for i in range(chart.dim)])
+        return cls(chart, {(i, i): 1 for i in range(chart.dim)})
 
     @classmethod
     def zero(cls, chart: Chart) -> "Tensor11":
-        return cls(chart, [[0] * chart.dim for _ in range(chart.dim)])
+        return cls(chart, {})
 
     @classmethod
     def from_columns(cls, chart: Chart, columns: Sequence[VectorField]) -> "Tensor11":
         if len(columns) != chart.dim:
             raise ChartMismatchError(f"expected {chart.dim} columns")
-        return cls(chart, [[columns[j].components[i] for j in range(chart.dim)] for i in range(chart.dim)])
+        return cls(chart, (((i, j), value) for j, column in enumerate(columns) for i, value in column.terms()))
 
     def entry(self, i: int, j: int) -> ScalarField:
-        return self.entries[i][j]
+        return self._get((i, j))
 
     def column(self, j: int) -> VectorField:
-        return VectorField(self.chart, [row[j] for row in self.entries])
+        return VectorField(self.chart, {i: value for (i, k), value in self.terms() if k == j})
 
-    def __eq__(self, other):
-        if not isinstance(other, Tensor11):
-            return NotImplemented
-        return self.chart == other.chart and self.entries == other.entries
-
-    def __repr__(self):
-        return "Tensor11([" + "; ".join(", ".join(e.to_prefix() for e in row) for row in self.entries) + "])"
+    def _rows(self) -> dict[int, list[tuple[int, ScalarField]]]:
+        """The stored entries by row, ``{i: [(j, N^i_j), ...]}``, each row in ascending j."""
+        rows: dict[int, list[tuple[int, ScalarField]]] = {}
+        for (i, j) in sorted(self.coeffs):
+            rows.setdefault(i, []).append((j, self.coeffs[(i, j)]))
+        return rows
 
     def apply(self, vector: VectorField) -> VectorField:
         if vector.chart != self.chart:
             raise ChartMismatchError("tensor and vector live on different charts")
-        return VectorField(self.chart, [_dot(self.chart, row, vector.components) for row in self.entries])
-
-    def _combine(self, other: "Tensor11", op) -> "Tensor11":
-        if self.chart != other.chart:
-            raise ChartMismatchError("tensors live on different charts")
-        return Tensor11(
-            self.chart,
-            [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
-
-    def __add__(self, other: "Tensor11") -> "Tensor11":
-        return self._combine(other, operator.add)
-
-    def __neg__(self) -> "Tensor11":
-        return Tensor11(self.chart, [[-e for e in row] for row in self.entries])
-
-    def __sub__(self, other: "Tensor11") -> "Tensor11":
-        return self._combine(other, operator.sub)
-
-    def __mul__(self, scalar: CoeffLike) -> "Tensor11":
-        value = _coerce_scalar(self.chart, scalar)
-        return Tensor11(self.chart, [[e * value for e in row] for row in self.entries])
-
-    __rmul__ = __mul__
+        comps = vector.coeffs
+        return VectorField(self.chart, ((i, value * comps[j]) for (i, j), value in self.terms() if j in comps))
 
     def __matmul__(self, other: "Tensor11") -> "Tensor11":
-        if self.chart != other.chart:
-            raise ChartMismatchError("tensors live on different charts")
-        columns = list(zip(*other.entries))
-        return Tensor11(self.chart, [[_dot(self.chart, row, column) for column in columns] for row in self.entries])
+        self._require_like(other)
+        rows = other._rows()
+        return Tensor11(self.chart, (((i, k), a * b) for (i, j), a in self.terms() for k, b in rows.get(j, ())))
 
     def power(self, k: int) -> "Tensor11":
         if k < 0:
@@ -365,69 +384,58 @@ class Tensor11:
         return out
 
     def trace(self) -> ScalarField:
-        return sum((row[i] for i, row in enumerate(self.entries)), self.chart.zero())
+        return sum((value for (i, j), value in self.terms() if i == j), self.chart.zero())
 
 
-class Bivector:
-    """An antisymmetric (2,0) tensor pi^{ij}; the Poisson candidate."""
+class Bivector(_Matrix):
+    """An antisymmetric (2,0) tensor pi, the Poisson candidate, stored as ``{(i, j): pi^{ij}}`` with i < j.
 
-    __slots__ = ("chart", "entries")
+    ``entries`` is a dense antisymmetric matrix (a sequence of rows, checked
+    entry by entry), or a mapping or iterable of raw ``((i, j), pi^{ij})``
+    terms.  Raw keys follow the degree-2 rule of :class:`Form`: (j, i) is
+    stored as (i, j) with the coefficient negated, so
+    ``entry(j, i) == -entry(i, j)``.
+    """
 
-    def __init__(self, chart: Chart, entries: Sequence[Sequence[CoeffLike]], _validate: bool = True):
-        rows = tuple(tuple(_coerce_scalar(chart, e) for e in row) for row in entries)
-        if len(rows) != chart.dim or any(len(row) != chart.dim for row in rows):
-            raise ChartMismatchError(f"expected a {chart.dim}x{chart.dim} matrix")
-        if _validate:
-            for i in range(chart.dim):
-                for j in range(i, chart.dim):
-                    if not (rows[i][j] + rows[j][i]).is_zero_tree:
-                        raise ValueError(
-                            f"bivector is not antisymmetric at entry ({i}, {j}):"
-                            f" {rows[i][j].to_prefix()} vs {rows[j][i].to_prefix()}"
-                        )
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "entries", rows)
+    __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Bivector is immutable")
+    def __init__(self, chart: Chart, entries: Sequence[Sequence[CoeffLike]] | Mapping | Iterable):
+        if isinstance(entries, Sequence):
+            dense = {key: _coerce_scalar(chart, value) for key, value in _matrix_terms(chart, entries)}
+            for (i, j), value in dense.items():
+                if i <= j and not (value + dense[j, i]).is_zero_tree:
+                    found = f"{value.to_prefix()} vs {dense[j, i].to_prefix()}"
+                    raise ValueError(f"bivector is not antisymmetric at entry ({i}, {j}): {found}")
+            entries = {key: value for key, value in dense.items() if key[0] < key[1]}
+        self._store(chart, entries)
+
+    @staticmethod
+    def _key(raw_key: Sequence[int], dim: int) -> tuple[tuple[int, ...], int]:
+        return _wedge_key(raw_key, 2, dim)
 
     @classmethod
     def from_upper(cls, chart: Chart, upper: Mapping[tuple[int, int], CoeffLike]) -> "Bivector":
         """Build from entries pi^{ij} with i < j; the lower triangle is forced."""
-        dim = chart.dim
-        rows = [[chart.zero() for _ in range(dim)] for _ in range(dim)]
-        for (i, j), value in upper.items():
-            if not 0 <= i < j < dim:
-                raise ValueError(f"upper-triangle key ({i}, {j}) must satisfy 0 <= i < j < {dim}")
-            field = _coerce_scalar(chart, value)
-            rows[i][j] = field
-            rows[j][i] = -field
-        return cls(chart, rows, _validate=False)
+        for i, j in upper:
+            if not 0 <= i < j < chart.dim:
+                raise ValueError(f"upper-triangle key ({i}, {j}) must satisfy 0 <= i < j < {chart.dim}")
+        return cls(chart, upper)
 
     def entry(self, i: int, j: int) -> ScalarField:
-        return self.entries[i][j]
-
-    def __eq__(self, other):
-        if not isinstance(other, Bivector):
-            return NotImplemented
-        return self.chart == other.chart and self.entries == other.entries
-
-    def __repr__(self):
-        return "Bivector([" + "; ".join(", ".join(e.to_prefix() for e in row) for row in self.entries) + "])"
+        return -self._get((j, i)) if i > j else self._get((i, j))
 
     def nonzero_entries(self) -> Iterable[tuple[int, int, ScalarField]]:
-        for i, row in enumerate(self.entries):
-            for j, value in enumerate(row):
-                if not value.is_zero_tree:
-                    yield i, j, value
+        """Every nonzero pi^{ij} over ordered pairs: (i, j, pi^{ij}) and (j, i, -pi^{ij})."""
+        for (i, j), value in self.terms():
+            yield i, j, value
+            yield j, i, -value
 
     def sharp(self, alpha: Form) -> VectorField:
         return pi_sharp(self, alpha)
 
     def sharp_matrix(self) -> tuple[tuple[ScalarField, ...], ...]:
         """The matrix of the raising map on column vectors: entry (i, j) = pi^{ji}."""
-        dim = self.chart.dim
-        return tuple(tuple(self.entries[j][i] for j in range(dim)) for i in range(dim))
+        return tuple(zip(*self.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +468,13 @@ def interior(vector: VectorField, form: Form) -> Form:
         raise ChartMismatchError("interior product across charts")
     if form.degree == 0:
         raise DegreeError("interior product of a 0-form is undefined")
+    comps = vector.coeffs
 
     def terms():
         for key, coeff in form.terms():
             for slot, index in enumerate(key):
-                comp = vector.components[index]
-                if not comp.is_zero_tree:
-                    value = coeff * comp
+                if index in comps:
+                    value = coeff * comps[index]
                     yield key[:slot] + key[slot + 1 :], -value if slot % 2 else value
 
     return Form(form.chart, form.degree - 1, terms())
@@ -486,13 +494,14 @@ def tensor_interior(tensor: Tensor11, form: Form) -> Form:
         raise ChartMismatchError("tensor contraction across charts")
     if form.degree == 0:
         return Form.zero(form.chart, 0)
+    rows = tensor._rows()
 
     def terms():
         for key, coeff in form.terms():
             for slot, index in enumerate(key):
                 # replace dx_{key[slot]} with sum_j N^{key[slot]}_j dx_j
-                for j, entry in enumerate(tensor.entries[index]):
-                    if not entry.is_zero_tree and (j == index or j not in key):  # else a repeated index
+                for j, entry in rows.get(index, ()):
+                    if j == index or j not in key:  # else a repeated index
                         yield key[:slot] + (j,) + key[slot + 1 :], coeff * entry
 
     return Form(form.chart, form.degree, terms())
@@ -504,14 +513,16 @@ def pi_sharp(pi: Bivector, alpha: Form) -> VectorField:
         raise ChartMismatchError("raising across charts")
     if alpha.degree != 1:
         raise DegreeError("pi_sharp acts on 1-forms")
-    zero = pi.chart.zero()
-    comps = [zero] * pi.chart.dim
-    for (j,), coeff in alpha.terms():
-        for i in range(pi.chart.dim):
-            entry = pi.entries[j][i]
-            if not entry.is_zero_tree:
-                comps[i] = comps[i] + entry * coeff
-    return VectorField(pi.chart, comps)
+    coeffs = alpha.coeffs
+
+    def terms():
+        for (i, j), entry in pi.terms():  # pi^{ij} with i < j, and pi^{ji} = -pi^{ij}
+            if (i,) in coeffs:
+                yield j, entry * coeffs[(i,)]
+            if (j,) in coeffs:
+                yield i, -(entry * coeffs[(j,)])
+
+    return VectorField(pi.chart, terms())
 
 
 def omega_flat(omega: Form, vector: VectorField) -> Form:
@@ -531,29 +542,18 @@ def pi_sharp_omega_flat(pi: Bivector, omega: Form) -> Tensor11:
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket of vector fields: [X,Y]^i = X^j d_j Y^i - Y^j d_j X^i."""
+    """Lie bracket of vector fields: [X,Y]^i = X(Y^i) - Y(X^i)."""
     if x.chart != y.chart:
         raise ChartMismatchError("bracket across charts")
-    chart = x.chart
-    comps = []
-    for i in range(chart.dim):
-        acc = chart.zero()
-        for j in range(chart.dim):
-            xj = x.components[j]
-            yj = y.components[j]
-            if not xj.is_zero_tree:
-                acc = acc + xj * y.components[i].partial(j)
-            if not yj.is_zero_tree:
-                acc = acc - yj * x.components[i].partial(j)
-        comps.append(acc)
-    return VectorField(chart, comps)
+    return VectorField(x.chart, {i: x(c) for i, c in y.terms()}) - VectorField(x.chart, {i: y(c) for i, c in x.terms()})
 
 
 def lie_derivative(x: VectorField, target):
     """Lie derivative along X of a scalar field, a form, or a (1,1) tensor.
 
     On forms it is computed by the Cartan formula L_X = i_X d + d i_X; on
-    (1,1) tensors by (L_X N)(Y) = [X, NY] - N[X, Y]; on scalars it is X(f).
+    (1,1) tensors by (L_X N)(Y) = [X, NY] - N[X, Y], which in components is
+    X(N) - J N + N J with the Jacobian J^i_j = d_j X^i; on scalars it is X(f).
     """
     from .calculus import cartan_d  # deferred: calculus builds on this module
 
@@ -565,14 +565,9 @@ def lie_derivative(x: VectorField, target):
         return interior(x, cartan_d(target)) + cartan_d(interior(x, target))
     if isinstance(target, Tensor11):
         chart = target.chart
-        dim = chart.dim
-        entries = [[chart.zero() for _ in range(dim)] for _ in range(dim)]
-        for j in range(dim):
-            basis_j = VectorField.basis(chart, j)
-            column = lie_bracket(x, target.apply(basis_j)) - target.apply(lie_bracket(x, basis_j))
-            for i in range(dim):
-                entries[i][j] = column.components[i]
-        return Tensor11(chart, entries)
+        jacobian = Tensor11(chart, (((i, j), c.partial(j)) for i, c in x.terms() for j in range(chart.dim)))
+        along = Tensor11(chart, {key: x(value) for key, value in target.terms()})
+        return along - jacobian @ target + target @ jacobian
     raise TypeError(f"lie_derivative does not handle {type(target).__name__}")
 
 

@@ -91,11 +91,9 @@ def canonical_poisson(chart: Chart) -> Bivector:
 
 def canonical_nijenhuis(chart: Chart) -> Tensor11:
     """The diagonal momentum tensor: q_i and p_i directions scaled by p_i."""
-    dim = chart.dim
-    entries = [[chart.zero() for _ in range(dim)] for _ in range(dim)]
+    entries = {}
     for i in range(1, chart.n + 1):
-        entries[chart.q_index(i)][chart.q_index(i)] = chart.p(i)
-        entries[chart.p_index(i)][chart.p_index(i)] = chart.p(i)
+        entries[chart.q_index(i), chart.q_index(i)] = entries[chart.p_index(i), chart.p_index(i)] = chart.p(i)
     return Tensor11(chart, entries)
 
 
@@ -299,18 +297,16 @@ def pair_potential_model(
                 omega_terms[(chart.q_index(j), chart.q_index(i))] = fields[(i, j)]
     omega = Form(chart, 2, omega_terms)
 
-    tensor = canonical_nijenhuis(chart)
-    dim = chart.dim
-    extra = [[chart.zero() for _ in range(dim)] for _ in range(dim)]
+    extra = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            extra[chart.q_index(i)][chart.p_index(j)] = chart.one()
-            extra[chart.q_index(j)][chart.p_index(i)] = -chart.one()
+            extra[chart.q_index(i), chart.p_index(j)] = 1
+            extra[chart.q_index(j), chart.p_index(i)] = -1
             if (i, j) in fields:
                 v = fields[(i, j)]
-                extra[chart.p_index(j)][chart.q_index(i)] = v
-                extra[chart.p_index(i)][chart.q_index(j)] = -v
-    tensor = tensor + Tensor11(chart, extra)
+                extra[chart.p_index(j), chart.q_index(i)] = v
+                extra[chart.p_index(i), chart.q_index(j)] = -v
+    tensor = canonical_nijenhuis(chart) + Tensor11(chart, extra)
 
     theta: Form | None = None
     if all(p is not None for p in primitives.values()):

@@ -276,6 +276,11 @@ class TestBadInput:
             ("check", "--model", "canonical", "--n", "1", "--config", {"expect": 5}),
             ("check", "--model", "canonical", "--n", "1", "--config", {"out": 5}),
             ("check", "--model", "canonical", "--n", "1", "--out", "/nonexistent/dir/r.json"),
+            ("involutivity", "--model", "calogero", "--config", {"n": 3.7}),
+            ("involutivity", "--model", "calogero", "--n", "3", "--config", {"kmax": True}),
+            ("involutivity", "--model", "calogero", "--n", "3", "--config", {"samples": 2.5}),
+            ("involutivity", "--model", "calogero", "--n", "3", "--config", {"tol": True}),
+            ("involutivity", "--model", "calogero", "--n", "3", "--config", {"seed": 1.5}),
         ],
     )
     def test_rejected_value_is_a_one_line_config_error(self, argv, tmp_path, capsys):

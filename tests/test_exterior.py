@@ -36,6 +36,52 @@ from pqncheck.scalar import Chart, exp
 from conftest import seeded
 
 
+def _stored_values(obj):
+    return [value for _, value in obj.terms()]
+
+
+class TestSparseStorage:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_dense_views_rebuild_the_same_value(self, chart2, seed):
+        rng = seeded(seed)
+        v, t = random_vector_field(chart2, rng), random_tensor(chart2, rng)
+        assert isinstance(v.components, tuple) and len(v.components) == chart2.dim
+        assert isinstance(t.entries, tuple) and all(isinstance(row, tuple) for row in t.entries)
+        assert VectorField(chart2, v.components) == v
+        assert Tensor11(chart2, t.entries) == t
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bivector_keys_follow_the_degree_two_rule(self, chart2, seed):
+        upper = random_form(chart2, 2, seeded(seed), max_terms=4).coeffs
+        pi = Bivector.from_upper(chart2, upper)
+        assert isinstance(pi.entries, tuple) and all(isinstance(row, tuple) for row in pi.entries)
+        assert Bivector(chart2, pi.entries) == pi
+        assert Bivector(chart2, {(j, i): -value for (i, j), value in upper.items()}) == pi
+        assert all(i < j for i, j in pi.coeffs)
+        for i in range(chart2.dim):
+            for j in range(chart2.dim):
+                assert pi.entry(j, i) == -pi.entry(i, j)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_stored_value_is_zero(self, chart2, seed):
+        rng = seeded(seed)
+        x, y, t = random_vector_field(chart2, rng), random_vector_field(chart2, rng), random_tensor(chart2, rng)
+        pi = Bivector.from_upper(chart2, random_form(chart2, 2, rng).coeffs)
+        values = [x, y, t, pi, x + y, t @ t, t.apply(x), lie_bracket(x, y), lie_derivative(x, t)]
+        values.append(pi_sharp(pi, random_form(chart2, 1, rng)))
+        values.append(pi_sharp_omega_flat(pi, random_form(chart2, 2, rng)))
+        for value in values:
+            assert not any(c.is_zero_tree for c in _stored_values(value))
+        assert (x - x).coeffs == {} and (t - t).coeffs == {} and (pi - pi).coeffs == {}
+        assert VectorField(chart2, [chart2.q(1), 0, 0, 0]).coeffs == {0: chart2.q(1)}
+
+    def test_raw_terms_are_summed(self, chart2):
+        q1 = chart2.q(1)
+        assert VectorField(chart2, iter([(0, q1), (0, -q1), (2, 1)])) == VectorField.basis(chart2, 2)
+        assert Tensor11(chart2, iter([((0, 1), q1), ((0, 1), q1)])) == Tensor11(chart2, {(0, 1): 2 * q1})
+        assert Bivector(chart2, iter([((0, 1), q1), ((1, 0), q1), ((2, 2), 1)])).is_zero
+
+
 class TestFormStorage:
     def test_sign_sorting_and_pruning(self, chart2):
         a = Form(chart2, 2, {(2, 0): 1})

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from pqncheck.models import (
     open_toda,
     two_particle_model,
 )
+from pqncheck.randgen import random_tensor
 from pqncheck.scalar import ZeroTestConfig, exp
 from pqncheck.structures import (
     GeometricStructure,
@@ -110,6 +112,57 @@ class TestCheckPn:
         entry = report.entry("torsion-vanishes")
         assert not entry.passed
         assert entry.witness is not None
+
+
+def _unpaired_diagonal_tensor(chart):
+    entries = [[0] * 4 for _ in range(4)]
+    entries[0][0] = chart.p(1)
+    return Tensor11(chart, entries)
+
+
+def _random_tensor_draw(chart, index):
+    rng = random.Random(5)
+    for _ in range(index):
+        random_tensor(chart, rng)
+    return random_tensor(chart, rng)
+
+
+class TestInducedBivectorPin:
+    # The product N o pi_sharp is not antisymmetric when compatibility fails,
+    # and its Jacobi check must run on every ordered pair of it, not on an
+    # antisymmetrized copy.  The verdicts below were recorded before the
+    # sparse storage of tensors; only the residual is a float evaluation.
+    @pytest.mark.parametrize(
+        "build, residual, witness",
+        [
+            (
+                _unpaired_diagonal_tensor,
+                1.9990668723945735,
+                (-0.6397853910706264, -1.7896975844389322, -1.9990668723945735, -1.3949402708822882),
+            ),
+            (
+                lambda chart: _random_tensor_draw(chart, 0),
+                20.825473568558234,
+                (-1.9076171158190074, 1.8039422914988084, 0.11302958016849907, -1.4135898444036372),
+            ),
+            (
+                lambda chart: _random_tensor_draw(chart, 1),
+                15.977615384570301,
+                (-0.6397853910706264, -1.7896975844389322, -1.9990668723945735, -1.3949402708822882),
+            ),
+        ],
+        ids=["unpaired-diagonal", "random-draw-1", "random-draw-2"],
+    )
+    def test_failing_induced_bivector_report(self, chart2, build, residual, witness):
+        report = check_pn(canonical_poisson(chart2), build(chart2))
+        assert report.entry("induced-bivector-poisson").as_dict(chart2) == {
+            "axiom": "induced-bivector-poisson",
+            "verdict": "fail",
+            "mode": "sampled",
+            "residual": pytest.approx(residual, rel=1e-12),
+            "witness": dict(zip(("q1", "q2", "p1", "p2"), witness)),
+            "samples": 50,
+        }
 
 
 class TestCheckPqn:
