@@ -16,7 +16,8 @@ polynomial-times-exponential part of the ring have equal polynomials.
 Identities that leave that part (e.g. rational-function cancellations against
 expanded polynomials) are handled by the probabilistic zero test instead.
 Expression trees are only the boundary: parsed input is normalized into a
-polynomial, and the canonical tree is built from it for printing and evaluation.
+polynomial, and the canonical tree is built from it for printing.  Evaluation
+compiles the polynomial's terms into one float function per field.
 """
 
 from __future__ import annotations
@@ -116,17 +117,17 @@ class Chart:
         return self.constant(1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Point:
     """Coordinate values of a chart point; entries must be finite reals."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValueError(f"point coordinates must be finite, got {v!r}")
+        vals = tuple(map(float, self.values))
+        if not all(map(math.isfinite, vals)):
+            bad = next(v for v in vals if not math.isfinite(v))
+            raise ValueError(f"point coordinates must be finite, got {bad!r}")
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
@@ -404,13 +405,19 @@ def _mono_to_node(mono: Monomial, coeff: Fraction) -> Node:
     return Product((Const(coeff), *factors))
 
 
-def _poly_to_node(poly: Polynomial) -> Node:
+def _term_nodes(poly: Polynomial) -> list[Node]:
+    """The top-level terms of the canonical tree, in its order."""
     if not poly:
-        return _CONST_ZERO
+        return [_CONST_ZERO]
     if len(poly) == 1:  # one term: nothing to sort
-        return _mono_to_node(*next(iter(poly.items())))
+        return [_mono_to_node(*next(iter(poly.items())))]
     ordered = sorted(poly.items(), key=lambda item: _monomial_key(item[0]))
-    return Sum(tuple(_mono_to_node(mono, coeff) for mono, coeff in ordered))
+    return [_mono_to_node(mono, coeff) for mono, coeff in ordered]
+
+
+def _poly_to_node(poly: Polynomial) -> Node:
+    terms = _term_nodes(poly)
+    return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
 
 def normalize(node: Node) -> Node:
@@ -473,38 +480,84 @@ def _poly_diff(poly: Polynomial, index: int) -> Polynomial:
 
 # ---------------------------------------------------------------------------
 # evaluation
+#
+# A field compiles, on first evaluation, to one straight-line Python function
+# of the coordinate tuple that returns the float value of each top-level term
+# of its canonical tree.  The source is built only from ``repr`` of floats,
+# coordinate indices and integer exponents, never from input text.  Values
+# are bit-identical to evaluating the canonical tree node by node, because
+# the function does the same float operations in the same order: products
+# multiply left to right, ``Power`` is ``base ** exponent``, ``Exp`` is
+# ``math.exp`` of its argument and a sum is ``fsum`` of its terms.  Each
+# distinct sum, power and exp is computed once per point, on a line of its
+# own, so a float failure can be traced back to its node.
 # ---------------------------------------------------------------------------
 
 
-def _eval_node(node: Node, values: Sequence[float]) -> float:
-    if isinstance(node, Const):
-        return float(node.value)
-    if isinstance(node, Coord):
-        return values[node.index]
-    if isinstance(node, Sum):
-        return math.fsum(_eval_node(t, values) for t in node.terms)
-    if isinstance(node, Product):
-        out = 1.0
-        for f in node.factors:
-            out *= _eval_node(f, values)
-        return out
-    if isinstance(node, Power):
-        base = _eval_node(node.base, values)
-        try:
-            return base**node.exponent
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise EvaluationOverflowError(
-                f"power evaluation failed at node {to_prefix(node)}: {exc}", node=node
-            ) from exc
-    if isinstance(node, Exp):
-        arg = _eval_node(node.argument, values)
-        try:
-            return math.exp(arg)
-        except OverflowError as exc:
-            raise EvaluationOverflowError(
-                f"exp overflow at node {to_prefix(node)}", node=node
-            ) from exc
-    raise TypeError(f"not an expression node: {node!r}")
+class _FloatSource:
+    """Lines of a compiled field: one assignment per distinct sum, power or exp."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.nodes: list[Node] = []  # the node computed on each line
+        self.names: dict[Node, str] = {}
+
+    def expr(self, node: Node) -> str:
+        if isinstance(node, Const):
+            try:
+                return f"({float(node.value)!r})"
+            except OverflowError as exc:
+                raise EvaluationOverflowError(f"constant {node.value} does not fit a float", node=node) from exc
+        if isinstance(node, Coord):
+            return f"x{node.index}"
+        if isinstance(node, Product):
+            # no leading 1.0: multiplying by it changes no bit
+            return "(" + " * ".join(self.expr(f) for f in node.factors) + ")"
+        name = self.names.get(node)
+        if name is not None:
+            return name
+        if isinstance(node, Sum):
+            value = "fsum((" + "".join(f"{self.expr(t)}, " for t in node.terms) + "))"
+        elif isinstance(node, Power):
+            value = f"{self.expr(node.base)} ** {node.exponent}"
+        elif isinstance(node, Exp):
+            value = f"exp({self.expr(node.argument)})"
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        name = self.names[node] = f"b{len(self.lines)}"
+        self.lines.append(f"    {name} = {value}")
+        self.nodes.append(node)
+        return name
+
+
+_FIRST_NODE_LINE = 3  # after the ``def`` line and the coordinate unpacking
+
+
+def _compile_terms(terms: Sequence[Node], dim: int) -> Callable[[tuple], tuple]:
+    """One function of the coordinate tuple returning the float value of each term."""
+    source = _FloatSource()
+    values = "".join(f"{source.expr(t)}, " for t in terms)
+    text = "\n".join(
+        [
+            "def terms(v):",
+            "    " + "".join(f"x{i}, " for i in range(dim)) + "= v",
+            *source.lines,
+            f"    return ({values})",
+        ]
+    )
+    namespace = {"fsum": math.fsum, "exp": math.exp}
+    exec(compile(text, "<scalar field>", "exec"), namespace)
+    function = namespace["terms"]
+    function.nodes = source.nodes
+    return function
+
+
+def _failed_node(function, exc: BaseException) -> Node:
+    """The node whose line of the compiled ``function`` raised ``exc``."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return function.nodes[tb.tb_lineno - _FIRST_NODE_LINE]
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +570,13 @@ class ScalarField:
 
     ``poly`` maps monomials to nonzero ``Fraction`` coefficients, and every
     operator reads and writes it directly.  The canonical tree ``root`` is
-    built from it once, on first use, for printing and evaluation.
-    Immutable; all arithmetic returns new fields.  Safe to share across
-    threads.
+    built from it once, on first use, for printing only.  Evaluation compiles
+    the polynomial's terms once, on first use, into one float function of the
+    point (see ``_compile_terms``).  Immutable; all arithmetic returns new
+    fields.  Safe to share across threads.
     """
 
-    __slots__ = ("chart", "poly", "_root")
+    __slots__ = ("chart", "poly", "_root", "_terms")
 
     def __init__(self, chart: Chart, tree):
         if isinstance(tree, ScalarField):
@@ -540,6 +594,7 @@ class ScalarField:
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "_root", None)
+        object.__setattr__(self, "_terms", None)
 
     @staticmethod
     def _check_indices(chart: Chart, node: Node) -> None:
@@ -568,6 +623,7 @@ class ScalarField:
         object.__setattr__(obj, "chart", chart)
         object.__setattr__(obj, "poly", poly)
         object.__setattr__(obj, "_root", None)
+        object.__setattr__(obj, "_terms", None)
         return obj
 
     # -- structure ----------------------------------------------------------
@@ -671,13 +727,37 @@ class ScalarField:
             raise IndexError(f"coordinate index {index} out of range for dim {self.chart.dim}")
         return ScalarField._wrap(self.chart, _poly_diff(self.poly, index))
 
-    def evaluate(self, point: Point | Sequence[float]) -> float:
+    def _term_values(self, point: Point | Sequence[float]) -> tuple[float, ...]:
+        """The float value of each top-level term of the canonical tree at ``point``."""
         values = point.values if isinstance(point, Point) else tuple(float(v) for v in point)
         if len(values) != self.chart.dim:
             raise ChartMismatchError(
                 f"point of dimension {len(values)} does not match chart of dimension {self.chart.dim}"
             )
-        result = _eval_node(self.root, values)
+        function = self._terms
+        if function is None:
+            function = _compile_terms(_term_nodes(self.poly), self.chart.dim)
+            object.__setattr__(self, "_terms", function)
+        try:
+            return function(values)
+        except (ArithmeticError, ValueError) as exc:
+            node = _failed_node(function, exc)
+            raise EvaluationOverflowError(
+                f"evaluation failed at node {to_prefix(node, self.chart)}: {exc}", node=node
+            ) from exc
+
+    def _sum(self, terms) -> float:
+        try:
+            return math.fsum(terms)
+        except (OverflowError, ValueError) as exc:
+            raise EvaluationOverflowError(
+                f"evaluation failed at node {self.to_prefix()}: {exc}", node=self.root
+            ) from exc
+
+    def evaluate(self, point: Point | Sequence[float]) -> float:
+        terms = self._term_values(point)
+        # A lone term is returned as it is: fsum would turn -0.0 into 0.0.
+        result = self._sum(terms) if len(terms) > 1 else terms[0]
         if not math.isfinite(result):
             raise EvaluationOverflowError(
                 f"evaluation produced a non-finite value at node {self.to_prefix()}", node=self.root
@@ -691,10 +771,7 @@ class ScalarField:
         test: a residual of a cancellation-heavy sum is judged against the
         size of what was cancelled.
         """
-        values = point.values if isinstance(point, Point) else tuple(float(v) for v in point)
-        if isinstance(self.root, Sum):
-            return math.fsum(abs(_eval_node(t, values)) for t in self.root.terms)
-        return abs(_eval_node(self.root, values))
+        return self._sum(map(abs, self._term_values(point)))
 
     def is_zero(self, config: "ZeroTestConfig | None" = None) -> "ZeroVerdict":
         return is_zero(self, config or ZeroTestConfig())
@@ -710,7 +787,7 @@ def exp(field: ScalarField) -> ScalarField:
 
 
 def evaluate(field: ScalarField, point: Point | Sequence[float]) -> float:
-    """Exact arithmetic evaluation of the tree at a point (deterministic)."""
+    """Float value of the field at a point (deterministic)."""
     return field.evaluate(point)
 
 
@@ -733,7 +810,12 @@ class ZeroTestConfig:
     absolute-plus-relative form against the local term scale.  ``separation``
     is the minimum |q_i - q_j| enforced while sampling (0 disables the guard);
     it keeps samples away from collision singularities of inverse-power
-    potentials.
+    potentials.  Points are drawn uniformly from [-box_halfwidth,
+    box_halfwidth] in every coordinate.
+
+    Valid ranges, checked on construction (``ValueError`` otherwise):
+    ``sample_count`` >= 1; ``tolerance`` finite and > 0; ``separation``
+    finite and >= 0; ``box_halfwidth`` > 0 with ``2 * box_halfwidth`` finite.
     """
 
     sample_count: int = 50
@@ -745,10 +827,14 @@ class ZeroTestConfig:
     def __post_init__(self):
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.separation < 0:
-            raise ValueError("separation must be nonnegative")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
+        if not (math.isfinite(self.separation) and self.separation >= 0):
+            raise ValueError(f"separation must be finite and nonnegative, got {self.separation!r}")
+        if not (self.box_halfwidth > 0 and math.isfinite(2 * self.box_halfwidth)):
+            raise ValueError(
+                f"box_halfwidth must be positive with a finite box width, got {self.box_halfwidth!r}"
+            )
 
     def replace(self, **kwargs) -> "ZeroTestConfig":
         return dataclasses.replace(self, **kwargs)
@@ -783,28 +869,29 @@ def sample_points(chart: Chart, config: ZeroTestConfig) -> list[Point]:
     total number of draws exceeds 100x the requested count, the box is deemed
     incompatible with the guard.
     """
-    rng = random.Random(config.seed)
+    draw = random.Random(config.seed).random
     h = config.box_halfwidth
+    low, width = -h, h - -h  # so low + width * draw() is rng.uniform(-h, h)
+    separation = config.separation
+    pairs = [(i, j) for i in range(chart.n) for j in range(i + 1, chart.n)] if separation > 0 else []
     budget = 100 * config.sample_count
-    draws = 0
-    points = []
+    points: list[Point] = []
     while len(points) < config.sample_count:
-        if draws >= budget:
+        # Draw as many candidates as points are missing, each from the next
+        # dim values of the stream, so the draws match one point at a time.
+        count = min(config.sample_count - len(points), budget)
+        if count == 0:
             raise DegenerateDomainError(
-                f"separation guard {config.separation} rejected too many samples "
-                f"in a box of half-width {h}"
+                f"separation guard {separation} rejected too many samples in a box of half-width {h}"
             )
-        draws += 1
-        values = [rng.uniform(-h, h) for _ in range(chart.dim)]
-        if config.separation > 0:
-            qs = values[: chart.n]
-            if any(
-                abs(qs[i] - qs[j]) < config.separation
-                for i in range(chart.n)
-                for j in range(i + 1, chart.n)
-            ):
-                continue
-        points.append(Point(tuple(values)))
+        budget -= count
+        stream = iter([low + width * draw() for _ in range(count * chart.dim)])
+        for values in zip(*[stream] * chart.dim):
+            for i, j in pairs:
+                if abs(values[i] - values[j]) < separation:
+                    break
+            else:
+                points.append(Point(values))
     return points
 
 

@@ -28,9 +28,18 @@ def config_args(argv, tmp_path) -> list[str]:
     return args
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text: str) -> dict:
+    """Parse a report, rejecting the NaN and Infinity that json.dumps writes by default."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def read_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return strict_json(fh.read())
 
 
 class TestFormSerialization:
@@ -281,6 +290,12 @@ class TestBadInput:
             ("involutivity", "--model", "calogero", "--n", "3", "--config", {"samples": 2.5}),
             ("involutivity", "--model", "calogero", "--n", "3", "--config", {"tol": True}),
             ("involutivity", "--model", "calogero", "--n", "3", "--config", {"seed": 1.5}),
+            ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--tol", "nan"),
+            ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--tol", "inf"),
+            ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--config", {"box_halfwidth": 1e308}),
+            ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--config", {"box_halfwidth": "inf"}),
+            ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--config", {"box_halfwidth": "nan"}),
+            ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--config", {"separation": "nan"}),
         ],
     )
     def test_rejected_value_is_a_one_line_config_error(self, argv, tmp_path, capsys):
@@ -314,13 +329,27 @@ class TestBadInput:
         assert "Traceback" not in err
 
 
+class TestStrictJson:
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_rejected(self, constant):
+        with pytest.raises(ValueError):
+            strict_json(f'{{"residual": {constant}}}')
+
+    def test_calogero_involutivity_report(self, capsys):
+        # Its sampled cell carries a float residual and witness.
+        argv = ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--format", "json")
+        assert run_cli(*argv) == 0
+        report = strict_json(capsys.readouterr().out)
+        assert "sampled" in {cell["mode"] for cell in report["matrix"]["cells"].values()}
+
+
 class TestReportPin:
     def test_closed_toda_report_bytes(self, capsys):
         # Every entry of this report is decided symbolically, so it holds no
         # sampled floats and its bytes do not depend on the platform's libm.
         assert run_cli("check", "--model", "closed-toda", "--n", "3", "--seed", "11", "--format", "json") == 0
         out = capsys.readouterr().out
-        assert {e["mode"] for e in json.loads(out)["entries"]} == {"symbolic"}
+        assert {e["mode"] for e in strict_json(out)["entries"]} == {"symbolic"}
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "ed8dca5a1386887941bbff8d02faae790b2290d81bee64df113bbd19b0b669f2"
 
@@ -330,7 +359,7 @@ class TestReportPin:
         argv = ("deform", "--model", "canonical", "--omega", "toda", "--n", "3", "--seed", "13", "--format", "json")
         assert run_cli(*argv) == 0
         out = capsys.readouterr().out
-        assert {e["mode"] for e in json.loads(out)["entries"]} == {"symbolic"}
+        assert {e["mode"] for e in strict_json(out)["entries"]} == {"symbolic"}
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "a7c33e0da59788c6509a33f3f6db5889c62ac2f0197e281099a46343f2fa5a51"
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import random
+import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pqncheck.errors import (
     ChartMismatchError,
@@ -84,10 +86,36 @@ class TestEvaluate:
             f.evaluate([2.0, 0.0])
         assert "exp" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("(+ (* q1 p1) (* -1 q2 p2))", 1e200),  # inf - inf in the top-level sum
+            ("(+ q1 q2)", 1.7e308),  # intermediate overflow in the top-level sum
+            ("(^ (+ q1 (* q2 p1) (* -1 q2 p2)) -1)", 1e200),  # inf - inf inside a sum base
+            (str(10**400), 0.0),  # a constant too large for a float
+            (f"(+ q1 {10**400})", 0.0),
+        ],
+    )
+    def test_every_float_failure_is_an_overflow_error(self, text, value):
+        with pytest.raises(EvaluationOverflowError):
+            parse_prefix(text, Chart(2)).evaluate([value] * 4)
+
+    def test_failure_names_the_failing_node(self):
+        chart = Chart(2)
+        f = chart.p(1) + (chart.q(1) - chart.q(2)) ** -2
+        with pytest.raises(EvaluationOverflowError) as err:
+            f.evaluate([1.0, 1.0, 0.0, 0.0])
+        assert err.value.node == Power(normalize(Sum((Coord(0), Product((Const(-1), Coord(1)))))), -2)
+        assert "(^ (+ q1 (* -1 q2)) -2)" in str(err.value)
+
     def test_wrong_dimension(self):
         chart = Chart(2)
         with pytest.raises(ChartMismatchError):
             chart.q(1).evaluate([1.0, 2.0])
+
+    def test_term_scale_checks_the_dimension(self):
+        with pytest.raises(ChartMismatchError):
+            Chart(2).q(1).term_scale([1.0, 2.0])
 
     def test_deterministic(self):
         chart = Chart(2)
@@ -271,6 +299,139 @@ def _eval_raw(tree, values):
     raise TypeError(tree)
 
 
+# The tree walk the compiled evaluator replaced, kept as its reference.
+def _eval_node(node, values):
+    if isinstance(node, Const):
+        return float(node.value)
+    if isinstance(node, Coord):
+        return values[node.index]
+    if isinstance(node, Sum):
+        return math.fsum(_eval_node(t, values) for t in node.terms)
+    if isinstance(node, Product):
+        out = 1.0
+        for f in node.factors:
+            out *= _eval_node(f, values)
+        return out
+    if isinstance(node, Power):
+        base = _eval_node(node.base, values)
+        try:
+            return base**node.exponent
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise EvaluationOverflowError(
+                f"power evaluation failed at node {to_prefix(node)}: {exc}", node=node
+            ) from exc
+    if isinstance(node, Exp):
+        arg = _eval_node(node.argument, values)
+        try:
+            return math.exp(arg)
+        except OverflowError as exc:
+            raise EvaluationOverflowError(
+                f"exp overflow at node {to_prefix(node)}", node=node
+            ) from exc
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _reference_evaluate(field, values):
+    result = _eval_node(field.root, values)
+    if not math.isfinite(result):
+        raise EvaluationOverflowError("non-finite value")
+    return result
+
+
+def _reference_term_scale(field, values):
+    if isinstance(field.root, Sum):
+        return math.fsum(abs(_eval_node(t, values)) for t in field.root.terms)
+    return abs(_eval_node(field.root, values))
+
+
+_FAILED = "failed"
+
+
+def _outcome(compute, field, values, failures):
+    """The bytes of the float result, so the sign of zero counts, or _FAILED."""
+    try:
+        return struct.pack("<d", compute(field, values))
+    except failures:
+        return _FAILED
+
+
+def _assert_matches_tree_walk(field, values) -> bool:
+    """Compiled and tree-walk results agree bit for bit, or both fail; True when they fail."""
+    outcomes = []
+    for compiled, reference in ((ScalarField.evaluate, _reference_evaluate), (ScalarField.term_scale, _reference_term_scale)):
+        # The tree walk leaks raw fsum and float-conversion errors; the compiled
+        # evaluator must turn every float failure into EvaluationOverflowError.
+        expected = _outcome(reference, field, values, (EvaluationOverflowError, OverflowError, ValueError))
+        assert _outcome(compiled, field, values, EvaluationOverflowError) == expected, (field, values)
+        outcomes.append(expected)
+    return outcomes[0] == _FAILED
+
+
+@st.composite
+def _fields(draw):
+    """Raw trees, and their inverse and inverse square, whose sums become negative-power bases."""
+    field = ScalarField(Chart(2), draw(raw_trees()))
+    exponent = draw(st.sampled_from([1, -1, -2]))
+    assume(exponent > 0 or not field.is_zero_tree)
+    return field**exponent
+
+
+_points = st.lists(st.floats(-3, 3), min_size=_DIM, max_size=_DIM)
+_huge_points = st.lists(st.sampled_from([-1.7e308, -1e200, 1e150, 1e200, 1.7e308]), min_size=_DIM, max_size=_DIM)
+
+
+def _model_fields():
+    from pqncheck.calculus import poisson_bracket
+    from pqncheck.models import calogero, closed_toda
+    from pqncheck.structures import trace_invariants
+
+    cal = calogero(3)
+    invariants = trace_invariants(cal.tensor, 3)
+    brackets = [poisson_bracket(cal.poisson, a, b) for i, a in enumerate(invariants) for b in invariants[i:]]
+    toda = closed_toda(3)
+    return [*invariants, *brackets, *trace_invariants(toda.tensor, 3)]
+
+
+class TestCompiledEvaluation:
+    @given(_fields(), _points)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_tree_walk_bit_for_bit(self, field, point):
+        _assert_matches_tree_walk(field, point)
+
+    @given(_fields(), _huge_points)
+    @settings(max_examples=150, deadline=None)
+    def test_huge_points_fail_as_the_tree_walk_does(self, field, point):
+        _assert_matches_tree_walk(field, point)
+
+    def test_model_invariants_and_brackets(self):
+        fields = _model_fields()
+        assert sum(not f.is_zero_tree for f in fields) > 6
+        rng = random.Random(8)
+        for field in fields:
+            for _ in range(20):
+                point = [rng.uniform(-2, 2) for _ in range(field.chart.dim)]
+                assert not _assert_matches_tree_walk(field, point)
+        huge = [1e200 * (i + 1) * (-1) ** i for i in range(6)]
+        # H2 and H3 of both models overflow there; the others stay finite.
+        assert sum(_assert_matches_tree_walk(field, huge) for field in fields) == 4
+
+    def test_products_multiply_left_to_right(self):
+        # Coefficients that are not powers of two make the product's rounding
+        # depend on the order of its factors.
+        chart = Chart(2)
+        q1, q2, p1 = chart.q(1), chart.q(2), chart.p(1)
+        fields = [Fraction(1, 3) * q1 * q2 * p1, Fraction(2, 7) * q1**2 * p1 * (q1 - q2) ** -1 - exp(q2) * p1 / 5]
+        rng = random.Random(9)
+        for field in fields:
+            for _ in range(50):
+                assert not _assert_matches_tree_walk(field, [rng.uniform(-2, 2) for _ in range(4)])
+
+    def test_lone_negative_zero_term_keeps_its_sign(self):
+        field = -Chart(1).q(1)
+        assert struct.pack("<d", field.evaluate([0.0, 1.0])) == struct.pack("<d", -0.0)
+        _assert_matches_tree_walk(field, [0.0, 1.0])
+
+
 class TestZeroTest:
     def test_structural_zero_passes(self):
         chart = Chart(2)
@@ -319,6 +480,47 @@ class TestZeroTest:
         f = (big + chart.one()) * (big - chart.one()) - big**2 + chart.one()
         assert f.is_zero_tree or is_zero(f).is_zero
 
+    @pytest.mark.parametrize(
+        "n, config",
+        [
+            (3, ZeroTestConfig(separation=5e-2, seed=4, sample_count=300)),
+            (3, ZeroTestConfig(separation=0.9, seed=5, sample_count=40)),
+            (2, ZeroTestConfig(separation=0, box_halfwidth=0.3, seed=6)),
+            (1, ZeroTestConfig(box_halfwidth=1e300, seed=7)),
+        ],
+    )
+    def test_draws_match_rng_uniform(self, n, config):
+        # The sampler before it was trimmed: one rng.uniform call per coordinate.
+        rng = random.Random(config.seed)
+        h = config.box_halfwidth
+        expected = []
+        while len(expected) < config.sample_count:
+            values = [rng.uniform(-h, h) for _ in range(2 * n)]
+            qs = values[:n]
+            if any(abs(qs[i] - qs[j]) < config.separation for i in range(n) for j in range(i + 1, n)):
+                continue
+            expected.append(values)
+        points = sample_points(Chart(n), config)
+        assert [p.values for p in points] == [tuple(v) for v in expected]
+
+    def test_degenerate_domain_uses_the_whole_budget(self):
+        chart = Chart(2)
+        cfg = ZeroTestConfig(separation=1.0, box_halfwidth=0.5, sample_count=10, seed=1)
+        draws = []
+        original = random.Random.random
+
+        def counted(self):
+            draws.append(1)
+            return original(self)
+
+        random.Random.random = counted
+        try:
+            with pytest.raises(DegenerateDomainError):
+                sample_points(chart, cfg)
+        finally:
+            random.Random.random = original
+        assert len(draws) == 100 * cfg.sample_count * chart.dim
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ZeroTestConfig(sample_count=0)
@@ -326,6 +528,28 @@ class TestZeroTest:
             ZeroTestConfig(tolerance=0)
         with pytest.raises(ValueError):
             ZeroTestConfig(separation=-1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"tolerance": float("nan")},
+            {"tolerance": float("inf")},
+            {"separation": float("nan")},
+            {"separation": float("inf")},
+            {"box_halfwidth": 0},
+            {"box_halfwidth": -1.0},
+            {"box_halfwidth": float("nan")},
+            {"box_halfwidth": float("inf")},
+            {"box_halfwidth": 1e308},
+        ],
+    )
+    def test_non_finite_or_empty_ranges_are_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            ZeroTestConfig(**kwargs)
+
+    def test_nan_tolerance_cannot_call_a_nonzero_field_zero(self):
+        with pytest.raises(ValueError):
+            is_zero(Chart(1).q(1) + 1, ZeroTestConfig(tolerance=float("nan")))
 
 
 class TestPrefixGrammar:
