@@ -29,23 +29,20 @@ from .scalar import Chart, ScalarField
 
 def differential(field: ScalarField) -> Form:
     """The 1-form df."""
-    chart = field.chart
-    return Form(chart, 1, {(i,): field.partial(i) for i in range(chart.dim)})
+    return Form(field.chart, 1, {(i,): field.partial(i) for i in field.variables})
 
 
 def cartan_d(form: Form) -> Form:
     """Exterior derivative: d(f dx_I) = sum_i (d_i f) dx_i ^ dx_I.  Satisfies d o d = 0."""
-    chart = form.chart
 
     def terms():
         for key, coeff in form.terms():
-            for i in range(chart.dim):
+            # d_i f is zero along every coordinate f does not mention
+            for i in coeff.variables:
                 if i not in key:
-                    dcoeff = coeff.partial(i)
-                    if not dcoeff.is_zero_tree:  # most partials vanish; skip them before sign-sorting
-                        yield (i,) + key, dcoeff
+                    yield (i,) + key, coeff.partial(i)
 
-    return Form(chart, form.degree + 1, terms())
+    return Form(form.chart, form.degree + 1, terms())
 
 
 def nijenhuis_d(tensor: Tensor11, form: Form) -> Form:

@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -67,25 +67,6 @@ from .structures import (
 OMEGA_NAMES = ("zero", "omega-c", "omega-hat", "toda", "open-toda")
 BASE_NAMES = ("canonical", "identity", "open-toda")
 
-_CONFIG_KEYS = {
-    "model",
-    "n",
-    "kmax",
-    "f",
-    "potentials",
-    "v",
-    "omega",
-    "omega_form",
-    "expect",
-    "format",
-    "out",
-    "samples",
-    "box_halfwidth",
-    "separation",
-    "tol",
-    "seed",
-}
-
 _KMAX_GUARD = 8
 
 
@@ -126,6 +107,10 @@ class RunConfig:
             "format": self.format,
         }
         return {k: v for k, v in data.items() if v is not None}
+
+
+# Every run setting except the command may come from a config file.
+_CONFIG_KEYS = {field.name for field in fields(RunConfig)} - {"command"}
 
 
 def _parse_fractions(raw: str | list) -> list[Fraction]:
@@ -253,11 +238,9 @@ def build_bundle(cfg: RunConfig) -> ModelBundle:
     if model == "canonical":
         return canonical_pn(_require_n(cfg))
     if model == "open-toda":
-        n = _require_n(cfg)
-        return open_toda(n, cfg.f if cfg.f is not None else [1] * (n - 1))
+        return open_toda(_require_n(cfg), cfg.f)
     if model == "closed-toda":
-        n = _require_n(cfg)
-        return closed_toda(n, cfg.f if cfg.f is not None else [1] * n)
+        return closed_toda(_require_n(cfg), cfg.f)
     if model == "calogero":
         return calogero(_require_n(cfg))
     if model == "pair-potential":
@@ -466,8 +449,7 @@ def _base_pair(cfg: RunConfig) -> tuple[str, Chart, Bivector, Tensor11]:
         chart = Chart(_require_n(cfg))
         return name, chart, canonical_poisson(chart), canonical_nijenhuis(chart)
     if name == "open-toda":
-        n = _require_n(cfg)
-        bundle = open_toda(n, cfg.f if cfg.f is not None else [1] * (n - 1))
+        bundle = open_toda(_require_n(cfg), cfg.f)
         return name, bundle.chart, bundle.poisson, bundle.tensor
     raise ConfigError(f"unknown deformation base {name!r}; known bases: {', '.join(BASE_NAMES)}")
 
@@ -488,11 +470,11 @@ def _omega_source(cfg: RunConfig, chart: Chart) -> Form:
     if name == "omega-c":
         return canonical_deformation_form(chart)
     if name == "omega-hat":
-        return das_okubo_omega_hat(n, cfg.f if cfg.f is not None else [1] * (n - 1))
+        return das_okubo_omega_hat(n, cfg.f)
     if name in ("toda", "closed-toda"):
-        return closed_toda(n, cfg.f if cfg.f is not None else [1] * n).omega
+        return closed_toda(n, cfg.f).omega
     if name == "open-toda":
-        return open_toda(n, cfg.f if cfg.f is not None else [1] * (n - 1)).omega
+        return open_toda(n, cfg.f).omega
     raise ConfigError(f"unknown omega source {name!r}; names: {', '.join(OMEGA_NAMES)}")
 
 

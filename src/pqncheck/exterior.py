@@ -284,11 +284,11 @@ class VectorField(_Sparse):
 
     def __call__(self, field: ScalarField) -> ScalarField:
         """Directional derivative X(f) = sum_j X^j d_j f of a scalar field."""
+        variables = field.variables
         out = self.chart.zero()
         for j, comp in self.terms():
-            derivative = field.partial(j)
-            if not derivative.is_zero_tree:
-                out = out + comp * derivative
+            if j in variables:
+                out = out + comp * field.partial(j)
         return out
 
 
@@ -565,7 +565,7 @@ def lie_derivative(x: VectorField, target):
         return interior(x, cartan_d(target)) + cartan_d(interior(x, target))
     if isinstance(target, Tensor11):
         chart = target.chart
-        jacobian = Tensor11(chart, (((i, j), c.partial(j)) for i, c in x.terms() for j in range(chart.dim)))
+        jacobian = Tensor11(chart, (((i, j), c.partial(j)) for i, c in x.terms() for j in c.variables))
         along = Tensor11(chart, {key: x(value) for key, value in target.terms()})
         return along - jacobian @ target + target @ jacobian
     raise TypeError(f"lie_derivative does not handle {type(target).__name__}")

@@ -6,7 +6,8 @@ metadata that the test suite compares against the checker verdicts.
 
 Pair potentials are univariate expression trees in the placeholder
 coordinate ``Coord(0)``; the factory substitutes the difference q_i - q_j
-before assembling anything.  Strings in the prefix grammar with the symbol
+before assembling anything.  A potential whose normalized form mentions any
+other coordinate is rejected.  Strings in the prefix grammar with the symbol
 ``x`` are accepted too, e.g. ``"(exp x)"`` or ``"(^ x -2)"``.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import UnsupportedExpressionError
+from .errors import ChartMismatchError, UnsupportedExpressionError
 from .exterior import Bivector, Form, Tensor11
 from .scalar import (
     Chart,
@@ -160,22 +161,6 @@ def potential(spec) -> Node:
     raise UnsupportedExpressionError(f"cannot interpret potential spec {spec!r}")
 
 
-def _potential_uses_only_x(node: Node) -> bool:
-    if isinstance(node, Coord):
-        return node.index == 0
-    if isinstance(node, Const):
-        return True
-    if isinstance(node, Sum):
-        return all(_potential_uses_only_x(t) for t in node.terms)
-    if isinstance(node, Product):
-        return all(_potential_uses_only_x(f) for f in node.factors)
-    if isinstance(node, Power):
-        return _potential_uses_only_x(node.base)
-    if isinstance(node, Exp):
-        return _potential_uses_only_x(node.argument)
-    return False
-
-
 def _univariate_antiderivative(spec: Node) -> Node | None:
     """An antiderivative of a univariate tree in Coord(0), when one exists in the ring.
 
@@ -217,7 +202,11 @@ def _normalize_pairs(n: int, potentials: Mapping[tuple[int, int], object]) -> di
         if not 1 <= i < j <= n:
             raise ValueError(f"potential pair ({i}, {j}) must satisfy 1 <= i < j <= {n}")
         node = potential(spec)
-        if not _potential_uses_only_x(node):
+        try:
+            foreign = any(ScalarField(Chart(1), node).variables)  # an index other than x = 0
+        except ChartMismatchError:  # an index beyond a one-particle chart
+            foreign = True
+        if foreign:
             raise UnsupportedExpressionError(
                 f"potential for pair ({i}, {j}) must be univariate in the symbol x"
             )

@@ -12,7 +12,10 @@ Every ``ScalarField`` stores one canonical polynomial: monomials in
 coordinates, one merged exp factor and negative powers of content-normalized
 sums, with exact coefficients.  Arithmetic and differentiation work on it
 directly, so two fields that are equal as functions and stay inside the
-polynomial-times-exponential part of the ring have equal polynomials.
+polynomial-times-exponential part of the ring have equal polynomials.  The
+coordinates a polynomial mentions (``ScalarField.variables``) are read off it
+once; operators that sum partial derivatives take them only along those
+coordinates, because every other partial is the zero field.
 Identities that leave that part (e.g. rational-function cancellations against
 expanded polynomials) are handled by the probabilistic zero test instead.
 Expression trees are only the boundary: parsed input is normalized into a
@@ -442,6 +445,18 @@ def substitute(node: Node, mapping: Mapping[int, Node]) -> Node:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _variables(poly: Polynomial) -> tuple[int, ...]:
+    """The ascending coordinate indices a polynomial mentions, inside its exp and sum bases too."""
+    found: set[int] = set()
+    for mono in poly:
+        for base, _ in mono:
+            if isinstance(base, Coord):
+                found.add(base.index)
+            else:
+                found.update(_variables(base.affine if isinstance(base, Exp) else base.poly))
+    return tuple(sorted(found))
+
+
 # ---------------------------------------------------------------------------
 # differentiation (at the polynomial level, so results stay canonical)
 # ---------------------------------------------------------------------------
@@ -570,24 +585,27 @@ class ScalarField:
 
     ``poly`` maps monomials to nonzero ``Fraction`` coefficients, and every
     operator reads and writes it directly.  The canonical tree ``root`` is
-    built from it once, on first use, for printing only.  Evaluation compiles
+    built from it once, on first use, for printing only, and so is
+    ``variables``, the coordinates the polynomial mentions.  Evaluation compiles
     the polynomial's terms once, on first use, into one float function of the
     point (see ``_compile_terms``).  Immutable; all arithmetic returns new
     fields.  Safe to share across threads.
     """
 
-    __slots__ = ("chart", "poly", "_root", "_terms")
+    __slots__ = ("chart", "poly", "_root", "_terms", "_variables")
 
     def __init__(self, chart: Chart, tree):
+        variables = None
         if isinstance(tree, ScalarField):
             if tree.chart != chart:
                 raise ChartMismatchError("scalar field belongs to a different chart")
-            poly = tree.poly
+            poly, variables = tree.poly, tree._variables
         elif isinstance(tree, Node):
             poly = _poly(tree)
-            for mono in poly:
-                for base, _ in mono:
-                    self._check_indices(chart, base)
+            variables = _variables(poly)
+            if variables and not (0 <= variables[0] and variables[-1] < chart.dim):
+                bad = variables[0] if variables[0] < 0 else variables[-1]
+                raise ChartMismatchError(f"coordinate index {bad} out of range for chart of dimension {chart.dim}")
         else:
             value = _as_fraction(tree)
             poly = {(): value} if value else {}
@@ -595,24 +613,7 @@ class ScalarField:
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "_root", None)
         object.__setattr__(self, "_terms", None)
-
-    @staticmethod
-    def _check_indices(chart: Chart, node: Node) -> None:
-        if isinstance(node, Coord):
-            if not 0 <= node.index < chart.dim:
-                raise ChartMismatchError(
-                    f"coordinate index {node.index} out of range for chart of dimension {chart.dim}"
-                )
-        elif isinstance(node, Sum):
-            for t in node.terms:
-                ScalarField._check_indices(chart, t)
-        elif isinstance(node, Product):
-            for f in node.factors:
-                ScalarField._check_indices(chart, f)
-        elif isinstance(node, Power):
-            ScalarField._check_indices(chart, node.base)
-        elif isinstance(node, Exp):
-            ScalarField._check_indices(chart, node.argument)
+        object.__setattr__(self, "_variables", variables)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
@@ -624,6 +625,7 @@ class ScalarField:
         object.__setattr__(obj, "poly", poly)
         object.__setattr__(obj, "_root", None)
         object.__setattr__(obj, "_terms", None)
+        object.__setattr__(obj, "_variables", None)
         return obj
 
     # -- structure ----------------------------------------------------------
@@ -634,6 +636,17 @@ class ScalarField:
         if self._root is None:
             object.__setattr__(self, "_root", _poly_to_node(self.poly))
         return self._root
+
+    @property
+    def variables(self) -> tuple[int, ...]:
+        """The ascending coordinate indices the polynomial mentions, computed on first use.
+
+        Exp arguments and negative-power sum bases count, so ``partial(i)``
+        is the zero field for every ``i`` not listed.
+        """
+        if self._variables is None:
+            object.__setattr__(self, "_variables", _variables(self.poly))
+        return self._variables
 
     @property
     def is_zero_tree(self) -> bool:

@@ -221,17 +221,22 @@ def _compatibility_entries(
         third = pi_sharp(pi, lie_derivative(tensor.apply(x), alpha))
         return first - second + third
 
+    # On the pair (dx_i, e_j), L_{e_j} of a 1-form is d_j of each coefficient
+    # and L_{N e_j} dx_i = d N^i_j, so both come from partials of row i of N.
     defects: list[VectorField] = []
     for i in range(dim):
         alpha = dx(chart, i)
         lie_n = lie_derivative(pi_sharp(pi, alpha), tensor)
-        n_alpha = tensor_interior(tensor, alpha)
+        row = tensor_interior(tensor, alpha)  # dx_i o N = sum_k N^i_k dx_k
+        row_partials: dict[int, list] = {}
+        for key, entry in row.terms():
+            for j in entry.variables:
+                row_partials.setdefault(j, []).append((key, entry.partial(j)))
         for j in range(dim):
-            basis_j = VectorField.basis(chart, j)
             value = (
-                lie_n.apply(basis_j)
-                - pi_sharp(pi, lie_derivative(basis_j, n_alpha))
-                + pi_sharp(pi, lie_derivative(tensor.apply(basis_j), alpha))
+                lie_n.column(j)
+                - pi_sharp(pi, Form(chart, 1, row_partials.get(j, ())))
+                + pi_sharp(pi, differential(row.coefficient(j)))
             )
             defects.append(value)
     rng = random.Random(cfg.seed)
@@ -340,6 +345,13 @@ def _require_closed(omega: Form, cfg: ZeroTestConfig) -> AxiomCheck:
     return entry
 
 
+def _deformation(pi: Bivector, tensor: Tensor11, omega: Form) -> tuple[Tensor11, Form]:
+    """The deformed tensor N + pi_sharp o omega_flat and its 3-form d_N omega + 1/2 [omega, omega]_pi."""
+    n_hat = tensor + pi_sharp_omega_flat(pi, omega)
+    phi = nijenhuis_d(tensor, omega) + koszul_bracket(pi, omega, omega) * Fraction(1, 2)
+    return n_hat, phi
+
+
 def deform(
     pi: Bivector,
     tensor: Tensor11,
@@ -361,8 +373,7 @@ def deform(
     if omega.chart != pi.chart or tensor.chart != pi.chart:
         raise ChartMismatchError("deformation inputs live on different charts")
     closed_entry = _require_closed(omega, cfg)
-    n_hat = tensor + pi_sharp_omega_flat(pi, omega)
-    phi = nijenhuis_d(tensor, omega) + koszul_bracket(pi, omega, omega) * Fraction(1, 2)
+    n_hat, phi = _deformation(pi, tensor, omega)
     phi_entry = _zero_axiom("phi-vanishes", _form_components([phi]), cfg)
     classification = "PN" if phi_entry.passed else "PqN"
     pqn_report = check_pqn(GeometricStructure(pi.chart, pi, n_hat, phi), cfg)
@@ -390,9 +401,8 @@ def deform_to_pn(
     cfg = config or ZeroTestConfig()
     pi, tensor = structure.poisson, structure.tensor
     closed_entry = _require_closed(omega, cfg)
-    cancel = nijenhuis_d(tensor, omega) + koszul_bracket(pi, omega, omega) * Fraction(1, 2) + structure.torsion_form
-    cancel_entry = _zero_axiom("phi-cancellation", _form_components([cancel]), cfg)
-    n_hat = tensor + pi_sharp_omega_flat(pi, omega)
+    n_hat, phi = _deformation(pi, tensor, omega)
+    cancel_entry = _zero_axiom("phi-cancellation", _form_components([phi + structure.torsion_form]), cfg)
     pn_report = check_pn(pi, n_hat, cfg)
     report = CheckReport(
         "deform-to-pn",

@@ -125,6 +125,18 @@ class TestPairPotential:
         with pytest.raises(UnsupportedExpressionError):
             pair_potential_model(2, {(1, 2): object()})
 
+    @pytest.mark.parametrize("foreign", [Coord(1), Coord(7)])
+    def test_potential_with_a_foreign_coordinate_rejected(self, foreign):
+        # Coord(7) lies beyond the one-particle chart of the symbol x
+        with pytest.raises(UnsupportedExpressionError, match="univariate"):
+            pair_potential_model(2, {(1, 2): foreign})
+
+    def test_foreign_coordinate_that_cancels_is_accepted(self):
+        from pqncheck.scalar import Const, Product, Sum
+
+        cancelled = Sum((Coord(0), Coord(1), Product((Const(Fraction(-1)), Coord(1)))))
+        assert pair_potential_model(2, {(1, 2): cancelled}).omega == pair_potential_model(2, {(1, 2): "x"}).omega
+
     def test_bad_pair_keys_rejected(self):
         with pytest.raises(ValueError):
             pair_potential_model(2, {(2, 1): "(exp x)"})

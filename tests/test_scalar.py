@@ -261,6 +261,25 @@ class TestNormalization:
         assert ((2 * q1 - 2 * q2) ** -2) == ((q1 - q2) ** -2) / 4
         assert (p1 - p1).is_zero_tree
 
+    @given(raw_trees())
+    @settings(max_examples=100, deadline=None)
+    def test_partials_vanish_off_the_variables(self, tree):
+        chart = Chart(2)
+        field = ScalarField(chart, tree)
+        # f**-1 of a sum adds a negative-power sum base
+        for f in [field] if field.is_zero_tree else [field, field**-1]:
+            assert list(f.variables) == sorted(set(f.variables))
+            for i in range(chart.dim):
+                if i not in f.variables:
+                    assert f.partial(i).is_zero_tree
+
+    def test_out_of_range_coordinate_inside_a_base_rejected(self):
+        chart = Chart(1)
+        with pytest.raises(ChartMismatchError):
+            ScalarField(chart, Exp(Coord(2)))
+        with pytest.raises(ChartMismatchError):
+            ScalarField(chart, Power(Sum((Coord(0), Coord(3))), -1))
+
     def test_exp_argument_must_be_affine(self):
         chart = Chart(1)
         with pytest.raises(UnsupportedExpressionError):

@@ -13,6 +13,7 @@ from pqncheck.models import (
     calogero,
     canonical_deformation_form,
     canonical_nijenhuis,
+    canonical_pn,
     canonical_poisson,
     canonical_symplectic,
     closed_toda,
@@ -22,7 +23,7 @@ from pqncheck.models import (
     two_particle_model,
 )
 from pqncheck.randgen import random_tensor
-from pqncheck.scalar import ZeroTestConfig, exp
+from pqncheck.scalar import ScalarField, ZeroTestConfig, exp
 from pqncheck.structures import (
     GeometricStructure,
     check_compatibility,
@@ -373,3 +374,26 @@ class TestInvolutivity:
         matrix = involutivity_matrix(generic.poisson, invariants)
         assert (1, 2) in matrix.nonzero_pairs()
         assert matrix.cell(1, 2).residual > 1e-6
+
+
+class TestNoZeroPartials:
+    def test_operators_differentiate_only_along_mentioned_coordinates(self, monkeypatch):
+        toda4 = closed_toda(4)
+        canonical3, toda3 = canonical_pn(3), closed_toda(3)
+        calogero3 = calogero(3)
+        calls, zeros = 0, 0
+        partial = ScalarField.partial
+
+        def counted(field, index):
+            nonlocal calls, zeros
+            result = partial(field, index)
+            calls += 1
+            zeros += result.is_zero_tree
+            return result
+
+        monkeypatch.setattr(ScalarField, "partial", counted)
+        check_pqn(toda4.structure())
+        deform(canonical3.poisson, canonical3.tensor, toda3.omega)
+        involutivity_matrix(calogero3.poisson, trace_invariants(calogero3.tensor, 3), CALOGERO_ZERO_TEST)
+        assert calls > 0
+        assert zeros == 0
