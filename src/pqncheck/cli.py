@@ -205,20 +205,20 @@ def _config_errors():
         raise ConfigError(str(exc)) from exc
 
 
+#: Each RunConfig key that overrides a zero-test setting, and the ZeroTestConfig field it sets.
+_ZERO_TEST_KEYS = {
+    "samples": "sample_count",
+    "box_halfwidth": "box_halfwidth",
+    "separation": "separation",
+    "tol": "tolerance",
+    "seed": "seed",
+}
+
+
 @_config_errors()
 def _zero_test_config(cfg: RunConfig) -> ZeroTestConfig:
     base = CALOGERO_ZERO_TEST if cfg.model == "calogero" else ZeroTestConfig()
-    overrides = {}
-    if cfg.samples is not None:
-        overrides["sample_count"] = cfg.samples
-    if cfg.box_halfwidth is not None:
-        overrides["box_halfwidth"] = cfg.box_halfwidth
-    if cfg.separation is not None:
-        overrides["separation"] = cfg.separation
-    if cfg.tol is not None:
-        overrides["tolerance"] = cfg.tol
-    if cfg.seed is not None:
-        overrides["seed"] = cfg.seed
+    overrides = {field: getattr(cfg, key) for key, field in _ZERO_TEST_KEYS.items() if getattr(cfg, key) is not None}
     return base.replace(**overrides)
 
 

@@ -13,7 +13,7 @@ other coordinate is rejected.  Strings in the prefix grammar with the symbol
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -271,11 +271,12 @@ def pair_potential_model(
     """
     chart = Chart(n)
     pairs = _normalize_pairs(n, potentials)
+    diffs: dict[tuple[int, int], Node] = {}  # the tree of q_i - q_j
     fields: dict[tuple[int, int], ScalarField] = {}
     primitives: dict[tuple[int, int], Node | None] = {}
     for (i, j), node in pairs.items():
-        diff = Sum((Coord(chart.q_index(i)), Product((Const(Fraction(-1)), Coord(chart.q_index(j))))))
-        fields[(i, j)] = ScalarField(chart, substitute(node, {0: diff}))
+        diffs[(i, j)] = Sum((Coord(chart.q_index(i)), Product((Const(Fraction(-1)), Coord(chart.q_index(j))))))
+        fields[(i, j)] = ScalarField(chart, substitute(node, {0: diffs[(i, j)]}))
         primitives[(i, j)] = _univariate_antiderivative(node)
 
     omega_terms: dict[tuple[int, ...], object] = {}
@@ -306,10 +307,8 @@ def pair_potential_model(
                 for j in range(i + 1, n + 1):
                     yield (chart.p_index(i),), chart.p(j)
                     if (i, j) in primitives:
-                        diff = Sum(
-                            (Coord(chart.q_index(i)), Product((Const(Fraction(-1)), Coord(chart.q_index(j)))))
-                        )
-                        yield (chart.q_index(i),), -ScalarField(chart, substitute(primitives[(i, j)], {0: diff}))
+                        primitive = substitute(primitives[(i, j)], {0: diffs[(i, j)]})
+                        yield (chart.q_index(i),), -ScalarField(chart, primitive)
 
         theta = Form(chart, 1, theta_terms())
 
@@ -375,7 +374,7 @@ def closed_toda(n: int, couplings: Sequence[object] | None = None) -> ModelBundl
         involutive_up_to=involutive,
         phi_closed_form=phi_display,
     )
-    return ModelBundle("closed-toda", chart, bundle.poisson, bundle.tensor, bundle.omega, expected, bundle.theta)
+    return replace(bundle, expected=expected)
 
 
 def open_toda(n: int, couplings: Sequence[object] | None = None) -> ModelBundle:
@@ -391,7 +390,7 @@ def open_toda(n: int, couplings: Sequence[object] | None = None) -> ModelBundle:
         involutive_up_to=n,
         phi_closed_form=Form.zero(bundle.chart, 3),
     )
-    return ModelBundle("open-toda", bundle.chart, bundle.poisson, bundle.tensor, bundle.omega, expected, bundle.theta)
+    return replace(bundle, expected=expected)
 
 
 def das_okubo_omega_hat(n: int, couplings: Sequence[object] | None = None) -> Form:

@@ -114,7 +114,7 @@ class Chart:
         return ScalarField(self, value)
 
     def zero(self) -> "ScalarField":
-        return self.constant(0)
+        return ScalarField._wrap(self, {})
 
     def one(self) -> "ScalarField":
         return self.constant(1)

@@ -122,7 +122,12 @@ def _zero_axiom(
     config: ZeroTestConfig,
     detail: str | None = None,
 ) -> AxiomCheck:
-    """Check that every field is zero: structurally when possible, sampled otherwise."""
+    """Check that every field is zero: structurally when possible, sampled otherwise.
+
+    Every zero verdict of a report entry or involutivity cell is made here.
+    A sampled verdict reports the worst field: a failing one before any
+    passing one, then the largest residual, with that field's witness.
+    """
     sampled: list[ScalarField] = [f for f in fields if not f.is_zero_tree]
     if not sampled:
         return AxiomCheck(axiom, True, "symbolic", 0.0, None, 0, detail)
@@ -165,7 +170,7 @@ def _symmetric_part(chart: Chart, pairs: dict[tuple[int, int], ScalarField]) -> 
     return [pairs.get((i, j), zero) + pairs.get((j, i), zero) for i, j in keys]
 
 
-def _bracket_axioms(chart: Chart, pairs: dict, cfg: ZeroTestConfig) -> tuple[AxiomCheck, AxiomCheck]:
+def _bracket_fields(chart: Chart, pairs: dict) -> tuple[list[ScalarField], list[ScalarField]]:
     """Antisymmetry and Jacobi identity of {f, g} = sum over ordered pairs of pairs[i, j] (d_i f)(d_j g).
 
     On coordinates the bracket reads off the entries: {x_j, x_k} = pairs[j, k],
@@ -177,17 +182,18 @@ def _bracket_axioms(chart: Chart, pairs: dict, cfg: ZeroTestConfig) -> tuple[Axi
         sum((rows[a](pairs[b, c]) for a, b, c in ((i, j, k), (j, k, i), (k, i, j)) if (b, c) in pairs), chart.zero())
         for i, j, k in combinations(range(chart.dim), 3)
     ]
-    return (
-        _zero_axiom("bivector-antisymmetry", _symmetric_part(chart, pairs), cfg),
-        _zero_axiom("jacobi-identity", jacobiators, cfg),
-    )
+    return _symmetric_part(chart, pairs), jacobiators
 
 
 def check_poisson(pi: Bivector, config: ZeroTestConfig | None = None) -> CheckReport:
     """Verify the Jacobi identity of the induced bracket on all coordinate triples."""
     cfg = config or ZeroTestConfig()
-    pairs = {(i, j): value for i, j, value in pi.nonzero_entries()}
-    return CheckReport("poisson", pi.chart, cfg, _bracket_axioms(pi.chart, pairs, cfg))
+    antisymmetry, jacobiators = _bracket_fields(pi.chart, {(i, j): value for i, j, value in pi.nonzero_entries()})
+    entries = (
+        _zero_axiom("bivector-antisymmetry", antisymmetry, cfg),
+        _zero_axiom("jacobi-identity", jacobiators, cfg),
+    )
+    return CheckReport("poisson", pi.chart, cfg, entries)
 
 
 def _induced_pairs(pi: Bivector, tensor: Tensor11) -> dict[tuple[int, int], ScalarField]:
@@ -212,17 +218,14 @@ def _compatibility_entries(
     # the induced entries.
     cond1 = _zero_axiom("compatibility-musical", _symmetric_part(chart, _induced_pairs(pi, tensor)), cfg)
 
-    # Condition 2 on all coordinate pairs, plus a few function-rescaled pairs:
-    # L_{pi# a}(N) X - pi#(L_X (a o N)) + pi#(L_{NX} a) = 0.
-    def bracket_defect(alpha: Form, x: VectorField) -> VectorField:
-        sharp_alpha = pi_sharp(pi, alpha)
-        first = lie_derivative(sharp_alpha, tensor).apply(x)
-        second = pi_sharp(pi, lie_derivative(x, tensor_interior(tensor, alpha)))
-        third = pi_sharp(pi, lie_derivative(tensor.apply(x), alpha))
-        return first - second + third
-
-    # On the pair (dx_i, e_j), L_{e_j} of a 1-form is d_j of each coefficient
-    # and L_{N e_j} dx_i = d N^i_j, so both come from partials of row i of N.
+    # Condition 2, L_{pi# a}(N) X - pi#(L_X (a o N)) + pi#(L_{NX} a) = 0, on the
+    # coordinate pairs (dx_i, e_j) only.  The left side is always C^inf-linear
+    # in X; rescaling a by f adds X(f) (N pi# - pi# N^T) a, which vanishes once
+    # condition 1 holds.  The concomitant is then a tensor (Kosmann-Schwarzbach
+    # and Magri, Ann. IHP 53, 1990), so its values on coordinate pairs decide it
+    # everywhere.  When condition 1 fails, the overall verdict fails with it.
+    # On (dx_i, e_j), L_{e_j} of a 1-form is d_j of each coefficient and
+    # L_{N e_j} dx_i = d N^i_j, so both come from partials of row i of N.
     defects: list[VectorField] = []
     for i in range(dim):
         alpha = dx(chart, i)
@@ -239,19 +242,21 @@ def _compatibility_entries(
                 + pi_sharp(pi, differential(row.coefficient(j)))
             )
             defects.append(value)
-    rng = random.Random(cfg.seed)
-    for _ in range(5):
-        f = random_scalar_field(chart, rng, allow_exp=True)
-        g = random_scalar_field(chart, rng, allow_exp=True)
-        alpha = Form(chart, 1, {(rng.randrange(dim),): f})
-        x = VectorField.basis(chart, rng.randrange(dim)) * g
-        defects.append(bracket_defect(alpha, x))
-    cond2 = _zero_axiom("compatibility-bracket", _vector_components(defects), cfg)
+    detail = None if cond1.passed else "assumes compatibility-musical, which failed"
+    cond2 = _zero_axiom("compatibility-bracket", _vector_components(defects), cfg, detail)
     return cond1, cond2
 
 
 def check_compatibility(pi: Bivector, tensor: Tensor11, config: ZeroTestConfig | None = None) -> CheckReport:
-    """Check both compatibility conditions between a Poisson bivector and a (1,1) tensor."""
+    """Check both compatibility conditions between a Poisson bivector and a (1,1) tensor.
+
+    ``compatibility-musical`` is N pi# = pi# N^T.  ``compatibility-bracket`` is
+    the vanishing of the Magri-Morosi concomitant on every coordinate pair
+    (dx_i, d/dx_j).  Once the musical condition holds the concomitant is
+    C^inf-bilinear, so the coordinate pairs decide it on all pairs of 1-forms
+    and vector fields.  When the musical condition fails, the bracket entry
+    carries a ``detail`` saying that it assumes it.
+    """
     cfg = config or ZeroTestConfig()
     entries = _compatibility_entries(pi, tensor, cfg)
     return CheckReport("compatibility", pi.chart, cfg, entries)
@@ -270,28 +275,23 @@ def check_pn(pi: Bivector, tensor: Tensor11, config: ZeroTestConfig | None = Non
     torsion = nijenhuis_torsion(tensor)
     torsion_fields = _vector_components(v for _, v in torsion.coordinate_pairs())
     entries.append(_zero_axiom("torsion-vanishes", torsion_fields, cfg))
-    induced = _bracket_axioms(chart, _induced_pairs(pi, tensor), cfg)
-    entries.append(
-        AxiomCheck(
-            "induced-bivector-poisson",
-            all(e.passed for e in induced),
-            "symbolic" if all(e.mode == "symbolic" for e in induced) else "sampled",
-            max(e.residual for e in induced),
-            next((e.witness for e in induced if e.witness is not None), None),
-            max(e.samples for e in induced),
-        )
-    )
+    antisymmetry, jacobiators = _bracket_fields(chart, _induced_pairs(pi, tensor))
+    entries.append(_zero_axiom("induced-bivector-poisson", antisymmetry + jacobiators, cfg))
     return CheckReport("pn", chart, cfg, tuple(entries))
 
 
 def check_pqn(structure: GeometricStructure, config: ZeroTestConfig | None = None) -> CheckReport:
     """Poisson quasi-Nijenhuis check.
 
-    Entries: Poisson + compatibility; closedness of the 3-form and of its
+    Entries: Poisson + compatibility (decided on coordinate pairs, which is
+    complete once compatibility-musical holds; see
+    :func:`check_compatibility`); closedness of the 3-form and of its
     contraction with the tensor; the torsion identity T(X, Y) =
     pi_sharp(i_{X^Y} phi) on all coordinate pairs; and the square of the
-    tensor differential acting as the bracket with the 3-form on a handful of
-    random functions.
+    tensor differential acting as the bracket with the 3-form on five random
+    functions drawn from the config seed.  That last entry covers functions
+    only, and only with probability; it is the one entry whose fields, not
+    just its sample points, depend on the seed.
     """
     cfg = config or ZeroTestConfig()
     chart = structure.chart
@@ -529,11 +529,8 @@ def involutivity_matrix(
     for j in range(1, size + 1):
         for k in range(j, size + 1):
             bracket = poisson_bracket(pi, gradients[j - 1], gradients[k - 1])
-            if bracket.is_zero_tree:
-                cell = InvolutivityCell(True, 0.0, None, "symbolic")
-            else:
-                verdict = is_zero(bracket, cfg)
-                cell = InvolutivityCell(verdict.is_zero, verdict.residual, verdict.witness, "sampled")
+            entry = _zero_axiom(f"involutivity-H{j}-H{k}", [bracket], cfg)
+            cell = InvolutivityCell(entry.passed, entry.residual, entry.witness, entry.mode)
             cells[(j, k)] = cell
             if j != k:
                 cells[(k, j)] = cell

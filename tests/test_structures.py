@@ -88,6 +88,41 @@ class TestCompatibility:
         report = check_compatibility(bundle.poisson, bundle.tensor)
         assert report.overall
 
+    def test_unpaired_diagonal_bracket_entry_assumes_musical_condition(self, chart2):
+        report = check_compatibility(canonical_poisson(chart2), _unpaired_diagonal_tensor(chart2))
+        assert report.entry("compatibility-bracket").detail == "assumes compatibility-musical, which failed"
+
+    @pytest.mark.parametrize(
+        "diagonal",
+        [lambda chart: [chart.p(1)] * 4, lambda chart: [chart.p(2), chart.p(1), chart.p(2), chart.p(1)]],
+        ids=["p1-times-identity", "crossed-momenta"],
+    )
+    def test_bracket_condition_fails_while_musical_condition_holds(self, chart2, diagonal):
+        # Each q_i and p_i carry the same diagonal entry, so N commutes with
+        # pi_sharp; only the coordinate pairs of the bracket condition see it.
+        tensor = Tensor11(chart2, {(i, i): value for i, value in enumerate(diagonal(chart2))})
+        report = check_compatibility(canonical_poisson(chart2), tensor)
+        assert report.entry("compatibility-musical").passed
+        bracket = report.entry("compatibility-bracket")
+        assert not bracket.passed
+        assert bracket.detail is None
+
+    @pytest.mark.parametrize(
+        "build, is_pn",
+        [(lambda: canonical_pn(2), True), (lambda: closed_toda(3), False)],
+        ids=["canonical", "closed-toda"],
+    )
+    def test_decided_without_random_probe_fields(self, monkeypatch, build, is_pn):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("compatibility is decided on coordinate pairs alone")
+
+        bundle = build()
+        monkeypatch.setattr("pqncheck.structures.random_scalar_field", forbidden)
+        assert check_compatibility(bundle.poisson, bundle.tensor).overall
+        report = check_pn(bundle.poisson, bundle.tensor)
+        assert report.overall == is_pn
+        assert report.entry("compatibility-bracket").passed
+
 
 class TestCheckPn:
     def test_momentum_tensor(self, canonical2):
