@@ -23,7 +23,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -69,6 +69,15 @@ BASE_NAMES = ("canonical", "identity", "open-toda")
 
 _KMAX_GUARD = 8
 
+#: Each RunConfig key that overrides a zero-test setting, and the ZeroTestConfig field it sets.
+_ZERO_TEST_KEYS = {
+    "samples": "sample_count",
+    "box_halfwidth": "box_halfwidth",
+    "separation": "separation",
+    "tol": "tolerance",
+    "seed": "seed",
+}
+
 
 @dataclass
 class RunConfig:
@@ -93,19 +102,11 @@ class RunConfig:
     seed: int | None = None
 
     def echo(self) -> dict:
-        data = {
-            "command": self.command,
-            "model": self.model,
-            "n": self.n,
-            "kmax": self.kmax,
-            "f": [str(x) for x in self.f] if self.f is not None else None,
-            "potentials": self.potentials,
-            "v": self.v,
-            "omega": self.omega,
-            "omega_form": self.omega_form,
-            "expect": self.expect,
-            "format": self.format,
-        }
+        """The settings a report echoes: all but ``out`` and the zero-test keys, which it lists apart."""
+        hidden = {"out", *_ZERO_TEST_KEYS}
+        data = {field.name: getattr(self, field.name) for field in fields(self) if field.name not in hidden}
+        if self.f is not None:
+            data["f"] = [str(x) for x in self.f]
         return {k: v for k, v in data.items() if v is not None}
 
 
@@ -143,6 +144,13 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+def _whole_number(value) -> int:
+    """``int(value)``, refusing the booleans and fractional floats that ``int`` would truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("expected a whole number")
+    return int(value)
+
+
 def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
     file_data = _load_config_file(args.config) if args.config else {}
     cfg = RunConfig(command=command)
@@ -153,16 +161,16 @@ def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
         if key in file_data and file_data[key] is not None:
             value = file_data[key]
             try:
-                if isinstance(value, bool) or (convert is int and isinstance(value, float) and not value.is_integer()):
-                    raise ValueError("expected a whole number" if convert is int else "no key takes a boolean")
+                if isinstance(value, bool) and convert is not _whole_number:
+                    raise ValueError("no key takes a boolean")
                 return convert(value) if convert else value
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"config key {key!r} has an unusable value {value!r}: {exc}") from exc
         return None
 
     cfg.model = pick(args.model, "model")
-    cfg.n = pick(args.n, "n", int)
-    cfg.kmax = pick(getattr(args, "kmax", None), "kmax", int)
+    cfg.n = pick(args.n, "n", _whole_number)
+    cfg.kmax = pick(getattr(args, "kmax", None), "kmax", _whole_number)
     raw_f = pick(args.f, "f")
     cfg.f = None if raw_f is None else _parse_fractions(raw_f)
     potentials = file_data.get("potentials")
@@ -182,11 +190,11 @@ def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
     if cfg.format not in ("text", "json"):
         raise ConfigError(f"unknown output format {cfg.format!r}")
     cfg.out = pick(args.out, "out", os.fspath)
-    cfg.samples = pick(args.samples, "samples", int)
+    cfg.samples = pick(args.samples, "samples", _whole_number)
     cfg.box_halfwidth = pick(None, "box_halfwidth", float)
     cfg.separation = pick(None, "separation", float)
     cfg.tol = pick(args.tol, "tol", float)
-    cfg.seed = pick(args.seed, "seed", int)
+    cfg.seed = pick(args.seed, "seed", _whole_number)
     if cfg.expect is not None:
         cfg.expect = cfg.expect.upper()
         if cfg.expect not in ("PN", "PQN"):
@@ -203,16 +211,6 @@ def _config_errors():
         yield
     except (ValueError, UnsupportedExpressionError) as exc:
         raise ConfigError(str(exc)) from exc
-
-
-#: Each RunConfig key that overrides a zero-test setting, and the ZeroTestConfig field it sets.
-_ZERO_TEST_KEYS = {
-    "samples": "sample_count",
-    "box_halfwidth": "box_halfwidth",
-    "separation": "separation",
-    "tol": "tolerance",
-    "seed": "seed",
-}
 
 
 @_config_errors()
@@ -281,14 +279,17 @@ def serialize_form(form: Form) -> dict:
 
 def parse_form(chart: Chart, data: dict) -> Form:
     try:
-        degree = int(data["degree"])
+        degree = _whole_number(data["degree"])
         terms = list(data["terms"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed form object: {exc}") from exc
 
     def parse_term(term):
         try:
-            return tuple(int(i) - 1 for i in term["indices"]), parse_prefix(str(term["coeff"]), chart)
+            indices = term["indices"]
+            if not isinstance(indices, list):
+                raise TypeError("indices must be a list")
+            return tuple(_whole_number(i) - 1 for i in indices), parse_prefix(str(term["coeff"]), chart)
         except (KeyError, TypeError, ValueError, PqnError) as exc:
             raise ConfigError(f"malformed form term {term!r}: {exc}") from exc
 
@@ -302,23 +303,18 @@ def serialize_tensor(tensor: Tensor11) -> dict:
     return {"matrix": [[entry.to_prefix() for entry in row] for row in tensor.entries]}
 
 
-def _report_json(cfg: RunConfig, zero_cfg: ZeroTestConfig, report: CheckReport, extra: dict | None = None) -> dict:
+def _emit(cfg: RunConfig, zero_cfg: ZeroTestConfig, passed: bool, body: dict, lines: list[str]) -> int:
+    """Write a report under the run's header with its overall verdict; return the exit code."""
     payload = {
         "tool_version": __version__,
         "config": {**cfg.echo(), "zero_test": zero_cfg.as_dict()},
-        "entries": [entry.as_dict(report.chart) for entry in report.entries],
-        "overall": "pass" if report.overall else "fail",
+        **body,
+        "overall": "pass" if passed else "fail",
     }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
-def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
     if cfg.format == "json":
         content = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        content = "\n".join(text_lines) + "\n"
+        content = "\n".join(lines + [f"OVERALL: {'PASS' if passed else 'FAIL'}"]) + "\n"
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -327,6 +323,24 @@ def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
             raise ConfigError(f"cannot write the report to {cfg.out}: {exc}") from exc
     else:
         sys.stdout.write(content)
+    return 0 if passed else 1
+
+
+def _emit_report(
+    cfg: RunConfig,
+    zero_cfg: ZeroTestConfig,
+    report: CheckReport,
+    body: dict,
+    lines: list[str],
+    phi: Form | None = None,
+) -> int:
+    """The tail of every command: the report's entries, then ``phi`` if given, then the verdict."""
+    body = {**body, "entries": [entry.as_dict(report.chart) for entry in report.entries]}
+    lines = lines + _entry_lines(report)
+    if phi is not None:
+        body["phi"] = serialize_form(phi)
+        lines.append(f"phi terms: {len(phi.coeffs)}")
+    return _emit(cfg, zero_cfg, report.overall, body, lines)
 
 
 def _entry_lines(report: CheckReport) -> list[str]:
@@ -367,12 +381,8 @@ def cmd_check(cfg: RunConfig) -> int:
         detail=f"computed {classification}, expected {expected}",
     )
     report = CheckReport(report.name, report.chart, report.config, report.entries + (class_entry,))
-    payload = _report_json(cfg, zero_cfg, report, {"classification": classification})
     lines = [f"model {bundle.name} (n={bundle.chart.n}): classified {classification}"]
-    lines += _entry_lines(report)
-    lines.append(f"OVERALL: {'PASS' if report.overall else 'FAIL'}")
-    _emit(cfg, payload, lines)
-    return 0 if report.overall else 1
+    return _emit_report(cfg, zero_cfg, report, {"classification": classification}, lines)
 
 
 def cmd_involutivity(cfg: RunConfig) -> int:
@@ -392,21 +402,11 @@ def cmd_involutivity(cfg: RunConfig) -> int:
         for k in range(j, k_max + 1):
             cell = matrix.cell(j, k)
             claimed_zero = claim is not None and j <= claim and k <= claim
-            passed = cell.zero if claimed_zero else True
-            detail = "zero" if cell.zero else "nonzero"
+            passed = cell.passed if claimed_zero else True
+            detail = "zero" if cell.passed else "nonzero"
             if not claimed_zero:
                 detail += ", no claim"
-            entries.append(
-                AxiomCheck(
-                    f"bracket-H{j}-H{k}",
-                    passed,
-                    cell.mode,
-                    cell.residual,
-                    cell.witness,
-                    zero_cfg.sample_count if cell.mode == "sampled" else 0,
-                    detail=detail,
-                )
-            )
+            entries.append(replace(cell, axiom=f"bracket-H{j}-H{k}", passed=passed, detail=detail))
     if bundle.expected.non_involutive:
         found = not matrix.all_zero
         entries.append(
@@ -421,8 +421,6 @@ def cmd_involutivity(cfg: RunConfig) -> int:
             )
         )
     report = CheckReport("involutivity", bundle.chart, zero_cfg, tuple(entries))
-    payload = _report_json(cfg, zero_cfg, report, {"matrix": matrix.as_dict()})
-
     lines = [f"model {bundle.name} (n={bundle.chart.n}): involutivity up to k={k_max}"]
     header = "      " + " ".join(f"H{k:<10d}" for k in range(1, k_max + 1))
     lines.append(header)
@@ -430,13 +428,10 @@ def cmd_involutivity(cfg: RunConfig) -> int:
         cells = []
         for k in range(1, k_max + 1):
             cell = matrix.cell(j, k)
-            mark = "0" if cell.zero else "X"
+            mark = "0" if cell.passed else "X"
             cells.append(f"{mark}:{cell.residual:.1e}")
         lines.append(f"H{j:<4d} " + " ".join(f"{c:<11s}" for c in cells))
-    lines += _entry_lines(report)
-    lines.append(f"OVERALL: {'PASS' if report.overall else 'FAIL'}")
-    _emit(cfg, payload, lines)
-    return 0 if report.overall else 1
+    return _emit_report(cfg, zero_cfg, report, {"matrix": matrix.as_dict()}, lines)
 
 
 @_config_errors()
@@ -486,33 +481,20 @@ def cmd_deform(cfg: RunConfig) -> int:
         result = deform(pi, base_tensor, omega, zero_cfg)
     except HypothesisViolationError as exc:
         witness = exc.witness.labelled(chart) if exc.witness is not None else None
-        payload = {
-            "tool_version": __version__,
-            "config": {**cfg.echo(), "zero_test": zero_cfg.as_dict()},
+        body = {
             "error": "the deforming 2-form is not closed",
             "witness": witness,
             "residual": exc.residual,
-            "overall": "fail",
         }
-        _emit(cfg, payload, [f"FAIL omega-closed: witness={witness} residual={exc.residual:.3e}", "OVERALL: FAIL"])
-        return 1
-    payload = _report_json(
-        cfg,
-        zero_cfg,
-        result.report,
-        {
-            "classification": result.classification,
-            "base": base_name,
-            "n_hat": serialize_tensor(result.tensor),
-            "phi": serialize_form(result.phi),
-        },
-    )
+        lines = [f"FAIL omega-closed: witness={witness} residual={exc.residual:.3e}"]
+        return _emit(cfg, zero_cfg, False, body, lines)
+    body = {
+        "classification": result.classification,
+        "base": base_name,
+        "n_hat": serialize_tensor(result.tensor),
+    }
     lines = [f"deform base={base_name} (n={chart.n}): classified {result.classification}"]
-    lines += _entry_lines(result.report)
-    lines.append(f"phi terms: {len(result.phi.coeffs)}")
-    lines.append(f"OVERALL: {'PASS' if result.report.overall else 'FAIL'}")
-    _emit(cfg, payload, lines)
-    return 0 if result.report.overall else 1
+    return _emit_report(cfg, zero_cfg, result.report, body, lines, result.phi)
 
 
 # ---------------------------------------------------------------------------

@@ -827,8 +827,9 @@ class ZeroTestConfig:
     box_halfwidth] in every coordinate.
 
     Valid ranges, checked on construction (``ValueError`` otherwise):
-    ``sample_count`` >= 1; ``tolerance`` finite and > 0; ``separation``
-    finite and >= 0; ``box_halfwidth`` > 0 with ``2 * box_halfwidth`` finite.
+    ``sample_count`` an ``int`` (not a ``bool``) >= 1; ``tolerance`` finite
+    and > 0; ``separation`` finite and >= 0; ``box_halfwidth`` > 0 with
+    ``2 * box_halfwidth`` finite.
     """
 
     sample_count: int = 50
@@ -838,6 +839,8 @@ class ZeroTestConfig:
     seed: int = 7
 
     def __post_init__(self):
+        if isinstance(self.sample_count, bool) or not isinstance(self.sample_count, int):
+            raise ValueError(f"sample_count must be an integer, got {self.sample_count!r}")
         if self.sample_count < 1:
             raise ValueError("sample_count must be at least 1")
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):

@@ -467,47 +467,41 @@ def recursion_check(
 
 
 @dataclass(frozen=True)
-class InvolutivityCell:
-    zero: bool
-    residual: float
-    witness: Point | None
-    mode: str  # "symbolic" | "sampled"
-
-    def as_dict(self, chart: Chart) -> dict:
-        return {
-            "zero": self.zero,
-            "residual": self.residual,
-            "witness": self.witness.labelled(chart) if self.witness is not None else None,
-            "mode": self.mode,
-        }
-
-
-@dataclass(frozen=True)
 class InvolutivityMatrix:
-    """Pairwise Poisson-bracket verdicts for a list of invariants (1-based)."""
+    """Pairwise Poisson-bracket verdicts for a list of invariants (1-based).
+
+    Each cell is the :class:`AxiomCheck` that decided it; a cell is zero when
+    it passed.
+    """
 
     chart: Chart
     size: int
-    cells: dict[tuple[int, int], InvolutivityCell]
+    cells: dict[tuple[int, int], AxiomCheck]
     config: ZeroTestConfig
 
     @property
     def all_zero(self) -> bool:
-        return all(cell.zero for cell in self.cells.values())
+        return all(cell.passed for cell in self.cells.values())
 
-    def cell(self, j: int, k: int) -> InvolutivityCell:
+    def cell(self, j: int, k: int) -> AxiomCheck:
         return self.cells[(j, k)]
 
     def nonzero_pairs(self) -> list[tuple[int, int]]:
-        return sorted((j, k) for (j, k), cell in self.cells.items() if not cell.zero and j <= k)
+        return sorted((j, k) for (j, k), cell in self.cells.items() if not cell.passed and j <= k)
 
     def as_dict(self) -> dict:
+        cells = {}
+        for (j, k), cell in sorted(self.cells.items()):
+            cells[f"{j},{k}"] = {
+                "zero": cell.passed,
+                "residual": cell.residual,
+                "witness": cell.witness.labelled(self.chart) if cell.witness is not None else None,
+                "mode": cell.mode,
+            }
         return {
             "size": self.size,
             "config": self.config.as_dict(),
-            "cells": {
-                f"{j},{k}": cell.as_dict(self.chart) for (j, k), cell in sorted(self.cells.items())
-            },
+            "cells": cells,
             "all_zero": self.all_zero,
         }
 
@@ -523,14 +517,13 @@ def involutivity_matrix(
     the computed one.  Each invariant is differentiated once, not once per pair.
     """
     cfg = config or ZeroTestConfig()
-    cells: dict[tuple[int, int], InvolutivityCell] = {}
+    cells: dict[tuple[int, int], AxiomCheck] = {}
     size = len(invariants)
     gradients = [differential(h) for h in invariants]
     for j in range(1, size + 1):
         for k in range(j, size + 1):
             bracket = poisson_bracket(pi, gradients[j - 1], gradients[k - 1])
-            entry = _zero_axiom(f"involutivity-H{j}-H{k}", [bracket], cfg)
-            cell = InvolutivityCell(entry.passed, entry.residual, entry.witness, entry.mode)
+            cell = _zero_axiom(f"involutivity-H{j}-H{k}", [bracket], cfg)
             cells[(j, k)] = cell
             if j != k:
                 cells[(k, j)] = cell

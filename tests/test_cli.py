@@ -266,7 +266,7 @@ class TestDeformCommand:
         assert run_cli("deform", "--model", "canonical", "--n", "2") == 2
 
 
-def _omega_form(degree: int, terms) -> dict:
+def _omega_form(degree, terms) -> dict:
     return {"omega_form": {"degree": degree, "terms": [{"indices": i, "coeff": c} for i, c in terms]}}
 
 
@@ -319,6 +319,10 @@ class TestBadInput:
             ("deform", "--n", "2", "--config", _omega_form(2, [([1], "1")])),
             ("deform", "--n", "2", "--config", _omega_form(3, [([1, 2, 3], "1")])),
             ("deform", "--n", "2", "--config", {"omega_form": {"degree": 2, "terms": 5}}),
+            ("deform", "--n", "2", "--config", _omega_form(2, [("12", "1")])),
+            ("deform", "--n", "2", "--config", _omega_form(2, [([1.7, 3], "1")])),
+            ("deform", "--n", "2", "--config", _omega_form(2, [([True, 3], "1")])),
+            ("deform", "--n", "2", "--config", _omega_form(2.9, [([1, 3], "1")])),
         ],
     )
     def test_malformed_expression_is_a_one_line_config_error(self, argv, tmp_path, capsys):
@@ -362,6 +366,54 @@ class TestReportPin:
         assert {e["mode"] for e in strict_json(out)["entries"]} == {"symbolic"}
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "a7c33e0da59788c6509a33f3f6db5889c62ac2f0197e281099a46343f2fa5a51"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ("check", "--model", "closed-toda", "--n", "3", "--seed", "11"),
+                "621cbeef3c164e34ea71969327ec3702f3f701f811062e70edeafe8bb4ed4072",
+            ),
+            (
+                ("deform", "--model", "canonical", "--omega", "toda", "--n", "3", "--seed", "13"),
+                "ec529020dcae4ebbf42e1cf3dc0030e02801c907c0318f0b7a8406bbd8782334",
+            ),
+        ],
+    )
+    def test_text_report_bytes(self, argv, expected, capsys):
+        # The text forms of the two symbolic reports above.
+        assert run_cli(*argv) == 0
+        out = capsys.readouterr().out
+        assert "mode=sampled" not in out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+    def test_calogero_four_involutivity_structure(self, capsys):
+        # Everything but the sampled residuals and witnesses, whose floats depend on libm.
+        argv = ("involutivity", "--model", "calogero", "--n", "4", "--kmax", "4", "--format", "json")
+        assert run_cli(*argv) == 0
+        report = strict_json(capsys.readouterr().out)
+        entries = [(e["axiom"], e["verdict"], e["mode"], e["samples"], e.get("detail")) for e in report["entries"]]
+        assert entries == [
+            ("bracket-H1-H1", "pass", "symbolic", 0, "zero, no claim"),
+            ("bracket-H1-H2", "pass", "symbolic", 0, "zero, no claim"),
+            ("bracket-H1-H3", "pass", "symbolic", 0, "zero, no claim"),
+            ("bracket-H1-H4", "pass", "symbolic", 0, "zero, no claim"),
+            ("bracket-H2-H2", "pass", "symbolic", 0, "zero, no claim"),
+            ("bracket-H2-H3", "pass", "sampled", 50, "zero, no claim"),
+            ("bracket-H2-H4", "pass", "sampled", 50, "nonzero, no claim"),
+            ("bracket-H3-H3", "pass", "symbolic", 0, "zero, no claim"),
+            ("bracket-H3-H4", "pass", "sampled", 50, "nonzero, no claim"),
+            ("bracket-H4-H4", "pass", "symbolic", 0, "zero, no claim"),
+            ("non-involutivity-witnessed", "pass", "sampled", 50, "nonzero pairs: [(2, 4), (3, 4)]"),
+        ]
+        sampled, nonzero = {(2, 3), (2, 4), (3, 4)}, {(2, 4), (3, 4)}
+        cells = {key: (cell["zero"], cell["mode"]) for key, cell in report["matrix"]["cells"].items()}
+        expected = {}
+        for j in range(1, 5):
+            for k in range(1, 5):
+                pair = (min(j, k), max(j, k))
+                expected[f"{j},{k}"] = (pair not in nonzero, "sampled" if pair in sampled else "symbolic")
+        assert cells == expected
 
 
 class TestConsoleEntryPoint:

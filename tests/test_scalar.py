@@ -560,6 +560,8 @@ class TestZeroTest:
             {"box_halfwidth": float("nan")},
             {"box_halfwidth": float("inf")},
             {"box_halfwidth": 1e308},
+            {"sample_count": 2.5},
+            {"sample_count": True},
         ],
     )
     def test_non_finite_or_empty_ranges_are_rejected(self, kwargs):
