@@ -408,18 +408,14 @@ def cmd_involutivity(cfg: RunConfig) -> int:
                 detail += ", no claim"
             entries.append(replace(cell, axiom=f"bracket-H{j}-H{k}", passed=passed, detail=detail))
     if bundle.expected.non_involutive:
-        found = not matrix.all_zero
-        entries.append(
-            AxiomCheck(
-                "non-involutivity-witnessed",
-                found,
-                "sampled",
-                max((matrix.cell(j, k).residual for j, k in matrix.nonzero_pairs()), default=0.0),
-                next((matrix.cell(j, k).witness for j, k in matrix.nonzero_pairs()), None),
-                zero_cfg.sample_count,
-                detail=f"nonzero pairs: {matrix.nonzero_pairs()}",
-            )
+        # One cell, the worst (a nonzero one before any zero one, then the
+        # largest residual), supplies residual, witness, mode and samples.
+        (j, k), worst = max(
+            ((pair, cell) for pair, cell in sorted(matrix.cells.items()) if pair[0] <= pair[1]),
+            key=lambda item: (not item[1].passed, item[1].residual),
         )
+        detail = f"worst cell ({j}, {k}); nonzero pairs: {matrix.nonzero_pairs()}"
+        entries.append(replace(worst, axiom="non-involutivity-witnessed", passed=not worst.passed, detail=detail))
     report = CheckReport("involutivity", bundle.chart, zero_cfg, tuple(entries))
     lines = [f"model {bundle.name} (n={bundle.chart.n}): involutivity up to k={k_max}"]
     header = "      " + " ".join(f"H{k:<10d}" for k in range(1, k_max + 1))

@@ -9,11 +9,19 @@ coordinate ``Coord(0)``; the factory substitutes the difference q_i - q_j
 before assembling anything.  A potential whose normalized form mentions any
 other coordinate is rejected.  Strings in the prefix grammar with the symbol
 ``x`` are accepted too, e.g. ``"(exp x)"`` or ``"(^ x -2)"``.
+
+Every pair-potential model, the Toda chains and the Calogero system
+included, takes its expected 3-form from one closed form (the tensor
+differential of the 2-form plus half its self-bracket), and its expected
+structure class from that 3-form.  For the closed chain it is the paper's
+2 f_n exp(q_n - q_1) dq_1 ^ dq_n ^ sum_i dp_i; for the open chain it is zero.
+The primitive of each potential comes from
+:func:`pqncheck.scalar.univariate_antiderivative`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -33,6 +41,7 @@ from .scalar import (
     is_zero,
     parse_prefix_tree,
     substitute,
+    univariate_antiderivative,
 )
 from .structures import GeometricStructure
 
@@ -48,15 +57,22 @@ CALOGERO_ZERO_TEST = ZeroTestConfig(separation=5e-2, tolerance=1e-7)
 class ExpectedOutcome:
     """What the checkers should conclude for a model.
 
-    ``involutive_up_to = k`` claims that H_1..H_k pairwise Poisson-commute;
-    ``non_involutive`` claims that some pair within the default scan depth
-    does not.  ``None``/``False`` make no claim either way.
+    ``phi_closed_form`` is the induced 3-form in closed form, and the
+    structure class follows from it: ``"PN"`` exactly when it is missing or
+    zero, ``"PqN"`` otherwise.  ``involutive_up_to = k`` claims that H_1..H_k
+    pairwise Poisson-commute; ``non_involutive`` claims that some pair within
+    the default scan depth does not.  ``None``/``False`` make no claim either
+    way.
     """
 
-    structure_class: str  # "PN" | "PqN"
     involutive_up_to: int | None = None
     phi_closed_form: Form | None = None
     non_involutive: bool = False
+
+    @property
+    def structure_class(self) -> str:
+        """``"PN"`` when the closed-form 3-form is missing or zero, else ``"PqN"``."""
+        return "PN" if self.phi_closed_form is None or self.phi_closed_form.is_zero else "PqN"
 
 
 @dataclass(frozen=True)
@@ -129,11 +145,7 @@ def canonical_pn(n: int) -> ModelBundle:
         1,
         {(chart.q_index(i),): chart.p(i) - chart.p(i) ** 2 / 2 for i in range(1, chart.n + 1)},
     )
-    expected = ExpectedOutcome(
-        structure_class="PN",
-        involutive_up_to=n,
-        phi_closed_form=Form.zero(chart, 3),
-    )
+    expected = ExpectedOutcome(involutive_up_to=n, phi_closed_form=Form.zero(chart, 3))
     return ModelBundle("canonical", chart, canonical_poisson(chart), canonical_nijenhuis(chart), omega, expected, theta)
 
 
@@ -159,41 +171,6 @@ def potential(spec) -> Node:
     if isinstance(spec, (int, Fraction)):
         return Const(Fraction(spec))
     raise UnsupportedExpressionError(f"cannot interpret potential spec {spec!r}")
-
-
-def _univariate_antiderivative(spec: Node) -> Node | None:
-    """An antiderivative of a univariate tree in Coord(0), when one exists in the ring.
-
-    Handles rational powers of x, exponentials of affine arguments, and
-    negative powers of affine bases; returns None for shapes whose primitive
-    leaves the node set (such as 1/x).  Integration constants are zero.
-    """
-    x = Coord(0)
-    line = Chart(1)
-    pieces = []
-    for mono, coeff in ScalarField(line, spec).poly.items():
-        if len(mono) > 1:
-            return None
-        base, e = mono[0] if mono else (x, 0)
-        if base == x and e != -1:
-            pieces.append(Product((Const(coeff / (e + 1)), Power(x, e + 1))))
-        elif isinstance(base, Exp) and _slope(base.affine):
-            pieces.append(Product((Const(coeff / _slope(base.affine)), base)))
-        elif isinstance(base, Sum) and e != -1 and _slope(base.poly):
-            pieces.append(Product((Const(coeff / ((e + 1) * _slope(base.poly))), Power(base, e + 1))))
-        else:
-            return None
-    # Built as a tree and normalized once: field arithmetic here would add ring
-    # operations to every model build.
-    return ScalarField(line, Sum(tuple(pieces))).root
-
-
-def _slope(poly) -> Fraction:
-    """The x-coefficient of a polynomial affine in x alone; 0 for any other polynomial."""
-    linear = ((Coord(0), 1),)
-    if any(mono not in ((), linear) for mono in poly):
-        return Fraction(0)
-    return poly.get(linear, Fraction(0))
 
 
 def _normalize_pairs(n: int, potentials: Mapping[tuple[int, int], object]) -> dict[tuple[int, int], Node]:
@@ -277,7 +254,7 @@ def pair_potential_model(
     for (i, j), node in pairs.items():
         diffs[(i, j)] = Sum((Coord(chart.q_index(i)), Product((Const(Fraction(-1)), Coord(chart.q_index(j))))))
         fields[(i, j)] = ScalarField(chart, substitute(node, {0: diffs[(i, j)]}))
-        primitives[(i, j)] = _univariate_antiderivative(node)
+        primitives[(i, j)] = univariate_antiderivative(node)
 
     omega_terms: dict[tuple[int, ...], object] = {}
     for i in range(1, n + 1):
@@ -313,12 +290,7 @@ def pair_potential_model(
         theta = Form(chart, 1, theta_terms())
 
     phi = _phi_closed_form(chart, fields)
-    expected = ExpectedOutcome(
-        structure_class="PN" if phi.is_zero else "PqN",
-        involutive_up_to=involutive_up_to,
-        phi_closed_form=phi,
-        non_involutive=non_involutive,
-    )
+    expected = ExpectedOutcome(involutive_up_to=involutive_up_to, phi_closed_form=phi, non_involutive=non_involutive)
     return ModelBundle(name, chart, canonical_poisson(chart), tensor, omega, expected, theta)
 
 
@@ -355,26 +327,8 @@ def closed_toda(n: int, couplings: Sequence[object] | None = None) -> ModelBundl
     f = [Fraction(c) for c in (couplings if couplings is not None else [1] * n)]
     if len(f) != n:
         raise ValueError(f"expected {n} couplings, got {len(f)}")
-    bundle = pair_potential_model(n, _toda_potentials(n, f), name="closed-toda")
-    chart = bundle.chart
-    wrap = f[n - 1]
-    phi_display = Form(
-        chart,
-        3,
-        {
-            (chart.q_index(1), chart.q_index(n), chart.p_index(i)): 2
-            * wrap
-            * (chart.q(n) - chart.q(1)).exp()
-            for i in range(1, n + 1)
-        },
-    )
     involutive = n if all(c == 1 for c in f) else None
-    expected = ExpectedOutcome(
-        structure_class="PN" if wrap == 0 else "PqN",
-        involutive_up_to=involutive,
-        phi_closed_form=phi_display,
-    )
-    return replace(bundle, expected=expected)
+    return pair_potential_model(n, _toda_potentials(n, f), name="closed-toda", involutive_up_to=involutive)
 
 
 def open_toda(n: int, couplings: Sequence[object] | None = None) -> ModelBundle:
@@ -384,13 +338,7 @@ def open_toda(n: int, couplings: Sequence[object] | None = None) -> ModelBundle:
     f = [Fraction(c) for c in (couplings if couplings is not None else [1] * (n - 1))]
     if len(f) != n - 1:
         raise ValueError(f"expected {n - 1} couplings, got {len(f)}")
-    bundle = pair_potential_model(n, _toda_potentials(n, f), name="open-toda")
-    expected = ExpectedOutcome(
-        structure_class="PN",
-        involutive_up_to=n,
-        phi_closed_form=Form.zero(bundle.chart, 3),
-    )
-    return replace(bundle, expected=expected)
+    return pair_potential_model(n, _toda_potentials(n, f), name="open-toda", involutive_up_to=n)
 
 
 def das_okubo_omega_hat(n: int, couplings: Sequence[object] | None = None) -> Form:
@@ -465,7 +413,6 @@ def two_particle_model(v_spec, *, name: str = "two-particle") -> ModelBundle:
     drift = v.partial(q1) + v.partial(q2)
     translation_invariant = drift.is_zero_tree or is_zero(drift).is_zero
     expected = ExpectedOutcome(
-        structure_class="PN" if phi.is_zero else "PqN",
         involutive_up_to=2 if translation_invariant else None,
         phi_closed_form=phi,
         non_involutive=not translation_invariant,

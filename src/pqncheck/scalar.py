@@ -21,6 +21,8 @@ expanded polynomials) are handled by the probabilistic zero test instead.
 Expression trees are only the boundary: parsed input is normalized into a
 polynomial, and the canonical tree is built from it for printing.  Evaluation
 compiles the polynomial's terms into one float function per field.
+``univariate_antiderivative`` integrates a tree in one variable term by
+term on the same polynomial, so no other module reads its layout.
 """
 
 from __future__ import annotations
@@ -491,6 +493,41 @@ def _poly_diff(poly: Polynomial, index: int) -> Polynomial:
                 lowered = {_replace_exponent(mono, pos, exponent - 1): coeff * exponent}
                 _poly_add_into(out, _poly_mul(lowered, inner))
     return out
+
+
+_LINEAR = ((Coord(0), 1),)
+
+
+def _slope(poly: Polynomial) -> Fraction:
+    """The x-coefficient of a polynomial affine in x = Coord(0) alone; 0 for any other polynomial."""
+    if any(mono not in ((), _LINEAR) for mono in poly):
+        return _ZERO
+    return poly.get(_LINEAR, _ZERO)
+
+
+def univariate_antiderivative(spec: Node) -> Node | None:
+    """A primitive in x = Coord(0) of a univariate tree, when one exists in the ring.
+
+    Integrates term by term: c b^e becomes c b^(e+1) / ((e+1) b') for a
+    power of x or of an affine sum in x (e != -1), and c exp(a) becomes
+    c exp(a) / a' for an affine a.  Returns None for any other term, such as
+    1/x or x exp(x), whose primitive leaves the ring.  The integration
+    constant is zero.
+    """
+    primitive: Polynomial = {}
+    for mono, coeff in _poly(spec).items():
+        if len(mono) > 1:
+            return None
+        base, e = mono[0] if mono else (Coord(0), 0)
+        if isinstance(base, Exp):
+            rate = _slope(base.affine)
+        else:  # b' is the slope of the base's own polynomial: an affine sum or a coordinate
+            e += 1
+            rate = e * _slope(base.poly if isinstance(base, Sum) else {((base, 1),): _ONE})
+        if not rate:
+            return None
+        primitive[((base, e),)] = coeff / rate
+    return _poly_to_node(primitive)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,26 @@ class TestInvolutivityCommand:
         witnessed = [e for e in report["entries"] if e["axiom"] == "non-involutivity-witnessed"]
         assert witnessed and witnessed[0]["verdict"] == "pass"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--model", "calogero", "--n", "4", "--kmax", "4"),
+            ("--model", "two-particle", "--v", "(* q1 q2)", "--kmax", "2"),
+        ],
+    )
+    def test_witnessed_entry_comes_from_the_worst_cell(self, argv, capsys):
+        # Calogero n=4 has two nonzero cells; residual and witness must both be the worse one's.
+        assert run_cli("involutivity", *argv, "--format", "json") == 0
+        report = strict_json(capsys.readouterr().out)
+        (entry,) = [e for e in report["entries"] if e["axiom"] == "non-involutivity-witnessed"]
+        cells = report["matrix"]["cells"]
+        nonzero = [key for key, cell in cells.items() if not cell["zero"]]
+        worst = max(nonzero, key=lambda key: cells[key]["residual"])
+        j, k = worst.split(",")
+        assert entry["detail"].startswith(f"worst cell ({j}, {k}); ")
+        cell = cells[worst]
+        assert (entry["residual"], entry["witness"], entry["mode"]) == (cell["residual"], cell["witness"], cell["mode"])
+
     def test_closed_toda_two(self):
         assert run_cli("involutivity", "--model", "closed-toda", "--n", "2", "--kmax", "2") == 0
 
@@ -404,7 +424,7 @@ class TestReportPin:
             ("bracket-H3-H3", "pass", "symbolic", 0, "zero, no claim"),
             ("bracket-H3-H4", "pass", "sampled", 50, "nonzero, no claim"),
             ("bracket-H4-H4", "pass", "symbolic", 0, "zero, no claim"),
-            ("non-involutivity-witnessed", "pass", "sampled", 50, "nonzero pairs: [(2, 4), (3, 4)]"),
+            ("non-involutivity-witnessed", "pass", "sampled", 50, "worst cell (3, 4); nonzero pairs: [(2, 4), (3, 4)]"),
         ]
         sampled, nonzero = {(2, 3), (2, 4), (3, 4)}, {(2, 4), (3, 4)}
         cells = {key: (cell["zero"], cell["mode"]) for key, cell in report["matrix"]["cells"].items()}

@@ -1,0 +1,24 @@
+"""Module boundaries that keep a change of representation local to one file."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pqncheck
+
+#: Attributes that expose the ring's polynomial layout: ``ScalarField.poly``,
+#: ``Sum.poly`` and ``Exp.affine``.
+LAYOUT_ATTRIBUTES = {"poly", "affine"}
+
+
+def test_only_scalar_reads_the_polynomial_layout():
+    package = Path(pqncheck.__file__).parent
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "scalar.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in LAYOUT_ATTRIBUTES:
+                readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert readers == []

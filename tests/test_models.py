@@ -6,7 +6,7 @@ import pytest
 
 from pqncheck.calculus import cartan_d
 from pqncheck.errors import UnsupportedExpressionError
-from pqncheck.exterior import Tensor11
+from pqncheck.exterior import Form, Tensor11
 from pqncheck.models import (
     CALOGERO_ZERO_TEST,
     ExpectedOutcome,
@@ -29,6 +29,16 @@ from pqncheck.structures import (
     involutivity_matrix,
     trace_invariants,
 )
+
+
+def test_structure_class_follows_the_three_form():
+    chart = canonical_pn(2).chart
+    assert ExpectedOutcome().structure_class == "PN"
+    assert ExpectedOutcome(phi_closed_form=Form.zero(chart, 3)).structure_class == "PN"
+    phi = Form(chart, 3, {(0, 1, 2): chart.q(1)})
+    assert ExpectedOutcome(phi_closed_form=phi).structure_class == "PqN"
+    with pytest.raises(TypeError):
+        ExpectedOutcome(structure_class="PqN")
 
 
 class TestCanonical:
@@ -113,11 +123,23 @@ class TestPairPotential:
             chart, fields
         )
 
-    def test_primitive_one_form(self):
-        pots = {(1, 2): "(exp x)", (1, 3): "(^ x -2)", (2, 3): "(+ x (^ x 3))"}
+    @pytest.mark.parametrize(
+        "pots, has_primitive",
+        [
+            ({(1, 2): "(exp x)", (1, 3): "(^ x -2)", (2, 3): "(+ x (^ x 3))"}, True),
+            ({(1, 2): "(^ (+ x 1) -3)", (1, 3): "(* 3 (exp (* -2 x)))", (2, 3): "(+ 5 x)"}, True),
+            # 1/x, x exp(x) and 1/(x^2 + 1) have no primitive in the ring
+            ({(1, 2): "(^ x -1)"}, False),
+            ({(1, 2): "(* x (exp x))"}, False),
+            ({(1, 2): "(^ (+ (* x x) 1) -1)"}, False),
+        ],
+    )
+    def test_primitive_one_form(self, pots, has_primitive):
         bundle = pair_potential_model(3, pots)
-        assert bundle.theta is not None
-        assert cartan_d(bundle.theta) == bundle.omega
+        if has_primitive:
+            assert cartan_d(bundle.theta) == bundle.omega
+        else:
+            assert bundle.theta is None
 
     def test_unsupported_potential_rejected(self):
         with pytest.raises(UnsupportedExpressionError):
@@ -162,13 +184,22 @@ class TestToda:
             assert closed.phi() == open_.phi()
             assert closed.expected.structure_class == "PN"
 
-    def test_closed_chain_phi_display(self):
-        bundle = closed_toda(3, [1, 1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["unit", "mixed", "zero-wrap"])
+    def test_closed_chain_phi_display(self, n, kind):
+        # The paper's closed-chain 3-form: 2 f_n exp(q_n - q_1) dq_1 ^ dq_n ^ sum_i dp_i.
+        couplings = {
+            "unit": [1] * n,
+            "mixed": [Fraction(k + 2, 3) for k in range(n)],
+            "zero-wrap": [Fraction(k + 1) for k in range(n - 1)] + [0],
+        }[kind]
+        bundle = closed_toda(n, couplings)
         chart = bundle.chart
-        phi = bundle.expected.phi_closed_form
-        coeff = 4 * exp(chart.q(3) - chart.q(1))
-        for i in (1, 2, 3):
-            assert phi.coefficient(chart.q_index(1), chart.q_index(3), chart.p_index(i)) == coeff
+        coeff = 2 * Fraction(couplings[-1]) * exp(chart.q(n) - chart.q(1))
+        display = Form(chart, 3, {(chart.q_index(1), chart.q_index(n), chart.p_index(i)): coeff for i in range(1, n + 1)})
+        assert bundle.expected.phi_closed_form == display
+        assert bundle.expected.phi_closed_form.is_zero == (kind == "zero-wrap")
+        assert bundle.expected.structure_class == ("PN" if kind == "zero-wrap" else "PqN")
 
     def test_two_particle_closed_chain_couples_both_ways(self):
         bundle = closed_toda(2, [1, 1])
