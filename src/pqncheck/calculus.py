@@ -24,7 +24,7 @@ from .exterior import (
     tensor_interior,
     wedge,
 )
-from .scalar import Chart, ScalarField
+from .scalar import Chart, Record, ScalarField
 
 
 def differential(field: ScalarField) -> Form:
@@ -70,21 +70,18 @@ def deformed_lie_bracket(tensor: Tensor11, x: VectorField, y: VectorField) -> Ve
     return lie_bracket(nx, y) + lie_bracket(x, ny) - tensor.apply(lie_bracket(x, y))
 
 
-class Torsion12:
+class Torsion12(Record):
     """The Nijenhuis torsion of a (1,1) tensor as a (1,2) tensor field.
 
     Components are precomputed on coordinate fields and extended tensorially:
     T(X, Y) = sum_{j<k} (X^j Y^k - X^k Y^j) T(e_j, e_k).
     """
 
-    __slots__ = ("chart", "components")
+    __slots__ = _fields = ("chart", "components")
 
     def __init__(self, chart: Chart, components: dict[tuple[int, int], VectorField]):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Torsion12 is immutable")
 
     def component(self, i: int, j: int, k: int) -> ScalarField:
         """The scalar component T^i_{jk} (antisymmetric in j, k)."""

@@ -23,7 +23,6 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -79,39 +78,51 @@ _ZERO_TEST_KEYS = {
 }
 
 
-@dataclass
 class RunConfig:
     """Effective run configuration: config-file values overridden by flags."""
 
-    command: str
-    model: str | None = None
-    n: int | None = None
-    kmax: int | None = None
-    f: list[Fraction] | None = None
-    potentials: dict[str, str] | None = None
-    v: str | None = None
-    omega: str | None = None
-    omega_form: dict | None = None
-    expect: str | None = None
-    format: str = "text"
-    out: str | None = None
-    samples: int | None = None
-    box_halfwidth: float | None = None
-    separation: float | None = None
-    tol: float | None = None
-    seed: int | None = None
+    #: The settings, in the order a report echoes them.
+    KEYS = (
+        "command", "model", "n", "kmax", "f", "potentials", "v", "omega", "omega_form", "expect",
+        "format", "out", "samples", "box_halfwidth", "separation", "tol", "seed",
+    )
+    __slots__ = KEYS
+
+    def __init__(
+        self,
+        command: str,
+        model: str | None = None,
+        n: int | None = None,
+        kmax: int | None = None,
+        f: list[Fraction] | None = None,
+        potentials: dict[str, str] | None = None,
+        v: str | None = None,
+        omega: str | None = None,
+        omega_form: dict | None = None,
+        expect: str | None = None,
+        format: str = "text",
+        out: str | None = None,
+        samples: int | None = None,
+        box_halfwidth: float | None = None,
+        separation: float | None = None,
+        tol: float | None = None,
+        seed: int | None = None,
+    ):
+        settings = locals()
+        for key in self.KEYS:
+            setattr(self, key, settings[key])
 
     def echo(self) -> dict:
         """The settings a report echoes: all but ``out`` and the zero-test keys, which it lists apart."""
         hidden = {"out", *_ZERO_TEST_KEYS}
-        data = {field.name: getattr(self, field.name) for field in fields(self) if field.name not in hidden}
+        data = {key: getattr(self, key) for key in self.KEYS if key not in hidden}
         if self.f is not None:
             data["f"] = [str(x) for x in self.f]
         return {k: v for k, v in data.items() if v is not None}
 
 
 # Every run setting except the command may come from a config file.
-_CONFIG_KEYS = {field.name for field in fields(RunConfig)} - {"command"}
+_CONFIG_KEYS = set(RunConfig.KEYS) - {"command"}
 
 
 def _parse_fractions(raw: str | list) -> list[Fraction]:
@@ -406,7 +417,7 @@ def cmd_involutivity(cfg: RunConfig) -> int:
             detail = "zero" if cell.passed else "nonzero"
             if not claimed_zero:
                 detail += ", no claim"
-            entries.append(replace(cell, axiom=f"bracket-H{j}-H{k}", passed=passed, detail=detail))
+            entries.append(cell.replace(axiom=f"bracket-H{j}-H{k}", passed=passed, detail=detail))
     if bundle.expected.non_involutive:
         # One cell, the worst (a nonzero one before any zero one, then the
         # largest residual), supplies residual, witness, mode and samples.
@@ -415,7 +426,7 @@ def cmd_involutivity(cfg: RunConfig) -> int:
             key=lambda item: (not item[1].passed, item[1].residual),
         )
         detail = f"worst cell ({j}, {k}); nonzero pairs: {matrix.nonzero_pairs()}"
-        entries.append(replace(worst, axiom="non-involutivity-witnessed", passed=not worst.passed, detail=detail))
+        entries.append(worst.replace(axiom="non-involutivity-witnessed", passed=not worst.passed, detail=detail))
     report = CheckReport("involutivity", bundle.chart, zero_cfg, tuple(entries))
     lines = [f"model {bundle.name} (n={bundle.chart.n}): involutivity up to k={k_max}"]
     header = "      " + " ".join(f"H{k:<10d}" for k in range(1, k_max + 1))

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ChartMismatchError, DegreeError
-from .scalar import Chart, ScalarField
+from .scalar import Chart, Record, ScalarField
 
 CoeffLike = ScalarField | int | Fraction
 
@@ -79,13 +79,13 @@ def _matrix_terms(chart: Chart, rows: Sequence[Sequence[CoeffLike]]):
     return (((i, j), entry) for i, row in enumerate(rows) for j, entry in enumerate(row))
 
 
-class _Sparse:
+class _Sparse(Record):
     """Storage and linear algebra shared by the four tensor types.
 
     A subclass defines ``_key(raw_key, dim) -> (key, sign)``; sign 0 drops the term.
     """
 
-    __slots__ = ("chart", "coeffs")
+    __slots__ = _fields = ("chart", "coeffs")
 
     def _store(self, chart: Chart, terms) -> None:
         """Normalize a mapping or an iterable of raw ``(key, coefficient)`` pairs into ``coeffs``."""
@@ -106,9 +106,6 @@ class _Sparse:
                 coeffs[key] = value
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _like(self, terms):
         """A value of the same type and shape as ``self`` built from ``terms``."""
@@ -169,6 +166,7 @@ class Form(_Sparse):
     """
 
     __slots__ = ("degree",)
+    _fields = ("chart", "degree", "coeffs")
 
     def __init__(
         self,

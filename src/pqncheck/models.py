@@ -21,7 +21,6 @@ The primitive of each potential comes from
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -34,6 +33,7 @@ from .scalar import (
     Node,
     Power,
     Product,
+    Record,
     ScalarField,
     Sum,
     Const,
@@ -53,8 +53,7 @@ MODEL_NAMES = ("canonical", "open-toda", "closed-toda", "calogero", "pair-potent
 CALOGERO_ZERO_TEST = ZeroTestConfig(separation=5e-2, tolerance=1e-7)
 
 
-@dataclass(frozen=True)
-class ExpectedOutcome:
+class ExpectedOutcome(Record):
     """What the checkers should conclude for a model.
 
     ``phi_closed_form`` is the induced 3-form in closed form, and the
@@ -65,9 +64,12 @@ class ExpectedOutcome:
     way.
     """
 
-    involutive_up_to: int | None = None
-    phi_closed_form: Form | None = None
-    non_involutive: bool = False
+    __slots__ = _fields = ("involutive_up_to", "phi_closed_form", "non_involutive")
+
+    def __init__(
+        self, involutive_up_to: int | None = None, phi_closed_form: Form | None = None, non_involutive: bool = False
+    ):
+        self._init(involutive_up_to, phi_closed_form, non_involutive)
 
     @property
     def structure_class(self) -> str:
@@ -75,15 +77,20 @@ class ExpectedOutcome:
         return "PN" if self.phi_closed_form is None or self.phi_closed_form.is_zero else "PqN"
 
 
-@dataclass(frozen=True)
-class ModelBundle:
-    name: str
-    chart: Chart
-    poisson: Bivector
-    tensor: Tensor11
-    omega: Form | None
-    expected: ExpectedOutcome
-    theta: Form | None = None
+class ModelBundle(Record):
+    __slots__ = _fields = ("name", "chart", "poisson", "tensor", "omega", "expected", "theta")
+
+    def __init__(
+        self,
+        name: str,
+        chart: Chart,
+        poisson: Bivector,
+        tensor: Tensor11,
+        omega: Form | None,
+        expected: ExpectedOutcome,
+        theta: Form | None = None,
+    ):
+        self._init(name, chart, poisson, tensor, omega, expected, theta)
 
     def phi(self) -> Form:
         if self.expected.phi_closed_form is not None:
@@ -420,18 +427,25 @@ def two_particle_model(v_spec, *, name: str = "two-particle") -> ModelBundle:
     return ModelBundle(name, chart, canonical_poisson(chart), tensor, omega, expected)
 
 
-@dataclass(frozen=True)
-class TwoParticleFixture:
+class TwoParticleFixture(Record):
     """Literal expected values for the explicit n = 2 formulas."""
 
-    chart: Chart
-    v: ScalarField
-    pi_sharp_matrix: tuple[tuple[ScalarField, ...], ...]
-    n_matrix: tuple[tuple[ScalarField, ...], ...]
-    n_hat_matrix: tuple[tuple[ScalarField, ...], ...]
-    omega: Form
-    d_n_omega: Form
-    omega_self_bracket: Form
+    __slots__ = _fields = (
+        "chart", "v", "pi_sharp_matrix", "n_matrix", "n_hat_matrix", "omega", "d_n_omega", "omega_self_bracket"
+    )
+
+    def __init__(
+        self,
+        chart: Chart,
+        v: ScalarField,
+        pi_sharp_matrix: tuple[tuple[ScalarField, ...], ...],
+        n_matrix: tuple[tuple[ScalarField, ...], ...],
+        n_hat_matrix: tuple[tuple[ScalarField, ...], ...],
+        omega: Form,
+        d_n_omega: Form,
+        omega_self_bracket: Form,
+    ):
+        self._init(chart, v, pi_sharp_matrix, n_matrix, n_hat_matrix, omega, d_n_omega, omega_self_bracket)
 
 
 def two_particle_fixture(v_spec=None) -> TwoParticleFixture:

@@ -27,11 +27,9 @@ term on the same polynomial, so no other module reads its layout.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
@@ -57,23 +55,71 @@ def _as_fraction(value) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# chart and points
+# records, chart and points
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Chart:
+class Record:
+    """Base of the immutable value classes; ``_fields`` names the ``__init__`` parameters in order.
+
+    A record compares and hashes by class and fields, prints as ``Name(field=value, ...)`` and
+    refuses assignment.  ``replace``, copy and pickle rebuild it through ``__init__``, so
+    validation runs again.  Nodes and ``Chart`` sit on the ring's dict hot path and define
+    ``__eq__``/``__hash__`` over their fields directly, without the generic loop.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, validated again by ``__init__``."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+class Chart(Record):
     """A 2n-dimensional chart with coordinates ordered (q_1..q_n, p_1..p_n).
 
     Indices are 0-based internally; every report and serialized artifact uses
     the 1-based names ``q1..qn, p1..pn``.
     """
 
-    n: int
+    __slots__ = _fields = ("n",)
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"particle count must be a positive integer, got {self.n!r}")
+    def __init__(self, n: int):
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"particle count must be a positive integer, got {n!r}")
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):
+        return (self.n,) == (other.n,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.n,))
 
     @property
     def dim(self) -> int:
@@ -122,14 +168,13 @@ class Chart:
         return self.constant(1)
 
 
-@dataclass(frozen=True, slots=True)
-class Point:
+class Point(Record):
     """Coordinate values of a chart point; entries must be finite reals."""
 
-    values: tuple[float, ...]
+    __slots__ = _fields = ("values",)
 
-    def __post_init__(self):
-        vals = tuple(map(float, self.values))
+    def __init__(self, values: Sequence[float]):
+        vals = tuple(map(float, values))
         if not all(map(math.isfinite, vals)):
             bad = next(v for v in vals if not math.isfinite(v))
             raise ValueError(f"point coordinates must be finite, got {bad!r}")
@@ -155,7 +200,7 @@ class Point:
 # ---------------------------------------------------------------------------
 
 
-class Node:
+class Node(Record):
     """Base class of expression-tree nodes.  Nodes are immutable and hashable."""
 
     __slots__ = ()
@@ -164,25 +209,44 @@ class Node:
         return to_prefix(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Const(Node):
-    value: Fraction
+    __slots__ = _fields = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", _as_fraction(self.value))
+    def __init__(self, value: RationalLike):
+        object.__setattr__(self, "value", _as_fraction(value))
+
+    def __eq__(self, other):
+        return (self.value,) == (other.value,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
 
-@dataclass(frozen=True, repr=False)
 class Coord(Node):
-    index: int
+    __slots__ = _fields = ("index",)
+
+    def __init__(self, index: int):
+        object.__setattr__(self, "index", index)
+
+    def __eq__(self, other):
+        return (self.index,) == (other.index,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.index,))
 
 
-@dataclass(frozen=True, repr=False)
 class Sum(Node):
-    terms: tuple[Node, ...]
+    __slots__ = ("terms", "__dict__")  # the dict holds the cached ``poly``
+    _fields = ("terms",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+    def __init__(self, terms: Sequence[Node]):
+        object.__setattr__(self, "terms", tuple(terms))
+
+    def __eq__(self, other):
+        return (self.terms,) == (other.terms,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.terms,))
 
     @cached_property
     def poly(self) -> "Polynomial":
@@ -190,31 +254,51 @@ class Sum(Node):
         return _poly(self)
 
 
-@dataclass(frozen=True, repr=False)
 class Product(Node):
-    factors: tuple[Node, ...]
+    __slots__ = _fields = ("factors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
+    def __init__(self, factors: Sequence[Node]):
+        object.__setattr__(self, "factors", tuple(factors))
+
+    def __eq__(self, other):
+        return (self.factors,) == (other.factors,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.factors,))
 
 
-@dataclass(frozen=True, repr=False)
 class Power(Node):
-    base: Node
-    exponent: int
+    __slots__ = _fields = ("base", "exponent")
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int):
-            raise UnsupportedExpressionError(
-                f"powers must have integer exponents, got {self.exponent!r}"
-            )
+    def __init__(self, base: Node, exponent: int):
+        if not isinstance(exponent, int):
+            raise UnsupportedExpressionError(f"powers must have integer exponents, got {exponent!r}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "exponent", exponent)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.base, self.exponent) == (other.base, other.exponent)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.base, self.exponent))
 
 
-@dataclass(frozen=True, repr=False)
 class Exp(Node):
     """exp of an affine combination of coordinates (checked during normalization)."""
 
-    argument: Node
+    __slots__ = ("argument", "__dict__")  # the dict holds the cached ``affine``
+    _fields = ("argument",)
+
+    def __init__(self, argument: Node):
+        object.__setattr__(self, "argument", argument)
+
+    def __eq__(self, other):
+        return (self.argument,) == (other.argument,) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.argument,))
 
     @cached_property
     def affine(self) -> "Polynomial":
@@ -665,6 +749,10 @@ class ScalarField:
         object.__setattr__(obj, "_variables", None)
         return obj
 
+    def __reduce__(self):
+        # Rebuilt from the polynomial alone: the caches, the compiled ``_terms`` function among them, refill on use.
+        return ScalarField._wrap, (self.chart, self.poly)
+
     # -- structure ----------------------------------------------------------
 
     @property
@@ -851,8 +939,7 @@ def partial(field: ScalarField, index: int) -> ScalarField:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroTestConfig:
+class ZeroTestConfig(Record):
     """Sampling parameters for the probabilistic zero test.
 
     The identities this engine checks hold exactly in exact arithmetic, so
@@ -869,35 +956,34 @@ class ZeroTestConfig:
     ``2 * box_halfwidth`` finite.
     """
 
-    sample_count: int = 50
-    box_halfwidth: float = 2.0
-    separation: float = 1e-2
-    tolerance: float = 1e-9
-    seed: int = 7
+    __slots__ = _fields = ("sample_count", "box_halfwidth", "separation", "tolerance", "seed")
 
-    def __post_init__(self):
-        if isinstance(self.sample_count, bool) or not isinstance(self.sample_count, int):
-            raise ValueError(f"sample_count must be an integer, got {self.sample_count!r}")
-        if self.sample_count < 1:
+    def __init__(
+        self,
+        sample_count: int = 50,
+        box_halfwidth: float = 2.0,
+        separation: float = 1e-2,
+        tolerance: float = 1e-9,
+        seed: int = 7,
+    ):
+        if isinstance(sample_count, bool) or not isinstance(sample_count, int):
+            raise ValueError(f"sample_count must be an integer, got {sample_count!r}")
+        if sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be finite and positive, got {self.tolerance!r}")
-        if not (math.isfinite(self.separation) and self.separation >= 0):
-            raise ValueError(f"separation must be finite and nonnegative, got {self.separation!r}")
-        if not (self.box_halfwidth > 0 and math.isfinite(2 * self.box_halfwidth)):
-            raise ValueError(
-                f"box_halfwidth must be positive with a finite box width, got {self.box_halfwidth!r}"
-            )
-
-    def replace(self, **kwargs) -> "ZeroTestConfig":
-        return dataclasses.replace(self, **kwargs)
+        if not (math.isfinite(tolerance) and tolerance > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
+        if not (math.isfinite(separation) and separation >= 0):
+            raise ValueError(f"separation must be finite and nonnegative, got {separation!r}")
+        if not (box_halfwidth > 0 and math.isfinite(2 * box_halfwidth)):
+            raise ValueError(f"box_halfwidth must be positive with a finite box width, got {box_halfwidth!r}")
+        self._init(sample_count, box_halfwidth, separation, tolerance, seed)
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The settings keyed by field name, in field order."""
+        return dict(zip(self._fields, self._values()))
 
 
-@dataclass(frozen=True)
-class ZeroVerdict:
+class ZeroVerdict(Record):
     """Outcome of a sampled zero test.
 
     ``residual`` is the largest |f(x)| seen relative to its acceptance
@@ -905,10 +991,10 @@ class ZeroVerdict:
     False as soon as one sample exceeds tolerance * (1 + local term scale).
     """
 
-    is_zero: bool
-    residual: float
-    witness: Point | None
-    samples: int
+    __slots__ = _fields = ("is_zero", "residual", "witness", "samples")
+
+    def __init__(self, is_zero: bool, residual: float, witness: Point | None, samples: int):
+        self._init(is_zero, residual, witness, samples)
 
     def __bool__(self) -> bool:
         return self.is_zero

@@ -12,7 +12,6 @@ the seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -39,40 +38,42 @@ from .exterior import (
     tensor_interior,
 )
 from .randgen import random_scalar_field
-from .scalar import Chart, Point, ScalarField, ZeroTestConfig, ZeroVerdict, is_zero
+from .scalar import Chart, Point, Record, ScalarField, ZeroTestConfig, ZeroVerdict, is_zero
 
 
-@dataclass(frozen=True)
-class GeometricStructure:
+class GeometricStructure(Record):
     """A quadruple (chart, Poisson candidate, (1,1) tensor, torsion 3-form)."""
 
-    chart: Chart
-    poisson: Bivector
-    tensor: Tensor11
-    torsion_form: Form
+    __slots__ = _fields = ("chart", "poisson", "tensor", "torsion_form")
 
-    def __post_init__(self):
-        if self.poisson.chart != self.chart or self.tensor.chart != self.chart:
+    def __init__(self, chart: Chart, poisson: Bivector, tensor: Tensor11, torsion_form: Form):
+        if poisson.chart != chart or tensor.chart != chart:
             raise ChartMismatchError("structure components live on different charts")
-        if self.torsion_form.chart != self.chart or self.torsion_form.degree != 3:
+        if torsion_form.chart != chart or torsion_form.degree != 3:
             raise ChartMismatchError("the torsion form must be a 3-form on the same chart")
+        self._init(chart, poisson, tensor, torsion_form)
 
     @classmethod
     def torsionless(cls, pi: Bivector, tensor: Tensor11) -> "GeometricStructure":
         return cls(pi.chart, pi, tensor, Form.zero(pi.chart, 3))
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(Record):
     """Verdict for one axiom: how it was decided and the worst residual seen."""
 
-    axiom: str
-    passed: bool
-    mode: str  # "symbolic" | "sampled"
-    residual: float
-    witness: Point | None
-    samples: int
-    detail: str | None = None
+    __slots__ = _fields = ("axiom", "passed", "mode", "residual", "witness", "samples", "detail")
+
+    def __init__(
+        self,
+        axiom: str,
+        passed: bool,
+        mode: str,  # "symbolic" | "sampled"
+        residual: float,
+        witness: Point | None,
+        samples: int,
+        detail: str | None = None,
+    ):
+        self._init(axiom, passed, mode, residual, witness, samples, detail)
 
     def as_dict(self, chart: Chart) -> dict:
         data = {
@@ -88,14 +89,13 @@ class AxiomCheck:
         return data
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
     """Structured verdicts for a family of axioms on one chart."""
 
-    name: str
-    chart: Chart
-    config: ZeroTestConfig
-    entries: tuple[AxiomCheck, ...]
+    __slots__ = _fields = ("name", "chart", "config", "entries")
+
+    def __init__(self, name: str, chart: Chart, config: ZeroTestConfig, entries: tuple[AxiomCheck, ...]):
+        self._init(name, chart, config, entries)
 
     @property
     def overall(self) -> bool:
@@ -325,14 +325,16 @@ def check_pqn(structure: GeometricStructure, config: ZeroTestConfig | None = Non
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeformResult:
-    """Outcome of deforming a torsionless structure by a closed 2-form."""
+class DeformResult(Record):
+    """Outcome of deforming a torsionless structure by a closed 2-form.
 
-    tensor: Tensor11
-    phi: Form
-    classification: str  # "PN" when the 3-form vanishes, else "PqN"
-    report: CheckReport
+    ``classification`` is ``"PN"`` when the 3-form ``phi`` vanishes, else ``"PqN"``.
+    """
+
+    __slots__ = _fields = ("tensor", "phi", "classification", "report")
+
+    def __init__(self, tensor: Tensor11, phi: Form, classification: str, report: CheckReport):
+        self._init(tensor, phi, classification, report)
 
 
 def _require_closed(omega: Form, cfg: ZeroTestConfig) -> AxiomCheck:
@@ -466,18 +468,17 @@ def recursion_check(
     return CheckReport("recursion", tensor.chart, cfg, tuple(entries))
 
 
-@dataclass(frozen=True)
-class InvolutivityMatrix:
+class InvolutivityMatrix(Record):
     """Pairwise Poisson-bracket verdicts for a list of invariants (1-based).
 
     Each cell is the :class:`AxiomCheck` that decided it; a cell is zero when
     it passed.
     """
 
-    chart: Chart
-    size: int
-    cells: dict[tuple[int, int], AxiomCheck]
-    config: ZeroTestConfig
+    __slots__ = _fields = ("chart", "size", "cells", "config")
+
+    def __init__(self, chart: Chart, size: int, cells: dict[tuple[int, int], AxiomCheck], config: ZeroTestConfig):
+        self._init(chart, size, cells, config)
 
     @property
     def all_zero(self) -> bool:
