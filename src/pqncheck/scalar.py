@@ -5,33 +5,35 @@ A scalar field is an element of the ring generated by the node set
     {coordinate, rational constant, sum, product, integer power, exp}
 
 with exp restricted to affine combinations of coordinates.  The ring is closed
-under partial differentiation.  Constants are exact ``Fraction`` values; floats
-only appear when a field is evaluated at a point.
+under partial differentiation.  Coefficients are exact, an ``int`` when
+integral and a ``Fraction`` otherwise; floats only appear when a field is
+evaluated at a point.
 
-Every ``ScalarField`` stores one canonical polynomial: monomials in
-coordinates, one merged exp factor and negative powers of content-normalized
-sums, with exact coefficients.  Arithmetic and differentiation work on it
-directly, so two fields that are equal as functions and stay inside the
-polynomial-times-exponential part of the ring have equal polynomials.  The
-coordinates a polynomial mentions (``ScalarField.variables``) are read off it
-once; operators that sum partial derivatives take them only along those
-coordinates, because every other partial is the zero field.
-Identities that leave that part (e.g. rational-function cancellations against
-expanded polynomials) are handled by the probabilistic zero test instead.
-Expression trees are only the boundary: parsed input is normalized into a
-polynomial, and the canonical tree is built from it for printing.  Evaluation
-compiles the polynomial's terms into one float function per field.
-``univariate_antiderivative`` integrates a tree in one variable term by
-term on the same polynomial, so no other module reads its layout.
+Every ``ScalarField`` stores one canonical polynomial whose monomials are
+plain data: coordinate exponents, one merged exp factor given by its affine
+argument, and negative powers of interned content-normalized sums (see
+"normalization" below).  Arithmetic and differentiation work on it directly
+and never build or sort a tree, so two fields that are equal as functions and
+stay inside the polynomial-times-exponential part of the ring have equal
+polynomials.  Operators that sum partial derivatives take them only along the
+coordinates a polynomial mentions (``ScalarField.variables``), because every
+other partial is the zero field.  Identities that leave that part (e.g.
+rational-function cancellations against expanded polynomials) are handled by
+the probabilistic zero test instead.  Expression trees are only the boundary:
+parsed input is normalized into a polynomial, and the canonical tree is built
+from it for printing and for compiling the field into one float function.
+``univariate_antiderivative`` integrates on the same polynomial, so no other
+module reads its layout.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import (
@@ -64,8 +66,8 @@ class Record:
 
     A record compares and hashes by class and fields, prints as ``Name(field=value, ...)`` and
     refuses assignment.  ``replace``, copy and pickle rebuild it through ``__init__``, so
-    validation runs again.  Nodes and ``Chart`` sit on the ring's dict hot path and define
-    ``__eq__``/``__hash__`` over their fields directly, without the generic loop.
+    validation runs again.  ``Chart`` is compared on every ring operation and defines
+    ``__eq__``/``__hash__`` over its field directly, without the generic loop.
     """
 
     __slots__ = ()
@@ -183,6 +185,13 @@ class Point(Record):
     def __len__(self) -> int:
         return len(self.values)
 
+    @classmethod
+    def _wrap(cls, values: tuple) -> "Point":
+        """A point of floats already known to be finite, taken without the checks of ``__init__``."""
+        point = object.__new__(cls)
+        object.__setattr__(point, "values", values)
+        return point
+
     def __getitem__(self, index: int) -> float:
         return self.values[index]
 
@@ -201,9 +210,16 @@ class Point(Record):
 
 
 class Node(Record):
-    """Base class of expression-tree nodes.  Nodes are immutable and hashable."""
+    """Base class of expression-tree nodes.  Nodes are immutable and hashable; the hash is cached."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)  # float compilation looks up each distinct subtree by value
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash(self._values()))
+            return self._hash
 
     def __repr__(self):
         return to_prefix(self)
@@ -215,12 +231,6 @@ class Const(Node):
     def __init__(self, value: RationalLike):
         object.__setattr__(self, "value", _as_fraction(value))
 
-    def __eq__(self, other):
-        return (self.value,) == (other.value,) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.value,))
-
 
 class Coord(Node):
     __slots__ = _fields = ("index",)
@@ -228,30 +238,12 @@ class Coord(Node):
     def __init__(self, index: int):
         object.__setattr__(self, "index", index)
 
-    def __eq__(self, other):
-        return (self.index,) == (other.index,) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.index,))
-
 
 class Sum(Node):
-    __slots__ = ("terms", "__dict__")  # the dict holds the cached ``poly``
-    _fields = ("terms",)
+    __slots__ = _fields = ("terms",)
 
     def __init__(self, terms: Sequence[Node]):
         object.__setattr__(self, "terms", tuple(terms))
-
-    def __eq__(self, other):
-        return (self.terms,) == (other.terms,) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.terms,))
-
-    @cached_property
-    def poly(self) -> "Polynomial":
-        """The polynomial of this sum, kept for sums that serve as negative-power bases."""
-        return _poly(self)
 
 
 class Product(Node):
@@ -259,12 +251,6 @@ class Product(Node):
 
     def __init__(self, factors: Sequence[Node]):
         object.__setattr__(self, "factors", tuple(factors))
-
-    def __eq__(self, other):
-        return (self.factors,) == (other.factors,) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.factors,))
 
 
 class Power(Node):
@@ -276,38 +262,17 @@ class Power(Node):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.base, self.exponent) == (other.base, other.exponent)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base, self.exponent))
-
 
 class Exp(Node):
     """exp of an affine combination of coordinates (checked during normalization)."""
 
-    __slots__ = ("argument", "__dict__")  # the dict holds the cached ``affine``
-    _fields = ("argument",)
+    __slots__ = _fields = ("argument",)
 
     def __init__(self, argument: Node):
         object.__setattr__(self, "argument", argument)
 
-    def __eq__(self, other):
-        return (self.argument,) == (other.argument,) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.argument,))
-
-    @cached_property
-    def affine(self) -> "Polynomial":
-        """The polynomial of the argument, checked to be affine."""
-        return _require_affine(_poly(self.argument))
-
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _CONST_ZERO = Const(_ZERO)
 
 
@@ -335,173 +300,221 @@ def _node_key(node: Node):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _monomial_key(mono):
-    return tuple((_node_key(base), exponent) for base, exponent in mono)
-
-
 # ---------------------------------------------------------------------------
 # normalization
 #
 # Internally a normalized expression is a "polynomial": a dict mapping
-# monomials to nonzero Fraction coefficients.  A monomial is a sorted tuple of
-# (base, exponent) pairs where the base is a coordinate, an exp of an affine
-# form, or a content-normalized multi-term sum raised to a negative power.
+# monomials to nonzero exact coefficients, each an ``int`` when it is integral
+# and a ``Fraction`` otherwise.  A monomial is plain data in three parts,
+# ``(coords, affine, sums)``:
+#   coords  sorted (coordinate index, nonzero exponent) pairs;
+#   affine  the affine argument of the monomial's one exp factor as sorted
+#           (coordinate index, nonzero coefficient) pairs, where the index
+#           ``_CONSTANT`` holds the constant term; () when there is no exp;
+#   sums    sorted (sum id, negative exponent) pairs, where the id names an
+#           interned content-normalized multi-term polynomial (``_SumBase``).
+# A product of monomials merges each part's pairs (``_merge``): it builds no
+# tree and sorts nothing by ``_node_key``.  Trees and their keys appear only
+# at the edges: ``_poly`` reads an input tree, and ``_term_nodes`` builds the
+# canonical tree, in tree-key order, for printing and float compilation.
 # ---------------------------------------------------------------------------
 
-Monomial = tuple  # tuple[(Node, int), ...]
-Polynomial = dict  # dict[Monomial, Fraction]
+Monomial = tuple  # (coords, affine, sums), see above
+Polynomial = dict  # dict[Monomial, int | Fraction]
+
+_UNIT: Monomial = ((), (), ())
+_X: Monomial = (((0, 1),), (), ())
+_CONSTANT = -1  # the index of an affine form's constant term, sorted before every coordinate
 
 
-def _poly_add_into(acc: Polynomial, other: Polynomial, scale: Fraction = _ONE) -> None:
-    for mono, coeff in other.items():
-        new = acc.get(mono, _ZERO) + coeff * scale
-        if new == 0:
-            acc.pop(mono, None)
+def _exact(value):
+    """An integral ``Fraction`` as its ``int``; any other coefficient unchanged."""
+    return value.numerator if value.__class__ is Fraction and value.denominator == 1 else value
+
+
+class _SumBase:
+    """An interned content-normalized sum: its polynomial, canonical tree, tree key and variables."""
+
+    __slots__ = ("poly", "node", "key", "variables")
+
+    def __init__(self, poly: Polynomial):
+        self.poly = poly
+        self.node = _poly_to_node(poly)
+        self.key = _node_key(self.node)
+        self.variables = _variables(poly)
+
+
+_SUM_IDS: dict[frozenset, int] = {}  # a content-normalized polynomial's items -> its sum id
+_SUMS: dict[int, _SumBase] = {}
+_NEXT_SUM_ID = itertools.count()
+
+
+def _sum_id(monic: Polynomial) -> int:
+    """The process-local id of a content-normalized sum, minted on first sight."""
+    key = frozenset(monic.items())
+    sid = _SUM_IDS.get(key)
+    if sid is None:
+        candidate = next(_NEXT_SUM_ID)
+        _SUMS[candidate] = _SumBase(monic)  # stored before the id can be found, so lookups never miss
+        sid = _SUM_IDS.setdefault(key, candidate)  # one id per sum, even when two threads race here
+    return sid
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The sorted (key, exponent) pairs of a product: exponents of one key add, and zeros drop."""
+    if not a:
+        return b
+    if not b:
+        return a
+    merged = dict(a)
+    for key, exponent in b:
+        exponent += merged.get(key, 0)
+        if exponent:
+            merged[key] = exponent
         else:
-            acc[mono] = new
+            del merged[key]
+    return tuple(sorted(merged.items()))
 
 
-def _poly_scale(poly: Polynomial, scale: Fraction) -> Polynomial:
-    if scale == 0:
-        return {}
-    return {mono: coeff * scale for mono, coeff in poly.items()}
+def _poly_add_into(acc: Polynomial, other: Polynomial, scale: RationalLike = 1) -> None:
+    for mono, coeff in other.items():
+        new = acc.get(mono, 0) + coeff * scale
+        if new:
+            acc[mono] = _exact(new)
+        else:
+            acc.pop(mono, None)
 
 
-def _require_affine(poly: Polynomial) -> Polynomial:
-    for mono in poly:
-        if mono and (len(mono) != 1 or not isinstance(mono[0][0], Coord) or mono[0][1] != 1):
+def _poly_scale(poly: Polynomial, scale: RationalLike) -> Polynomial:
+    return {mono: _exact(coeff * scale) for mono, coeff in poly.items()}
+
+
+def _affine(poly: Polynomial) -> tuple:
+    """The affine form of a polynomial of degree at most one in the coordinates."""
+    pairs = []
+    for (coords, affine, sums), coeff in poly.items():
+        if affine or sums or len(coords) > 1 or coords and coords[0][1] != 1:
             raise UnsupportedExpressionError(
                 f"exp argument must be affine in the coordinates, got {to_prefix(_poly_to_node(poly))}"
             )
-    return poly
+        pairs.append((coords[0][0] if coords else _CONSTANT, coeff))
+    return tuple(sorted(pairs))
 
 
-def _exp_base(affine: Polynomial) -> Exp:
-    """The canonical base exp(affine), with its argument polynomial cached."""
-    base = Exp(_poly_to_node(affine))
-    base.__dict__["affine"] = affine
-    return base
+def _affine_poly(affine: tuple) -> Polynomial:
+    return {(((index, 1),) if index != _CONSTANT else (), (), ()): coeff for index, coeff in affine}
 
 
-def _exp_poly(affine: Polynomial) -> Polynomial:
-    return {((_exp_base(affine), 1),): _ONE} if affine else {(): _ONE}
-
-
-def _canonical_monomial(powers: Mapping[Node, int]) -> Polynomial:
-    """Rebuild a well-formed monomial from a base -> exponent mapping.
-
-    Merges exp factors into a single exp of the combined affine argument and
-    expands positive integer powers of multi-term sums, so the result may be a
-    full polynomial rather than a single monomial.
-    """
-    plain: dict[Node, int] = {}
-    exps: list[tuple[Exp, int]] = []
-    expansions: list[Polynomial] = []
-    for base, exponent in powers.items():
-        if exponent == 0:
-            continue
-        if isinstance(base, Exp):
-            exps.append((base, exponent))
-        elif isinstance(base, Sum) and exponent > 0:
-            expansions.append(_poly_int_pow(base.poly, exponent))
-        else:
-            plain[base] = exponent
-    if len(exps) == 1 and exps[0][1] == 1:  # a lone canonical exp factor stays as it is
-        plain[exps[0][0]] = 1
-    elif exps:
-        affine: Polynomial = {}
-        for base, exponent in exps:
-            _poly_add_into(affine, base.affine, exponent)
-        if affine:
-            plain[_exp_base(affine)] = 1
-    mono = tuple(sorted(plain.items(), key=lambda be: _node_key(be[0])))
-    result: Polynomial = {mono: _ONE}
-    for expansion in expansions:
-        result = _poly_mul(result, expansion)
-    return result
-
-
-def _mono_mul(m1: Monomial, m2: Monomial) -> Polynomial:
-    powers: dict[Node, int] = dict(m1)
-    for base, exponent in m2:
-        powers[base] = powers.get(base, 0) + exponent
-    return _canonical_monomial(powers)
+def _exp_poly(affine: tuple) -> Polynomial:
+    return {((), affine, ()): 1} if affine else {_UNIT: 1}
 
 
 def _poly_mul(p1: Polynomial, p2: Polynomial) -> Polynomial:
     out: Polynomial = {}
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
-            _poly_add_into(out, _mono_mul(m1, m2), c1 * c2)
+    for (coords1, affine1, sums1), c1 in p1.items():
+        for (coords2, affine2, sums2), c2 in p2.items():
+            mono = (_merge(coords1, coords2), _merge(affine1, affine2), _merge(sums1, sums2))
+            new = out.get(mono, 0) + c1 * c2
+            if new:
+                out[mono] = _exact(new)
+            else:
+                del out[mono]
+    return out
+
+
+def _mono_pow(mono: Monomial, coeff: RationalLike, exponent: int) -> Polynomial:
+    coords, affine, sums = (tuple([(key, e * exponent) for key, e in part]) for part in mono)
+    out = {(coords, affine, sums if exponent > 0 else ()): _exact(Fraction(coeff) ** exponent)}
+    if exponent < 0:  # the sums' negative exponents turned positive: expand those powers
+        for sid, e in sums:
+            out = _poly_mul(out, _poly_int_pow(_SUMS[sid].poly, e))
     return out
 
 
 def _poly_int_pow(poly: Polynomial, exponent: int) -> Polynomial:
     if exponent == 0:
-        return {(): _ONE}
+        return {_UNIT: 1}
     if not poly:
         if exponent > 0:
             return {}
         raise UnsupportedExpressionError("negative integer power of the zero expression")
     if len(poly) == 1:
-        (mono, coeff), = poly.items()
-        scaled = _canonical_monomial({base: e * exponent for base, e in mono})
-        return _poly_scale(scaled, coeff**exponent)
+        return _mono_pow(*next(iter(poly.items())), exponent)
     if exponent > 0:
-        out = {(): _ONE}
+        out = {_UNIT: 1}
         for _ in range(exponent):
             out = _poly_mul(out, poly)
         return out
     # Negative power of a genuine sum: keep it as an opaque factor, after
-    # dividing out the leading coefficient so rational multiples of the same
-    # sum share one base.
-    lead = min(poly, key=_monomial_key)
-    content = poly[lead]
+    # dividing out the coefficient of its first term in tree order so rational
+    # multiples of the same sum share one base.
+    lead = min(poly, key=lambda mono: _term_key(_factors(mono)))
+    content = Fraction(poly[lead])
     monic = _poly_scale(poly, 1 / content)
-    base = _poly_to_node(monic)
-    base.__dict__["poly"] = monic  # seeds Sum.poly, so derivatives never rebuild it
-    return {((base, exponent),): content**exponent}
+    return {((), (), ((_sum_id(monic), exponent),)): _exact(content**exponent)}
 
 
 def _poly(node: Node) -> Polynomial:
     if isinstance(node, Const):
-        return {} if node.value == 0 else {(): node.value}
+        return {} if node.value == 0 else {_UNIT: _exact(node.value)}
     if isinstance(node, Coord):
-        return {((node, 1),): _ONE}
+        return {(((node.index, 1),), (), ()): 1}
     if isinstance(node, Sum):
         out: Polynomial = {}
         for term in node.terms:
             _poly_add_into(out, _poly(term))
         return out
     if isinstance(node, Product):
-        out = {(): _ONE}
+        out = {_UNIT: 1}
         for factor in node.factors:
             out = _poly_mul(out, _poly(factor))
         return out
     if isinstance(node, Power):
         return _poly_int_pow(_poly(node.base), node.exponent)
     if isinstance(node, Exp):
-        return _exp_poly(node.affine)
+        return _exp_poly(_affine(_poly(node.argument)))
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _mono_to_node(mono: Monomial, coeff: Fraction) -> Node:
-    factors = [base if e == 1 else Power(base, e) for base, e in mono]
-    if not factors:
+@lru_cache(maxsize=4096)
+def _exp_factor(affine: tuple) -> tuple:
+    """The tree key and canonical ``Exp`` node of an affine form, built once per form."""
+    node = Exp(_poly_to_node(_affine_poly(affine)))
+    return _node_key(node), node
+
+
+def _factors(mono: Monomial) -> list:
+    """``(tree key, base node, exponent)`` of each factor of a monomial, in canonical tree order."""
+    coords, affine, sums = mono
+    factors = [((1, index), Coord(index), e) for index, e in coords]
+    if affine:
+        factors.append((*_exp_factor(affine), 1))
+    if sums:
+        factors += sorted((_SUMS[sid].key, _SUMS[sid].node, e) for sid, e in sums)
+    return factors
+
+
+def _term_key(factors: list) -> list:
+    """The sort key of a term: the tree key and exponent of each factor, in order."""
+    return [(key, e) for key, _, e in factors]
+
+
+def _term_node(factors: list, coeff: RationalLike) -> Node:
+    nodes = [base if e == 1 else Power(base, e) for _, base, e in factors]
+    if not nodes:
         return Const(coeff)
     if coeff == 1:
-        return factors[0] if len(factors) == 1 else Product(tuple(factors))
-    return Product((Const(coeff), *factors))
+        return nodes[0] if len(nodes) == 1 else Product(tuple(nodes))
+    return Product((Const(coeff), *nodes))
 
 
 def _term_nodes(poly: Polynomial) -> list[Node]:
     """The top-level terms of the canonical tree, in its order."""
     if not poly:
         return [_CONST_ZERO]
-    if len(poly) == 1:  # one term: nothing to sort
-        return [_mono_to_node(*next(iter(poly.items())))]
-    ordered = sorted(poly.items(), key=lambda item: _monomial_key(item[0]))
-    return [_mono_to_node(mono, coeff) for mono, coeff in ordered]
+    terms = [(_factors(mono), coeff) for mono, coeff in poly.items()]
+    terms.sort(key=lambda term: _term_key(term[0]))
+    return [_term_node(factors, coeff) for factors, coeff in terms]
 
 
 def _poly_to_node(poly: Polynomial) -> Node:
@@ -534,12 +547,11 @@ def substitute(node: Node, mapping: Mapping[int, Node]) -> Node:
 def _variables(poly: Polynomial) -> tuple[int, ...]:
     """The ascending coordinate indices a polynomial mentions, inside its exp and sum bases too."""
     found: set[int] = set()
-    for mono in poly:
-        for base, _ in mono:
-            if isinstance(base, Coord):
-                found.add(base.index)
-            else:
-                found.update(_variables(base.affine if isinstance(base, Exp) else base.poly))
+    for coords, affine, sums in poly:
+        found.update([index for index, _ in coords + affine])
+        for sid, _ in sums:
+            found.update(_SUMS[sid].variables)
+    found.discard(_CONSTANT)
     return tuple(sorted(found))
 
 
@@ -548,45 +560,34 @@ def _variables(poly: Polynomial) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _replace_exponent(mono: Monomial, position: int, exponent: int) -> Monomial:
-    pairs = list(mono)
-    if exponent == 0:
-        del pairs[position]
-    else:
-        pairs[position] = (pairs[position][0], exponent)
-    return tuple(pairs)
+def _replace_exponent(pairs: tuple, position: int, exponent: int) -> tuple:
+    kept = ((pairs[position][0], exponent),) if exponent else ()
+    return pairs[:position] + kept + pairs[position + 1 :]
 
 
 def _poly_diff(poly: Polynomial, index: int) -> Polynomial:
     out: Polynomial = {}
     for mono, coeff in poly.items():
-        for pos, (base, exponent) in enumerate(mono):
-            if isinstance(base, Coord):
-                if base.index != index:
-                    continue
-                rest = _replace_exponent(mono, pos, exponent - 1)
-                _poly_add_into(out, {rest: _ONE}, coeff * exponent)
-            elif isinstance(base, Exp):
-                rate = base.affine.get(((Coord(index), 1),))
-                if rate is not None:
-                    _poly_add_into(out, {mono: _ONE}, coeff * rate)
-            else:  # negative power of a sum
-                inner = _poly_diff(base.poly, index)
-                if not inner:
-                    continue
-                lowered = {_replace_exponent(mono, pos, exponent - 1): coeff * exponent}
+        coords, affine, sums = mono
+        for pos, (i, e) in enumerate(coords):
+            if i == index:
+                _poly_add_into(out, {(_replace_exponent(coords, pos, e - 1), affine, sums): coeff * e})
+        for i, rate in affine:
+            if i == index:
+                _poly_add_into(out, {mono: coeff * rate})
+        for pos, (sid, e) in enumerate(sums):
+            inner = _poly_diff(_SUMS[sid].poly, index)
+            if inner:
+                lowered = {(coords, affine, _replace_exponent(sums, pos, e - 1)): coeff * e}
                 _poly_add_into(out, _poly_mul(lowered, inner))
     return out
 
 
-_LINEAR = ((Coord(0), 1),)
-
-
-def _slope(poly: Polynomial) -> Fraction:
+def _slope(poly: Polynomial) -> RationalLike:
     """The x-coefficient of a polynomial affine in x = Coord(0) alone; 0 for any other polynomial."""
-    if any(mono not in ((), _LINEAR) for mono in poly):
-        return _ZERO
-    return poly.get(_LINEAR, _ZERO)
+    if any(mono not in (_UNIT, _X) for mono in poly):
+        return 0
+    return poly.get(_X, 0)
 
 
 def univariate_antiderivative(spec: Node) -> Node | None:
@@ -599,18 +600,20 @@ def univariate_antiderivative(spec: Node) -> Node | None:
     constant is zero.
     """
     primitive: Polynomial = {}
-    for mono, coeff in _poly(spec).items():
-        if len(mono) > 1:
+    for (coords, affine, sums), coeff in _poly(spec).items():
+        if len(coords) + bool(affine) + len(sums) > 1:
             return None
-        base, e = mono[0] if mono else (Coord(0), 0)
-        if isinstance(base, Exp):
-            rate = _slope(base.affine)
-        else:  # b' is the slope of the base's own polynomial: an affine sum or a coordinate
-            e += 1
-            rate = e * _slope(base.poly if isinstance(base, Sum) else {((base, 1),): _ONE})
+        if affine:
+            rate, mono = _slope(_affine_poly(affine)), ((), affine, ())
+        elif sums:  # b' is the slope of the sum's own polynomial
+            (sid, e), = sums
+            rate, mono = (e + 1) * _slope(_SUMS[sid].poly), ((), (), ((sid, e + 1),))
+        else:  # a power of a coordinate; a constant is x^0
+            index, e = coords[0] if coords else (0, 0)
+            rate, mono = (e + 1 if index == 0 else 0), (((index, e + 1),), (), ())
         if not rate:
             return None
-        primitive[((base, e),)] = coeff / rate
+        primitive[mono] = _exact(Fraction(coeff) / rate)
     return _poly_to_node(primitive)
 
 
@@ -704,13 +707,14 @@ def _failed_node(function, exc: BaseException) -> Node:
 class ScalarField:
     """A scalar field bound to a chart, stored as its canonical polynomial.
 
-    ``poly`` maps monomials to nonzero ``Fraction`` coefficients, and every
-    operator reads and writes it directly.  The canonical tree ``root`` is
-    built from it once, on first use, for printing only, and so is
-    ``variables``, the coordinates the polynomial mentions.  Evaluation compiles
-    the polynomial's terms once, on first use, into one float function of the
-    point (see ``_compile_terms``).  Immutable; all arithmetic returns new
-    fields.  Safe to share across threads.
+    ``poly`` maps monomials (plain tuples, see "normalization") to nonzero
+    ``int`` or ``Fraction`` coefficients, and every operator reads and writes
+    it directly, without building a tree.  The canonical tree ``root`` is built
+    from it once, on first use, for printing only, and so is ``variables``, the
+    coordinates the polynomial mentions.  Evaluation compiles the canonical
+    tree's terms once, on first use, into one float function of the point (see
+    ``_compile_terms``).  Immutable; all arithmetic returns new fields.  Safe to
+    share across threads; a pickle holds the tree, not process-local sum ids.
     """
 
     __slots__ = ("chart", "poly", "_root", "_terms", "_variables")
@@ -729,12 +733,9 @@ class ScalarField:
                 raise ChartMismatchError(f"coordinate index {bad} out of range for chart of dimension {chart.dim}")
         else:
             value = _as_fraction(tree)
-            poly = {(): value} if value else {}
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "_root", None)
-        object.__setattr__(self, "_terms", None)
-        object.__setattr__(self, "_variables", variables)
+            poly = {_UNIT: _exact(value)} if value else {}
+        for name, value in zip(self.__slots__, (chart, poly, None, None, variables)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
@@ -750,8 +751,8 @@ class ScalarField:
         return obj
 
     def __reduce__(self):
-        # Rebuilt from the polynomial alone: the caches, the compiled ``_terms`` function among them, refill on use.
-        return ScalarField._wrap, (self.chart, self.poly)
+        # Rebuilt from the canonical tree, because sum ids are local to a process; the caches refill on use.
+        return ScalarField, (self.chart, self.root)
 
     # -- structure ----------------------------------------------------------
 
@@ -783,7 +784,8 @@ class ScalarField:
         """The exact value when the field is a constant, else None."""
         if not self.poly:
             return _ZERO
-        return self.poly.get(()) if len(self.poly) == 1 else None
+        value = self.poly.get(_UNIT) if len(self.poly) == 1 else None
+        return None if value is None else Fraction(value)
 
     def __eq__(self, other):
         if isinstance(other, ScalarField):
@@ -810,7 +812,7 @@ class ScalarField:
             return ScalarField(self.chart, other)
         return None
 
-    def _plus(self, other, scale: Fraction):
+    def _plus(self, other, scale: int):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -819,18 +821,18 @@ class ScalarField:
         return ScalarField._wrap(self.chart, poly)
 
     def __add__(self, other):
-        return self._plus(other, _ONE)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarField._wrap(self.chart, _poly_scale(self.poly, -_ONE))
+        return ScalarField._wrap(self.chart, _poly_scale(self.poly, -1))
 
     def __sub__(self, other):
-        return self._plus(other, -_ONE)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
-        return (-self)._plus(other, _ONE)
+        return (-self)._plus(other, 1)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -916,7 +918,7 @@ class ScalarField:
 
     def exp(self) -> "ScalarField":
         """exp of this field; the field must be affine in the coordinates."""
-        return ScalarField._wrap(self.chart, _exp_poly(_require_affine(self.poly)))
+        return ScalarField._wrap(self.chart, _exp_poly(_affine(self.poly)))
 
 
 def exp(field: ScalarField) -> ScalarField:
@@ -1030,7 +1032,7 @@ def sample_points(chart: Chart, config: ZeroTestConfig) -> list[Point]:
                 if abs(values[i] - values[j]) < separation:
                     break
             else:
-                points.append(Point(values))
+                points.append(Point._wrap(values))
     return points
 
 
@@ -1044,6 +1046,11 @@ def is_zero(field: ScalarField, config: ZeroTestConfig | None = None) -> ZeroVer
     failed = False
     for point in points:
         value = abs(field.evaluate(point))
+        # The threshold is at least the tolerance, so value / tolerance bounds this
+        # sample's ratio from above; when that bound cannot beat the worst ratio,
+        # the sample changes nothing and its term scale is not needed.
+        if value / cfg.tolerance <= worst_ratio:
+            continue
         threshold = cfg.tolerance * (1.0 + field.term_scale(point))
         ratio = value / threshold
         if ratio > worst_ratio:

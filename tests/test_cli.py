@@ -387,6 +387,16 @@ class TestReportPin:
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "a7c33e0da59788c6509a33f3f6db5889c62ac2f0197e281099a46343f2fa5a51"
 
+    def test_closed_toda_six_involutivity_report_bytes(self, capsys):
+        # All 36 cells are decided symbolically, through products and partials
+        # of exp monomials, so the bytes do not depend on the platform's libm.
+        assert run_cli("involutivity", "--model", "closed-toda", "--n", "6", "--kmax", "6", "--format", "json") == 0
+        out = capsys.readouterr().out
+        cells = strict_json(out)["matrix"]["cells"]
+        assert len(cells) == 36 and {cell["mode"] for cell in cells.values()} == {"symbolic"}
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "09f8f68ebf7b136d3a2689907615250dc44618eb318461ac28b6774c08dcee48"
+
     @pytest.mark.parametrize(
         "argv, expected",
         [

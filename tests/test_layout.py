@@ -1,4 +1,4 @@
-"""Module boundaries that keep a change of representation local to one file."""
+"""Module boundaries that keep a change of representation local to one file, and what the layout promises."""
 
 from __future__ import annotations
 
@@ -6,9 +6,14 @@ import ast
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pqncheck
+from pqncheck import scalar
+from pqncheck.models import closed_toda
+from pqncheck.scalar import Chart, parse_prefix
+from pqncheck.structures import involutivity_matrix, trace_invariants
 
 #: Attributes that expose the ring's polynomial layout: ``ScalarField.poly``,
 #: ``Sum.poly`` and ``Exp.affine``.
@@ -35,3 +40,65 @@ def test_cli_import_skips_dataclasses_and_inspect():
     probe = "import sys, pqncheck.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env)
     assert result.stdout.strip() == "[]"
+
+
+def test_pickle_carries_no_process_local_sum_ids():
+    # Sum bases are interned under ids minted per process.  A field pickled in
+    # one process must load unchanged in another that minted its ids for other
+    # sums first.
+    env = {**os.environ, "PYTHONPATH": str(Path(pqncheck.__file__).parent.parent)}
+    text = "(+ (* 3 q1 (exp (+ q1 (* -1 q2)))) (* 1/2 (^ (+ q1 (* -1 q2)) -2)))"
+    setup = "import pickle, sys; from pqncheck.scalar import Chart, parse_prefix; chart = Chart(2)"
+    dump = f"{setup}; sys.stdout.buffer.write(pickle.dumps(parse_prefix({text!r}, chart)))"
+    blob = subprocess.run([sys.executable, "-c", dump], capture_output=True, check=True, env=env).stdout
+    load = (
+        f"{setup}; others = [parse_prefix(t, chart) for t in ('(^ (+ q1 q2) -1)', '(^ (+ p1 (* 2 q2) 1) -3)')]; "
+        f"field = pickle.loads(sys.stdin.buffer.read()); print(field.to_prefix()); print(field == parse_prefix({text!r}, chart))"
+    )
+    result = subprocess.run([sys.executable, "-c", load], input=blob, capture_output=True, check=True, env=env)
+    expected = parse_prefix(text, Chart(2)).to_prefix()
+    assert result.stdout.decode().splitlines() == [expected, "True"]
+    assert "(^ (+ q1 (* -1 q2)) -2)" in expected and "(exp (+ q1 (* -1 q2)))" in expected
+
+
+def test_ring_operations_never_build_tree_keys(monkeypatch):
+    # Tree keys order printed and compiled trees only.  An involutivity matrix
+    # of closed Toda is decided symbolically, so it prints and compiles nothing.
+    bundle = closed_toda(4)
+    calls = []
+    key = scalar._node_key
+
+    def counted(node):
+        calls.append(node)
+        return key(node)
+
+    monkeypatch.setattr(scalar, "_node_key", counted)
+    matrix = involutivity_matrix(bundle.poisson, trace_invariants(bundle.tensor, 4))
+    assert matrix.all_zero
+    assert calls == []
+
+
+def test_threads_intern_each_sum_once():
+    # Each sum base gets one id even when threads mint ids for it at once;
+    # a second id would make the same field read differently per thread.
+    chart = Chart(2)
+    texts = [f"(^ (+ q1 (* {k} q2) 7/11) -1)" for k in range(1000, 1400)]  # sums no other test builds
+    results = [None] * 8
+    start = threading.Barrier(len(results), timeout=60)
+
+    def work(slot):
+        start.wait()
+        results[slot] = [parse_prefix(text, chart) for text in texts]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(fields == results[0] for fields in results)

@@ -25,6 +25,7 @@ from pqncheck.scalar import (
     ScalarField,
     Sum,
     ZeroTestConfig,
+    ZeroVerdict,
     exp,
     is_zero,
     normalize,
@@ -250,6 +251,21 @@ class TestNormalization:
             expected = ScalarField(chart, raw)
             assert result.evaluate(point) == expected.evaluate(point)
             assert result.term_scale(point) == expected.term_scale(point)
+
+    @given(raw_trees(), raw_trees(), st.integers(-2, 2), st.integers(0, _DIM - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_integral_coefficients_are_ints(self, a, b, k, index):
+        chart = Chart(2)
+        f, g = ScalarField(chart, a), ScalarField(chart, b)
+        results = [f, g, f + g, f - g, f * g, f.partial(index), f - f, ScalarField(chart, Fraction(6, 3))]
+        if k >= 0 or not f.is_zero_tree:
+            results.append(f**k)
+        for field in results:
+            for coeff in field.poly.values():
+                assert type(coeff) in (int, Fraction)
+                assert (type(coeff) is int) == (Fraction(coeff).denominator == 1)
+            assert field.constant_value is None or type(field.constant_value) is Fraction
+        assert type((f - f).constant_value) is Fraction
 
     def test_structural_identities(self):
         chart = Chart(2)
@@ -521,6 +537,42 @@ class TestZeroTest:
             expected.append(values)
         points = sample_points(Chart(n), config)
         assert [p.values for p in points] == [tuple(v) for v in expected]
+        assert points == [Point(v) for v in expected]
+
+    @given(
+        st.sampled_from(["zero", "cancelling", "constant", "raw"]),
+        raw_trees(),
+        st.sampled_from([1e-12, 1e-9, 1e-3, 1.0, 50.0]),
+        st.integers(1, 12),
+        st.integers(0, 50),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_matches_the_plain_loop(self, kind, tree, tolerance, count, seed):
+        # The plain loop computes every sample's term scale; is_zero skips it
+        # where the sample cannot change the verdict, residual or witness.
+        chart = Chart(2)
+        q1, q2 = chart.q(1), chart.q(2)
+        field = {
+            "zero": chart.zero(),
+            "cancelling": (q1 - q2) ** -1 * (q1 - q2) - 1,  # zero, but not in canonical form
+            "constant": ScalarField(chart, Fraction(seed - 25, 7)),  # the same ratio at every sample
+            "raw": ScalarField(chart, tree),
+        }[kind]
+        cfg = ZeroTestConfig(sample_count=count, tolerance=tolerance, seed=seed)
+        points = sample_points(chart, cfg)
+        try:
+            scored = [
+                (abs(field.evaluate(p)) / (tolerance * (1.0 + field.term_scale(p))), abs(field.evaluate(p)), p)
+                for p in points
+            ]
+        except EvaluationOverflowError:
+            assume(False)
+        worst = (-1.0, 0.0, None)
+        for ratio, value, point in scored:
+            if ratio > worst[0]:
+                worst = (ratio, value, point)
+        expected = ZeroVerdict(all(ratio <= 1.0 for ratio, _, _ in scored), worst[1], worst[2], len(points))
+        assert is_zero(field, cfg) == expected
 
     def test_degenerate_domain_uses_the_whole_budget(self):
         chart = Chart(2)
