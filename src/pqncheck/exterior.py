@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import ChartMismatchError, DegreeError
 from .scalar import Chart, Record, ScalarField

@@ -18,8 +18,10 @@ stay inside the polynomial-times-exponential part of the ring have equal
 polynomials.  Operators that sum partial derivatives take them only along the
 coordinates a polynomial mentions (``ScalarField.variables``), because every
 other partial is the zero field.  Identities that leave that part (e.g.
-rational-function cancellations against expanded polynomials) are handled by
-the probabilistic zero test instead.  Expression trees are only the boundary:
+rational-function cancellations against expanded polynomials) are decided by
+exact integer evaluation at seeded random points (``exact_zero``), and by the
+float zero test only when a sum base holds an exp, another sum or a negative
+power of a coordinate.  Expression trees are only the boundary:
 parsed input is normalized into a polynomial, and the canonical tree is built
 from it for printing and for compiling the field into one float function.
 ``univariate_antiderivative`` integrates on the same polynomial, so no other
@@ -950,7 +952,8 @@ class ZeroTestConfig(Record):
     is the minimum |q_i - q_j| enforced while sampling (0 disables the guard);
     it keeps samples away from collision singularities of inverse-power
     potentials.  Points are drawn uniformly from [-box_halfwidth,
-    box_halfwidth] in every coordinate.
+    box_halfwidth] in every coordinate.  ``seed`` also seeds the integer
+    points of :func:`exact_zero`, which reads no other setting.
 
     Valid ranges, checked on construction (``ValueError`` otherwise):
     ``sample_count`` an ``int`` (not a ``bool``) >= 1; ``tolerance`` finite
@@ -1065,6 +1068,126 @@ def is_zero(field: ScalarField, config: ZeroTestConfig | None = None) -> ZeroVer
         witness=worst_point,
         samples=len(points),
     )
+
+
+# ---------------------------------------------------------------------------
+# exact zero testing
+# ---------------------------------------------------------------------------
+
+_EXACT_BITS = 32  # exact points draw each coordinate from M = 2**32 consecutive integers
+_EXACT_ERROR_BITS = 64  # a zero verdict is wrong with probability at most 2**-64
+_EXACT_MAX_DEGREE = 1 << 16  # past this degree bound the integers grow past two megabits
+
+
+def _integer_sum_base(sid: int) -> tuple[int, list, int] | None:
+    """A sum base as (scale, integer terms, degree), scale times its polynomial having integer coefficients.
+
+    None when the base holds an exp, another sum or a negative power of a coordinate.
+    """
+    poly = _SUMS[sid].poly
+    if any(affine or sums or any(e < 0 for _, e in coords) for coords, affine, sums in poly):
+        return None
+    scale = math.lcm(*[Fraction(coeff).denominator for coeff in poly.values()])
+    terms = [(int(coeff * scale), coords) for (coords, _, _), coeff in poly.items()]
+    return scale, terms, max(sum(e for _, e in coords) for coords, _, _ in poly)
+
+
+def exact_zero(field: ScalarField, seed: int) -> bool | None:
+    """Decide whether a field is zero by exact evaluation at random integer points.
+
+    The monomials are grouped by their exp factor, i.e. by its affine argument,
+    constant included, and the field is zero exactly when each group's rational
+    coefficient is.  Exponentials of affine forms that differ in a coordinate
+    are linearly independent over Q(x); forms that differ only by rational
+    constants c_1..c_m would, at any rational point, give a linear relation
+    over Q between e^c_1..e^c_m, which Lindemann-Weierstrass rules out.
+
+    Over the common denominator D = prod x_i^a_i prod S^m_S of the field (the
+    largest negative power of each coordinate x_i and sum base S), a group's
+    coefficient is N / D with N = sum c x^(alpha + a) prod S^(m_S - m) a
+    polynomial, evaluated here as one integer sum after scaling every rational
+    coefficient to an integer.  Points are drawn with ``random.Random(seed)``,
+    each coordinate from M = 2**32 consecutive integers, and a point where D
+    vanishes is drawn again.  A nonzero value of any group proves the field
+    nonzero.  A nonzero N vanishes at such a point with probability at most
+    (deg N + deg D) / M (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979;
+    conditioning on D != 0 keeps this bound), both degrees read from the
+    exponents, so k points, the least k with ((deg N + deg D) / M)^k <=
+    2^-64, make a zero verdict wrong with probability at most 2^-64.
+
+    Returns None, undecided, when a sum base holds an exp, another sum or a
+    negative power of a coordinate, or when deg N + deg D exceeds 2**16.
+    """
+    low: dict[int, int] = {}  # coordinate -> its most negative exponent
+    deep: dict[int, int] = {}  # sum id -> its most negative exponent
+    for coords, _, sums in field.poly:
+        for i, e in coords:
+            if e < low.get(i, 0):
+                low[i] = e
+        for sid, e in sums:
+            if e < deep.get(sid, 0):
+                deep[sid] = e
+    bases = {}
+    for sid in deep:
+        bases[sid] = _integer_sum_base(sid)
+        if bases[sid] is None:
+            return None
+    # A factor is (coordinate, exponent), or (~sum id, exponent) for the integer form of a sum base.
+    # Each group maps the sums of its monomials to their (integer coefficient, coordinate factors);
+    # the sums of a monomial pick its cofactor: an integer multiplier and prod S^(m_S - m).
+    scale = math.lcm(*[Fraction(coeff).denominator for coeff in field.poly.values()])
+    groups: dict[tuple, dict[tuple, list]] = {}
+    cofactors: dict[tuple, tuple[int, list, int]] = {}  # with the degree of prod S^(m_S - m)
+    degree = 0
+    for (coords, affine, sums), coeff in field.poly.items():
+        if low:
+            exponents = dict(coords)
+            exponents.update([(i, exponents.get(i, 0) - floor) for i, floor in low.items()])
+            coords = [(i, e) for i, e in exponents.items() if e]
+        cofactor = cofactors.get(sums)
+        if cofactor is None:
+            powers = dict(sums)
+            factors = [(~sid, powers.get(sid, 0) - floor) for sid, floor in deep.items() if powers.get(sid) != floor]
+            multiplier = math.prod([bases[sid][0] ** -e for sid, e in sums])
+            cofactor = cofactors[sums] = multiplier, factors, sum(e * bases[~key][2] for key, e in factors)
+        degree = max(degree, sum(e for _, e in coords) + cofactor[2])
+        groups.setdefault(affine, {}).setdefault(sums, []).append((int(coeff * scale), coords))
+    degree += -sum(low.values()) - sum(floor * bases[sid][2] for sid, floor in deep.items())
+    if degree > _EXACT_MAX_DEGREE:
+        return None
+    rounds = 1
+    while degree**rounds << _EXACT_ERROR_BITS > 1 << _EXACT_BITS * rounds:
+        rounds += 1
+    values: dict[int, int] = {}  # coordinate or ~sum id -> its value at the current point
+    cache: dict[tuple, int] = {}  # factor -> its value at the current point
+
+    def product(value: int, factors: list) -> int:
+        for factor in factors:
+            power = cache.get(factor)
+            if power is None:
+                power = cache[factor] = values[factor[0]] ** factor[1]
+            value *= power
+        return value
+
+    rng = random.Random(seed)
+    half = 1 << _EXACT_BITS - 1
+    for _ in range(rounds):
+        while True:
+            cache.clear()
+            values.clear()
+            values.update((i, rng.getrandbits(_EXACT_BITS) - half) for i in range(field.chart.dim))
+            for sid, (_, terms, _) in bases.items():
+                values[~sid] = sum([product(c, coords) for c, coords in terms])
+            if all(values[i] for i in low) and all(values[~sid] for sid in bases):
+                break
+        for by_sums in groups.values():
+            total = 0
+            for sums, terms in by_sums.items():
+                multiplier, factors, _ = cofactors[sums]
+                total += product(multiplier, factors) * sum([product(c, coords) for c, coords in terms])
+            if total:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 A geometric structure is a chart together with a Poisson candidate, a (1,1)
 tensor, and a 3-form controlling its torsion (the zero form for torsionless
 candidates).  Checkers return :class:`CheckReport` objects: one entry per
-axiom, each either verified structurally ("symbolic": the normalized
-difference is the zero polynomial) or probabilistically ("sampled": residuals at
-seeded sample points stay below tolerance).  Reports are deterministic given
-the seed.
+axiom, verified structurally ("symbolic": the normalized difference is the
+zero polynomial), by exact integer evaluation at seeded points ("exact", see
+:func:`pqncheck.scalar.exact_zero`), or, for fields out of its reach, by
+floats ("sampled": residuals at seeded sample points stay below tolerance).
+Reports are deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .exterior import (
     tensor_interior,
 )
 from .randgen import random_scalar_field
-from .scalar import Chart, Point, Record, ScalarField, ZeroTestConfig, ZeroVerdict, is_zero
+from .scalar import Chart, Point, Record, ScalarField, ZeroTestConfig, ZeroVerdict, exact_zero, is_zero
 
 
 class GeometricStructure(Record):
@@ -67,7 +68,7 @@ class AxiomCheck(Record):
         self,
         axiom: str,
         passed: bool,
-        mode: str,  # "symbolic" | "sampled"
+        mode: str,  # "symbolic" | "exact" | "sampled"
         residual: float,
         witness: Point | None,
         samples: int,
@@ -122,25 +123,38 @@ def _zero_axiom(
     config: ZeroTestConfig,
     detail: str | None = None,
 ) -> AxiomCheck:
-    """Check that every field is zero: structurally when possible, sampled otherwise.
+    """Check that every field is zero: structurally, else exactly, else by sampling.
 
     Every zero verdict of a report entry or involutivity cell is made here.
-    A sampled verdict reports the worst field: a failing one before any
-    passing one, then the largest residual, with that field's witness.
+    Fields that are not the zero polynomial go to :func:`exact_zero`.  When it
+    proves every one zero the verdict is ``exact`` with no residual; when it
+    proves one nonzero the verdict fails as ``exact``, with the residual and
+    witness of the sampled loop below; when it cannot decide some field, and
+    proves none nonzero, the verdict is ``sampled``.  A sampled loop reports
+    the worst field: a failing one before any passing one, then the largest
+    residual, with that field's witness.
     """
-    sampled: list[ScalarField] = [f for f in fields if not f.is_zero_tree]
-    if not sampled:
+    pending: list[ScalarField] = [f for f in fields if not f.is_zero_tree]
+    if not pending:
         return AxiomCheck(axiom, True, "symbolic", 0.0, None, 0, detail)
+    exact = set()  # what exact_zero said: True, False (then stop) or None
+    for f in pending:
+        exact.add(exact_zero(f, config.seed))
+        if False in exact:
+            break
+    if exact == {True}:
+        return AxiomCheck(axiom, True, "exact", 0.0, None, 0, detail)
     passed = True
     worst = ZeroVerdict(True, -1.0, None, 0)
-    for f in sampled:
+    for f in pending:
         verdict = is_zero(f, config)
         passed = passed and verdict.is_zero
         if (not verdict.is_zero and worst.is_zero) or (
             verdict.is_zero == worst.is_zero and verdict.residual > worst.residual
         ):
             worst = verdict
-    return AxiomCheck(axiom, passed, "sampled", max(worst.residual, 0.0), worst.witness, config.sample_count, detail)
+    passed, mode = (False, "exact") if False in exact else (passed, "sampled")
+    return AxiomCheck(axiom, passed, mode, max(worst.residual, 0.0), worst.witness, config.sample_count, detail)
 
 
 def _vector_components(vectors: Iterable[VectorField]) -> list[ScalarField]:

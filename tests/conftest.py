@@ -17,6 +17,19 @@ def fd_partial(field: ScalarField, point, index: int, h: float = 1e-5) -> float:
     return (field.evaluate(up) - field.evaluate(dn)) / (2 * h)
 
 
+def lagrange_identity(chart: Chart) -> ScalarField:
+    """sum_i prod_{j != i} 1/(q_i - q_j): zero for n >= 2, but not in canonical form."""
+    q = [chart.q(i) for i in range(1, chart.n + 1)]
+    total = chart.zero()
+    for i, qi in enumerate(q):
+        term = chart.one()
+        for j, qj in enumerate(q):
+            if j != i:
+                term = term / (qi - qj)
+        total = total + term
+    return total
+
+
 def seeded(seed: int = 20240) -> random.Random:
     return random.Random(seed)
 

@@ -360,11 +360,12 @@ class TestStrictJson:
             strict_json(f'{{"residual": {constant}}}')
 
     def test_calogero_involutivity_report(self, capsys):
-        # Its sampled cell carries a float residual and witness.
+        # The one cell that does not cancel in canonical form is decided by exact evaluation.
         argv = ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--format", "json")
         assert run_cli(*argv) == 0
         report = strict_json(capsys.readouterr().out)
-        assert "sampled" in {cell["mode"] for cell in report["matrix"]["cells"].values()}
+        modes = {cell["mode"] for cell in report["matrix"]["cells"].values()}
+        assert "exact" in modes and "sampled" not in modes
 
 
 class TestReportPin:
@@ -417,8 +418,19 @@ class TestReportPin:
         assert "mode=sampled" not in out
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
+    def test_calogero_three_involutivity_report_bytes(self, capsys):
+        # Its one non-canonical cell is an exact zero, so the report holds no
+        # sampled floats and its bytes do not depend on the platform's libm.
+        assert run_cli("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--format", "json") == 0
+        out = capsys.readouterr().out
+        cells = strict_json(out)["matrix"]["cells"]
+        assert {cell["mode"] for cell in cells.values()} == {"symbolic", "exact"}
+        assert {cell["residual"] for cell in cells.values()} == {0.0}
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "b86b86e187ca92cbffecbd4c8a41b271bb0883335c4324477634c3a24aaa93f2"
+
     def test_calogero_four_involutivity_structure(self, capsys):
-        # Everything but the sampled residuals and witnesses, whose floats depend on libm.
+        # Everything but the residuals and witnesses of the nonzero cells, whose floats depend on libm.
         argv = ("involutivity", "--model", "calogero", "--n", "4", "--kmax", "4", "--format", "json")
         assert run_cli(*argv) == 0
         report = strict_json(capsys.readouterr().out)
@@ -429,20 +441,20 @@ class TestReportPin:
             ("bracket-H1-H3", "pass", "symbolic", 0, "zero, no claim"),
             ("bracket-H1-H4", "pass", "symbolic", 0, "zero, no claim"),
             ("bracket-H2-H2", "pass", "symbolic", 0, "zero, no claim"),
-            ("bracket-H2-H3", "pass", "sampled", 50, "zero, no claim"),
-            ("bracket-H2-H4", "pass", "sampled", 50, "nonzero, no claim"),
+            ("bracket-H2-H3", "pass", "exact", 0, "zero, no claim"),
+            ("bracket-H2-H4", "pass", "exact", 50, "nonzero, no claim"),
             ("bracket-H3-H3", "pass", "symbolic", 0, "zero, no claim"),
-            ("bracket-H3-H4", "pass", "sampled", 50, "nonzero, no claim"),
+            ("bracket-H3-H4", "pass", "exact", 50, "nonzero, no claim"),
             ("bracket-H4-H4", "pass", "symbolic", 0, "zero, no claim"),
-            ("non-involutivity-witnessed", "pass", "sampled", 50, "worst cell (3, 4); nonzero pairs: [(2, 4), (3, 4)]"),
+            ("non-involutivity-witnessed", "pass", "exact", 50, "worst cell (3, 4); nonzero pairs: [(2, 4), (3, 4)]"),
         ]
-        sampled, nonzero = {(2, 3), (2, 4), (3, 4)}, {(2, 4), (3, 4)}
+        exact, nonzero = {(2, 3), (2, 4), (3, 4)}, {(2, 4), (3, 4)}
         cells = {key: (cell["zero"], cell["mode"]) for key, cell in report["matrix"]["cells"].items()}
         expected = {}
         for j in range(1, 5):
             for k in range(1, 5):
                 pair = (min(j, k), max(j, k))
-                expected[f"{j},{k}"] = (pair not in nonzero, "sampled" if pair in sampled else "symbolic")
+                expected[f"{j},{k}"] = (pair not in nonzero, "exact" if pair in exact else "symbolic")
         assert cells == expected
 
 

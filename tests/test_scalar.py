@@ -26,6 +26,7 @@ from pqncheck.scalar import (
     Sum,
     ZeroTestConfig,
     ZeroVerdict,
+    exact_zero,
     exp,
     is_zero,
     normalize,
@@ -35,7 +36,7 @@ from pqncheck.scalar import (
     to_prefix,
 )
 
-from conftest import fd_partial, seeded
+from conftest import fd_partial, lagrange_identity, seeded
 
 
 class TestChart:
@@ -623,6 +624,53 @@ class TestZeroTest:
     def test_nan_tolerance_cannot_call_a_nonzero_field_zero(self):
         with pytest.raises(ValueError):
             is_zero(Chart(1).q(1) + 1, ZeroTestConfig(tolerance=float("nan")))
+
+
+TINY = Fraction(1, 10**20)
+
+
+class TestExactZero:
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_rational_identity_is_an_exact_zero(self, seed):
+        field = lagrange_identity(Chart(3))
+        assert not field.is_zero_tree
+        assert exact_zero(field, seed) is True
+        assert exact_zero(field + TINY, seed) is False
+
+    def test_tiny_coefficient_is_nonzero(self):
+        assert exact_zero(parse_prefix("(* 1/100000000000000000000 q1)", Chart(1)), 7) is False
+
+    def test_exp_groups_are_decided_one_by_one(self):
+        chart = Chart(3)
+        identity, q1, q2 = lagrange_identity(chart), chart.q(1), chart.q(2)
+        assert exact_zero(identity * q1.exp() + identity * q2.exp(), 7) is True
+        assert exact_zero(identity * q1.exp() + TINY * q2.exp(), 7) is False
+        # Forms that differ only by a constant are separate groups (Lindemann-Weierstrass).
+        assert exact_zero(identity * q1.exp() + identity * (q1 + 1).exp(), 7) is True
+        assert exact_zero(q1.exp() - (q1 + 1).exp(), 7) is False
+
+    def test_negative_coordinate_powers_and_fractional_bases(self):
+        chart = Chart(2)
+        q1, q2 = chart.q(1), chart.q(2)
+        partial_fractions = 1 / q1 - 1 / (q1 + q2) - q2 / (q1 * (q1 + q2))
+        assert not partial_fractions.is_zero_tree
+        assert exact_zero(partial_fractions, 7) is True
+        base = q1 + q2 * Fraction(1, 3)
+        cancelled = base * base**-1 - 1
+        assert not cancelled.is_zero_tree
+        assert exact_zero(cancelled, 7) is True
+        assert exact_zero(cancelled + TINY * q2, 7) is False
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(^ (+ (exp q1) 1) -1)", "(^ (+ (^ (+ q1 q2) -1) 1) -1)", "(^ (+ (^ q1 -1) q2) -1)"],
+        ids=["exp-in-base", "nested-sum", "negative-power-in-base"],
+    )
+    def test_bases_out_of_reach_are_undecided(self, text):
+        assert exact_zero(parse_prefix(text, Chart(2)), 7) is None
+
+    def test_huge_degree_is_undecided(self):
+        assert exact_zero(parse_prefix("(+ (^ q1 100000) 1)", Chart(1)), 7) is None
 
 
 class TestPrefixGrammar:

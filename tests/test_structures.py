@@ -23,9 +23,11 @@ from pqncheck.models import (
     two_particle_model,
 )
 from pqncheck.randgen import random_tensor
-from pqncheck.scalar import ScalarField, ZeroTestConfig, exp
+from pqncheck.scalar import Chart, ScalarField, ZeroTestConfig, exp, parse_prefix
 from pqncheck.structures import (
+    AxiomCheck,
     GeometricStructure,
+    _zero_axiom,
     check_compatibility,
     check_pn,
     check_poisson,
@@ -36,6 +38,8 @@ from pqncheck.structures import (
     recursion_check,
     trace_invariants,
 )
+
+from conftest import lagrange_identity
 
 
 class TestCheckPoisson:
@@ -168,6 +172,8 @@ class TestInducedBivectorPin:
     # and its Jacobi check must run on every ordered pair of it, not on an
     # antisymmetrized copy.  The verdicts below were recorded before the
     # sparse storage of tensors; only the residual is a float evaluation.
+    # Exact evaluation proves the entry nonzero; the residual and witness
+    # still come from the sampled points.
     @pytest.mark.parametrize(
         "build, residual, witness",
         [
@@ -194,11 +200,65 @@ class TestInducedBivectorPin:
         assert report.entry("induced-bivector-poisson").as_dict(chart2) == {
             "axiom": "induced-bivector-poisson",
             "verdict": "fail",
-            "mode": "sampled",
+            "mode": "exact",
             "residual": pytest.approx(residual, rel=1e-12),
             "witness": dict(zip(("q1", "q2", "p1", "p2"), witness)),
             "samples": 50,
         }
+
+
+class TestExactVerdicts:
+    def test_tiny_nonzero_field_fails(self, chart2):
+        # Its sampled residual, about 1e-20, is far below any tolerance.
+        entry = _zero_axiom("tiny", [parse_prefix("(* 1/100000000000000000000 q1)", chart2)], ZeroTestConfig())
+        assert (entry.passed, entry.mode, entry.samples) == (False, "exact", 50)
+        assert entry.residual < 1e-19 and entry.witness is not None
+
+    def test_identity_outside_canonical_form_is_an_exact_zero(self):
+        identity = lagrange_identity(Chart(3))
+        assert _zero_axiom("identity", [identity], ZeroTestConfig()) == AxiomCheck(
+            "identity", True, "exact", 0.0, None, 0, None
+        )
+        entry = _zero_axiom("shifted", [identity + Fraction(1, 10**20)], ZeroTestConfig())
+        assert (entry.passed, entry.mode) == (False, "exact")
+
+    def test_exp_groups(self):
+        chart = Chart(3)
+        identity = lagrange_identity(chart)
+        entry = _zero_axiom("exp", [identity * chart.q(1).exp()], ZeroTestConfig())
+        assert (entry.passed, entry.mode) == (True, "exact")
+
+    def test_undecided_field_is_sampled(self, chart2):
+        field = parse_prefix("(^ (+ (exp q1) 1) -1)", chart2)
+        entry = _zero_axiom("undecided", [field], ZeroTestConfig())
+        assert (entry.passed, entry.mode, entry.samples) == (False, "sampled", 50)
+        # A field proved nonzero decides the entry even beside an undecided one.
+        tiny = parse_prefix("(* 1/100000000000000000000 q1)", chart2)
+        assert _zero_axiom("both", [field, tiny], ZeroTestConfig()).mode == "exact"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ZeroTestConfig(tolerance=1e-30),
+            ZeroTestConfig(tolerance=1.0),
+            ZeroTestConfig(sample_count=1),
+            ZeroTestConfig(sample_count=100000),
+            ZeroTestConfig(box_halfwidth=1e-9),
+            ZeroTestConfig(box_halfwidth=1e6),
+            ZeroTestConfig(separation=0.0),
+            ZeroTestConfig(box_halfwidth=0.5, separation=2.0),  # no point passes this guard
+        ],
+    )
+    def test_exact_zero_ignores_the_sampling_settings(self, config):
+        entry = _zero_axiom("identity", [lagrange_identity(Chart(3))], config)
+        assert entry == AxiomCheck("identity", True, "exact", 0.0, None, 0, None)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_calogero_cells_are_certificates(self, n):
+        bundle = calogero(n)
+        matrix = involutivity_matrix(bundle.poisson, trace_invariants(bundle.tensor, n), CALOGERO_ZERO_TEST)
+        assert {cell.mode for cell in matrix.cells.values()} == {"symbolic", "exact"}
+        assert matrix.cell(2, 3).passed and matrix.cell(2, 3).mode == "exact"
 
 
 class TestCheckPqn:
