@@ -63,7 +63,7 @@ from .structures import (
     trace_invariants,
 )
 
-OMEGA_NAMES = ("zero", "omega-c", "omega-hat", "toda", "open-toda")
+OMEGA_NAMES = ("zero", "omega-c", "omega-hat", "toda", "closed-toda", "open-toda")
 BASE_NAMES = ("canonical", "identity", "open-toda")
 
 _KMAX_GUARD = 8

@@ -11,10 +11,12 @@ other coordinate is rejected.  Strings in the prefix grammar with the symbol
 ``x`` are accepted too, e.g. ``"(exp x)"`` or ``"(^ x -2)"``.
 
 Every pair-potential model, the Toda chains and the Calogero system
-included, takes its expected 3-form from one closed form (the tensor
-differential of the 2-form plus half its self-bracket), and its expected
-structure class from that 3-form.  For the closed chain it is the paper's
-2 f_n exp(q_n - q_1) dq_1 ^ dq_n ^ sum_i dp_i; for the open chain it is zero.
+included, is built by one assembly, and so is the two-particle model, its
+n = 2 case with a general potential V(q1, q2).  Each takes its expected
+3-form from one closed form (the tensor differential of the 2-form plus
+half its self-bracket), and its expected structure class from that 3-form.
+For the closed chain it is the paper's 2 f_n exp(q_n - q_1) dq_1 ^ dq_n ^
+sum_i dp_i; for the open chain it is zero.
 The primitive of each potential comes from
 :func:`pqncheck.scalar.univariate_antiderivative`.
 """
@@ -38,12 +40,12 @@ from .scalar import (
     Sum,
     Const,
     ZeroTestConfig,
-    is_zero,
+    parse_prefix,
     parse_prefix_tree,
     substitute,
     univariate_antiderivative,
 )
-from .structures import GeometricStructure
+from .structures import GeometricStructure, _zero_axiom
 
 MODEL_NAMES = ("canonical", "open-toda", "closed-toda", "calogero", "pair-potential", "two-particle")
 
@@ -210,31 +212,54 @@ def pair_differential_display(chart: Chart, fields: Mapping[tuple[int, int], Sca
 
 def pair_self_bracket_display(chart: Chart, fields: Mapping[tuple[int, int], ScalarField]) -> Form:
     """Closed form of the pair 2-form's self-bracket:
-    2 sum V'_ij dq_i ^ dq_j ^ sum_{k<l} ((delta_il - delta_jl) dp_k +
-    (delta_jk - delta_ik) dp_l)."""
-    n = chart.n
+    sum over pairs of dq_i ^ dq_j ^ sum_m c_m dp_m, with the dp_m coefficient
+    c_m = 2 sum_{a in {i, j}} sign(a - m) dV_ij/dq_a.  For a difference
+    potential dV_ij/dq_j = -dV_ij/dq_i, so c_m = 2 (sign(i - m) - sign(j - m)) V'_ij."""
 
     def terms():
         for (i, j), v in fields.items():
             qi, qj = chart.q_index(i), chart.q_index(j)
-            v_prime = v.partial(qi)
-            if v_prime.is_zero_tree:
-                continue
-            for k in range(1, n + 1):
-                for l in range(k + 1, n + 1):
-                    coeff_k = (1 if l == i else 0) - (1 if l == j else 0)
-                    coeff_l = (1 if k == j else 0) - (1 if k == i else 0)
-                    for m, coeff in ((k, coeff_k), (l, coeff_l)):
-                        if coeff != 0:
-                            yield (qi, qj, chart.p_index(m)), v_prime * (2 * coeff)
+            partials = [(a, v.partial(chart.q_index(a))) for a in (i, j)]
+            for m in range(1, chart.n + 1):
+                for a, dv in partials:
+                    if a != m and not dv.is_zero_tree:
+                        yield (qi, qj, chart.p_index(m)), dv * (2 if a > m else -2)
 
     return Form(chart, 3, terms())
 
 
-def _phi_closed_form(chart: Chart, fields: Mapping[tuple[int, int], ScalarField]) -> Form:
-    """The induced 3-form of a pair-potential deformation: the differential
-    display plus half the self-bracket display."""
-    return pair_differential_display(chart, fields) + pair_self_bracket_display(chart, fields) * Fraction(1, 2)
+def _pair_bundle(
+    name: str,
+    chart: Chart,
+    fields: Mapping[tuple[int, int], ScalarField],
+    theta: Form | None = None,
+    involutive_up_to: int | None = None,
+    non_involutive: bool = False,
+) -> ModelBundle:
+    """The pair deformation of the momentum tensor by the potential fields V_ij (i < j).
+
+    The 2-form is sum over i < j of V_ij dq_j ^ dq_i + dp_j ^ dp_i, the tensor
+    is its deformation of the momentum tensor, and the expected 3-form is the
+    differential display plus half the self-bracket display.
+    """
+    omega_terms: dict[tuple[int, ...], object] = {}
+    extra: dict[tuple[int, int], object] = {}
+    for i in range(1, chart.n + 1):
+        for j in range(i + 1, chart.n + 1):
+            qi, qj, pi, pj = chart.q_index(i), chart.q_index(j), chart.p_index(i), chart.p_index(j)
+            omega_terms[pj, pi] = 1
+            extra[qi, pj] = 1
+            extra[qj, pi] = -1
+            v = fields.get((i, j))
+            if v is not None:
+                omega_terms[qj, qi] = v
+                extra[pj, qi] = v
+                extra[pi, qj] = -v
+    omega = Form(chart, 2, omega_terms)
+    tensor = canonical_nijenhuis(chart) + Tensor11(chart, extra)
+    phi = pair_differential_display(chart, fields) + pair_self_bracket_display(chart, fields) * Fraction(1, 2)
+    expected = ExpectedOutcome(involutive_up_to=involutive_up_to, phi_closed_form=phi, non_involutive=non_involutive)
+    return ModelBundle(name, chart, canonical_poisson(chart), tensor, omega, expected, theta)
 
 
 def pair_potential_model(
@@ -263,25 +288,6 @@ def pair_potential_model(
         fields[(i, j)] = ScalarField(chart, substitute(node, {0: diffs[(i, j)]}))
         primitives[(i, j)] = univariate_antiderivative(node)
 
-    omega_terms: dict[tuple[int, ...], object] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            omega_terms[(chart.p_index(j), chart.p_index(i))] = 1
-            if (i, j) in fields:
-                omega_terms[(chart.q_index(j), chart.q_index(i))] = fields[(i, j)]
-    omega = Form(chart, 2, omega_terms)
-
-    extra = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            extra[chart.q_index(i), chart.p_index(j)] = 1
-            extra[chart.q_index(j), chart.p_index(i)] = -1
-            if (i, j) in fields:
-                v = fields[(i, j)]
-                extra[chart.p_index(j), chart.q_index(i)] = v
-                extra[chart.p_index(i), chart.q_index(j)] = -v
-    tensor = canonical_nijenhuis(chart) + Tensor11(chart, extra)
-
     theta: Form | None = None
     if all(p is not None for p in primitives.values()):
 
@@ -296,9 +302,7 @@ def pair_potential_model(
 
         theta = Form(chart, 1, theta_terms())
 
-    phi = _phi_closed_form(chart, fields)
-    expected = ExpectedOutcome(involutive_up_to=involutive_up_to, phi_closed_form=phi, non_involutive=non_involutive)
-    return ModelBundle(name, chart, canonical_poisson(chart), tensor, omega, expected, theta)
+    return _pair_bundle(name, chart, fields, theta, involutive_up_to, non_involutive)
 
 
 # ---------------------------------------------------------------------------
@@ -377,54 +381,33 @@ def calogero(n: int) -> ModelBundle:
 # ---------------------------------------------------------------------------
 
 
+def _two_particle_potential(chart: Chart, v_spec) -> ScalarField:
+    """Coerce V(q1, q2): a node over the chart, a prefix string in q1/q2, a field or a rational."""
+    if isinstance(v_spec, str):
+        return parse_prefix(v_spec, chart)
+    return ScalarField(chart, v_spec.root if isinstance(v_spec, ScalarField) else v_spec)
+
+
 def two_particle_model(v_spec, *, name: str = "two-particle") -> ModelBundle:
-    """The explicit n = 2 structure for a general potential V(q1, q2).
+    """The n = 2 pair structure for a general potential V(q1, q2).
 
     ``v_spec`` is a node tree over the chart coordinates (Coord(0) = q1,
     Coord(1) = q2), a prefix string in q1/q2, or a rational constant.  The
     model is involutive exactly when V depends only on q1 - q2; the factory
-    records that as metadata by testing the sum of the two q-partials.
+    records that as metadata by deciding whether the sum of the two
+    q-partials is zero, the way every report entry is decided.
     """
     chart = Chart(2)
-    if isinstance(v_spec, str):
-        from .scalar import parse_prefix
-
-        v = parse_prefix(v_spec, chart)
-    elif isinstance(v_spec, Node):
-        v = ScalarField(chart, v_spec)
-    elif isinstance(v_spec, ScalarField):
-        v = ScalarField(chart, v_spec.root)
-    else:
-        v = chart.constant(v_spec)
-    q1, q2 = chart.q_index(1), chart.q_index(2)
-    p1, p2 = chart.p_index(1), chart.p_index(2)
-    omega = Form(chart, 2, {(q2, q1): v, (p2, p1): 1})
-    pp1, pp2 = chart.p(1), chart.p(2)
-    tensor = Tensor11(
+    v = _two_particle_potential(chart, v_spec)
+    drift = v.partial(chart.q_index(1)) + v.partial(chart.q_index(2))
+    translation_invariant = _zero_axiom("translation-invariance", [drift], ZeroTestConfig()).passed
+    return _pair_bundle(
+        name,
         chart,
-        [
-            [pp1, 0, 0, 1],
-            [0, pp2, -1, 0],
-            [0, -v, pp1, 0],
-            [v, 0, 0, pp2],
-        ],
-    )
-    phi = Form(
-        chart,
-        3,
-        {
-            (q1, q2, p1): v + v.partial(q2),
-            (q1, q2, p2): v - v.partial(q1),
-        },
-    )
-    drift = v.partial(q1) + v.partial(q2)
-    translation_invariant = drift.is_zero_tree or is_zero(drift).is_zero
-    expected = ExpectedOutcome(
+        {(1, 2): v},
         involutive_up_to=2 if translation_invariant else None,
-        phi_closed_form=phi,
         non_involutive=not translation_invariant,
     )
-    return ModelBundle(name, chart, canonical_poisson(chart), tensor, omega, expected)
 
 
 class TwoParticleFixture(Record):
@@ -462,8 +445,7 @@ def two_particle_fixture(v_spec=None) -> TwoParticleFixture:
                 Exp(Sum((Coord(0), Product((Const(Fraction(-1)), Coord(1)))))),
             )
         )
-    bundle = two_particle_model(v_spec)
-    v = bundle.tensor.entry(3, 0)
+    v = _two_particle_potential(chart, v_spec)
     q1, q2 = chart.q_index(1), chart.q_index(2)
     one = chart.one()
     zero = chart.zero()
@@ -486,6 +468,7 @@ def two_particle_fixture(v_spec=None) -> TwoParticleFixture:
         (zero, -v, pp1, zero),
         (v, zero, zero, pp2),
     )
+    omega = Form(chart, 2, {(q2, q1): v, (chart.p_index(2), chart.p_index(1)): 1})
     d_n_omega = Form(
         chart,
         3,
@@ -505,7 +488,7 @@ def two_particle_fixture(v_spec=None) -> TwoParticleFixture:
         pi_sharp_matrix,
         n_matrix,
         n_hat_matrix,
-        bundle.omega,
+        omega,
         d_n_omega,
         omega_self_bracket,
     )

@@ -126,34 +126,32 @@ def _zero_axiom(
     """Check that every field is zero: structurally, else exactly, else by sampling.
 
     Every zero verdict of a report entry or involutivity cell is made here.
-    Fields that are not the zero polynomial go to :func:`exact_zero`.  When it
-    proves every one zero the verdict is ``exact`` with no residual; when it
-    proves one nonzero the verdict fails as ``exact``, with the residual and
-    witness of the sampled loop below; when it cannot decide some field, and
-    proves none nonzero, the verdict is ``sampled``.  A sampled loop reports
+    Fields that are not the zero polynomial go to :func:`exact_zero`, every
+    one of them.  When it proves every one zero the verdict is ``exact`` with
+    no residual; when it proves some nonzero the verdict fails as ``exact``,
+    with the residual and witness of the sampled loop below over those fields
+    only; when it cannot decide some field, and proves none nonzero, the
+    verdict is ``sampled`` over the undecided fields.  A sampled loop reports
     the worst field: a failing one before any passing one, then the largest
     residual, with that field's witness.
     """
     pending: list[ScalarField] = [f for f in fields if not f.is_zero_tree]
     if not pending:
         return AxiomCheck(axiom, True, "symbolic", 0.0, None, 0, detail)
-    exact = set()  # what exact_zero said: True, False (then stop) or None
-    for f in pending:
-        exact.add(exact_zero(f, config.seed))
-        if False in exact:
-            break
-    if exact == {True}:
+    exact = [exact_zero(f, config.seed) for f in pending]  # True, False or None (undecided)
+    if all(exact):
         return AxiomCheck(axiom, True, "exact", 0.0, None, 0, detail)
-    passed = True
+    proved = [f for f, zero in zip(pending, exact) if zero is False]
+    passed = not proved
     worst = ZeroVerdict(True, -1.0, None, 0)
-    for f in pending:
+    for f in proved or [f for f, zero in zip(pending, exact) if zero is None]:
         verdict = is_zero(f, config)
         passed = passed and verdict.is_zero
         if (not verdict.is_zero and worst.is_zero) or (
             verdict.is_zero == worst.is_zero and verdict.residual > worst.residual
         ):
             worst = verdict
-    passed, mode = (False, "exact") if False in exact else (passed, "sampled")
+    mode = "exact" if proved else "sampled"
     return AxiomCheck(axiom, passed, mode, max(worst.residual, 0.0), worst.witness, config.sample_count, detail)
 
 

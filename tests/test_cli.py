@@ -82,6 +82,13 @@ class TestCheckCommand:
         assert code == 0
         assert read_json(out)["classification"] == "PN"
 
+    def test_zero_wrap_coupling_gives_the_open_chain(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = run_cli("check", "--model", "closed-toda", "--n", "3", "--f", "1,1,0", "--format", "json", "--out", str(out))
+        assert code == 0
+        report = read_json(out)
+        assert (report["config"]["f"], report["classification"]) == (["1", "1", "0"], "PN")
+
     def test_expect_mismatch_exits_one(self):
         assert run_cli("check", "--model", "closed-toda", "--n", "3", "--expect", "pn") == 1
 
@@ -135,6 +142,14 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")
         assert run_cli("check", "--config", str(cfg)) == 2
+
+    def test_couplings_from_a_config_string(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": "closed-toda", "n": 3, "f": "1,2,3", "format": "json"}))
+        out = tmp_path / "report.json"
+        assert run_cli("check", "--config", str(cfg), "--out", str(out)) == 0
+        report = read_json(out)
+        assert (report["config"]["f"], report["classification"]) == (["1", "2", "3"], "PqN")
 
     def test_pair_potential_model_from_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -194,6 +209,13 @@ class TestInvolutivityCommand:
 
     def test_closed_toda_two(self):
         assert run_cli("involutivity", "--model", "closed-toda", "--n", "2", "--kmax", "2") == 0
+
+    def test_tiny_drift_two_particle_meets_its_claim(self, capsys):
+        # The model decides its drift, 1e-20, exactly: it claims non-involutivity, which the bracket proves.
+        v = "(+ (exp (+ q1 (* -1 q2))) (* 1/100000000000000000000 q1))"
+        assert run_cli("involutivity", "--model", "two-particle", "--v", v, "--kmax", "2", "--format", "json") == 0
+        cell = strict_json(capsys.readouterr().out)["matrix"]["cells"]["1,2"]
+        assert (cell["zero"], cell["mode"]) == (False, "exact")
 
     def test_kmax_guard(self, capsys):
         assert run_cli("involutivity", "--model", "canonical", "--n", "2", "--kmax", "9") == 2
@@ -279,8 +301,36 @@ class TestDeformCommand:
         )
         assert run_cli("deform", "--config", str(cfg)) == 0
 
-    def test_unknown_omega_exits_two(self):
+    @pytest.mark.parametrize(
+        "base, omega, classification",
+        [
+            ("open-toda", "zero", "PN"),
+            # omega_c is closed, but d_N omega_c = -d(i_N omega_c) is not zero for the chain tensor
+            ("open-toda", "omega-c", "PqN"),
+            ("canonical", "open-toda", "PN"),
+            ("canonical", "closed-toda", "PqN"),
+        ],
+    )
+    def test_named_forms(self, base, omega, classification, tmp_path):
+        out = tmp_path / "deform.json"
+        code = run_cli("deform", "--model", base, "--omega", omega, "--n", "3", "--format", "json", "--out", str(out))
+        assert code == 0
+        report = read_json(out)
+        assert (report["overall"], report["classification"]) == ("pass", classification)
+
+    def test_closed_toda_is_the_toda_form(self, capsys):
+        reports = []
+        for omega in ("toda", "closed-toda"):
+            assert run_cli("deform", "--model", "canonical", "--omega", omega, "--n", "3", "--format", "json") == 0
+            report = strict_json(capsys.readouterr().out)
+            assert report["config"].pop("omega") == omega
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_unknown_omega_exits_two(self, capsys):
         assert run_cli("deform", "--model", "canonical", "--omega", "bogus", "--n", "2") == 2
+        # the message names every accepted form, the closed-toda alias of toda included
+        assert "zero, omega-c, omega-hat, toda, closed-toda, open-toda" in capsys.readouterr().err
 
     def test_missing_omega_exits_two(self):
         assert run_cli("deform", "--model", "canonical", "--n", "2") == 2

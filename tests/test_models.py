@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pqncheck.calculus import cartan_d
+from pqncheck.calculus import cartan_d, koszul_bracket, nijenhuis_d
 from pqncheck.errors import UnsupportedExpressionError
 from pqncheck.exterior import Form, Tensor11
 from pqncheck.models import (
@@ -16,12 +16,14 @@ from pqncheck.models import (
     canonical_poisson,
     closed_toda,
     open_toda,
+    pair_differential_display,
     pair_potential_model,
+    pair_self_bracket_display,
     potential,
     two_particle_fixture,
     two_particle_model,
 )
-from pqncheck.scalar import Coord, Power, exp
+from pqncheck.scalar import Chart, Coord, Power, exp
 from pqncheck.structures import (
     check_pn,
     check_pqn,
@@ -104,10 +106,6 @@ class TestPairPotential:
         # The two closed-form pieces of the induced 3-form each match what the
         # operators compute: the tensor differential of the 2-form, and its
         # Koszul self-bracket.
-        from pqncheck.calculus import koszul_bracket, nijenhuis_d
-        from pqncheck.models import pair_differential_display, pair_self_bracket_display
-        from pqncheck.scalar import exp
-
         pots = {(1, 2): "(exp x)", (1, 3): "(^ x -2)", (2, 3): "(* 2 x)"}
         bundle = pair_potential_model(3, pots)
         chart = bundle.chart
@@ -122,6 +120,20 @@ class TestPairPotential:
         assert koszul_bracket(bundle.poisson, bundle.omega, bundle.omega) == pair_self_bracket_display(
             chart, fields
         )
+
+    def test_displayed_phi_pieces_for_bivariate_potentials(self):
+        # Potentials that depend on q_i and q_j separately: both closed forms
+        # read each partial of V_ij.
+        chart = Chart(3)
+        q1, q2, q3 = chart.q(1), chart.q(2), chart.q(3)
+        fields = {(1, 2): q1 * q2, (2, 3): exp(q2) * q3**2, (1, 3): (q1 - q3) ** -2}
+        terms = {}
+        for (i, j), v in fields.items():
+            terms[chart.q_index(j), chart.q_index(i)] = v
+            terms[chart.p_index(j), chart.p_index(i)] = 1
+        omega = Form(chart, 2, terms)
+        assert koszul_bracket(canonical_poisson(chart), omega, omega) == pair_self_bracket_display(chart, fields)
+        assert nijenhuis_d(canonical_nijenhuis(chart), omega) == pair_differential_display(chart, fields)
 
     @pytest.mark.parametrize(
         "pots, has_primitive",
@@ -246,6 +258,15 @@ class TestTwoParticle:
         fixture = two_particle_fixture()
         bundle = two_particle_model(fixture.v.root)
         assert Tensor11(fixture.chart, fixture.n_hat_matrix) == bundle.tensor
+        assert bundle.omega == fixture.omega
+        assert bundle.expected.phi_closed_form == fixture.d_n_omega + fixture.omega_self_bracket * Fraction(1, 2)
+
+    def test_tiny_drift_is_decided_exactly(self):
+        # The drift 1e-20 passes every float tolerance but is not zero.
+        bundle = two_particle_model("(+ (exp (+ q1 (* -1 q2))) (* 1/100000000000000000000 q1))")
+        assert bundle.expected.involutive_up_to is None
+        assert bundle.expected.non_involutive
+        _verify_bundle(bundle)
 
     def test_difference_potential_marked_involutive(self):
         bundle = two_particle_model("(exp (+ q1 (* -1 q2)))")

@@ -304,6 +304,13 @@ class TestNormalization:
         with pytest.raises(UnsupportedExpressionError):
             exp((chart.q(1)) ** 2)
 
+    def test_negative_power_expands_the_monomials_sum_bases(self):
+        # 1/(q1 + q2) turned into (q1 + q2)^2 by the outer power -2
+        chart = Chart(2)
+        left = parse_prefix("(^ (* q1 (^ (+ q1 q2) -1)) -2)", chart)
+        assert left == parse_prefix("(* (^ (+ q1 q2) 2) (^ q1 -2))", chart)
+        assert left == (chart.q(1) + chart.q(2)) ** 2 / chart.q(1) ** 2
+
     def test_negative_power_of_zero_rejected(self):
         chart = Chart(1)
         with pytest.raises(UnsupportedExpressionError):

@@ -232,9 +232,21 @@ class TestExactVerdicts:
         field = parse_prefix("(^ (+ (exp q1) 1) -1)", chart2)
         entry = _zero_axiom("undecided", [field], ZeroTestConfig())
         assert (entry.passed, entry.mode, entry.samples) == (False, "sampled", 50)
+        # Only the undecided field is sampled, not the exact zero beside it.
+        exact = parse_prefix("(+ (* (+ (^ q1 2) (* -1 (^ q2 2))) (^ (+ q1 q2) -1)) (* -1 q1) q2)", chart2)
+        assert not exact.is_zero_tree
+        assert _zero_axiom("undecided", [exact, field], ZeroTestConfig()) == entry
         # A field proved nonzero decides the entry even beside an undecided one.
         tiny = parse_prefix("(* 1/100000000000000000000 q1)", chart2)
         assert _zero_axiom("both", [field, tiny], ZeroTestConfig()).mode == "exact"
+
+    def test_residual_and_witness_come_from_the_fields_proved_nonzero(self, chart3):
+        # The identity is an exact zero whose float residual, about 1e-15, dwarfs the tiny field's.
+        tiny = parse_prefix("(* 1/100000000000000000000 q1)", chart3)
+        entry = _zero_axiom("x", [tiny, lagrange_identity(chart3)], ZeroTestConfig())
+        assert (entry.passed, entry.mode) == (False, "exact")
+        assert entry.residual < 1e-19
+        assert entry == _zero_axiom("x", [tiny], ZeroTestConfig())
 
     @pytest.mark.parametrize(
         "config",
