@@ -10,9 +10,10 @@ Three commands:
                   tensor, the induced 3-form, and the check report.
 
 Exit codes: 0 when every expected verdict matches, 1 on a mismatch (including
-a non-closed deformation form), 2 on configuration errors.  JSON reports are
-byte-identical for identical configurations; wall-clock timing goes to
-stderr only.
+a non-closed deformation form), 2 on configuration errors (an unmet separation
+guard and a field the exact zero test leaves undecided among them).  JSON
+reports are byte-identical for identical configurations; wall-clock timing
+goes to stderr only.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from . import __version__
 from .errors import (
     ChartMismatchError,
     ConfigError,
+    DegenerateDomainError,
     DegreeError,
     HypothesisViolationError,
     PqnError,
@@ -560,7 +562,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = cmd_involutivity(cfg)
         else:
             code = cmd_deform(cfg)
-    except ConfigError as exc:
+    except (ConfigError, DegenerateDomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PqnError as exc:

@@ -19,9 +19,9 @@ polynomials.  Operators that sum partial derivatives take them only along the
 coordinates a polynomial mentions (``ScalarField.variables``), because every
 other partial is the zero field.  Identities that leave that part (e.g.
 rational-function cancellations against expanded polynomials) are decided by
-exact integer evaluation at seeded random points (``exact_zero``), and by the
-float zero test only when a sum base holds an exp, another sum or a negative
-power of a coordinate.  Expression trees are only the boundary:
+exact integer evaluation at seeded random points (``exact_zero``), which
+reaches every field of the ring up to a degree bound; floats only measure the
+residual of a field it proved nonzero.  Expression trees are only the boundary:
 parsed input is normalized into a polynomial, and the canonical tree is built
 from it for printing and for compiling the field into one float function.
 ``univariate_antiderivative`` integrates on the same polynomial, so no other
@@ -335,15 +335,16 @@ def _exact(value):
 
 
 class _SumBase:
-    """An interned content-normalized sum: its polynomial, canonical tree, tree key and variables."""
+    """An interned content-normalized sum: its polynomial, canonical tree, tree key, variables and exp rate."""
 
-    __slots__ = ("poly", "node", "key", "variables")
+    __slots__ = ("poly", "node", "key", "variables", "rate")
 
     def __init__(self, poly: Polynomial):
         self.poly = poly
         self.node = _poly_to_node(poly)
         self.key = _node_key(self.node)
         self.variables = _variables(poly)
+        self.rate = _rate(poly)
 
 
 _SUM_IDS: dict[frozenset, int] = {}  # a content-normalized polynomial's items -> its sum id
@@ -360,6 +361,12 @@ def _sum_id(monic: Polynomial) -> int:
         _SUMS[candidate] = _SumBase(monic)  # stored before the id can be found, so lookups never miss
         sid = _SUM_IDS.setdefault(key, candidate)  # one id per sum, even when two threads race here
     return sid
+
+
+def _rate(poly: Polynomial) -> int:
+    """The lcm of the denominators of the exp coefficients in a polynomial, its sum bases' included."""
+    rates = {a.denominator for _, affine, _ in poly for _, a in affine}
+    return math.lcm(*rates, *{_SUMS[sid].rate for _, _, sums in poly for sid, _ in sums})
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -391,13 +398,13 @@ def _poly_scale(poly: Polynomial, scale: RationalLike) -> Polynomial:
     return {mono: _exact(coeff * scale) for mono, coeff in poly.items()}
 
 
-def _affine(poly: Polynomial) -> tuple:
-    """The affine form of a polynomial of degree at most one in the coordinates."""
+def _affine(poly: Polynomial, name: Callable[[int], str] | None = None) -> tuple:
+    """The affine form of a polynomial of degree at most one in the coordinates; ``name`` names them in errors."""
     pairs = []
     for (coords, affine, sums), coeff in poly.items():
         if affine or sums or len(coords) > 1 or coords and coords[0][1] != 1:
             raise UnsupportedExpressionError(
-                f"exp argument must be affine in the coordinates, got {to_prefix(_poly_to_node(poly))}"
+                f"exp argument must be affine in the coordinates, got {_render(_poly_to_node(poly), name)}"
             )
         pairs.append((coords[0][0] if coords else _CONSTANT, coeff))
     return tuple(sorted(pairs))
@@ -920,7 +927,7 @@ class ScalarField:
 
     def exp(self) -> "ScalarField":
         """exp of this field; the field must be affine in the coordinates."""
-        return ScalarField._wrap(self.chart, _exp_poly(_affine(self.poly)))
+        return ScalarField._wrap(self.chart, _exp_poly(_affine(self.poly, self.chart.coordinate_name)))
 
 
 def exp(field: ScalarField) -> ScalarField:
@@ -1074,91 +1081,87 @@ def is_zero(field: ScalarField, config: ZeroTestConfig | None = None) -> ZeroVer
 # exact zero testing
 # ---------------------------------------------------------------------------
 
-_EXACT_BITS = 32  # exact points draw each coordinate from M = 2**32 consecutive integers
+_EXACT_BITS = 32  # exact points draw each variable from M = 2**32 consecutive integers
 _EXACT_ERROR_BITS = 64  # a zero verdict is wrong with probability at most 2**-64
 _EXACT_MAX_DEGREE = 1 << 16  # past this degree bound the integers grow past two megabits
+_EXACT_REDRAWS = 4  # a nonzero sum base vanishes at a point with odds <= 2**-16, so 4 in a row is <= 2**-64
 
 
-def _integer_sum_base(sid: int) -> tuple[int, list, int] | None:
-    """A sum base as (scale, integer terms, degree), scale times its polynomial having integer coefficients.
+def _integer_form(poly: Polynomial, rate: int, dim: int, forms: dict) -> tuple:
+    """A polynomial as N / D, integer polynomials in (x, y, t): (groups, shift, floors, scale, deg N, deg D).
 
-    None when the base holds an exp, another sum or a negative power of a coordinate.
+    x_i is variable i; exp(a.x + c) is t^(c rate) prod y_i^(a_i rate), t and
+    y_i being variables dim and dim + 1 + i.  With low and m the most negative
+    exponents of the variables and sum bases S = N_S / D_S, D = scale prod
+    v^-low_v prod N_S^-m_S, and c v^alpha prod S^e_S adds c scale v^(alpha -
+    low) prod N_S^(e_S - m_S) D_S^-e_S to N.  A base enters ``forms`` first.
     """
-    poly = _SUMS[sid].poly
-    if any(affine or sums or any(e < 0 for _, e in coords) for coords, affine, sums in poly):
-        return None
-    scale = math.lcm(*[Fraction(coeff).denominator for coeff in poly.values()])
-    terms = [(int(coeff * scale), coords) for (coords, _, _), coeff in poly.items()]
-    return scale, terms, max(sum(e for _, e in coords) for coords, _, _ in poly)
+    low: dict[int, int] = {}  # variable -> its most negative exponent
+    deep: dict[int, int] = {}  # sum id -> its most negative exponent
+    exps: dict[tuple, tuple] = {(): ()}  # exp argument -> its (variable, exponent) pairs over t and y
+    for coords, affine, sums in poly:
+        if affine not in exps:
+            exps[affine] = tuple([(dim + 1 + i, int(a * rate)) for i, a in affine])
+        for v, e in coords + exps[affine]:
+            if e < low.get(v, 0):
+                low[v] = e
+        for sid, e in sums:
+            if e < deep.get(sid, 0):
+                deep[sid] = e
+            if sid not in forms:
+                forms[sid] = _integer_form(_SUMS[sid].poly, rate, dim, forms)
+    shift = [(v, -e) for v, e in low.items()]
+    common = sum([-m * forms[sid][4] for sid, m in deep.items()])  # deg prod N_S^-m_S
+    cofactor = sum([-m * max(forms[sid][4:]) for sid, m in deep.items()])  # bounds deg prod N_S^(e_S - m_S) D_S^-e_S
+    groups: dict[tuple, list] = {}
+    scale = math.lcm(*[coeff.denominator for coeff in poly.values()])
+    degree = 0
+    for (coords, affine, sums), coeff in poly.items():
+        factors = coords + exps[affine]
+        if shift:
+            exponents = dict(factors)
+            exponents.update([(v, exponents.get(v, 0) + e) for v, e in shift])
+            factors = tuple([(v, e) for v, e in exponents.items() if e])
+        groups.setdefault(sums, []).append((int(coeff * scale), factors))
+        degree = max(degree, sum([e for _, e in factors]))
+    return groups, shift, [(~sid, -m) for sid, m in deep.items()], scale, degree + cofactor, common - sum(low.values())
 
 
 def exact_zero(field: ScalarField, seed: int) -> bool | None:
     """Decide whether a field is zero by exact evaluation at random integer points.
 
-    The monomials are grouped by their exp factor, i.e. by its affine argument,
-    constant included, and the field is zero exactly when each group's rational
-    coefficient is.  Exponentials of affine forms that differ in a coordinate
-    are linearly independent over Q(x); forms that differ only by rational
-    constants c_1..c_m would, at any rational point, give a linear relation
-    over Q between e^c_1..e^c_m, which Lindemann-Weierstrass rules out.
+    With L the lcm of the denominators of every exp coefficient, sum bases
+    included, put y_i = exp(x_i / L) and t = e^(1/L): exp(a.x + c) becomes
+    t^(cL) prod y_i^(a_i L), and the field becomes N / D, integer polynomials
+    in (x, y, t) cleared through sum bases nested to any depth
+    (``_integer_form``).  The y_i are exponentials of Q-linearly independent
+    linear forms, so they are algebraically independent over C(x), and t is
+    transcendental (Hermite-Lindemann): once no sum base is zero, the field
+    is zero exactly when N is.
 
-    Over the common denominator D = prod x_i^a_i prod S^m_S of the field (the
-    largest negative power of each coordinate x_i and sum base S), a group's
-    coefficient is N / D with N = sum c x^(alpha + a) prod S^(m_S - m) a
-    polynomial, evaluated here as one integer sum after scaling every rational
-    coefficient to an integer.  Points are drawn with ``random.Random(seed)``,
-    each coordinate from M = 2**32 consecutive integers, and a point where D
-    vanishes is drawn again.  A nonzero value of any group proves the field
-    nonzero.  A nonzero N vanishes at such a point with probability at most
-    (deg N + deg D) / M (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979;
-    conditioning on D != 0 keeps this bound), both degrees read from the
-    exponents, so k points, the least k with ((deg N + deg D) / M)^k <=
-    2^-64, make a zero verdict wrong with probability at most 2^-64.
-
-    Returns None, undecided, when a sum base holds an exp, another sum or a
-    negative power of a coordinate, or when deg N + deg D exceeds 2**16.
+    Points are drawn with ``random.Random(seed)``, each variable from M =
+    2**32 consecutive integers, and drawn again where the numerator N_S of a
+    sum base vanishes, so a point certifies that no base is zero.  A nonzero
+    value of N proves the field nonzero.  Given G = prod N_S != 0, a nonzero
+    N vanishes at a point with probability at most (deg N + deg G) / M
+    (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979), both degrees bounded
+    from the exponents, so k points, the least k with ((deg N + deg G) /
+    M)^k <= 2^-64, make a zero verdict wrong with probability at most 2^-64.
+    Returns None, undecided, when deg N + deg G exceeds 2**16, or when
+    ``_EXACT_REDRAWS`` draws in a row hit a zero of some N_S, as all do
+    when a sum base is zero as a function.
     """
-    low: dict[int, int] = {}  # coordinate -> its most negative exponent
-    deep: dict[int, int] = {}  # sum id -> its most negative exponent
-    for coords, _, sums in field.poly:
-        for i, e in coords:
-            if e < low.get(i, 0):
-                low[i] = e
-        for sid, e in sums:
-            if e < deep.get(sid, 0):
-                deep[sid] = e
-    bases = {}
-    for sid in deep:
-        bases[sid] = _integer_sum_base(sid)
-        if bases[sid] is None:
-            return None
-    # A factor is (coordinate, exponent), or (~sum id, exponent) for the integer form of a sum base.
-    # Each group maps the sums of its monomials to their (integer coefficient, coordinate factors);
-    # the sums of a monomial pick its cofactor: an integer multiplier and prod S^(m_S - m).
-    scale = math.lcm(*[Fraction(coeff).denominator for coeff in field.poly.values()])
-    groups: dict[tuple, dict[tuple, list]] = {}
-    cofactors: dict[tuple, tuple[int, list, int]] = {}  # with the degree of prod S^(m_S - m)
-    degree = 0
-    for (coords, affine, sums), coeff in field.poly.items():
-        if low:
-            exponents = dict(coords)
-            exponents.update([(i, exponents.get(i, 0) - floor) for i, floor in low.items()])
-            coords = [(i, e) for i, e in exponents.items() if e]
-        cofactor = cofactors.get(sums)
-        if cofactor is None:
-            powers = dict(sums)
-            factors = [(~sid, powers.get(sid, 0) - floor) for sid, floor in deep.items() if powers.get(sid) != floor]
-            multiplier = math.prod([bases[sid][0] ** -e for sid, e in sums])
-            cofactor = cofactors[sums] = multiplier, factors, sum(e * bases[~key][2] for key, e in factors)
-        degree = max(degree, sum(e for _, e in coords) + cofactor[2])
-        groups.setdefault(affine, {}).setdefault(sums, []).append((int(coeff * scale), coords))
-    degree += -sum(low.values()) - sum(floor * bases[sid][2] for sid, floor in deep.items())
+    dim = field.chart.dim
+    forms: dict[int, tuple] = {}  # sum id -> its integer form, each base after the bases inside it
+    top = _integer_form(field.poly, _rate(field.poly), dim, forms)
+    degree = top[4] + sum([form[4] for form in forms.values()])
     if degree > _EXACT_MAX_DEGREE:
         return None
     rounds = 1
     while degree**rounds << _EXACT_ERROR_BITS > 1 << _EXACT_BITS * rounds:
         rounds += 1
-    values: dict[int, int] = {}  # coordinate or ~sum id -> its value at the current point
+    values: dict[int, int] = {}  # variable or ~sum id -> its value (N_S for a sum) at the current point
+    denominators: dict[int, int] = {}  # sum id -> D_S at the current point
     cache: dict[tuple, int] = {}  # factor -> its value at the current point
 
     def product(value: int, factors: list) -> int:
@@ -1169,24 +1172,32 @@ def exact_zero(field: ScalarField, seed: int) -> bool | None:
             value *= power
         return value
 
+    def evaluate(form: tuple) -> tuple[int, int]:
+        groups, shift, floors, scale = form[:4]
+        common = product(1, floors)  # prod N_S^-m_S, which each group's prod N_S^-e_S divides
+        total = 0
+        for sums, terms in groups.items():
+            divisor = product(1, [(~sid, -e) for sid, e in sums])
+            multiplier = math.prod([denominators[sid] ** -e for sid, e in sums])
+            total += common // divisor * multiplier * sum([product(c, factors) for c, factors in terms])
+        return total, scale * product(common, shift)
+
     rng = random.Random(seed)
     half = 1 << _EXACT_BITS - 1
     for _ in range(rounds):
-        while True:
+        for _ in range(_EXACT_REDRAWS):
             cache.clear()
-            values.clear()
-            values.update((i, rng.getrandbits(_EXACT_BITS) - half) for i in range(field.chart.dim))
-            for sid, (_, terms, _) in bases.items():
-                values[~sid] = sum([product(c, coords) for c, coords in terms])
-            if all(values[i] for i in low) and all(values[~sid] for sid in bases):
+            values.update(enumerate([rng.getrandbits(_EXACT_BITS) - half for _ in range(2 * dim + 1)]))
+            for sid, form in forms.items():
+                values[~sid], denominators[sid] = evaluate(form)
+                if not values[~sid]:
+                    break
+            else:
                 break
-        for by_sums in groups.values():
-            total = 0
-            for sums, terms in by_sums.items():
-                multiplier, factors, _ = cofactors[sums]
-                total += product(multiplier, factors) * sum([product(c, coords) for c, coords in terms])
-            if total:
-                return False
+        else:
+            return None
+        if evaluate(top)[0]:
+            return False
     return True
 
 
@@ -1202,9 +1213,12 @@ _COORD_RE = re.compile(r"^([qp])(\d+)$")
 
 def to_prefix(node: Node, chart: Chart | None = None) -> str:
     """Render a node in the prefix grammar; without a chart, coordinates print as x<i>."""
+    return _render(node, chart.coordinate_name if chart is not None else None)
 
-    def name(index: int) -> str:
-        return chart.coordinate_name(index) if chart is not None else f"x{index + 1}"
+
+def _render(node: Node, name: Callable[[int], str] | None) -> str:
+    """Render a node in the prefix grammar, naming coordinate i ``name(i)``, or x<i + 1> without ``name``."""
+    name = name or (lambda index: f"x{index + 1}")
 
     def render(n: Node) -> str:
         if isinstance(n, Const):
@@ -1234,6 +1248,7 @@ def parse_prefix_tree(text: str, resolve: Callable[[str], Node]) -> Node:
     if not tokens:
         raise UnsupportedExpressionError("empty expression")
     pos = 0
+    names: dict[int, str] = {}  # coordinate index -> the token it was written as
 
     def parse() -> Node:
         nonlocal pos
@@ -1246,7 +1261,10 @@ def parse_prefix_tree(text: str, resolve: Callable[[str], Node]) -> Node:
         if token != "(":
             if _RATIONAL_RE.match(token):
                 return Const(Fraction(token))
-            return resolve(token)
+            node = resolve(token)
+            if isinstance(node, Coord):
+                names[node.index] = token
+            return node
         if pos >= len(tokens):
             raise UnsupportedExpressionError(f"unterminated '(' in {text!r}")
         op = tokens[pos]
@@ -1268,6 +1286,8 @@ def parse_prefix_tree(text: str, resolve: Callable[[str], Node]) -> Node:
         if op == "exp":
             if len(args) != 1:
                 raise UnsupportedExpressionError("(exp a) takes exactly one argument")
+            # Checked here, where the coordinates' names as written are known.
+            _affine(_poly(args[0]), lambda index: names.get(index, f"x{index + 1}"))
             return Exp(args[0])
         raise UnsupportedExpressionError(f"unknown operator {op!r}")
 

@@ -3,11 +3,12 @@
 A geometric structure is a chart together with a Poisson candidate, a (1,1)
 tensor, and a 3-form controlling its torsion (the zero form for torsionless
 candidates).  Checkers return :class:`CheckReport` objects: one entry per
-axiom, verified structurally ("symbolic": the normalized difference is the
-zero polynomial), by exact integer evaluation at seeded points ("exact", see
-:func:`pqncheck.scalar.exact_zero`), or, for fields out of its reach, by
-floats ("sampled": residuals at seeded sample points stay below tolerance).
-Reports are deterministic given the seed.
+axiom, decided structurally ("symbolic": the normalized difference is the
+zero polynomial) or by exact integer evaluation at seeded points ("exact",
+see :func:`pqncheck.scalar.exact_zero`); floats only supply the residual and
+witness of a field proved nonzero.  A field the exact test cannot decide
+ends the check with :class:`pqncheck.errors.ConfigError`.  Reports are
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .calculus import (
     nijenhuis_torsion,
     poisson_bracket,
 )
-from .errors import ChartMismatchError, HypothesisViolationError
+from .errors import ChartMismatchError, ConfigError, HypothesisViolationError
 from .exterior import (
     Bivector,
     Form,
@@ -39,7 +40,7 @@ from .exterior import (
     tensor_interior,
 )
 from .randgen import random_scalar_field
-from .scalar import Chart, Point, Record, ScalarField, ZeroTestConfig, ZeroVerdict, exact_zero, is_zero
+from .scalar import Chart, Point, Record, ScalarField, ZeroTestConfig, exact_zero, is_zero
 
 
 class GeometricStructure(Record):
@@ -68,7 +69,7 @@ class AxiomCheck(Record):
         self,
         axiom: str,
         passed: bool,
-        mode: str,  # "symbolic" | "exact" | "sampled"
+        mode: str,  # "symbolic" | "exact"
         residual: float,
         witness: Point | None,
         samples: int,
@@ -123,36 +124,26 @@ def _zero_axiom(
     config: ZeroTestConfig,
     detail: str | None = None,
 ) -> AxiomCheck:
-    """Check that every field is zero: structurally, else exactly, else by sampling.
+    """Check that every field is zero: structurally, else exactly.
 
     Every zero verdict of a report entry or involutivity cell is made here.
     Fields that are not the zero polynomial go to :func:`exact_zero`, every
     one of them.  When it proves every one zero the verdict is ``exact`` with
     no residual; when it proves some nonzero the verdict fails as ``exact``,
-    with the residual and witness of the sampled loop below over those fields
-    only; when it cannot decide some field, and proves none nonzero, the
-    verdict is ``sampled`` over the undecided fields.  A sampled loop reports
-    the worst field: a failing one before any passing one, then the largest
-    residual, with that field's witness.
+    with the residual and witness of the float samples of those fields only.
+    A field it leaves undecided raises :class:`ConfigError`.
     """
     pending: list[ScalarField] = [f for f in fields if not f.is_zero_tree]
     if not pending:
         return AxiomCheck(axiom, True, "symbolic", 0.0, None, 0, detail)
     exact = [exact_zero(f, config.seed) for f in pending]  # True, False or None (undecided)
+    if None in exact:
+        raise ConfigError(f"{axiom}: undecided by the exact zero test (degree bound past 2**16, or a zero sum base)")
     if all(exact):
         return AxiomCheck(axiom, True, "exact", 0.0, None, 0, detail)
-    proved = [f for f, zero in zip(pending, exact) if zero is False]
-    passed = not proved
-    worst = ZeroVerdict(True, -1.0, None, 0)
-    for f in proved or [f for f, zero in zip(pending, exact) if zero is None]:
-        verdict = is_zero(f, config)
-        passed = passed and verdict.is_zero
-        if (not verdict.is_zero and worst.is_zero) or (
-            verdict.is_zero == worst.is_zero and verdict.residual > worst.residual
-        ):
-            worst = verdict
-    mode = "exact" if proved else "sampled"
-    return AxiomCheck(axiom, passed, mode, max(worst.residual, 0.0), worst.witness, config.sample_count, detail)
+    verdicts = [is_zero(f, config) for f, zero in zip(pending, exact) if not zero]
+    worst = max(verdicts, key=lambda verdict: (not verdict.is_zero, verdict.residual))
+    return AxiomCheck(axiom, False, "exact", worst.residual, worst.witness, config.sample_count, detail)
 
 
 def _vector_components(vectors: Iterable[VectorField]) -> list[ScalarField]:

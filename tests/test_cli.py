@@ -217,6 +217,16 @@ class TestInvolutivityCommand:
         cell = strict_json(capsys.readouterr().out)["matrix"]["cells"]["1,2"]
         assert (cell["zero"], cell["mode"]) == (False, "exact")
 
+    def test_exp_in_a_base_is_decided_exactly(self, capsys):
+        # The drift and the bracket both hold 1e-20 (exp(q1) + 1)^-1 terms, which sampling called zero.
+        v = "(+ (exp (+ q1 (* -1 q2))) (* 1/100000000000000000000 (^ (+ (exp q1) 1) -1)))"
+        assert run_cli("involutivity", "--model", "two-particle", "--v", v, "--kmax", "2", "--format", "json") == 0
+        report = strict_json(capsys.readouterr().out)
+        cell = report["matrix"]["cells"]["1,2"]
+        assert (cell["zero"], cell["mode"]) == (False, "exact")
+        (entry,) = [e for e in report["entries"] if e["axiom"] == "non-involutivity-witnessed"]
+        assert (entry["verdict"], entry["mode"]) == ("pass", "exact")
+
     def test_kmax_guard(self, capsys):
         assert run_cli("involutivity", "--model", "canonical", "--n", "2", "--kmax", "9") == 2
         assert "guard" in capsys.readouterr().err
@@ -340,6 +350,10 @@ def _omega_form(degree, terms) -> dict:
     return {"omega_form": {"degree": degree, "terms": [{"indices": i, "coeff": c} for i, c in terms]}}
 
 
+# The inverse of exp(q1)/(exp(q1)+1) + 1/(exp(q1)+1) - 1, a sum that is zero but not in canonical form.
+ZERO_AS_A_FUNCTION_BASE = "(^ (+ (* (exp q1) (^ (+ (exp q1) 1) -1)) (^ (+ (exp q1) 1) -1) -1) -1)"
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv",
@@ -366,6 +380,8 @@ class TestBadInput:
             ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--config", {"box_halfwidth": "inf"}),
             ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--config", {"box_halfwidth": "nan"}),
             ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--config", {"separation": "nan"}),
+            ("involutivity", "--config", {"model": "calogero", "n": 4, "kmax": 4, "separation": 10}),
+            ("check", "--model", "two-particle", "--v", "(+ (^ (+ q1 1) -70000) (^ (+ q2 1) -70000))"),
         ],
     )
     def test_rejected_value_is_a_one_line_config_error(self, argv, tmp_path, capsys):
@@ -383,6 +399,7 @@ class TestBadInput:
             ("check", "--model", "two-particle", "--v", "(^ q1"),
             ("check", "--model", "two-particle", "--v", "q3"),
             ("check", "--model", "two-particle", "--v", "(^ (+ q1 (* -1 q1)) -1)"),
+            ("check", "--model", "two-particle", "--v", ZERO_AS_A_FUNCTION_BASE),
             ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": {"1,2": "(exp (* x x))"}}),
             ("deform", "--n", "2", "--config", _omega_form(2, [([1, 9], "1")])),
             ("deform", "--n", "2", "--config", _omega_form(2, [([0, 1], "1")])),
@@ -401,6 +418,23 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            (("check", "--model", "two-particle", "--v", "(exp (* q1 p2))"), "(* q1 p2)"),
+            (("deform", "--n", "1", "--config", _omega_form(2, [([1, 2], "(exp (* q1 p1))")])), "(* q1 p1)"),
+            (
+                ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": {"1,2": "(exp (exp x))"}}),
+                "(exp x)",
+            ),
+        ],
+        ids=["v", "omega-form", "potential"],
+    )
+    def test_non_affine_exp_names_coordinates_as_written(self, argv, written, tmp_path, capsys):
+        assert run_cli(*config_args(argv, tmp_path)) == 2
+        assert capsys.readouterr().err.endswith(f"exp argument must be affine in the coordinates, got {written}\n")
 
 
 class TestStrictJson:

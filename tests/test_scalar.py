@@ -14,6 +14,7 @@ from pqncheck.errors import (
     EvaluationOverflowError,
     UnsupportedExpressionError,
 )
+from pqncheck import scalar
 from pqncheck.scalar import (
     Chart,
     Const,
@@ -299,7 +300,7 @@ class TestNormalization:
 
     def test_exp_argument_must_be_affine(self):
         chart = Chart(1)
-        with pytest.raises(UnsupportedExpressionError):
+        with pytest.raises(UnsupportedExpressionError, match=r"got \(\* q1 p1\)$"):
             exp(chart.q(1) * chart.p(1))
         with pytest.raises(UnsupportedExpressionError):
             exp((chart.q(1)) ** 2)
@@ -669,15 +670,53 @@ class TestExactZero:
         assert exact_zero(cancelled + TINY * q2, 7) is False
 
     @pytest.mark.parametrize(
-        "text",
-        ["(^ (+ (exp q1) 1) -1)", "(^ (+ (^ (+ q1 q2) -1) 1) -1)", "(^ (+ (^ q1 -1) q2) -1)"],
+        "base",
+        ["(+ (exp q1) 1)", "(+ (^ (+ q1 q2) -1) 1)", "(+ (^ q1 -1) q2)"],
         ids=["exp-in-base", "nested-sum", "negative-power-in-base"],
     )
-    def test_bases_out_of_reach_are_undecided(self, text):
-        assert exact_zero(parse_prefix(text, Chart(2)), 7) is None
+    def test_bases_once_out_of_reach_are_decided(self, base):
+        base = parse_prefix(base, Chart(2))
+        assert exact_zero(base**-1, 7) is False
+        cancelled = base**-1 * base - 1
+        assert not cancelled.is_zero_tree
+        assert exact_zero(cancelled, 7) is True
+        assert exact_zero(cancelled + TINY * Chart(2).q(1), 7) is False
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(+ (* (exp q1) (^ (+ (exp q1) 1) -1)) (^ (+ (exp q1) 1) -1) -1)",
+            "(+ (^ (+ 1 (^ (+ q1 1) -1)) -1) (* -1 (+ q1 1) (^ (+ q1 2) -1)))",
+            "(+ (^ (+ (^ q1 -1) 1) -1) (* -1 q1 (^ (+ q1 1) -1)))",
+            "(+ (^ (+ 1 (^ (+ (exp q1) 1) -1)) -1) (* -1 (+ (exp q1) 1) (^ (+ (exp q1) 2) -1)))",
+            "(+ (^ (exp (* 1/2 q1)) 2) (* -1 (exp q1)))",
+            "(+ (* (exp (* 1/2 q1)) (^ (+ (exp (* 1/2 q1)) 1) -1)) (^ (+ (exp (* 1/2 q1)) 1) -1) -1)",
+        ],
+        ids=["logistic", "nested-sum", "negative-power-in-base", "exp-in-nested-sum", "half-rate", "half-rate-base"],
+    )
+    def test_identities_across_the_ring(self, text):
+        chart = Chart(1)
+        field = parse_prefix(text, chart)
+        assert exact_zero(field, 7) is True
+        assert exact_zero(field + TINY * chart.q(1), 7) is False
 
     def test_huge_degree_is_undecided(self):
         assert exact_zero(parse_prefix("(+ (^ q1 100000) 1)", Chart(1)), 7) is None
+        assert exact_zero(parse_prefix("(+ (^ (+ q1 1) -70000) (^ (+ q2 1) -70000))", Chart(2)), 7) is None
+
+    def test_base_zero_as_a_function_is_undecided_after_bounded_redraws(self, monkeypatch):
+        chart = Chart(1)
+        zero = parse_prefix("(+ (* (exp q1) (^ (+ (exp q1) 1) -1)) (^ (+ (exp q1) 1) -1) -1)", chart)
+        draws = []
+        original = random.Random.getrandbits
+
+        def counted(self, bits):
+            draws.append(bits)
+            return original(self, bits)
+
+        monkeypatch.setattr(random.Random, "getrandbits", counted)
+        assert exact_zero(zero**-1, 7) is None
+        assert len(draws) == scalar._EXACT_REDRAWS * (2 * chart.dim + 1)
 
 
 class TestPrefixGrammar:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pqncheck.calculus import cartan_d, koszul_bracket
-from pqncheck.errors import HypothesisViolationError
+from pqncheck.errors import ConfigError, HypothesisViolationError
 from pqncheck.exterior import Bivector, Form, Tensor11
 from pqncheck.models import (
     CALOGERO_ZERO_TEST,
@@ -228,17 +228,34 @@ class TestExactVerdicts:
         entry = _zero_axiom("exp", [identity * chart.q(1).exp()], ZeroTestConfig())
         assert (entry.passed, entry.mode) == (True, "exact")
 
-    def test_undecided_field_is_sampled(self, chart2):
+    def test_field_with_an_exp_in_a_base_is_exact(self, chart2):
         field = parse_prefix("(^ (+ (exp q1) 1) -1)", chart2)
-        entry = _zero_axiom("undecided", [field], ZeroTestConfig())
-        assert (entry.passed, entry.mode, entry.samples) == (False, "sampled", 50)
-        # Only the undecided field is sampled, not the exact zero beside it.
+        entry = _zero_axiom("exp-base", [field], ZeroTestConfig())
+        assert (entry.passed, entry.mode, entry.samples) == (False, "exact", 50)
+        # Only the field proved nonzero is sampled, not the exact zero beside it.
         exact = parse_prefix("(+ (* (+ (^ q1 2) (* -1 (^ q2 2))) (^ (+ q1 q2) -1)) (* -1 q1) q2)", chart2)
         assert not exact.is_zero_tree
-        assert _zero_axiom("undecided", [exact, field], ZeroTestConfig()) == entry
-        # A field proved nonzero decides the entry even beside an undecided one.
-        tiny = parse_prefix("(* 1/100000000000000000000 q1)", chart2)
-        assert _zero_axiom("both", [field, tiny], ZeroTestConfig()).mode == "exact"
+        assert _zero_axiom("exp-base", [exact, field], ZeroTestConfig()) == entry
+
+    def test_perturbed_logistic_identity_fails_as_exact(self, chart2):
+        # Its float residual, about 1e-16, passed the sampled test.
+        logistic = "(+ (* (exp q1) (^ (+ (exp q1) 1) -1)) (^ (+ (exp q1) 1) -1) -1)"
+        assert _zero_axiom("logistic", [parse_prefix(logistic, chart2)], ZeroTestConfig()).mode == "exact"
+        perturbed = parse_prefix(f"(+ {logistic} (* 1/100000000000000000000 q1))", chart2)
+        entry = _zero_axiom("logistic", [perturbed], ZeroTestConfig())
+        assert (entry.passed, entry.mode) == (False, "exact")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(+ (^ (+ q1 1) -70000) (^ (+ q2 1) -70000))",
+            "(^ (+ (* (exp q1) (^ (+ (exp q1) 1) -1)) (^ (+ (exp q1) 1) -1) -1) -1)",
+        ],
+        ids=["degree-bound", "base-zero-as-a-function"],
+    )
+    def test_undecided_field_is_a_config_error(self, chart2, text):
+        with pytest.raises(ConfigError, match="^field: undecided by the exact zero test"):
+            _zero_axiom("field", [parse_prefix(text, chart2)], ZeroTestConfig())
 
     def test_residual_and_witness_come_from_the_fields_proved_nonzero(self, chart3):
         # The identity is an exact zero whose float residual, about 1e-15, dwarfs the tiny field's.
