@@ -1172,7 +1172,7 @@ def exact_zero(field: ScalarField, seed: int) -> bool | None:
             value *= power
         return value
 
-    def evaluate(form: tuple) -> tuple[int, int]:
+    def fraction(form: tuple) -> tuple[int, int]:
         groups, shift, floors, scale = form[:4]
         common = product(1, floors)  # prod N_S^-m_S, which each group's prod N_S^-e_S divides
         total = 0
@@ -1189,14 +1189,14 @@ def exact_zero(field: ScalarField, seed: int) -> bool | None:
             cache.clear()
             values.update(enumerate([rng.getrandbits(_EXACT_BITS) - half for _ in range(2 * dim + 1)]))
             for sid, form in forms.items():
-                values[~sid], denominators[sid] = evaluate(form)
+                values[~sid], denominators[sid] = fraction(form)
                 if not values[~sid]:
                     break
             else:
                 break
         else:
             return None
-        if evaluate(top)[0]:
+        if fraction(top)[0]:
             return False
     return True
 
