@@ -139,6 +139,8 @@ def _parse_fractions(raw: str | list) -> list[Fraction]:
         return [Fraction(part) for part in parts]
     except ValueError as exc:
         raise ConfigError(f"cannot parse coupling list {raw!r}: {exc}") from exc
+    except ZeroDivisionError as exc:
+        raise ConfigError(f"coupling list {raw!r} has a zero denominator") from exc
 
 
 def _load_config_file(path: str) -> dict:

@@ -382,6 +382,8 @@ class TestBadInput:
             ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--config", {"separation": "nan"}),
             ("involutivity", "--config", {"model": "calogero", "n": 4, "kmax": 4, "separation": 10}),
             ("check", "--model", "two-particle", "--v", "(+ (^ (+ q1 1) -70000) (^ (+ q2 1) -70000))"),
+            ("check", "--model", "closed-toda", "--n", "3", "--f", "1/0,1,1"),
+            ("check", "--model", "closed-toda", "--n", "3", "--config", {"f": ["1/0", 1, 1]}),
         ],
     )
     def test_rejected_value_is_a_one_line_config_error(self, argv, tmp_path, capsys):
@@ -410,6 +412,10 @@ class TestBadInput:
             ("deform", "--n", "2", "--config", _omega_form(2, [([1.7, 3], "1")])),
             ("deform", "--n", "2", "--config", _omega_form(2, [([True, 3], "1")])),
             ("deform", "--n", "2", "--config", _omega_form(2.9, [([1, 3], "1")])),
+            ("check", "--model", "two-particle", "--v", "1/0"),
+            ("check", "--model", "two-particle", "--v", "(exp 1/0)"),
+            ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": {"1,2": "(* 1/0 x)"}}),
+            ("deform", "--n", "2", "--config", _omega_form(2, [([1, 3], "1/0")])),
         ],
     )
     def test_malformed_expression_is_a_one_line_config_error(self, argv, tmp_path, capsys):

@@ -62,8 +62,8 @@ def test_pickle_carries_no_process_local_sum_ids():
 
 
 def test_ring_operations_never_build_tree_keys(monkeypatch):
-    # Tree keys order printed and compiled trees only.  An involutivity matrix
-    # of closed Toda is decided symbolically, so it prints and compiles nothing.
+    # Tree keys order printed trees only.  An involutivity matrix
+    # of closed Toda is decided symbolically, so it prints and evaluates nothing.
     bundle = closed_toda(4)
     calls = []
     key = scalar._node_key

@@ -343,7 +343,7 @@ def _eval_raw(tree, values):
     raise TypeError(tree)
 
 
-# The tree walk the compiled evaluator replaced, kept as its reference.
+# A node-by-node walk of the canonical tree: the reference for evaluation from the polynomial.
 def _eval_node(node, values):
     if isinstance(node, Const):
         return float(node.value)
@@ -400,13 +400,13 @@ def _outcome(compute, field, values, failures):
 
 
 def _assert_matches_tree_walk(field, values) -> bool:
-    """Compiled and tree-walk results agree bit for bit, or both fail; True when they fail."""
+    """Evaluation and the tree walk agree bit for bit, or both fail; True when they fail."""
     outcomes = []
-    for compiled, reference in ((ScalarField.evaluate, _reference_evaluate), (ScalarField.term_scale, _reference_term_scale)):
-        # The tree walk leaks raw fsum and float-conversion errors; the compiled
-        # evaluator must turn every float failure into EvaluationOverflowError.
+    for computed, reference in ((ScalarField.evaluate, _reference_evaluate), (ScalarField.term_scale, _reference_term_scale)):
+        # The tree walk leaks raw fsum and float-conversion errors; evaluation
+        # from the polynomial must turn every float failure into EvaluationOverflowError.
         expected = _outcome(reference, field, values, (EvaluationOverflowError, OverflowError, ValueError))
-        assert _outcome(compiled, field, values, EvaluationOverflowError) == expected, (field, values)
+        assert _outcome(computed, field, values, EvaluationOverflowError) == expected, (field, values)
         outcomes.append(expected)
     return outcomes[0] == _FAILED
 
@@ -424,6 +424,31 @@ _points = st.lists(st.floats(-3, 3), min_size=_DIM, max_size=_DIM)
 _huge_points = st.lists(st.sampled_from([-1.7e308, -1e200, 1e150, 1e200, 1.7e308]), min_size=_DIM, max_size=_DIM)
 
 
+def _plain_loop_verdict(field, points, tolerance, evaluate, term_scale) -> ZeroVerdict:
+    """The zero test's verdict from every sample's ``evaluate(field, point)`` and term scale, none skipped."""
+    scored = [
+        (abs(evaluate(field, p)) / (tolerance * (1.0 + term_scale(field, p))), abs(evaluate(field, p)), p)
+        for p in points
+    ]
+    worst = (-1.0, 0.0, None)
+    for ratio, value, point in scored:
+        if ratio > worst[0]:
+            worst = (ratio, value, point)
+    return ZeroVerdict(all(ratio <= 1.0 for ratio, _, _ in scored), worst[1], worst[2], len(points))
+
+
+@pytest.fixture(scope="module")
+def calogero4_nonzero_brackets():
+    """The brackets {H2, H4} and {H3, H4} of Calogero n=4, the two that are nonzero."""
+    from pqncheck.calculus import poisson_bracket
+    from pqncheck.models import calogero
+    from pqncheck.structures import trace_invariants
+
+    bundle = calogero(4)
+    h = trace_invariants(bundle.tensor, 4)
+    return [poisson_bracket(bundle.poisson, h[1], h[3]), poisson_bracket(bundle.poisson, h[2], h[3])]
+
+
 def _model_fields():
     from pqncheck.calculus import poisson_bracket
     from pqncheck.models import calogero, closed_toda
@@ -436,7 +461,7 @@ def _model_fields():
     return [*invariants, *brackets, *trace_invariants(toda.tensor, 3)]
 
 
-class TestCompiledEvaluation:
+class TestPolynomialEvaluation:
     @given(_fields(), _points)
     @settings(max_examples=300, deadline=None)
     def test_matches_tree_walk_bit_for_bit(self, field, point):
@@ -474,6 +499,33 @@ class TestCompiledEvaluation:
         field = -Chart(1).q(1)
         assert struct.pack("<d", field.evaluate([0.0, 1.0])) == struct.pack("<d", -0.0)
         _assert_matches_tree_walk(field, [0.0, 1.0])
+
+    def test_builds_no_tree(self, calogero4_nonzero_brackets, monkeypatch):
+        from pqncheck.models import CALOGERO_ZERO_TEST
+
+        point = [0.3, -1.1, 0.7, 1.9, 0.2, -0.4, 1.3, -0.8]
+        expected = [
+            (_reference_evaluate(f, point), _reference_term_scale(f, point), is_zero(f, CALOGERO_ZERO_TEST))
+            for f in calogero4_nonzero_brackets
+        ]
+        fresh = [f + 0 for f in calogero4_nonzero_brackets]  # equal fields with nothing cached on them
+
+        def refuse(poly):
+            raise AssertionError("evaluation built a canonical tree")
+
+        monkeypatch.setattr(scalar, "_term_nodes", refuse)
+        assert [(f.evaluate(point), f.term_scale(point), is_zero(f, CALOGERO_ZERO_TEST)) for f in fresh] == expected
+
+    def test_nonzero_model_brackets_match_the_tree_walk_verdict(self, calogero4_nonzero_brackets):
+        from pqncheck.models import CALOGERO_ZERO_TEST
+
+        points = sample_points(Chart(4), CALOGERO_ZERO_TEST)
+        for field in calogero4_nonzero_brackets:
+            expected = _plain_loop_verdict(
+                field, points, CALOGERO_ZERO_TEST.tolerance, _reference_evaluate, _reference_term_scale
+            )
+            assert not expected.is_zero
+            assert is_zero(field, CALOGERO_ZERO_TEST) == expected
 
 
 class TestZeroTest:
@@ -570,17 +622,9 @@ class TestZeroTest:
         cfg = ZeroTestConfig(sample_count=count, tolerance=tolerance, seed=seed)
         points = sample_points(chart, cfg)
         try:
-            scored = [
-                (abs(field.evaluate(p)) / (tolerance * (1.0 + field.term_scale(p))), abs(field.evaluate(p)), p)
-                for p in points
-            ]
+            expected = _plain_loop_verdict(field, points, tolerance, ScalarField.evaluate, ScalarField.term_scale)
         except EvaluationOverflowError:
             assume(False)
-        worst = (-1.0, 0.0, None)
-        for ratio, value, point in scored:
-            if ratio > worst[0]:
-                worst = (ratio, value, point)
-        expected = ZeroVerdict(all(ratio <= 1.0 for ratio, _, _ in scored), worst[1], worst[2], len(points))
         assert is_zero(field, cfg) == expected
 
     def test_degenerate_domain_uses_the_whole_budget(self):

@@ -250,8 +250,10 @@ class TestExactVerdicts:
         [
             "(+ (^ (+ q1 1) -70000) (^ (+ q2 1) -70000))",
             "(^ (+ (* (exp q1) (^ (+ (exp q1) 1) -1)) (^ (+ (exp q1) 1) -1) -1) -1)",
+            # L = 100000 puts exp(q1) at degree 100000 in y1 = exp(q1 / L).
+            "(+ (exp (* 1/100000 q1)) (exp q1))",
         ],
-        ids=["degree-bound", "base-zero-as-a-function"],
+        ids=["degree-bound", "base-zero-as-a-function", "exp-denominator-lcm"],
     )
     def test_undecided_field_is_a_config_error(self, chart2, text):
         with pytest.raises(ConfigError, match="^field: undecided by the exact zero test"):
