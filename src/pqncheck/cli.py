@@ -10,8 +10,8 @@ Three commands:
                   tensor, the induced 3-form, and the check report.
 
 Exit codes: 0 when every expected verdict matches, 1 on a mismatch (including
-a non-closed deformation form), 2 on configuration errors (an unmet separation
-guard and a field the exact zero test leaves undecided among them).  JSON
+a non-closed deformation form), 2 on configuration errors (malformed flags and
+a field the exact zero test leaves undecided among them).  JSON
 reports are byte-identical for identical configurations; wall-clock timing
 goes to stderr only.
 """
@@ -31,7 +31,6 @@ from . import __version__
 from .errors import (
     ChartMismatchError,
     ConfigError,
-    DegenerateDomainError,
     DegreeError,
     HypothesisViolationError,
     PqnError,
@@ -525,8 +524,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file; flags override its keys")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors, so they print on one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pqncheck",
         description="Check Poisson-Nijenhuis and Poisson quasi-Nijenhuis structures.",
     )
@@ -550,13 +556,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 2
     start = time.monotonic()
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _merge_config(args.command, args)
         if args.command == "check":
             code = cmd_check(cfg)
@@ -564,7 +566,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             code = cmd_involutivity(cfg)
         else:
             code = cmd_deform(cfg)
-    except (ConfigError, DegenerateDomainError) as exc:
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code or 0)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PqnError as exc:

@@ -5,9 +5,10 @@ tensor, and a 3-form controlling its torsion (the zero form for torsionless
 candidates).  Checkers return :class:`CheckReport` objects: one entry per
 axiom, decided structurally ("symbolic": the normalized difference is the
 zero polynomial) or by exact integer evaluation at seeded points ("exact",
-see :func:`pqncheck.scalar.exact_zero`); floats only supply the residual and
-witness of a field proved nonzero.  A field the exact test cannot decide
-ends the check with :class:`pqncheck.errors.ConfigError`.  Reports are
+see :func:`pqncheck.scalar.exact_zero`).  A failing entry's witness is a
+whole-number point where that test's integer form proves a field nonzero,
+and its residual |value| there.  A field the exact test cannot decide ends
+the check with :class:`pqncheck.errors.ConfigError`.  Reports are
 deterministic given the seed.
 """
 
@@ -40,7 +41,7 @@ from .exterior import (
     tensor_interior,
 )
 from .randgen import random_scalar_field
-from .scalar import Chart, Point, Record, ScalarField, ZeroTestConfig, exact_zero, is_zero
+from .scalar import Chart, Point, Record, ScalarField, ZeroTestConfig, _exact_witness, exact_zero
 
 
 class GeometricStructure(Record):
@@ -61,7 +62,11 @@ class GeometricStructure(Record):
 
 
 class AxiomCheck(Record):
-    """Verdict for one axiom: how it was decided and the worst residual seen."""
+    """Verdict for one axiom: how it was decided and, if it fails, a whole-number witness point.
+
+    A failing verdict's residual is |value| at the witness, and ``samples`` counts the points
+    tried; with no witness within ``sample_count`` points, the residual is 0.0.
+    """
 
     __slots__ = _fields = ("axiom", "passed", "mode", "residual", "witness", "samples", "detail")
 
@@ -118,32 +123,38 @@ class CheckReport(Record):
         }
 
 
+def _nonzero_fields(axiom: str, fields: Iterable[ScalarField], seed: int) -> tuple[str, list[ScalarField]]:
+    """The decision of a zero verdict, with no float evaluation: its mode and the fields proved nonzero.
+
+    Fields are ``symbolic`` zeros, else go to :func:`exact_zero`; one it leaves undecided raises ConfigError.
+    """
+    pending: list[ScalarField] = [f for f in fields if not f.is_zero_tree]
+    if not pending:
+        return "symbolic", []
+    exact = [exact_zero(f, seed) for f in pending]  # True, False or None (undecided)
+    if None in exact:
+        raise ConfigError(f"{axiom}: undecided by the exact zero test (degree bound past 2**16, or a zero sum base)")
+    return "exact", [f for f, zero in zip(pending, exact) if not zero]
+
+
 def _zero_axiom(
     axiom: str,
     fields: Iterable[ScalarField],
     config: ZeroTestConfig,
     detail: str | None = None,
 ) -> AxiomCheck:
-    """Check that every field is zero: structurally, else exactly.
+    """Check that every field is zero: structurally, else exactly (:func:`_nonzero_fields`).
 
-    Every zero verdict of a report entry or involutivity cell is made here.
-    Fields that are not the zero polynomial go to :func:`exact_zero`, every
-    one of them.  When it proves every one zero the verdict is ``exact`` with
-    no residual; when it proves some nonzero the verdict fails as ``exact``,
-    with the residual and witness of the float samples of those fields only.
-    A field it leaves undecided raises :class:`ConfigError`.
+    Every zero verdict of a report entry or involutivity cell is made here.  A
+    failing verdict is witnessed on each field proved nonzero by the exact
+    test's own integer form (``scalar._exact_witness``), and takes residual,
+    witness and points tried from the field with the largest residual.
     """
-    pending: list[ScalarField] = [f for f in fields if not f.is_zero_tree]
-    if not pending:
-        return AxiomCheck(axiom, True, "symbolic", 0.0, None, 0, detail)
-    exact = [exact_zero(f, config.seed) for f in pending]  # True, False or None (undecided)
-    if None in exact:
-        raise ConfigError(f"{axiom}: undecided by the exact zero test (degree bound past 2**16, or a zero sum base)")
-    if all(exact):
-        return AxiomCheck(axiom, True, "exact", 0.0, None, 0, detail)
-    verdicts = [is_zero(f, config) for f, zero in zip(pending, exact) if not zero]
-    worst = max(verdicts, key=lambda verdict: (not verdict.is_zero, verdict.residual))
-    return AxiomCheck(axiom, False, "exact", worst.residual, worst.witness, config.sample_count, detail)
+    mode, nonzero = _nonzero_fields(axiom, fields, config.seed)
+    if not nonzero:
+        return AxiomCheck(axiom, True, mode, 0.0, None, 0, detail)
+    residual, witness, samples = max((_exact_witness(f, config) for f in nonzero), key=lambda found: found[0])
+    return AxiomCheck(axiom, False, mode, residual, witness, samples, detail)
 
 
 def _vector_components(vectors: Iterable[VectorField]) -> list[ScalarField]:
@@ -379,8 +390,7 @@ def deform(
         raise ChartMismatchError("deformation inputs live on different charts")
     closed_entry = _require_closed(omega, cfg)
     n_hat, phi = _deformation(pi, tensor, omega)
-    phi_entry = _zero_axiom("phi-vanishes", _form_components([phi]), cfg)
-    classification = "PN" if phi_entry.passed else "PqN"
+    classification = "PqN" if _nonzero_fields("phi-vanishes", _form_components([phi]), cfg.seed)[1] else "PN"
     pqn_report = check_pqn(GeometricStructure(pi.chart, pi, n_hat, phi), cfg)
     report = CheckReport(
         "deform",

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pqncheck import scalar
 from pqncheck.cli import main, parse_form, serialize_form, serialize_tensor
 from pqncheck.models import closed_toda
 from pqncheck.scalar import Chart
@@ -380,10 +381,12 @@ class TestBadInput:
             ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--config", {"box_halfwidth": "inf"}),
             ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--config", {"box_halfwidth": "nan"}),
             ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--config", {"separation": "nan"}),
-            ("involutivity", "--config", {"model": "calogero", "n": 4, "kmax": 4, "separation": 10}),
+            ("check", "--model", "closed-toda", "--n", "x"),
             ("check", "--model", "two-particle", "--v", "(+ (^ (+ q1 1) -70000) (^ (+ q2 1) -70000))"),
             ("check", "--model", "closed-toda", "--n", "3", "--f", "1/0,1,1"),
             ("check", "--model", "closed-toda", "--n", "3", "--config", {"f": ["1/0", 1, 1]}),
+            ("check", "--model", "closed-toda", "--n", "3", "--bogus"),
+            (),
         ],
     )
     def test_rejected_value_is_a_one_line_config_error(self, argv, tmp_path, capsys):
@@ -441,6 +444,36 @@ class TestBadInput:
     def test_non_affine_exp_names_coordinates_as_written(self, argv, written, tmp_path, capsys):
         assert run_cli(*config_args(argv, tmp_path)) == 2
         assert capsys.readouterr().err.endswith(f"exp argument must be affine in the coordinates, got {written}\n")
+
+
+EXP_400 = "(exp (* 400 q1))"
+
+
+class TestNoFloatSampler:
+    @pytest.fixture
+    def refuse_sampler(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a verdict or decision reached the float sampler")
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("pqncheck")]:
+            for function in (scalar.is_zero, scalar.sample_points):
+                if getattr(module, function.__name__, None) is function:
+                    monkeypatch.setattr(module, function.__name__, refuse)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (("involutivity", "--model", "calogero", "--n", "4", "--kmax", "4"), 0),
+            (("deform", "--model", "canonical", "--omega", "toda", "--n", "3"), 0),
+            (("deform", "--model", "canonical", "--n", "2", "--config", _omega_form(2, [([1, 2], "p1")])), 1),
+            # exp(400 q1) overflows a float at q1 = 2; each run decides it exactly and passes.
+            (("check", "--model", "two-particle", "--v", EXP_400), 0),
+            (("deform", "--model", "canonical", "--n", "2", "--config", _omega_form(2, [([1, 2], EXP_400)])), 0),
+        ],
+        ids=["calogero-4", "toda-deform", "non-closed-deform", "two-particle-exp-400", "deform-exp-400"],
+    )
+    def test_runs_end_without_the_sampler(self, refuse_sampler, argv, code, tmp_path):
+        assert run_cli(*config_args(argv, tmp_path)) == code
 
 
 class TestStrictJson:
@@ -520,7 +553,7 @@ class TestReportPin:
         assert digest == "b86b86e187ca92cbffecbd4c8a41b271bb0883335c4324477634c3a24aaa93f2"
 
     def test_calogero_four_involutivity_structure(self, capsys):
-        # Everything but the residuals and witnesses of the nonzero cells, whose floats depend on libm.
+        # Everything but the residuals of the nonzero cells, whose floats depend on libm.
         argv = ("involutivity", "--model", "calogero", "--n", "4", "--kmax", "4", "--format", "json")
         assert run_cli(*argv) == 0
         report = strict_json(capsys.readouterr().out)
@@ -532,12 +565,15 @@ class TestReportPin:
             ("bracket-H1-H4", "pass", "symbolic", 0, "zero, no claim"),
             ("bracket-H2-H2", "pass", "symbolic", 0, "zero, no claim"),
             ("bracket-H2-H3", "pass", "exact", 0, "zero, no claim"),
-            ("bracket-H2-H4", "pass", "exact", 50, "nonzero, no claim"),
+            ("bracket-H2-H4", "pass", "exact", 1, "nonzero, no claim"),
             ("bracket-H3-H3", "pass", "symbolic", 0, "zero, no claim"),
-            ("bracket-H3-H4", "pass", "exact", 50, "nonzero, no claim"),
+            ("bracket-H3-H4", "pass", "exact", 1, "nonzero, no claim"),
             ("bracket-H4-H4", "pass", "symbolic", 0, "zero, no claim"),
-            ("non-involutivity-witnessed", "pass", "exact", 50, "worst cell (3, 4); nonzero pairs: [(2, 4), (3, 4)]"),
+            ("non-involutivity-witnessed", "pass", "exact", 1, "worst cell (3, 4); nonzero pairs: [(2, 4), (3, 4)]"),
         ]
+        # Both nonzero cells are proved nonzero at the first whole-number point drawn.
+        point = {"q1": 11.0, "q2": 5.0, "q3": 13.0, "q4": 2.0, "p1": 3.0, "p2": 4.0, "p3": 12.0, "p4": 2.0}
+        assert [e["witness"] for e in report["entries"] if e["samples"]] == [point] * 3
         exact, nonzero = {(2, 3), (2, 4), (3, 4)}, {(2, 4), (3, 4)}
         cells = {key: (cell["zero"], cell["mode"]) for key, cell in report["matrix"]["cells"].items()}
         expected = {}

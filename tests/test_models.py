@@ -282,6 +282,11 @@ class TestTwoParticle:
         bundle = two_particle_model(3)
         assert bundle.expected.involutive_up_to == 2
 
+    def test_drift_that_overflows_a_float_is_decided(self):
+        # exp(400 q1) overflows at q1 = 2; the drift is decided exactly and never evaluated.
+        bundle = two_particle_model("(exp (* 400 q1))")
+        assert bundle.expected.non_involutive
+
 
 def _verify_bundle(bundle, cfg=None):
     """The integration contract: expected metadata agrees with the verdicts."""

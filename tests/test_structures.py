@@ -23,7 +23,8 @@ from pqncheck.models import (
     two_particle_model,
 )
 from pqncheck.randgen import random_tensor
-from pqncheck.scalar import Chart, ScalarField, ZeroTestConfig, exp, parse_prefix
+from pqncheck.calculus import differential, poisson_bracket
+from pqncheck.scalar import Chart, Const, ScalarField, ZeroTestConfig, exp, parse_prefix, substitute
 from pqncheck.structures import (
     AxiomCheck,
     GeometricStructure,
@@ -171,48 +172,36 @@ class TestInducedBivectorPin:
     # The product N o pi_sharp is not antisymmetric when compatibility fails,
     # and its Jacobi check must run on every ordered pair of it, not on an
     # antisymmetrized copy.  The verdicts below were recorded before the
-    # sparse storage of tensors; only the residual is a float evaluation.
-    # Exact evaluation proves the entry nonzero; the residual and witness
-    # still come from the sampled points.
+    # sparse storage of tensors.  Exact evaluation proves the entry nonzero,
+    # and its integer form certifies the whole-number witness; only the
+    # residual is a float evaluation.
     @pytest.mark.parametrize(
-        "build, residual, witness",
+        "build, residual",
         [
-            (
-                _unpaired_diagonal_tensor,
-                1.9990668723945735,
-                (-0.6397853910706264, -1.7896975844389322, -1.9990668723945735, -1.3949402708822882),
-            ),
-            (
-                lambda chart: _random_tensor_draw(chart, 0),
-                20.825473568558234,
-                (-1.9076171158190074, 1.8039422914988084, 0.11302958016849907, -1.4135898444036372),
-            ),
-            (
-                lambda chart: _random_tensor_draw(chart, 1),
-                15.977615384570301,
-                (-0.6397853910706264, -1.7896975844389322, -1.9990668723945735, -1.3949402708822882),
-            ),
+            (_unpaired_diagonal_tensor, 13.0),
+            (lambda chart: _random_tensor_draw(chart, 0), 3993.0),
+            (lambda chart: _random_tensor_draw(chart, 1), 53683.666666666664),
         ],
         ids=["unpaired-diagonal", "random-draw-1", "random-draw-2"],
     )
-    def test_failing_induced_bivector_report(self, chart2, build, residual, witness):
+    def test_failing_induced_bivector_report(self, chart2, build, residual):
         report = check_pn(canonical_poisson(chart2), build(chart2))
         assert report.entry("induced-bivector-poisson").as_dict(chart2) == {
             "axiom": "induced-bivector-poisson",
             "verdict": "fail",
             "mode": "exact",
             "residual": pytest.approx(residual, rel=1e-12),
-            "witness": dict(zip(("q1", "q2", "p1", "p2"), witness)),
-            "samples": 50,
+            "witness": {"q1": 11.0, "q2": 5.0, "p1": 13.0, "p2": 2.0},
+            "samples": 1,
         }
 
 
 class TestExactVerdicts:
     def test_tiny_nonzero_field_fails(self, chart2):
-        # Its sampled residual, about 1e-20, is far below any tolerance.
+        # Its float value, about 1e-19 on the witness grid, is far below any tolerance.
         entry = _zero_axiom("tiny", [parse_prefix("(* 1/100000000000000000000 q1)", chart2)], ZeroTestConfig())
-        assert (entry.passed, entry.mode, entry.samples) == (False, "exact", 50)
-        assert entry.residual < 1e-19 and entry.witness is not None
+        assert (entry.passed, entry.mode, entry.samples) == (False, "exact", 1)
+        assert entry.residual == 1e-20 * entry.witness[0]
 
     def test_identity_outside_canonical_form_is_an_exact_zero(self):
         identity = lagrange_identity(Chart(3))
@@ -231,8 +220,8 @@ class TestExactVerdicts:
     def test_field_with_an_exp_in_a_base_is_exact(self, chart2):
         field = parse_prefix("(^ (+ (exp q1) 1) -1)", chart2)
         entry = _zero_axiom("exp-base", [field], ZeroTestConfig())
-        assert (entry.passed, entry.mode, entry.samples) == (False, "exact", 50)
-        # Only the field proved nonzero is sampled, not the exact zero beside it.
+        assert (entry.passed, entry.mode, entry.samples) == (False, "exact", 1)
+        # Only the field proved nonzero is witnessed, not the exact zero beside it.
         exact = parse_prefix("(+ (* (+ (^ q1 2) (* -1 (^ q2 2))) (^ (+ q1 q2) -1)) (* -1 q1) q2)", chart2)
         assert not exact.is_zero_tree
         assert _zero_axiom("exp-base", [exact, field], ZeroTestConfig()) == entry
@@ -264,7 +253,7 @@ class TestExactVerdicts:
         tiny = parse_prefix("(* 1/100000000000000000000 q1)", chart3)
         entry = _zero_axiom("x", [tiny, lagrange_identity(chart3)], ZeroTestConfig())
         assert (entry.passed, entry.mode) == (False, "exact")
-        assert entry.residual < 1e-19
+        assert entry.residual < 1e-18
         assert entry == _zero_axiom("x", [tiny], ZeroTestConfig())
 
     @pytest.mark.parametrize(
@@ -290,6 +279,49 @@ class TestExactVerdicts:
         matrix = involutivity_matrix(bundle.poisson, trace_invariants(bundle.tensor, n), CALOGERO_ZERO_TEST)
         assert {cell.mode for cell in matrix.cells.values()} == {"symbolic", "exact"}
         assert matrix.cell(2, 3).passed and matrix.cell(2, 3).mode == "exact"
+
+
+def _exact_value(field: ScalarField, point) -> Fraction:
+    """The field's exact value at a point of whole numbers: each coordinate replaced by its constant."""
+    constants = {index: Const(Fraction(value)) for index, value in enumerate(point.values)}
+    return ScalarField(field.chart, substitute(field.root, constants)).constant_value
+
+
+class TestExactWitness:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_calogero_witnesses_are_exact(self, n):
+        bundle = calogero(n)
+        invariants = trace_invariants(bundle.tensor, n)
+        matrix = involutivity_matrix(bundle.poisson, invariants, CALOGERO_ZERO_TEST)
+        assert matrix.nonzero_pairs()
+        for j, k in matrix.nonzero_pairs():
+            cell = matrix.cell(j, k)
+            bracket = poisson_bracket(bundle.poisson, differential(invariants[j - 1]), differential(invariants[k - 1]))
+            assert all(value.is_integer() for value in cell.witness.values)
+            assert _exact_value(bracket, cell.witness) != 0
+            assert cell.residual == abs(bracket.evaluate(cell.witness))
+            assert 1 <= cell.samples <= CALOGERO_ZERO_TEST.sample_count
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # Zero at every coordinate value the witness grid draws, 1..16.
+            "(* " + " ".join(f"(+ q1 -{k})" for k in range(1, 17)) + ")",
+            # exp(800) overflows a float, and q1 >= 1 on the grid.
+            "(exp (* 800 q1))",
+        ],
+        ids=["vanishes-on-the-grid", "overflows-on-the-grid"],
+    )
+    def test_no_witness_on_the_grid_still_fails(self, chart2, text):
+        config = ZeroTestConfig(sample_count=20)
+        entry = _zero_axiom("field", [parse_prefix(text, chart2)], config)
+        assert entry == AxiomCheck("field", False, "exact", 0.0, None, 20, None)
+
+    def test_worst_field_supplies_residual_witness_and_samples(self, chart2):
+        small, large = parse_prefix("q1", chart2), parse_prefix("(* 1000 q2)", chart2)
+        entry = _zero_axiom("pair", [small, large], ZeroTestConfig())
+        assert entry == _zero_axiom("pair", [large], ZeroTestConfig())
+        assert entry.residual == 1000 * entry.witness[1]
 
 
 class TestCheckPqn:
