@@ -451,7 +451,7 @@ def _poly_int_pow(poly: Polynomial, exponent: int) -> Polynomial:
     # Negative power of a genuine sum: keep it as an opaque factor, after
     # dividing out the coefficient of its first term in tree order so rational
     # multiples of the same sum share one base.
-    lead = min(poly, key=lambda mono: _term_key(_factors(mono)))
+    lead = min(poly, key=_mono_key)
     content = Fraction(poly[lead])
     monic = _poly_scale(poly, 1 / content)
     return {((), (), ((_sum_id(monic), exponent),)): _exact(content**exponent)}
@@ -497,9 +497,20 @@ def _factors(mono: Monomial) -> list:
     return factors
 
 
-def _term_key(factors: list) -> list:
-    """The sort key of a term: the tree key and exponent of each factor, in order."""
-    return [(key, e) for key, _, e in factors]
+def _mono_key(mono: Monomial) -> list:
+    """The sort key of a term: the tree key and exponent of each factor, in canonical tree order."""
+    coords, affine, sums = mono
+    key = [((1, index), e) for index, e in coords]
+    if affine:
+        key.append((_exp_factor(affine)[0], 1))
+    if sums:
+        key += sorted([(_SUMS[sid].key, e) for sid, e in sums])
+    return key
+
+
+def _item_key(item: tuple) -> list:
+    """The sort key of a polynomial's ``(monomial, coefficient)`` item: its term's key."""
+    return _mono_key(item[0])
 
 
 def _term_node(factors: list, coeff: RationalLike) -> Node:
@@ -515,9 +526,8 @@ def _term_nodes(poly: Polynomial) -> list[Node]:
     """The top-level terms of the canonical tree, in its order."""
     if not poly:
         return [_CONST_ZERO]
-    terms = [(_factors(mono), coeff) for mono, coeff in poly.items()]
-    terms.sort(key=lambda term: _term_key(term[0]))
-    return [_term_node(factors, coeff) for factors, coeff in terms]
+    terms = sorted(poly.items(), key=_item_key)
+    return [_term_node(_factors(mono), coeff) for mono, coeff in terms]
 
 
 def _poly_to_node(poly: Polynomial) -> Node:
@@ -627,10 +637,12 @@ def univariate_antiderivative(spec: Node) -> Node | None:
 # point each distinct factor is computed once, a term is its float coefficient
 # times its factors multiplied left to right, and a sum base is the ``fsum`` of
 # its own plan's terms.  A node-by-node walk of the canonical tree does the
-# same float operations in the same order (a leading 1.0 changes no bit, and
-# ``fsum`` is correctly rounded, so term order does not matter), so the values
-# are bit-identical to it.  A float failure raises ``EvaluationOverflowError``
-# naming its node, the only tree evaluation builds.
+# same float operations in the same order (a leading 1.0 changes no bit), so
+# the values are bit-identical to it.  The plan keeps the tree's term order:
+# ``fsum`` is correctly rounded, but whether it raises on an overflow or
+# returns an infinite term depends on which it meets first.  A float failure
+# raises ``EvaluationOverflowError`` naming its node, the only tree evaluation
+# builds apart from the cached exp nodes whose keys order the terms.
 # ---------------------------------------------------------------------------
 
 
@@ -651,7 +663,8 @@ class _Plan:
     A factor is a coordinate power ``(0, index, exponent)``, an exp ``(1, affine,
     float (coefficient, index) pairs)`` or a sum base's power ``(2, sum id,
     exponent)``.  A term's factors are in canonical tree order: coordinates, the
-    exp, then sum bases by tree key.  The zero polynomial has the one term 0.0.
+    exp, then sum bases by tree key, and the terms are in canonical tree order
+    too.  The zero polynomial has the one term 0.0.
     """
 
     __slots__ = ("factors", "terms")
@@ -659,7 +672,7 @@ class _Plan:
     def __init__(self, poly: Polynomial):
         positions: dict[tuple, int] = {}  # factor -> its position in ``factors``
         self.terms = []
-        for (coords, affine, sums), coeff in (poly or {_UNIT: 0}).items():
+        for (coords, affine, sums), coeff in sorted((poly or {_UNIT: 0}).items(), key=_item_key):
             factors = [(0, index, e) for index, e in coords]
             if affine:
                 factors.append((1, affine, tuple([(_float(a), index) for index, a in affine])))
