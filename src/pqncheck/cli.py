@@ -38,7 +38,6 @@ from .errors import (
 )
 from .exterior import Bivector, Form, Tensor11
 from .models import (
-    CALOGERO_ZERO_TEST,
     MODEL_NAMES,
     ModelBundle,
     calogero,
@@ -69,14 +68,8 @@ BASE_NAMES = ("canonical", "identity", "open-toda")
 
 _KMAX_GUARD = 8
 
-#: Each RunConfig key that overrides a zero-test setting, and the ZeroTestConfig field it sets.
-_ZERO_TEST_KEYS = {
-    "samples": "sample_count",
-    "box_halfwidth": "box_halfwidth",
-    "separation": "separation",
-    "tol": "tolerance",
-    "seed": "seed",
-}
+#: Each RunConfig key that sets a zero-test setting, and the ZeroTestConfig field it sets; reports echo these.
+_ZERO_TEST_KEYS = {"samples": "sample_count", "seed": "seed"}
 
 
 class RunConfig:
@@ -85,7 +78,7 @@ class RunConfig:
     #: The settings, in the order a report echoes them.
     KEYS = (
         "command", "model", "n", "kmax", "f", "potentials", "v", "omega", "omega_form", "expect",
-        "format", "out", "samples", "box_halfwidth", "separation", "tol", "seed",
+        "format", "out", "samples", "seed",
     )
     __slots__ = KEYS
 
@@ -104,9 +97,6 @@ class RunConfig:
         format: str = "text",
         out: str | None = None,
         samples: int | None = None,
-        box_halfwidth: float | None = None,
-        separation: float | None = None,
-        tol: float | None = None,
         seed: int | None = None,
     ):
         settings = locals()
@@ -205,9 +195,6 @@ def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"unknown output format {cfg.format!r}")
     cfg.out = pick(args.out, "out", os.fspath)
     cfg.samples = pick(args.samples, "samples", _whole_number)
-    cfg.box_halfwidth = pick(None, "box_halfwidth", float)
-    cfg.separation = pick(None, "separation", float)
-    cfg.tol = pick(args.tol, "tol", float)
     cfg.seed = pick(args.seed, "seed", _whole_number)
     if cfg.expect is not None:
         cfg.expect = cfg.expect.upper()
@@ -229,9 +216,8 @@ def _config_errors():
 
 @_config_errors()
 def _zero_test_config(cfg: RunConfig) -> ZeroTestConfig:
-    base = CALOGERO_ZERO_TEST if cfg.model == "calogero" else ZeroTestConfig()
     overrides = {field: getattr(cfg, key) for key, field in _ZERO_TEST_KEYS.items() if getattr(cfg, key) is not None}
-    return base.replace(**overrides)
+    return ZeroTestConfig(**overrides)
 
 
 def _require_n(cfg: RunConfig, default: int | None = None) -> int:
@@ -321,7 +307,7 @@ def _emit(cfg: RunConfig, zero_cfg: ZeroTestConfig, passed: bool, body: dict, li
     """Write a report under the run's header with its overall verdict; return the exit code."""
     payload = {
         "tool_version": __version__,
-        "config": {**cfg.echo(), "zero_test": zero_cfg.as_dict()},
+        "config": {**cfg.echo(), "zero_test": {field: getattr(zero_cfg, field) for field in _ZERO_TEST_KEYS.values()}},
         **body,
         "overall": "pass" if passed else "fail",
     }
@@ -516,9 +502,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--model", help="model or deformation base name")
     parser.add_argument("--n", type=int, help="particle count")
     parser.add_argument("--f", help="comma-separated coupling constants, e.g. 1,1,1")
-    parser.add_argument("--seed", type=int, help="zero-test RNG seed")
-    parser.add_argument("--samples", type=int, help="zero-test sample count")
-    parser.add_argument("--tol", type=float, help="zero-test tolerance")
+    parser.add_argument("--seed", type=int, help="seed of the exact zero test's points and of the witness points")
+    parser.add_argument("--samples", type=int, help="most witness points tried per failing field")
     parser.add_argument("--format", choices=["text", "json"], help="output format (default text)")
     parser.add_argument("--out", help="write the report to this path instead of stdout")
     parser.add_argument("--config", help="JSON config file; flags override its keys")

@@ -49,12 +49,6 @@ from .structures import GeometricStructure, _nonzero_fields
 
 MODEL_NAMES = ("canonical", "open-toda", "closed-toda", "calogero", "pair-potential", "two-particle")
 
-#: Zero-test parameters recommended for inverse-power potentials: a wider
-#: separation guard keeps samples off the collision locus, and the tolerance
-#: is widened because cubed inverse separations amplify roundoff.  Only the
-#: library's float sampler (``is_zero``, ``sample_points``) reads these two.
-CALOGERO_ZERO_TEST = ZeroTestConfig(separation=5e-2, tolerance=1e-7)
-
 
 class ExpectedOutcome(Record):
     """What the checkers should conclude for a model.

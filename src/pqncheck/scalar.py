@@ -955,11 +955,13 @@ class ZeroTestConfig(Record):
     """Parameters of the zero tests.
 
     ``seed`` seeds :func:`exact_zero` and the witness points of a field it
-    proves nonzero, at most ``sample_count`` of them.  The other settings feed
-    only the float sampler (:func:`is_zero`, :func:`sample_points`), which no
-    verdict uses: ``tolerance`` is absolute-plus-relative against the local
-    term scale, ``separation`` the least |q_i - q_j| of a sample (0 disables
-    the guard), and points are uniform in [-box_halfwidth, box_halfwidth].
+    proves nonzero, at most ``sample_count`` of them; these two are the CLI's
+    ``--seed`` and ``--samples``, and all a report echoes.  The other settings
+    are library-only and feed only the float sampler (:func:`is_zero`,
+    :func:`sample_points`), which no verdict, decision or witness uses:
+    ``tolerance`` is absolute-plus-relative against the local term scale,
+    ``separation`` the least |q_i - q_j| of a sample (0 disables the guard),
+    and points are uniform in [-box_halfwidth, box_halfwidth].
 
     Valid ranges, checked on construction (``ValueError`` otherwise):
     ``sample_count`` an ``int`` (not a ``bool``) >= 1; ``tolerance`` finite
@@ -1171,11 +1173,17 @@ def exact_zero(field: ScalarField, seed: int) -> bool | None:
     ``_EXACT_REDRAWS`` draws in a row hit a zero of some N_S, as all do
     when a sum base is zero as a function.
     """
+    return _exact_decision(field, seed)[0]
+
+
+def _exact_decision(field: ScalarField, seed: int) -> tuple[bool | None, tuple]:
+    """:func:`exact_zero`'s verdict, and the integer form (top, forms) it evaluated, for :func:`_exact_witness`."""
     forms: dict[int, tuple] = {}  # sum id -> its integer form, each base after the bases inside it
     top = _integer_form(field.poly, _rate(field.poly), field.chart.dim, forms)
-    degree = top[4] + sum([form[4] for form in forms.values()])
+    form = top, forms
+    degree = top[4] + sum([base[4] for base in forms.values()])
     if degree > _EXACT_MAX_DEGREE:
-        return None
+        return None, form
     rounds = 1
     while degree**rounds << _EXACT_ERROR_BITS > 1 << _EXACT_BITS * rounds:
         rounds += 1
@@ -1187,24 +1195,24 @@ def exact_zero(field: ScalarField, seed: int) -> bool | None:
             if value is not None:
                 break
         else:
-            return None
+            return None, form
         if value[0]:
-            return False
-    return True
+            return False, form
+    return True, form
 
 
-def _exact_witness(field: ScalarField, config: ZeroTestConfig) -> tuple[float, Point | None, int]:
+def _exact_witness(field: ScalarField, form: tuple, config: ZeroTestConfig) -> tuple[float, Point | None, int]:
     """(|f(p)|, p, points tried) at the first whole-number point p that proves f(p) != 0 and evaluates finitely.
 
     Each p_i and one integer T are drawn from 1..16 with ``random.Random(config.seed)``,
-    and :func:`exact_zero`'s integer form is evaluated at x = p, t = T, y_i = T^p_i.  As
-    y_i = t^p_i at x = p, a nonzero N there (every N_S too) makes N(p, t^p, t) a nonzero
-    integer polynomial, so nonzero at the transcendental t = e^(1/L): f(p) != 0.  A point
-    with a zero value (a pole, or T a root) or a float overflow is passed over; after
-    ``config.sample_count`` points the result is (0.0, None, sample_count).
+    and ``form``, the integer form :func:`_exact_decision` proved nonzero, is evaluated at
+    x = p, t = T, y_i = T^p_i.  As y_i = t^p_i at x = p, a nonzero N there (every N_S too)
+    makes N(p, t^p, t) a nonzero integer polynomial, so nonzero at the transcendental
+    t = e^(1/L): f(p) != 0.  A point with a zero value (a pole, or T a root) or a float
+    overflow is passed over; after ``config.sample_count`` points the result is (0.0, None,
+    sample_count).
     """
-    forms: dict[int, tuple] = {}
-    top = _integer_form(field.poly, _rate(field.poly), field.chart.dim, forms)
+    top, forms = form
     rng = random.Random(config.seed)
     for tried in range(1, config.sample_count + 1):
         *p, t = [rng.randint(1, _WITNESS_GRID) for _ in range(field.chart.dim + 1)]

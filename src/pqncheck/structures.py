@@ -41,7 +41,7 @@ from .exterior import (
     tensor_interior,
 )
 from .randgen import random_scalar_field
-from .scalar import Chart, Point, Record, ScalarField, ZeroTestConfig, _exact_witness, exact_zero
+from .scalar import Chart, Point, Record, ScalarField, ZeroTestConfig, _exact_decision, _exact_witness
 
 
 class GeometricStructure(Record):
@@ -123,18 +123,19 @@ class CheckReport(Record):
         }
 
 
-def _nonzero_fields(axiom: str, fields: Iterable[ScalarField], seed: int) -> tuple[str, list[ScalarField]]:
-    """The decision of a zero verdict, with no float evaluation: its mode and the fields proved nonzero.
+def _nonzero_fields(axiom: str, fields: Iterable[ScalarField], seed: int) -> tuple[str, list[tuple]]:
+    """The decision of a zero verdict, with no float evaluation: its mode, and each field proved nonzero.
 
-    Fields are ``symbolic`` zeros, else go to :func:`exact_zero`; one it leaves undecided raises ConfigError.
+    Fields are ``symbolic`` zeros, else go to :func:`pqncheck.scalar.exact_zero`; one it leaves
+    undecided raises ConfigError.  A field proved nonzero comes with the integer form that proved it.
     """
     pending: list[ScalarField] = [f for f in fields if not f.is_zero_tree]
     if not pending:
         return "symbolic", []
-    exact = [exact_zero(f, seed) for f in pending]  # True, False or None (undecided)
-    if None in exact:
+    exact = [(f, *_exact_decision(f, seed)) for f in pending]  # (field, True/False/None, its integer form)
+    if any(zero is None for _, zero, _ in exact):
         raise ConfigError(f"{axiom}: undecided by the exact zero test (degree bound past 2**16, or a zero sum base)")
-    return "exact", [f for f, zero in zip(pending, exact) if not zero]
+    return "exact", [(f, form) for f, zero, form in exact if not zero]
 
 
 def _zero_axiom(
@@ -153,7 +154,7 @@ def _zero_axiom(
     mode, nonzero = _nonzero_fields(axiom, fields, config.seed)
     if not nonzero:
         return AxiomCheck(axiom, True, mode, 0.0, None, 0, detail)
-    residual, witness, samples = max((_exact_witness(f, config) for f in nonzero), key=lambda found: found[0])
+    residual, witness, samples = max((_exact_witness(*found, config) for found in nonzero), key=lambda w: w[0])
     return AxiomCheck(axiom, False, mode, residual, witness, samples, detail)
 
 
@@ -488,10 +489,10 @@ class InvolutivityMatrix(Record):
     it passed.
     """
 
-    __slots__ = _fields = ("chart", "size", "cells", "config")
+    __slots__ = _fields = ("chart", "size", "cells")
 
-    def __init__(self, chart: Chart, size: int, cells: dict[tuple[int, int], AxiomCheck], config: ZeroTestConfig):
-        self._init(chart, size, cells, config)
+    def __init__(self, chart: Chart, size: int, cells: dict[tuple[int, int], AxiomCheck]):
+        self._init(chart, size, cells)
 
     @property
     def all_zero(self) -> bool:
@@ -514,7 +515,6 @@ class InvolutivityMatrix(Record):
             }
         return {
             "size": self.size,
-            "config": self.config.as_dict(),
             "cells": cells,
             "all_zero": self.all_zero,
         }
@@ -541,4 +541,4 @@ def involutivity_matrix(
             cells[(j, k)] = cell
             if j != k:
                 cells[(k, j)] = cell
-    return InvolutivityMatrix(pi.chart, size, cells, cfg)
+    return InvolutivityMatrix(pi.chart, size, cells)

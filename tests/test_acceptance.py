@@ -12,7 +12,6 @@ from fractions import Fraction
 from pqncheck.calculus import cartan_d, koszul_bracket, nijenhuis_d, poisson_bracket
 from pqncheck.exterior import Form, Tensor11, pi_sharp_omega_flat, wedge
 from pqncheck.models import (
-    CALOGERO_ZERO_TEST,
     calogero,
     canonical_deformation_form,
     canonical_nijenhuis,
@@ -34,7 +33,7 @@ from pqncheck.structures import (
     trace_invariants,
 )
 
-from conftest import seeded
+from conftest import CALOGERO_ZERO_TEST, seeded
 
 
 def _criterion(number: int, description: str, ok: bool, detail: str = "") -> None:

@@ -166,6 +166,44 @@ class TestConfigFile:
         assert run_cli("check", "--config", str(cfg)) == 0
 
 
+def _keys(data) -> set:
+    """Every key of a JSON value, at any depth."""
+    if isinstance(data, dict):
+        return set(data).union(*map(_keys, data.values()))
+    if isinstance(data, list):
+        return set().union(*map(_keys, data))
+    return set()
+
+
+class TestZeroTestSettings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--model", "closed-toda", "--n", "3"),
+            ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--samples", "9"),
+            ("deform", "--model", "canonical", "--omega", "toda", "--n", "3", "--seed", "5"),
+        ],
+    )
+    def test_report_echoes_samples_and_seed_only(self, argv, capsys):
+        assert run_cli(*argv, "--format", "json") == 0
+        report = strict_json(capsys.readouterr().out)
+        assert set(report["config"]["zero_test"]) == {"sample_count", "seed"}
+        assert not _keys(report) & {"tolerance", "box_halfwidth", "separation"}
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("check", "--model", "closed-toda", "--n", "3", "--tol", "1e-9"), "--tol"),
+            (("check", "--model", "closed-toda", "--n", "3", "--config", {"separation": 5e-2}), "separation"),
+        ],
+    )
+    def test_float_sampler_settings_are_config_errors(self, argv, named, tmp_path, capsys):
+        assert run_cli(*config_args(argv, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("config error: ") and named in err
+
+
 class TestInvolutivityCommand:
     def test_calogero_three_passes(self, tmp_path):
         out = tmp_path / "inv.json"
@@ -499,7 +537,7 @@ class TestReportPin:
         out = capsys.readouterr().out
         assert {e["mode"] for e in strict_json(out)["entries"]} == {"symbolic"}
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == "ed8dca5a1386887941bbff8d02faae790b2290d81bee64df113bbd19b0b669f2"
+        assert digest == "25e463fb5d6cf1f65120bf77ef029a9371821aeaa99eefb006181b790d5319a3"
 
     def test_toda_deformation_report_bytes(self, capsys):
         # Also symbolic throughout; unlike the check above it runs the wedge
@@ -509,7 +547,7 @@ class TestReportPin:
         out = capsys.readouterr().out
         assert {e["mode"] for e in strict_json(out)["entries"]} == {"symbolic"}
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == "a7c33e0da59788c6509a33f3f6db5889c62ac2f0197e281099a46343f2fa5a51"
+        assert digest == "7bff8d0e566c7bdb5511cf7593b976d2733a1deb37498abf149d5602afd38445"
 
     def test_closed_toda_six_involutivity_report_bytes(self, capsys):
         # All 36 cells are decided symbolically, through products and partials
@@ -519,7 +557,7 @@ class TestReportPin:
         cells = strict_json(out)["matrix"]["cells"]
         assert len(cells) == 36 and {cell["mode"] for cell in cells.values()} == {"symbolic"}
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == "09f8f68ebf7b136d3a2689907615250dc44618eb318461ac28b6774c08dcee48"
+        assert digest == "07d5746d4bb76212969f3858ad4c455119410b432145ac4053ada80eb695c366"
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -550,7 +588,7 @@ class TestReportPin:
         assert {cell["mode"] for cell in cells.values()} == {"symbolic", "exact"}
         assert {cell["residual"] for cell in cells.values()} == {0.0}
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == "b86b86e187ca92cbffecbd4c8a41b271bb0883335c4324477634c3a24aaa93f2"
+        assert digest == "08c2154aa23a34cf4dc944d27784d6bc08930cfa17d5981fb4927e4d47f83a91"
 
     def test_calogero_four_involutivity_structure(self, capsys):
         # Everything but the residuals of the nonzero cells, whose floats depend on libm.

@@ -8,7 +8,6 @@ from pqncheck.calculus import cartan_d, koszul_bracket, nijenhuis_d
 from pqncheck.errors import UnsupportedExpressionError
 from pqncheck.exterior import Form, Tensor11
 from pqncheck.models import (
-    CALOGERO_ZERO_TEST,
     ExpectedOutcome,
     calogero,
     canonical_nijenhuis,
@@ -31,6 +30,8 @@ from pqncheck.structures import (
     involutivity_matrix,
     trace_invariants,
 )
+
+from conftest import CALOGERO_ZERO_TEST
 
 
 def test_structure_class_follows_the_three_form():

@@ -37,7 +37,7 @@ from pqncheck.scalar import (
     to_prefix,
 )
 
-from conftest import fd_partial, lagrange_identity, seeded
+from conftest import CALOGERO_ZERO_TEST, fd_partial, lagrange_identity, seeded
 
 
 class TestChart:
@@ -501,8 +501,6 @@ class TestPolynomialEvaluation:
         _assert_matches_tree_walk(field, [0.0, 1.0])
 
     def test_builds_no_tree(self, calogero4_nonzero_brackets, monkeypatch):
-        from pqncheck.models import CALOGERO_ZERO_TEST
-
         point = [0.3, -1.1, 0.7, 1.9, 0.2, -0.4, 1.3, -0.8]
         expected = [
             (_reference_evaluate(f, point), _reference_term_scale(f, point), is_zero(f, CALOGERO_ZERO_TEST))
@@ -517,8 +515,6 @@ class TestPolynomialEvaluation:
         assert [(f.evaluate(point), f.term_scale(point), is_zero(f, CALOGERO_ZERO_TEST)) for f in fresh] == expected
 
     def test_nonzero_model_brackets_match_the_tree_walk_verdict(self, calogero4_nonzero_brackets):
-        from pqncheck.models import CALOGERO_ZERO_TEST
-
         points = sample_points(Chart(4), CALOGERO_ZERO_TEST)
         for field in calogero4_nonzero_brackets:
             expected = _plain_loop_verdict(

@@ -9,7 +9,6 @@ from pqncheck.calculus import cartan_d, koszul_bracket
 from pqncheck.errors import ConfigError, HypothesisViolationError
 from pqncheck.exterior import Bivector, Form, Tensor11
 from pqncheck.models import (
-    CALOGERO_ZERO_TEST,
     calogero,
     canonical_deformation_form,
     canonical_nijenhuis,
@@ -22,6 +21,7 @@ from pqncheck.models import (
     open_toda,
     two_particle_model,
 )
+from pqncheck import scalar
 from pqncheck.randgen import random_tensor
 from pqncheck.calculus import differential, poisson_bracket
 from pqncheck.scalar import Chart, Const, ScalarField, ZeroTestConfig, exp, parse_prefix, substitute
@@ -40,7 +40,7 @@ from pqncheck.structures import (
     trace_invariants,
 )
 
-from conftest import lagrange_identity
+from conftest import CALOGERO_ZERO_TEST, lagrange_identity
 
 
 class TestCheckPoisson:
@@ -322,6 +322,24 @@ class TestExactWitness:
         entry = _zero_axiom("pair", [small, large], ZeroTestConfig())
         assert entry == _zero_axiom("pair", [large], ZeroTestConfig())
         assert entry.residual == 1000 * entry.witness[1]
+
+    def test_each_nonzero_field_builds_its_integer_form_once(self, monkeypatch):
+        # The witness search evaluates the integer form the exact decision built.
+        bundle = calogero(4)
+        h = trace_invariants(bundle.tensor, 4)
+        brackets = [poisson_bracket(bundle.poisson, h[1], h[3]), poisson_bracket(bundle.poisson, h[2], h[3])]
+        builds = {id(f.poly): 0 for f in brackets}  # top-level builds; sum bases are built from other polynomials
+        build = scalar._integer_form
+
+        def counted(poly, *args):
+            if id(poly) in builds:
+                builds[id(poly)] += 1
+            return build(poly, *args)
+
+        monkeypatch.setattr(scalar, "_integer_form", counted)
+        for bracket in brackets:
+            assert not _zero_axiom("bracket", [bracket], ZeroTestConfig()).passed
+        assert list(builds.values()) == [1, 1]
 
 
 class TestCheckPqn:
