@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Sequence
 
-from . import __version__
+from . import __version__, models
 from .errors import (
     ChartMismatchError,
     ConfigError,
@@ -37,20 +37,6 @@ from .errors import (
     UnsupportedExpressionError,
 )
 from .exterior import Bivector, Form, Tensor11
-from .models import (
-    MODEL_NAMES,
-    ModelBundle,
-    calogero,
-    canonical_deformation_form,
-    canonical_nijenhuis,
-    canonical_pn,
-    canonical_poisson,
-    closed_toda,
-    das_okubo_omega_hat,
-    open_toda,
-    pair_potential_model,
-    two_particle_model,
-)
 from .scalar import Chart, ZeroTestConfig, parse_prefix
 from .structures import (
     AxiomCheck,
@@ -63,57 +49,10 @@ from .structures import (
     trace_invariants,
 )
 
-OMEGA_NAMES = ("zero", "omega-c", "omega-hat", "toda", "closed-toda", "open-toda")
-BASE_NAMES = ("canonical", "identity", "open-toda")
-
 _KMAX_GUARD = 8
 
-#: Each RunConfig key that sets a zero-test setting, and the ZeroTestConfig field it sets; reports echo these.
+#: Each run setting that sets a ZeroTestConfig field, and that field; a report echoes them under ``zero_test``.
 _ZERO_TEST_KEYS = {"samples": "sample_count", "seed": "seed"}
-
-
-class RunConfig:
-    """Effective run configuration: config-file values overridden by flags."""
-
-    #: The settings, in the order a report echoes them.
-    KEYS = (
-        "command", "model", "n", "kmax", "f", "potentials", "v", "omega", "omega_form", "expect",
-        "format", "out", "samples", "seed",
-    )
-    __slots__ = KEYS
-
-    def __init__(
-        self,
-        command: str,
-        model: str | None = None,
-        n: int | None = None,
-        kmax: int | None = None,
-        f: list[Fraction] | None = None,
-        potentials: dict[str, str] | None = None,
-        v: str | None = None,
-        omega: str | None = None,
-        omega_form: dict | None = None,
-        expect: str | None = None,
-        format: str = "text",
-        out: str | None = None,
-        samples: int | None = None,
-        seed: int | None = None,
-    ):
-        settings = locals()
-        for key in self.KEYS:
-            setattr(self, key, settings[key])
-
-    def echo(self) -> dict:
-        """The settings a report echoes: all but ``out`` and the zero-test keys, which it lists apart."""
-        hidden = {"out", *_ZERO_TEST_KEYS}
-        data = {key: getattr(self, key) for key in self.KEYS if key not in hidden}
-        if self.f is not None:
-            data["f"] = [str(x) for x in self.f]
-        return {k: v for k, v in data.items() if v is not None}
-
-
-# Every run setting except the command may come from a config file.
-_CONFIG_KEYS = set(RunConfig.KEYS) - {"command"}
 
 
 def _parse_fractions(raw: str | list) -> list[Fraction]:
@@ -132,6 +71,59 @@ def _parse_fractions(raw: str | list) -> list[Fraction]:
         raise ConfigError(f"coupling list {raw!r} has a zero denominator") from exc
 
 
+def _whole_number(value) -> int:
+    """``int(value)``, refusing the booleans and fractional floats that ``int`` would truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("expected a whole number")
+    return int(value)
+
+
+def _given(value):
+    """A config value as written; no key takes a boolean."""
+    if isinstance(value, bool):
+        raise ValueError("no key takes a boolean")
+    return value
+
+
+def _string(value) -> str:
+    return str(_given(value))
+
+
+def _path(value) -> str:
+    return os.fspath(_given(value))
+
+
+def _potentials(value) -> dict[str, str]:
+    if not isinstance(value, dict):
+        raise ConfigError("potentials must map 'i,j' pair keys to prefix expressions")
+    return {str(k): str(v) for k, v in value.items()}
+
+
+def _omega_form(value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError("omega_form must be a serialized form object")
+    return value
+
+
+#: Every run setting a config file may hold, in the order a report echoes them, and how a file value
+#: is read.  A flag of the same name wins over the file; an unset setting is None.
+_SETTINGS = {
+    "model": _given,
+    "n": _whole_number,
+    "kmax": _whole_number,
+    "f": _given,
+    "potentials": _potentials,
+    "v": _string,
+    "omega": _given,
+    "omega_form": _omega_form,
+    "expect": _string,
+    "format": _given,
+    "out": _path,
+    "samples": _whole_number,
+    "seed": _whole_number,
+}
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -142,67 +134,43 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("the config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_SETTINGS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return data
 
 
-def _whole_number(value) -> int:
-    """``int(value)``, refusing the booleans and fractional floats that ``int`` would truncate."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError("expected a whole number")
-    return int(value)
-
-
-def _merge_config(command: str, args: argparse.Namespace) -> RunConfig:
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill every setting of ``args`` in place: its flag, else its config-file value, else None."""
     file_data = _load_config_file(args.config) if args.config else {}
-    cfg = RunConfig(command=command)
-
-    def pick(flag_value, key, convert=None):
-        if flag_value is not None:
-            return flag_value
-        if key in file_data and file_data[key] is not None:
-            value = file_data[key]
+    for key, read in _SETTINGS.items():
+        value = getattr(args, key, None)
+        if value is None and file_data.get(key) is not None:
             try:
-                if isinstance(value, bool) and convert is not _whole_number:
-                    raise ValueError("no key takes a boolean")
-                return convert(value) if convert else value
+                value = read(file_data[key])
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key!r} has an unusable value {value!r}: {exc}") from exc
-        return None
-
-    cfg.model = pick(args.model, "model")
-    cfg.n = pick(args.n, "n", _whole_number)
-    cfg.kmax = pick(getattr(args, "kmax", None), "kmax", _whole_number)
-    raw_f = pick(args.f, "f")
-    cfg.f = None if raw_f is None else _parse_fractions(raw_f)
-    potentials = file_data.get("potentials")
-    if potentials is not None:
-        if not isinstance(potentials, dict):
-            raise ConfigError("potentials must map 'i,j' pair keys to prefix expressions")
-        cfg.potentials = {str(k): str(v) for k, v in potentials.items()}
-    cfg.v = pick(getattr(args, "v", None), "v", str)
-    cfg.omega = pick(getattr(args, "omega", None), "omega")
-    omega_form = file_data.get("omega_form")
-    if omega_form is not None:
-        if not isinstance(omega_form, dict):
-            raise ConfigError("omega_form must be a serialized form object")
-        cfg.omega_form = omega_form
-    cfg.expect = pick(getattr(args, "expect", None), "expect", str)
-    cfg.format = pick(args.format, "format") or "text"
-    if cfg.format not in ("text", "json"):
-        raise ConfigError(f"unknown output format {cfg.format!r}")
-    cfg.out = pick(args.out, "out", os.fspath)
-    cfg.samples = pick(args.samples, "samples", _whole_number)
-    cfg.seed = pick(args.seed, "seed", _whole_number)
-    if cfg.expect is not None:
-        cfg.expect = cfg.expect.upper()
-        if cfg.expect not in ("PN", "PQN"):
+                raise ConfigError(f"config key {key!r} has an unusable value {file_data[key]!r}: {exc}") from exc
+        setattr(args, key, value)
+    if args.f is not None:
+        args.f = _parse_fractions(args.f)
+    args.format = args.format or "text"
+    if args.format not in ("text", "json"):
+        raise ConfigError(f"unknown output format {args.format!r}")
+    if args.expect is not None:
+        args.expect = args.expect.upper()
+        if args.expect not in ("PN", "PQN"):
             raise ConfigError("--expect takes pn or pqn")
-        if cfg.expect == "PQN":
-            cfg.expect = "PqN"
-    return cfg
+        if args.expect == "PQN":
+            args.expect = "PqN"
+
+
+def _echo(args: argparse.Namespace) -> dict:
+    """The settings a report echoes: the command and each set one but ``out`` and the zero-test keys."""
+    hidden = {"out", *_ZERO_TEST_KEYS}
+    data = {key: getattr(args, key) for key in ("command", *_SETTINGS) if key not in hidden}
+    if args.f is not None:
+        data["f"] = [str(x) for x in args.f]
+    return {k: v for k, v in data.items() if v is not None}
 
 
 @contextmanager
@@ -215,51 +183,63 @@ def _config_errors():
 
 
 @_config_errors()
-def _zero_test_config(cfg: RunConfig) -> ZeroTestConfig:
-    overrides = {field: getattr(cfg, key) for key, field in _ZERO_TEST_KEYS.items() if getattr(cfg, key) is not None}
+def _zero_test_config(args: argparse.Namespace) -> ZeroTestConfig:
+    overrides = {field: getattr(args, key) for key, field in _ZERO_TEST_KEYS.items() if getattr(args, key) is not None}
     return ZeroTestConfig(**overrides)
 
 
-def _require_n(cfg: RunConfig, default: int | None = None) -> int:
-    if cfg.n is not None:
-        return cfg.n
-    if default is not None:
-        return default
-    raise ConfigError("--n is required for this model")
+def _require_n(args: argparse.Namespace) -> int:
+    if args.n is None:
+        raise ConfigError("--n is required for this model")
+    return args.n
+
+
+def _builder(table: dict, name, unknown: str):
+    """The builder ``table`` holds under ``name``, any config-file value; else ConfigError ``unknown: <names>``."""
+    builder = table.get(name) if isinstance(name, str) else None
+    if builder is None:
+        raise ConfigError(f"{unknown}: {', '.join(table)}")
+    return builder
+
+
+def _pair_potential(args: argparse.Namespace) -> models.ModelBundle:
+    n = _require_n(args)
+    if not args.potentials:
+        raise ConfigError("pair-potential needs a potentials mapping in the config file")
+    pots = {}
+    for key, expr in args.potentials.items():
+        try:
+            i, j = (int(part) for part in key.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"potential key {key!r} must look like 'i,j'") from exc
+        pots[(i, j)] = expr
+    return models.pair_potential_model(n, pots)
+
+
+def _two_particle(args: argparse.Namespace) -> models.ModelBundle:
+    if args.n not in (None, 2):
+        raise ConfigError("the two-particle model fixes n = 2")
+    if args.v is None:
+        raise ConfigError("two-particle needs --v (a prefix expression in q1, q2)")
+    return models.two_particle_model(args.v)
+
+
+#: Each model ``--model`` names, and the builder of its bundle from the settings.
+MODELS = {
+    "canonical": lambda args: models.canonical_pn(_require_n(args)),
+    "open-toda": lambda args: models.open_toda(_require_n(args), args.f),
+    "closed-toda": lambda args: models.closed_toda(_require_n(args), args.f),
+    "calogero": lambda args: models.calogero(_require_n(args)),
+    "pair-potential": _pair_potential,
+    "two-particle": _two_particle,
+}
 
 
 @_config_errors()
-def build_bundle(cfg: RunConfig) -> ModelBundle:
-    if cfg.model is None:
-        raise ConfigError(f"--model is required; known models: {', '.join(MODEL_NAMES)}")
-    model = cfg.model
-    if model == "canonical":
-        return canonical_pn(_require_n(cfg))
-    if model == "open-toda":
-        return open_toda(_require_n(cfg), cfg.f)
-    if model == "closed-toda":
-        return closed_toda(_require_n(cfg), cfg.f)
-    if model == "calogero":
-        return calogero(_require_n(cfg))
-    if model == "pair-potential":
-        n = _require_n(cfg)
-        if not cfg.potentials:
-            raise ConfigError("pair-potential needs a potentials mapping in the config file")
-        pots = {}
-        for key, expr in cfg.potentials.items():
-            try:
-                i, j = (int(part) for part in key.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"potential key {key!r} must look like 'i,j'") from exc
-            pots[(i, j)] = expr
-        return pair_potential_model(n, pots)
-    if model == "two-particle":
-        if cfg.n not in (None, 2):
-            raise ConfigError("the two-particle model fixes n = 2")
-        if cfg.v is None:
-            raise ConfigError("two-particle needs --v (a prefix expression in q1, q2)")
-        return two_particle_model(cfg.v)
-    raise ConfigError(f"unknown model {model!r}; known models: {', '.join(MODEL_NAMES)}")
+def build_bundle(args: argparse.Namespace) -> models.ModelBundle:
+    if args.model is None:
+        raise ConfigError(f"--model is required; known models: {', '.join(MODELS)}")
+    return _builder(MODELS, args.model, f"unknown model {args.model!r}; known models")(args)
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +283,31 @@ def serialize_tensor(tensor: Tensor11) -> dict:
     return {"matrix": [[entry.to_prefix() for entry in row] for row in tensor.entries]}
 
 
-def _emit(cfg: RunConfig, zero_cfg: ZeroTestConfig, passed: bool, body: dict, lines: list[str]) -> int:
+def _emit(args: argparse.Namespace, zero_cfg: ZeroTestConfig, passed: bool, body: dict, lines: list[str]) -> int:
     """Write a report under the run's header with its overall verdict; return the exit code."""
     payload = {
         "tool_version": __version__,
-        "config": {**cfg.echo(), "zero_test": {field: getattr(zero_cfg, field) for field in _ZERO_TEST_KEYS.values()}},
+        "config": {**_echo(args), "zero_test": zero_cfg.echo()},
         **body,
         "overall": "pass" if passed else "fail",
     }
-    if cfg.format == "json":
+    if args.format == "json":
         content = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         content = "\n".join(lines + [f"OVERALL: {'PASS' if passed else 'FAIL'}"]) + "\n"
-    if cfg.out:
+    if args.out:
         try:
-            with open(cfg.out, "w", encoding="utf-8") as fh:
+            with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(content)
         except OSError as exc:
-            raise ConfigError(f"cannot write the report to {cfg.out}: {exc}") from exc
+            raise ConfigError(f"cannot write the report to {args.out}: {exc}") from exc
     else:
         sys.stdout.write(content)
     return 0 if passed else 1
 
 
 def _emit_report(
-    cfg: RunConfig,
+    args: argparse.Namespace,
     zero_cfg: ZeroTestConfig,
     report: CheckReport,
     body: dict,
@@ -340,7 +320,7 @@ def _emit_report(
     if phi is not None:
         body["phi"] = serialize_form(phi)
         lines.append(f"phi terms: {len(phi.coeffs)}")
-    return _emit(cfg, zero_cfg, report.overall, body, lines)
+    return _emit(args, zero_cfg, report.overall, body, lines)
 
 
 def _entry_lines(report: CheckReport) -> list[str]:
@@ -361,16 +341,16 @@ def _entry_lines(report: CheckReport) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    bundle = build_bundle(cfg)
-    zero_cfg = _zero_test_config(cfg)
+def cmd_check(args: argparse.Namespace) -> int:
+    bundle = build_bundle(args)
+    zero_cfg = _zero_test_config(args)
     phi = bundle.phi()
     classification = "PN" if phi.is_zero else "PqN"
     if classification == "PN":
         report = check_pn(bundle.poisson, bundle.tensor, zero_cfg)
     else:
         report = check_pqn(GeometricStructure(bundle.chart, bundle.poisson, bundle.tensor, phi), zero_cfg)
-    expected = cfg.expect or bundle.expected.structure_class
+    expected = args.expect or bundle.expected.structure_class
     class_entry = AxiomCheck(
         "structure-class",
         classification == expected,
@@ -382,17 +362,17 @@ def cmd_check(cfg: RunConfig) -> int:
     )
     report = CheckReport(report.name, report.chart, report.config, report.entries + (class_entry,))
     lines = [f"model {bundle.name} (n={bundle.chart.n}): classified {classification}"]
-    return _emit_report(cfg, zero_cfg, report, {"classification": classification}, lines)
+    return _emit_report(args, zero_cfg, report, {"classification": classification}, lines)
 
 
-def cmd_involutivity(cfg: RunConfig) -> int:
-    bundle = build_bundle(cfg)
-    k_max = cfg.kmax if cfg.kmax is not None else bundle.chart.n
+def cmd_involutivity(args: argparse.Namespace) -> int:
+    bundle = build_bundle(args)
+    k_max = args.kmax if args.kmax is not None else bundle.chart.n
     if k_max < 1:
         raise ConfigError("kmax must be at least 1")
     if k_max > _KMAX_GUARD:
         raise ConfigError(f"kmax={k_max} exceeds the symbolic-size guard ({_KMAX_GUARD})")
-    zero_cfg = _zero_test_config(cfg)
+    zero_cfg = _zero_test_config(args)
     invariants = trace_invariants(bundle.tensor, k_max)
     matrix = involutivity_matrix(bundle.poisson, invariants, zero_cfg)
 
@@ -427,52 +407,65 @@ def cmd_involutivity(cfg: RunConfig) -> int:
             mark = "0" if cell.passed else "X"
             cells.append(f"{mark}:{cell.residual:.1e}")
         lines.append(f"H{j:<4d} " + " ".join(f"{c:<11s}" for c in cells))
-    return _emit_report(cfg, zero_cfg, report, {"matrix": matrix.as_dict()}, lines)
+    return _emit_report(args, zero_cfg, report, {"matrix": matrix.as_dict()}, lines)
+
+
+def _chart_base(args: argparse.Namespace, tensor) -> tuple[Chart, Bivector, Tensor11]:
+    chart = Chart(_require_n(args))
+    return chart, models.canonical_poisson(chart), tensor(chart)
+
+
+def _open_toda_base(args: argparse.Namespace) -> tuple[Chart, Bivector, Tensor11]:
+    bundle = models.open_toda(_require_n(args), args.f)
+    return bundle.chart, bundle.poisson, bundle.tensor
+
+
+#: Each deformation base ``deform --model`` names, the first the default, and the builder of its
+#: chart, Poisson bivector and torsionless tensor.
+BASES = {
+    "canonical": lambda args: _chart_base(args, models.canonical_nijenhuis),
+    "identity": lambda args: _chart_base(args, Tensor11.identity),
+    "open-toda": _open_toda_base,
+}
+
+
+def _toda_omega(args: argparse.Namespace, chart: Chart) -> Form:
+    return models.closed_toda(chart.n, args.f).omega
+
+
+#: Each built-in 2-form ``--omega`` names, and its builder on the base's chart.
+OMEGAS = {
+    "zero": lambda args, chart: Form.zero(chart, 2),
+    "omega-c": lambda args, chart: models.canonical_deformation_form(chart),
+    "omega-hat": lambda args, chart: models.das_okubo_omega_hat(chart.n, args.f),
+    "toda": _toda_omega,
+    "closed-toda": _toda_omega,
+    "open-toda": lambda args, chart: models.open_toda(chart.n, args.f).omega,
+}
 
 
 @_config_errors()
-def _base_pair(cfg: RunConfig) -> tuple[str, Chart, Bivector, Tensor11]:
-    name = cfg.model or "canonical"
-    if name == "identity":
-        chart = Chart(_require_n(cfg))
-        return name, chart, canonical_poisson(chart), Tensor11.identity(chart)
-    if name == "canonical":
-        chart = Chart(_require_n(cfg))
-        return name, chart, canonical_poisson(chart), canonical_nijenhuis(chart)
-    if name == "open-toda":
-        bundle = open_toda(_require_n(cfg), cfg.f)
-        return name, bundle.chart, bundle.poisson, bundle.tensor
-    raise ConfigError(f"unknown deformation base {name!r}; known bases: {', '.join(BASE_NAMES)}")
+def _base_pair(args: argparse.Namespace) -> tuple[str, Chart, Bivector, Tensor11]:
+    name = args.model or next(iter(BASES))
+    return (name, *_builder(BASES, name, f"unknown deformation base {name!r}; known bases")(args))
 
 
 @_config_errors()
-def _omega_source(cfg: RunConfig, chart: Chart) -> Form:
-    if cfg.omega_form is not None:
-        omega = parse_form(chart, cfg.omega_form)
+def _omega_source(args: argparse.Namespace, chart: Chart) -> Form:
+    if args.omega_form is not None:
+        omega = parse_form(chart, args.omega_form)
         if omega.degree != 2:
             raise ConfigError(f"omega_form must be a 2-form, got degree {omega.degree}")
         return omega
-    name = cfg.omega
-    if name is None:
-        raise ConfigError(f"deform needs --omega or an omega_form config entry; names: {', '.join(OMEGA_NAMES)}")
-    n = chart.n
-    if name == "zero":
-        return Form.zero(chart, 2)
-    if name == "omega-c":
-        return canonical_deformation_form(chart)
-    if name == "omega-hat":
-        return das_okubo_omega_hat(n, cfg.f)
-    if name in ("toda", "closed-toda"):
-        return closed_toda(n, cfg.f).omega
-    if name == "open-toda":
-        return open_toda(n, cfg.f).omega
-    raise ConfigError(f"unknown omega source {name!r}; names: {', '.join(OMEGA_NAMES)}")
+    if args.omega is None:
+        raise ConfigError(f"deform needs --omega or an omega_form config entry; names: {', '.join(OMEGAS)}")
+    return _builder(OMEGAS, args.omega, f"unknown omega source {args.omega!r}; names")(args, chart)
 
 
-def cmd_deform(cfg: RunConfig) -> int:
-    base_name, chart, pi, base_tensor = _base_pair(cfg)
-    omega = _omega_source(cfg, chart)
-    zero_cfg = _zero_test_config(cfg)
+def cmd_deform(args: argparse.Namespace) -> int:
+    base_name, chart, pi, base_tensor = _base_pair(args)
+    omega = _omega_source(args, chart)
+    zero_cfg = _zero_test_config(args)
     try:
         result = deform(pi, base_tensor, omega, zero_cfg)
     except HypothesisViolationError as exc:
@@ -483,14 +476,14 @@ def cmd_deform(cfg: RunConfig) -> int:
             "residual": exc.residual,
         }
         lines = [f"FAIL omega-closed: witness={witness} residual={exc.residual:.3e}"]
-        return _emit(cfg, zero_cfg, False, body, lines)
+        return _emit(args, zero_cfg, False, body, lines)
     body = {
         "classification": result.classification,
         "base": base_name,
         "n_hat": serialize_tensor(result.tensor),
     }
     lines = [f"deform base={base_name} (n={chart.n}): classified {result.classification}"]
-    return _emit_report(cfg, zero_cfg, result.report, body, lines, result.phi)
+    return _emit_report(args, zero_cfg, result.report, body, lines, result.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_def = sub.add_parser("deform", help="deform a torsionless base by a closed 2-form")
     _add_common(p_def)
-    p_def.add_argument("--omega", help=f"built-in 2-form name: {', '.join(OMEGA_NAMES)}")
+    p_def.add_argument("--omega", help=f"built-in 2-form name: {', '.join(OMEGAS)}")
     return parser
 
 
@@ -544,13 +537,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.monotonic()
     try:
         args = _build_parser().parse_args(argv)
-        cfg = _merge_config(args.command, args)
-        if args.command == "check":
-            code = cmd_check(cfg)
-        elif args.command == "involutivity":
-            code = cmd_involutivity(cfg)
-        else:
-            code = cmd_deform(cfg)
+        _merge_config(args)
+        code = {"check": cmd_check, "involutivity": cmd_involutivity, "deform": cmd_deform}[args.command](args)
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
     except ConfigError as exc:

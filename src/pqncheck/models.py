@@ -47,8 +47,6 @@ from .scalar import (
 )
 from .structures import GeometricStructure, _nonzero_fields
 
-MODEL_NAMES = ("canonical", "open-toda", "closed-toda", "calogero", "pair-potential", "two-particle")
-
 
 class ExpectedOutcome(Record):
     """What the checkers should conclude for a model.

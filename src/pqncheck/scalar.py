@@ -995,6 +995,10 @@ class ZeroTestConfig(Record):
         """The settings keyed by field name, in field order."""
         return dict(zip(self._fields, self._values()))
 
+    def echo(self) -> dict:
+        """The settings a report echoes, ``sample_count`` and ``seed``: the two that shape a report."""
+        return {"sample_count": self.sample_count, "seed": self.seed}
+
 
 class ZeroVerdict(Record):
     """Outcome of a sampled zero test.

@@ -117,7 +117,7 @@ class CheckReport(Record):
     def as_dict(self) -> dict:
         return {
             "name": self.name,
-            "config": self.config.as_dict(),
+            "config": self.config.echo(),
             "entries": [e.as_dict(self.chart) for e in self.entries],
             "overall": "pass" if self.overall else "fail",
         }

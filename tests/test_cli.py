@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from pqncheck import scalar
-from pqncheck.cli import main, parse_form, serialize_form, serialize_tensor
+from pqncheck.cli import BASES, MODELS, OMEGAS, main, parse_form, serialize_form, serialize_tensor
 from pqncheck.models import closed_toda
 from pqncheck.scalar import Chart
 
@@ -164,6 +164,62 @@ class TestConfigFile:
             )
         )
         assert run_cli("check", "--config", str(cfg)) == 0
+
+
+# Each setting with a flag: a run without it, its flag value, the same value as a config file holds it,
+# and another file value the flag must win over.
+FLAG_SETTINGS = [
+    (("check", "--n", "3"), "model", "closed-toda", "closed-toda", "open-toda"),
+    (("check", "--model", "closed-toda"), "n", "3", 3, 2),
+    (("check", "--model", "closed-toda", "--n", "3"), "f", "1,1,0", [1, 1, 0], "1,2,3"),
+    (("involutivity", "--model", "calogero", "--n", "3"), "kmax", "2", 2, 3),
+    (("check", "--model", "two-particle"), "v", "(* q1 q2)", "(* q1 q2)", "(+ q1 q2)"),
+    (("deform", "--model", "canonical", "--n", "3"), "omega", "toda", "toda", "zero"),
+    (("check", "--model", "closed-toda", "--n", "3"), "expect", "pn", "pn", "pqn"),
+    (("check", "--model", "canonical", "--n", "2"), "format", "json", "json", "text"),
+    (("check", "--model", "closed-toda", "--n", "3"), "samples", "9", 9, 20),
+    (("check", "--model", "closed-toda", "--n", "3"), "seed", "11", 11, 12),
+]
+
+
+class TestSettingTables:
+    def report(self, argv, tmp_path, capsys) -> tuple[int, str]:
+        code = run_cli(*config_args(argv, tmp_path))
+        return code, capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "base, key, flag_value, file_value, other", FLAG_SETTINGS, ids=[row[1] for row in FLAG_SETTINGS]
+    )
+    def test_config_file_gives_the_flag_report_and_the_flag_wins(
+        self, base, key, flag_value, file_value, other, tmp_path, capsys
+    ):
+        json_format = () if key == "format" else ("--format", "json")
+        flag = (f"--{key}", flag_value)
+        by_flag = self.report((*base, *flag, *json_format), tmp_path, capsys)
+        assert by_flag[0] in (0, 1) and by_flag[1]
+        assert self.report((*base, *json_format, "--config", {key: file_value}), tmp_path, capsys) == by_flag
+        assert self.report((*base, *flag, *json_format, "--config", {key: other}), tmp_path, capsys) == by_flag
+        assert self.report((*base, *json_format, "--config", {key: other}), tmp_path, capsys) != by_flag
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_every_model_runs(self, name, capsys):
+        code = run_cli("check", "--model", name, "--n", "2")
+        needs = {
+            "pair-potential": "pair-potential needs a potentials mapping in the config file",
+            "two-particle": "two-particle needs --v (a prefix expression in q1, q2)",
+        }
+        if name in needs:
+            assert (code, capsys.readouterr().err) == (2, f"config error: {needs[name]}\n")
+        else:
+            assert code in (0, 1)
+
+    @pytest.mark.parametrize("name", list(BASES))
+    def test_every_base_runs(self, name):
+        assert run_cli("deform", "--model", name, "--omega", "zero", "--n", "2") in (0, 1)
+
+    @pytest.mark.parametrize("name", list(OMEGAS))
+    def test_every_omega_runs(self, name):
+        assert run_cli("deform", "--model", "canonical", "--omega", name, "--n", "2") in (0, 1)
 
 
 def _keys(data) -> set:

@@ -348,6 +348,10 @@ class TestCheckPqn:
         report = check_pqn(bundle.structure())
         assert report.overall
 
+    def test_report_dict_echoes_what_the_cli_echoes(self):
+        # The library's report dict echoes the same two zero-test settings as the CLI's config.zero_test.
+        assert check_pqn(closed_toda(3).structure()).as_dict()["config"] == {"sample_count": 50, "seed": 7}
+
     def test_pn_structure_with_zero_form_degenerates(self, canonical2):
         pi, nc = canonical2
         structure = GeometricStructure.torsionless(pi, nc)
