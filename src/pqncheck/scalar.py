@@ -21,9 +21,11 @@ other partial is the zero field.  Identities that leave that part (e.g.
 rational-function cancellations against expanded polynomials) are decided by
 exact integer evaluation at seeded random points (``exact_zero``), which
 reaches every field of the ring up to a degree bound and certifies a witness
-point of a field it proved nonzero; floats only measure the residual there.
+point of a field it proved nonzero; the residual there is the exact value
+rounded once, and only a field with an exp takes it from a float evaluation.
 Expression trees are only the boundary: parsed input is normalized into a
-polynomial, and the canonical tree is built from it for printing.
+polynomial, and the canonical tree is built from it for printing and for
+float evaluation, which walks it.
 ``univariate_antiderivative`` integrates on the same polynomial, so no other
 module reads its layout.
 """
@@ -328,9 +330,9 @@ def _exact(value):
 
 
 class _SumBase:
-    """An interned content-normalized sum: polynomial, canonical tree, tree key, variables, exp rate, float plan."""
+    """An interned content-normalized sum: polynomial, canonical tree, tree key, variables, exp rate."""
 
-    __slots__ = ("poly", "node", "key", "variables", "rate", "plan")
+    __slots__ = ("poly", "node", "key", "variables", "rate")
 
     def __init__(self, poly: Polynomial):
         self.poly = poly
@@ -338,7 +340,6 @@ class _SumBase:
         self.key = _node_key(self.node)
         self.variables = _variables(poly)
         self.rate = _rate(poly)
-        self.plan = None  # built on first evaluation
 
 
 _SUM_IDS: dict[frozenset, int] = {}  # a content-normalized polynomial's items -> its sum id
@@ -633,83 +634,43 @@ def univariate_antiderivative(spec: Node) -> Node | None:
 # ---------------------------------------------------------------------------
 # evaluation
 #
-# A field is evaluated from its polynomial by a plan built on first use: at a
-# point each distinct factor is computed once, a term is its float coefficient
-# times its factors multiplied left to right, and a sum base is the ``fsum`` of
-# its own plan's terms.  A node-by-node walk of the canonical tree does the
-# same float operations in the same order (a leading 1.0 changes no bit), so
-# the values are bit-identical to it.  The plan keeps the tree's term order:
-# ``fsum`` is correctly rounded, but whether it raises on an overflow or
-# returns an infinite term depends on which it meets first.  A float failure
-# raises ``EvaluationOverflowError`` naming its node, the only tree evaluation
-# builds apart from the cached exp nodes whose keys order the terms.
+# A field is evaluated by walking its canonical tree ``root``, built once and
+# cached: a product multiplies its factors left to right from 1.0, and a
+# ``Sum`` is the ``fsum`` of its terms in tree order, computed once per point
+# per node, so a sum base shared by many terms is summed once.  ``fsum`` is
+# correctly rounded, but whether it raises on an overflow or returns an
+# infinite term depends on which it meets first.  A float failure raises
+# ``EvaluationOverflowError`` naming the node that failed.
 # ---------------------------------------------------------------------------
-
-
-def _float(value: RationalLike) -> float:
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise EvaluationOverflowError(f"constant {value} does not fit a float", node=Const(value)) from exc
 
 
 def _evaluation_failed(node: Node, exc: BaseException, name: Callable[[int], str]) -> EvaluationOverflowError:
     return EvaluationOverflowError(f"evaluation failed at node {_render(node, name)}: {exc}", node=node)
 
 
-class _Plan:
-    """A polynomial's distinct factors, and each term as its float coefficient and its factors' positions.
-
-    A factor is a coordinate power ``(0, index, exponent)``, an exp ``(1, affine,
-    float (coefficient, index) pairs)`` or a sum base's power ``(2, sum id,
-    exponent)``.  A term's factors are in canonical tree order: coordinates, the
-    exp, then sum bases by tree key, and the terms are in canonical tree order
-    too.  The zero polynomial has the one term 0.0.
-    """
-
-    __slots__ = ("factors", "terms")
-
-    def __init__(self, poly: Polynomial):
-        positions: dict[tuple, int] = {}  # factor -> its position in ``factors``
-        self.terms = []
-        for (coords, affine, sums), coeff in sorted((poly or {_UNIT: 0}).items(), key=_item_key):
-            factors = [(0, index, e) for index, e in coords]
-            if affine:
-                factors.append((1, affine, tuple([(_float(a), index) for index, a in affine])))
-            factors += sorted([(2, sid, e) for sid, e in sums], key=lambda factor: _SUMS[factor[1]].key)
-            self.terms.append((_float(coeff), tuple([positions.setdefault(f, len(positions)) for f in factors])))
-        self.factors = list(positions)
-
-    def values(self, x: tuple, bases: dict, name: Callable[[int], str]) -> list[float]:
-        """The float value of each term at the coordinates ``x``; ``bases`` keeps the sum bases' values there."""
-        factor_values = []
-        for kind, key, data in self.factors:
-            if kind == 2 and key not in bases:  # a sum base: the fsum of its own plan's terms, once per point
-                base = _SUMS[key]
-                if base.plan is None:
-                    base.plan = _Plan(base.poly)
-                try:
-                    bases[key] = math.fsum(base.plan.values(x, bases, name))
-                except (OverflowError, ValueError) as exc:
-                    raise _evaluation_failed(base.node, exc, name) from exc
-            try:
-                if kind == 0:
-                    value = x[key] if data == 1 else x[key] ** data
-                elif kind == 1:
-                    argument = [a if index == _CONSTANT else a * x[index] for a, index in data]
-                    value = math.exp(argument[0] if len(argument) == 1 else math.fsum(argument))
-                else:
-                    value = bases[key] ** data
-            except (ArithmeticError, ValueError) as exc:
-                node = _exp_factor(key)[1] if kind == 1 else Power(Coord(key) if kind == 0 else _SUMS[key].node, data)
-                raise _evaluation_failed(node, exc, name) from exc
-            factor_values.append(value)
-        values = []
-        for value, at in self.terms:  # the coefficient, times each factor in order
-            for position in at:
-                value *= factor_values[position]
-            values.append(value)
-        return values
+def _walk(node: Node, x: tuple, sums: dict, name: Callable[[int], str]) -> float:
+    """The float value of a canonical tree at the coordinates ``x``; ``sums`` keeps each ``Sum`` node's value there."""
+    cls = node.__class__
+    if cls is Coord:
+        return x[node.index]
+    if cls is Product:
+        value = 1.0
+        for factor in node.factors:
+            value *= _walk(factor, x, sums, name)
+        return value
+    if cls is Sum and id(node) in sums:
+        return sums[id(node)]
+    try:
+        if cls is Const:
+            return float(node.value)
+        if cls is Power:
+            return _walk(node.base, x, sums, name) ** node.exponent
+        if cls is Exp:
+            return math.exp(_walk(node.argument, x, sums, name))
+        value = sums[id(node)] = math.fsum([_walk(term, x, sums, name) for term in node.terms])
+        return value
+    except (ArithmeticError, ValueError) as exc:
+        raise _evaluation_failed(node, exc, name) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -723,14 +684,13 @@ class ScalarField:
     ``poly`` maps monomials (plain tuples, see "normalization") to nonzero
     ``int`` or ``Fraction`` coefficients, and every operator reads and writes
     it directly, without building a tree.  The canonical tree ``root`` is built
-    from it once, on first use, for printing only, and so is ``variables``, the
-    coordinates the polynomial mentions.  Evaluation reads the polynomial
-    through a plan of its factors and terms, built once, on first use (see
-    ``_Plan``).  Immutable; all arithmetic returns new fields.  Safe to
-    share across threads; a pickle holds the tree, not process-local sum ids.
+    from it once, on first use, for printing and float evaluation only, and so
+    is ``variables``, the coordinates the polynomial mentions.  Immutable; all
+    arithmetic returns new fields.  Safe to share across threads; a pickle
+    holds the tree, not process-local sum ids.
     """
 
-    __slots__ = ("chart", "poly", "_root", "_plan", "_variables")
+    __slots__ = ("chart", "poly", "_root", "_variables")
 
     def __init__(self, chart: Chart, tree):
         variables = None
@@ -747,7 +707,7 @@ class ScalarField:
         else:
             value = _as_fraction(tree)
             poly = {_UNIT: _exact(value)} if value else {}
-        for name, value in zip(self.__slots__, (chart, poly, None, None, variables)):
+        for name, value in zip(self.__slots__, (chart, poly, None, variables)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -759,7 +719,6 @@ class ScalarField:
         object.__setattr__(obj, "chart", chart)
         object.__setattr__(obj, "poly", poly)
         object.__setattr__(obj, "_root", None)
-        object.__setattr__(obj, "_plan", None)
         object.__setattr__(obj, "_variables", None)
         return obj
 
@@ -771,7 +730,7 @@ class ScalarField:
 
     @property
     def root(self) -> Node:
-        """The canonical expression tree of the polynomial, built on first use."""
+        """The canonical expression tree of the polynomial, built on first use; evaluation walks it."""
         if self._root is None:
             object.__setattr__(self, "_root", _poly_to_node(self.poly))
         return self._root
@@ -887,19 +846,14 @@ class ScalarField:
             raise ChartMismatchError(
                 f"point of dimension {len(values)} does not match chart of dimension {self.chart.dim}"
             )
-        plan = self._plan
-        if plan is None:
-            plan = _Plan(self.poly)
-            object.__setattr__(self, "_plan", plan)
-        return plan.values(values, {}, self.chart.coordinate_name)
+        root, sums, name = self.root, {}, self.chart.coordinate_name
+        return [_walk(term, values, sums, name) for term in (root.terms if root.__class__ is Sum else (root,))]
 
     def _sum(self, terms) -> float:
         try:
             return math.fsum(terms)
         except (OverflowError, ValueError) as exc:
-            raise EvaluationOverflowError(
-                f"evaluation failed at node {self.to_prefix()}: {exc}", node=self.root
-            ) from exc
+            raise _evaluation_failed(self.root, exc, self.chart.coordinate_name) from exc
 
     def evaluate(self, point: Point | Sequence[float]) -> float:
         return self._value(self._term_values(point))
@@ -1206,17 +1160,20 @@ def _exact_decision(field: ScalarField, seed: int) -> tuple[bool | None, tuple]:
 
 
 def _exact_witness(field: ScalarField, form: tuple, config: ZeroTestConfig) -> tuple[float, Point | None, int]:
-    """(|f(p)|, p, points tried) at the first whole-number point p that proves f(p) != 0 and evaluates finitely.
+    """(|f(p)|, p, points tried) at the first whole-number point p that proves f(p) != 0 with a positive float residual.
 
     Each p_i and one integer T are drawn from 1..16 with ``random.Random(config.seed)``,
     and ``form``, the integer form :func:`_exact_decision` proved nonzero, is evaluated at
     x = p, t = T, y_i = T^p_i.  As y_i = t^p_i at x = p, a nonzero N there (every N_S too)
     makes N(p, t^p, t) a nonzero integer polynomial, so nonzero at the transcendental
-    t = e^(1/L): f(p) != 0.  A point with a zero value (a pole, or T a root) or a float
-    overflow is passed over; after ``config.sample_count`` points the result is (0.0, None,
-    sample_count).
+    t = e^(1/L): f(p) != 0.  With no exp in the field or any of its sum bases, N / D is f(p)
+    itself, and the residual is |N| / |D| rounded once; a field with an exp takes it from
+    ``ScalarField.evaluate``.  A point with a zero value (a pole, or T a root), or whose
+    residual overflows a float or rounds to 0.0, is passed over; after ``config.sample_count``
+    points the result is (0.0, None, sample_count).
     """
     top, forms = form
+    exp_free = not any(affine for poly in (field.poly, *[_SUMS[sid].poly for sid in forms]) for _, affine, _ in poly)
     rng = random.Random(config.seed)
     for tried in range(1, config.sample_count + 1):
         *p, t = [rng.randint(1, _WITNESS_GRID) for _ in range(field.chart.dim + 1)]
@@ -1224,9 +1181,11 @@ def _exact_witness(field: ScalarField, form: tuple, config: ZeroTestConfig) -> t
         if value and value[0]:
             point = Point._wrap(tuple(map(float, p)))
             try:
-                return abs(field.evaluate(point)), point, tried
-            except EvaluationOverflowError:
-                pass
+                residual = abs(value[0]) / abs(value[1]) if exp_free else abs(field.evaluate(point))
+            except (OverflowError, EvaluationOverflowError):
+                continue
+            if residual:
+                return residual, point, tried
     return 0.0, None, config.sample_count
 
 

@@ -21,7 +21,7 @@ def values() -> dict:
     toda = closed_toda(2)
     chart = toda.chart
     inverse_square = calogero(2).tensor.entry(2, 0)  # holds a negative power of a sum
-    inverse_square.evaluate((0.5, -1.0, 2.0, 0.25))  # fills the evaluation-plan cache
+    inverse_square.evaluate((0.5, -1.0, 2.0, 0.25))  # fills the cached canonical tree it walks
     x, y = Coord(0), Coord(1)
     sample = {
         "Chart": chart,

