@@ -189,9 +189,10 @@ def _zero_test_config(args: argparse.Namespace) -> ZeroTestConfig:
 
 
 def _require_n(args: argparse.Namespace) -> int:
+    """The particle count, refused by ``Chart`` before any model or base is sized by it."""
     if args.n is None:
         raise ConfigError("--n is required for this model")
-    return args.n
+    return Chart(args.n).n
 
 
 def _builder(table: dict, name, unknown: str):
@@ -287,7 +288,7 @@ def _emit(args: argparse.Namespace, zero_cfg: ZeroTestConfig, passed: bool, body
     """Write a report under the run's header with its overall verdict; return the exit code."""
     payload = {
         "tool_version": __version__,
-        "config": {**_echo(args), "zero_test": zero_cfg.echo()},
+        "config": {**_echo(args), "zero_test": zero_cfg.as_dict()},
         **body,
         "overall": "pass" if passed else "fail",
     }

@@ -40,12 +40,13 @@ from .scalar import (
     Sum,
     Const,
     ZeroTestConfig,
+    _all_zero,
     parse_prefix,
     parse_prefix_tree,
     substitute,
     univariate_antiderivative,
 )
-from .structures import GeometricStructure, _nonzero_fields
+from .structures import GeometricStructure
 
 
 class ExpectedOutcome(Record):
@@ -328,6 +329,7 @@ def closed_toda(n: int, couplings: Sequence[object] | None = None) -> ModelBundl
     """
     if n < 2:
         raise ValueError("the lattice needs at least two particles")
+    Chart(n)  # refuses an n too large to index before the couplings are sized by it
     f = [Fraction(c) for c in (couplings if couplings is not None else [1] * n)]
     if len(f) != n:
         raise ValueError(f"expected {n} couplings, got {len(f)}")
@@ -339,6 +341,7 @@ def open_toda(n: int, couplings: Sequence[object] | None = None) -> ModelBundle:
     """Non-periodic exponential chain: torsionless for any coupling constants."""
     if n < 2:
         raise ValueError("the lattice needs at least two particles")
+    Chart(n)  # refuses an n too large to index before the couplings are sized by it
     f = [Fraction(c) for c in (couplings if couplings is not None else [1] * (n - 1))]
     if len(f) != n - 1:
         raise ValueError(f"expected {n - 1} couplings, got {len(f)}")
@@ -359,6 +362,7 @@ def calogero(n: int) -> ModelBundle:
     """
     if n < 2:
         raise ValueError("the system needs at least two particles")
+    Chart(n)  # refuses an n too large to index before the pair table is sized by it
     pots = {(i, j): Power(Coord(0), -2) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
     return pair_potential_model(
         n,
@@ -393,7 +397,7 @@ def two_particle_model(v_spec, *, name: str = "two-particle") -> ModelBundle:
     chart = Chart(2)
     v = _two_particle_potential(chart, v_spec)
     drift = v.partial(chart.q_index(1)) + v.partial(chart.q_index(2))
-    translation_invariant = not _nonzero_fields("translation-invariance", [drift], ZeroTestConfig().seed)[1]
+    translation_invariant = _all_zero("translation-invariance", [drift], ZeroTestConfig().seed)
     return _pair_bundle(
         name,
         chart,

@@ -23,9 +23,11 @@ exact integer evaluation at seeded random points (``exact_zero``), which
 reaches every field of the ring up to a degree bound and certifies a witness
 point of a field it proved nonzero; the residual there is the exact value
 rounded once, and only a field with an exp takes it from a float evaluation.
-Expression trees are only the boundary: parsed input is normalized into a
-polynomial, and the canonical tree is built from it for printing and for
-float evaluation, which walks it.
+``is_zero`` gives that decision, the one every report entry states: no zero
+test compares a float with a threshold, and a field the exact test leaves
+undecided raises ``ConfigError``.  Expression trees are only the boundary:
+parsed input is normalized into a polynomial, and the canonical tree is built
+from it for printing and for float evaluation, which walks it.
 ``univariate_antiderivative`` integrates on the same polynomial, so no other
 module reads its layout.
 """
@@ -36,12 +38,14 @@ import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
     ChartMismatchError,
+    ConfigError,
     DegenerateDomainError,
     EvaluationOverflowError,
     UnsupportedExpressionError,
@@ -119,6 +123,8 @@ class Chart(Record):
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"particle count must be a positive integer, got {n!r}")
+        if 2 * n > sys.maxsize:
+            raise ValueError(f"particle count {n} is too large: the chart's 2n coordinates cannot be indexed")
         object.__setattr__(self, "n", n)
 
     def __eq__(self, other):
@@ -856,10 +862,7 @@ class ScalarField:
             raise _evaluation_failed(self.root, exc, self.chart.coordinate_name) from exc
 
     def evaluate(self, point: Point | Sequence[float]) -> float:
-        return self._value(self._term_values(point))
-
-    def _value(self, terms: list[float]) -> float:
-        """The field's value from its term values."""
+        terms = self._term_values(point)
         # A lone term is returned as it is: fsum would turn -0.0 into 0.0.
         result = self._sum(terms) if len(terms) > 1 else terms[0]
         if not math.isfinite(result):
@@ -871,14 +874,13 @@ class ScalarField:
     def term_scale(self, point: Point | Sequence[float]) -> float:
         """Sum of the absolute values of the top-level additive terms at ``point``.
 
-        Used as the local coefficient scale of the absolute-plus-relative zero
-        test: a residual of a cancellation-heavy sum is judged against the
-        size of what was cancelled.
+        The size of what the field's sum cancels there, next to which a float
+        value of the field can be judged; no zero test reads it.
         """
         return self._sum(map(abs, self._term_values(point)))
 
     def is_zero(self, config: "ZeroTestConfig | None" = None) -> "ZeroVerdict":
-        return is_zero(self, config or ZeroTestConfig())
+        return is_zero(self, config)
 
     def exp(self) -> "ScalarField":
         """exp of this field; the field must be affine in the coordinates."""
@@ -901,65 +903,42 @@ def partial(field: ScalarField, index: int) -> ScalarField:
 
 
 # ---------------------------------------------------------------------------
-# probabilistic zero testing
+# zero-test settings and verdicts, and the float sampler
 # ---------------------------------------------------------------------------
 
 
 class ZeroTestConfig(Record):
-    """Parameters of the zero tests.
+    """Settings of the zero test.
 
     ``seed`` seeds :func:`exact_zero` and the witness points of a field it
-    proves nonzero, at most ``sample_count`` of them; these two are the CLI's
-    ``--seed`` and ``--samples``, and all a report echoes.  The other settings
-    are library-only and feed only the float sampler (:func:`is_zero`,
-    :func:`sample_points`), which no verdict, decision or witness uses:
-    ``tolerance`` is absolute-plus-relative against the local term scale,
-    ``separation`` the least |q_i - q_j| of a sample (0 disables the guard),
-    and points are uniform in [-box_halfwidth, box_halfwidth].
-
-    Valid ranges, checked on construction (``ValueError`` otherwise):
-    ``sample_count`` an ``int`` (not a ``bool``) >= 1; ``tolerance`` finite
-    and > 0; ``separation`` finite and >= 0; ``box_halfwidth`` > 0 with
-    ``2 * box_halfwidth`` finite.
+    proves nonzero, at most ``sample_count`` of them.  These are the CLI's
+    ``--seed`` and ``--samples``, and what a report echoes (:meth:`as_dict`).
+    ``sample_count`` must be an ``int`` (not a ``bool``) >= 1; ``ValueError``
+    otherwise.
     """
 
-    __slots__ = _fields = ("sample_count", "box_halfwidth", "separation", "tolerance", "seed")
+    __slots__ = _fields = ("sample_count", "seed")
 
-    def __init__(
-        self,
-        sample_count: int = 50,
-        box_halfwidth: float = 2.0,
-        separation: float = 1e-2,
-        tolerance: float = 1e-9,
-        seed: int = 7,
-    ):
+    def __init__(self, sample_count: int = 50, seed: int = 7):
         if isinstance(sample_count, bool) or not isinstance(sample_count, int):
             raise ValueError(f"sample_count must be an integer, got {sample_count!r}")
         if sample_count < 1:
             raise ValueError("sample_count must be at least 1")
-        if not (math.isfinite(tolerance) and tolerance > 0):
-            raise ValueError(f"tolerance must be finite and positive, got {tolerance!r}")
-        if not (math.isfinite(separation) and separation >= 0):
-            raise ValueError(f"separation must be finite and nonnegative, got {separation!r}")
-        if not (box_halfwidth > 0 and math.isfinite(2 * box_halfwidth)):
-            raise ValueError(f"box_halfwidth must be positive with a finite box width, got {box_halfwidth!r}")
-        self._init(sample_count, box_halfwidth, separation, tolerance, seed)
+        self._init(sample_count, seed)
 
     def as_dict(self) -> dict:
-        """The settings keyed by field name, in field order."""
+        """The settings keyed by field name, in field order: what a report echoes."""
         return dict(zip(self._fields, self._values()))
-
-    def echo(self) -> dict:
-        """The settings a report echoes, ``sample_count`` and ``seed``: the two that shape a report."""
-        return {"sample_count": self.sample_count, "seed": self.seed}
 
 
 class ZeroVerdict(Record):
-    """Outcome of a sampled zero test.
+    """Outcome of the zero test of a field, as a report entry states it.
 
-    ``residual`` is the largest |f(x)| seen relative to its acceptance
-    threshold; ``witness`` is the point where it occurred.  ``is_zero`` is
-    False as soon as one sample exceeds tolerance * (1 + local term scale).
+    ``is_zero`` is the exact verdict.  A field proved nonzero is witnessed at
+    a whole-number point ``witness``, where ``residual`` is |f|, after
+    ``samples`` points tried; with no witness within ``sample_count`` points,
+    ``witness`` is None and ``residual`` 0.0.  A zero verdict has residual
+    0.0, no witness and 0 samples.
     """
 
     __slots__ = _fields = ("is_zero", "residual", "witness", "samples")
@@ -971,18 +950,26 @@ class ZeroVerdict(Record):
         return self.is_zero
 
 
-def sample_points(chart: Chart, config: ZeroTestConfig) -> list[Point]:
-    """Deterministic uniform samples in the box, respecting the separation guard.
+def sample_points(
+    chart: Chart, config: ZeroTestConfig, *, box_halfwidth: float = 2.0, separation: float = 1e-2
+) -> list[Point]:
+    """``config.sample_count`` points drawn uniformly from [-box_halfwidth, box_halfwidth] with ``config.seed``.
 
-    Identical config (including seed) yields the identical sequence.  Points
-    whose q-coordinates come closer than ``separation`` are redrawn; if the
-    total number of draws exceeds 100x the requested count, the box is deemed
-    incompatible with the guard.
+    Identical arguments yield the identical sequence.  Points whose
+    q-coordinates come closer than ``separation`` are redrawn (0 disables the
+    guard); if the total number of draws exceeds 100x the requested count,
+    the box is deemed incompatible with the guard (``DegenerateDomainError``).
+    ``separation`` must be finite and >= 0, and ``box_halfwidth`` > 0 with
+    ``2 * box_halfwidth`` finite; ``ValueError`` otherwise.  No zero test
+    reads these points.
     """
+    if not (math.isfinite(separation) and separation >= 0):
+        raise ValueError(f"separation must be finite and nonnegative, got {separation!r}")
+    if not (box_halfwidth > 0 and math.isfinite(2 * box_halfwidth)):
+        raise ValueError(f"box_halfwidth must be positive with a finite box width, got {box_halfwidth!r}")
     draw = random.Random(config.seed).random
-    h = config.box_halfwidth
+    h = box_halfwidth
     low, width = -h, h - -h  # so low + width * draw() is rng.uniform(-h, h)
-    separation = config.separation
     pairs = [(i, j) for i in range(chart.n) for j in range(i + 1, chart.n)] if separation > 0 else []
     budget = 100 * config.sample_count
     points: list[Point] = []
@@ -1003,26 +990,6 @@ def sample_points(chart: Chart, config: ZeroTestConfig) -> list[Point]:
             else:
                 points.append(Point._wrap(values))
     return points
-
-
-def is_zero(field: ScalarField, config: ZeroTestConfig | None = None) -> ZeroVerdict:
-    """Probabilistic zero test by evaluation at seeded random points."""
-    cfg = config or ZeroTestConfig()
-    points = sample_points(field.chart, cfg)
-    worst = (-1.0, 0.0, None)  # the largest ratio of |f| to its threshold, that |f|, and its point
-    for point in points:
-        terms = field._term_values(point)
-        value = abs(field._value(terms))
-        # The threshold is at least the tolerance, so value / tolerance bounds this
-        # sample's ratio from above; when that bound cannot beat the worst ratio,
-        # the sample changes nothing and its term scale is not needed.
-        if value / cfg.tolerance <= worst[0]:
-            continue
-        ratio = value / (cfg.tolerance * (1.0 + field._sum(map(abs, terms))))
-        if ratio > worst[0]:
-            worst = (ratio, value, point)
-    # Every ratio is at most the worst, so one exceeds 1 exactly when the worst does.
-    return ZeroVerdict(is_zero=worst[0] <= 1.0, residual=worst[1], witness=worst[2], samples=len(points))
 
 
 # ---------------------------------------------------------------------------
@@ -1187,6 +1154,49 @@ def _exact_witness(field: ScalarField, form: tuple, config: ZeroTestConfig) -> t
             if residual:
                 return residual, point, tried
     return 0.0, None, config.sample_count
+
+
+def _nonzero_fields(name: str, fields: Iterable[ScalarField], seed: int) -> tuple[str, list[tuple]]:
+    """The decision of a zero test, with no float evaluation: its mode, and each field proved nonzero.
+
+    Fields are ``symbolic`` zeros, else go to :func:`exact_zero`; one it leaves undecided raises
+    ConfigError, whose message starts with ``name``.  A field proved nonzero comes with the integer
+    form that proved it.
+    """
+    pending: list[ScalarField] = [f for f in fields if not f.is_zero_tree]
+    if not pending:
+        return "symbolic", []
+    exact = [(f, *_exact_decision(f, seed)) for f in pending]  # (field, True/False/None, its integer form)
+    if any(zero is None for _, zero, _ in exact):
+        raise ConfigError(f"{name}: undecided by the exact zero test (degree bound past 2**16, or a zero sum base)")
+    return "exact", [(f, form) for f, zero, form in exact if not zero]
+
+
+def _all_zero(name: str, fields: Iterable[ScalarField], seed: int) -> bool:
+    """Whether every field is zero, decided as :func:`_zero_verdict` decides it, with no witness search."""
+    return not _nonzero_fields(name, fields, seed)[1]
+
+
+def _zero_verdict(name: str, fields: Iterable[ScalarField], config: ZeroTestConfig) -> tuple[str, ZeroVerdict]:
+    """The zero test of every report entry: its mode, ``symbolic`` or ``exact``, and its verdict.
+
+    Every field is decided by :func:`_nonzero_fields`.  A failing verdict is witnessed on each field
+    proved nonzero by the exact test's own integer form (:func:`_exact_witness`), and takes residual,
+    witness and points tried from the field with the largest residual.
+    """
+    mode, nonzero = _nonzero_fields(name, fields, config.seed)
+    if not nonzero:
+        return mode, ZeroVerdict(True, 0.0, None, 0)
+    residual, witness, samples = max((_exact_witness(*found, config) for found in nonzero), key=lambda w: w[0])
+    return mode, ZeroVerdict(False, residual, witness, samples)
+
+
+def is_zero(field: ScalarField, config: ZeroTestConfig | None = None) -> ZeroVerdict:
+    """Whether a field is zero, with the verdict, witness and residual a report entry gives it.
+
+    A field the exact test leaves undecided raises :class:`pqncheck.errors.ConfigError`.
+    """
+    return _zero_verdict("is_zero", [field], config or ZeroTestConfig())[1]
 
 
 # ---------------------------------------------------------------------------

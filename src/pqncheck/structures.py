@@ -3,13 +3,15 @@
 A geometric structure is a chart together with a Poisson candidate, a (1,1)
 tensor, and a 3-form controlling its torsion (the zero form for torsionless
 candidates).  Checkers return :class:`CheckReport` objects: one entry per
-axiom, decided structurally ("symbolic": the normalized difference is the
+axiom, each the zero test of :func:`pqncheck.scalar.is_zero` on the axiom's
+fields, decided structurally ("symbolic": the normalized difference is the
 zero polynomial) or by exact integer evaluation at seeded points ("exact",
 see :func:`pqncheck.scalar.exact_zero`).  A failing entry's witness is a
 whole-number point where that test's integer form proves a field nonzero,
 and its residual |value| there.  A field the exact test cannot decide ends
-the check with :class:`pqncheck.errors.ConfigError`.  Reports are
-deterministic given the seed.
+the check with :class:`pqncheck.errors.ConfigError`.  The PN/PqN
+classification of :func:`deform` reads the same decision without a witness
+search.  Reports are deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .calculus import (
     nijenhuis_torsion,
     poisson_bracket,
 )
-from .errors import ChartMismatchError, ConfigError, HypothesisViolationError
+from .errors import ChartMismatchError, HypothesisViolationError
 from .exterior import (
     Bivector,
     Form,
@@ -41,7 +43,7 @@ from .exterior import (
     tensor_interior,
 )
 from .randgen import random_scalar_field
-from .scalar import Chart, Point, Record, ScalarField, ZeroTestConfig, _exact_decision, _exact_witness
+from .scalar import Chart, Point, Record, ScalarField, ZeroTestConfig, _all_zero, _zero_verdict
 
 
 class GeometricStructure(Record):
@@ -117,25 +119,10 @@ class CheckReport(Record):
     def as_dict(self) -> dict:
         return {
             "name": self.name,
-            "config": self.config.echo(),
+            "config": self.config.as_dict(),
             "entries": [e.as_dict(self.chart) for e in self.entries],
             "overall": "pass" if self.overall else "fail",
         }
-
-
-def _nonzero_fields(axiom: str, fields: Iterable[ScalarField], seed: int) -> tuple[str, list[tuple]]:
-    """The decision of a zero verdict, with no float evaluation: its mode, and each field proved nonzero.
-
-    Fields are ``symbolic`` zeros, else go to :func:`pqncheck.scalar.exact_zero`; one it leaves
-    undecided raises ConfigError.  A field proved nonzero comes with the integer form that proved it.
-    """
-    pending: list[ScalarField] = [f for f in fields if not f.is_zero_tree]
-    if not pending:
-        return "symbolic", []
-    exact = [(f, *_exact_decision(f, seed)) for f in pending]  # (field, True/False/None, its integer form)
-    if any(zero is None for _, zero, _ in exact):
-        raise ConfigError(f"{axiom}: undecided by the exact zero test (degree bound past 2**16, or a zero sum base)")
-    return "exact", [(f, form) for f, zero, form in exact if not zero]
 
 
 def _zero_axiom(
@@ -144,18 +131,12 @@ def _zero_axiom(
     config: ZeroTestConfig,
     detail: str | None = None,
 ) -> AxiomCheck:
-    """Check that every field is zero: structurally, else exactly (:func:`_nonzero_fields`).
+    """The zero test of every field (``scalar._zero_verdict``) as the entry of ``axiom``.
 
-    Every zero verdict of a report entry or involutivity cell is made here.  A
-    failing verdict is witnessed on each field proved nonzero by the exact
-    test's own integer form (``scalar._exact_witness``), and takes residual,
-    witness and points tried from the field with the largest residual.
+    Every zero verdict of a report entry or involutivity cell is made here.
     """
-    mode, nonzero = _nonzero_fields(axiom, fields, config.seed)
-    if not nonzero:
-        return AxiomCheck(axiom, True, mode, 0.0, None, 0, detail)
-    residual, witness, samples = max((_exact_witness(*found, config) for found in nonzero), key=lambda w: w[0])
-    return AxiomCheck(axiom, False, mode, residual, witness, samples, detail)
+    mode, verdict = _zero_verdict(axiom, fields, config)
+    return AxiomCheck(axiom, verdict.is_zero, mode, verdict.residual, verdict.witness, verdict.samples, detail)
 
 
 def _vector_components(vectors: Iterable[VectorField]) -> list[ScalarField]:
@@ -391,7 +372,7 @@ def deform(
         raise ChartMismatchError("deformation inputs live on different charts")
     closed_entry = _require_closed(omega, cfg)
     n_hat, phi = _deformation(pi, tensor, omega)
-    classification = "PqN" if _nonzero_fields("phi-vanishes", _form_components([phi]), cfg.seed)[1] else "PN"
+    classification = "PN" if _all_zero("phi-vanishes", _form_components([phi]), cfg.seed) else "PqN"
     pqn_report = check_pqn(GeometricStructure(pi.chart, pi, n_hat, phi), cfg)
     report = CheckReport(
         "deform",

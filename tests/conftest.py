@@ -5,12 +5,11 @@ import random
 import pytest
 
 from pqncheck.models import canonical_nijenhuis, canonical_poisson
-from pqncheck.scalar import Chart, ScalarField, ZeroTestConfig
+from pqncheck.scalar import Chart, ScalarField
 
-#: Float-sampler settings for inverse-power potentials: a wider separation guard keeps
-#: samples off the collision locus, and a wider tolerance absorbs the roundoff of cubed
-#: inverse separations.  Only the library's float sampler reads these two.
-CALOGERO_ZERO_TEST = ZeroTestConfig(separation=5e-2, tolerance=1e-7)
+#: The float sampler's separation guard for inverse-power potentials: a wider guard keeps
+#: sample points off the collision locus.  Only ``sample_points`` reads it.
+CALOGERO_SEPARATION = 5e-2
 
 
 def fd_partial(field: ScalarField, point, index: int, h: float = 1e-5) -> float:

@@ -33,7 +33,7 @@ from pqncheck.structures import (
     trace_invariants,
 )
 
-from conftest import CALOGERO_ZERO_TEST, seeded
+from conftest import CALOGERO_SEPARATION, seeded
 
 
 def _criterion(number: int, description: str, ok: bool, detail: str = "") -> None:
@@ -82,13 +82,13 @@ def test_criterion_1_closed_toda_phi():
 def test_criterion_2_open_toda_pn():
     start = time.monotonic()
     generic = [Fraction(1), Fraction(2), Fraction(3)]
-    tol = ZeroTestConfig(tolerance=1e-9)
+    cfg = ZeroTestConfig()
     worst = 0.0
     for n in (2, 3, 4):
         chart = Chart(n)
         pi = canonical_poisson(chart)
         bundle = open_toda(n, generic[: n - 1])
-        result = deform(pi, canonical_nijenhuis(chart), bundle.omega, tol)
+        result = deform(pi, canonical_nijenhuis(chart), bundle.omega, cfg)
         assert result.classification == "PN"
         phi_ok = result.phi.is_zero
         torsion = nijenhuis_torsion(result.tensor)
@@ -97,7 +97,7 @@ def test_criterion_2_open_toda_pn():
             for comp in value.components:
                 if comp.is_zero_tree:
                     continue
-                verdict = comp.is_zero(tol)
+                verdict = comp.is_zero(cfg)
                 torsion_ok = torsion_ok and verdict.is_zero
                 worst = max(worst, verdict.residual)
         assert phi_ok and torsion_ok, f"n={n}"
@@ -146,7 +146,7 @@ def test_criterion_4_involutivity_split():
     # inverse-square potentials, n = 3: bounded by 1e-7 under the separation guard
     cal3 = calogero(3)
     cal_invariants = trace_invariants(cal3.tensor, 3)
-    cal_points = sample_points(cal3.chart, CALOGERO_ZERO_TEST)
+    cal_points = sample_points(cal3.chart, ZeroTestConfig(), separation=CALOGERO_SEPARATION)
     cal_worst = 0.0
     for j in range(3):
         for k in range(j, 3):
@@ -159,7 +159,7 @@ def test_criterion_4_involutivity_split():
 
     # inverse-square potentials, n = 4: some pair exceeds 1e-6 somewhere
     cal4 = calogero(4)
-    matrix = involutivity_matrix(cal4.poisson, trace_invariants(cal4.tensor, 4), CALOGERO_ZERO_TEST)
+    matrix = involutivity_matrix(cal4.poisson, trace_invariants(cal4.tensor, 4))
     witness_residual = max(
         (matrix.cell(j, k).residual for j, k in matrix.nonzero_pairs()), default=0.0
     )

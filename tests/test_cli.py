@@ -445,6 +445,8 @@ def _omega_form(degree, terms) -> dict:
     return {"omega_form": {"degree": degree, "terms": [{"indices": i, "coeff": c} for i, c in terms]}}
 
 
+HUGE_N = str(10**20)
+
 # The inverse of exp(q1)/(exp(q1)+1) + 1/(exp(q1)+1) - 1, a sum that is zero but not in canonical form.
 ZERO_AS_A_FUNCTION_BASE = "(^ (+ (* (exp q1) (^ (+ (exp q1) 1) -1)) (^ (+ (exp q1) 1) -1) -1) -1)"
 
@@ -481,6 +483,14 @@ class TestBadInput:
             ("check", "--model", "closed-toda", "--n", "3", "--config", {"f": ["1/0", 1, 1]}),
             ("check", "--model", "closed-toda", "--n", "3", "--bogus"),
             (),
+            # A particle count whose 2n coordinates no index can reach, refused before anything is sized by it.
+            ("check", "--model", "closed-toda", "--n", HUGE_N),
+            ("check", "--model", "open-toda", "--n", HUGE_N),
+            ("check", "--model", "canonical", "--n", HUGE_N),
+            ("involutivity", "--model", "calogero", "--n", HUGE_N),
+            ("involutivity", "--model", "pair-potential", "--config", {"n": 10**20, "potentials": {"1,2": "x"}}),
+            ("deform", "--model", "canonical", "--omega", "toda", "--n", HUGE_N),
+            ("deform", "--model", "open-toda", "--omega", "toda", "--n", HUGE_N),
         ],
     )
     def test_rejected_value_is_a_one_line_config_error(self, argv, tmp_path, capsys):

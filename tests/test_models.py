@@ -31,7 +31,6 @@ from pqncheck.structures import (
     trace_invariants,
 )
 
-from conftest import CALOGERO_ZERO_TEST
 
 
 def test_structure_class_follows_the_three_form():
@@ -97,9 +96,7 @@ class TestPairPotential:
         # mixed potentials: exponential, inverse square, and polynomial
         pots = {(1, 2): "(exp x)", (1, 3): "(^ x -2)", (2, 3): "(* 2 x)"}
         bundle = pair_potential_model(3, pots)
-        result = deform(
-            bundle.poisson, canonical_nijenhuis(bundle.chart), bundle.omega, CALOGERO_ZERO_TEST
-        )
+        result = deform(bundle.poisson, canonical_nijenhuis(bundle.chart), bundle.omega)
         assert result.phi == bundle.expected.phi_closed_form
         assert result.tensor == bundle.tensor
 
@@ -184,6 +181,17 @@ class TestPairPotential:
         assert potential(5) == Const(Fraction(5))
         assert potential("(^ x -2)") == Power(Coord(0), -2)
         assert potential(Power(Coord(0), -2)) == Power(Coord(0), -2)
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [canonical_pn, closed_toda, open_toda, calogero, lambda n: pair_potential_model(n, {(1, 2): "x"})],
+    ids=["canonical", "closed-toda", "open-toda", "calogero", "pair-potential"],
+)
+def test_particle_count_too_large_to_index_is_refused(factory):
+    # Refused by the chart before the couplings or the pair table are sized by n.
+    with pytest.raises(ValueError, match="too large"):
+        factory(10**20)
 
 
 class TestToda:
@@ -289,7 +297,7 @@ class TestTwoParticle:
         assert bundle.expected.non_involutive
 
 
-def _verify_bundle(bundle, cfg=None):
+def _verify_bundle(bundle):
     """The integration contract: expected metadata agrees with the verdicts."""
     if bundle.omega is not None:
         assert cartan_d(bundle.omega).is_zero
@@ -298,15 +306,15 @@ def _verify_bundle(bundle, cfg=None):
     phi = bundle.phi()
     if bundle.expected.structure_class == "PN":
         assert phi.is_zero
-        assert check_pn(bundle.poisson, bundle.tensor, cfg).overall
+        assert check_pn(bundle.poisson, bundle.tensor).overall
     else:
         assert not phi.is_zero
-        assert check_pqn(bundle.structure(), cfg).overall
+        assert check_pqn(bundle.structure()).overall
     claim = bundle.expected.involutive_up_to
     scan = max(claim or 0, bundle.chart.n if bundle.expected.non_involutive else 0)
     if scan:
         invariants = trace_invariants(bundle.tensor, scan)
-        matrix = involutivity_matrix(bundle.poisson, invariants, cfg)
+        matrix = involutivity_matrix(bundle.poisson, invariants)
         if claim is not None:
             for j in range(1, claim + 1):
                 for k in range(1, claim + 1):
@@ -330,7 +338,7 @@ class TestExpectedMetadataIntegration:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_calogero(self, n):
-        _verify_bundle(calogero(n), CALOGERO_ZERO_TEST)
+        _verify_bundle(calogero(n))
 
     def test_two_particle_generic(self):
         _verify_bundle(two_particle_model("(* q1 q2)"))

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pqncheck.errors import (
     ChartMismatchError,
+    ConfigError,
     DegenerateDomainError,
     EvaluationOverflowError,
     UnsupportedExpressionError,
@@ -37,7 +38,7 @@ from pqncheck.scalar import (
     to_prefix,
 )
 
-from conftest import CALOGERO_ZERO_TEST, fd_partial, lagrange_identity, seeded
+from conftest import fd_partial, lagrange_identity, seeded
 
 
 class TestChart:
@@ -51,6 +52,8 @@ class TestChart:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             Chart(0)
+        with pytest.raises(ValueError, match="too large"):
+            Chart(10**20)  # its 2n coordinates cannot be indexed
 
     def test_point_validation(self):
         with pytest.raises(ValueError):
@@ -424,19 +427,6 @@ _points = st.lists(st.floats(-3, 3), min_size=_DIM, max_size=_DIM)
 _huge_points = st.lists(st.sampled_from([-1.7e308, -1e200, 1e150, 1e200, 1.7e308]), min_size=_DIM, max_size=_DIM)
 
 
-def _plain_loop_verdict(field, points, tolerance, evaluate, term_scale) -> ZeroVerdict:
-    """The zero test's verdict from every sample's ``evaluate(field, point)`` and term scale, none skipped."""
-    scored = [
-        (abs(evaluate(field, p)) / (tolerance * (1.0 + term_scale(field, p))), abs(evaluate(field, p)), p)
-        for p in points
-    ]
-    worst = (-1.0, 0.0, None)
-    for ratio, value, point in scored:
-        if ratio > worst[0]:
-            worst = (ratio, value, point)
-    return ZeroVerdict(all(ratio <= 1.0 for ratio, _, _ in scored), worst[1], worst[2], len(points))
-
-
 @pytest.fixture(scope="module")
 def calogero4_nonzero_brackets():
     """The brackets {H2, H4} and {H3, H4} of Calogero n=4, the two that are nonzero."""
@@ -500,15 +490,6 @@ class TestPolynomialEvaluation:
         assert struct.pack("<d", field.evaluate([0.0, 1.0])) == struct.pack("<d", -0.0)
         _assert_matches_tree_walk(field, [0.0, 1.0])
 
-    def test_nonzero_model_brackets_match_the_tree_walk_verdict(self, calogero4_nonzero_brackets):
-        points = sample_points(Chart(4), CALOGERO_ZERO_TEST)
-        for field in calogero4_nonzero_brackets:
-            expected = _plain_loop_verdict(
-                field, points, CALOGERO_ZERO_TEST.tolerance, _reference_evaluate, _reference_term_scale
-            )
-            assert not expected.is_zero
-            assert is_zero(field, CALOGERO_ZERO_TEST) == expected
-
 
 class TestZeroTest:
     def test_structural_zero_passes(self):
@@ -517,13 +498,50 @@ class TestZeroTest:
         assert verdict.is_zero
         assert verdict.residual == 0.0
 
+    def test_identity_outside_canonical_form_is_an_exact_zero(self):
+        chart = Chart(2)
+        q1, q2 = chart.q(1), chart.q(2)
+        field = (q1 - q2) ** -1 * (q1 - q2) - 1
+        assert not field.is_zero_tree
+        assert is_zero(field) == ZeroVerdict(True, 0.0, None, 0)
+
+    def test_tiny_nonzero_field_is_not_zero(self):
+        # Its float value on the witness grid, about 1e-19, is far below any float tolerance.
+        verdict = is_zero(parse_prefix("(* 1/100000000000000000000 q1)", Chart(1)))
+        assert verdict == ZeroVerdict(False, 1.1e-19, Point((11.0, 5.0)), 1)
+        assert not verdict
+
+    def test_undecided_field_is_a_config_error(self):
+        # L = 100000 puts exp(q1) at degree 100000 in y1 = exp(q1 / L).
+        field = parse_prefix("(+ (exp (* 1/100000 q1)) (exp q1))", Chart(1))
+        with pytest.raises(ConfigError, match="^is_zero: undecided by the exact zero test"):
+            is_zero(field)
+        with pytest.raises(ConfigError):
+            field.is_zero()
+
+    def test_calogero_brackets_match_the_report_entry(self, calogero4_nonzero_brackets):
+        from pqncheck.structures import _zero_axiom
+
+        cfg = ZeroTestConfig()
+        for field in calogero4_nonzero_brackets:
+            entry = _zero_axiom("f", [field], cfg)
+            verdict = is_zero(field, cfg)
+            assert (verdict.is_zero, verdict.residual, verdict.witness, verdict.samples) == (
+                entry.passed,
+                entry.residual,
+                entry.witness,
+                entry.samples,
+            )
+            assert not verdict.is_zero and all(value.is_integer() for value in verdict.witness.values)
+            assert field.is_zero(cfg) == verdict
+
     def test_positive_function_fails_with_witness(self):
         chart = Chart(2)
-        cfg = ZeroTestConfig()
-        verdict = is_zero(exp(chart.q(1) - chart.q(2)), cfg)
+        field = exp(chart.q(1) - chart.q(2))
+        verdict = is_zero(field, ZeroTestConfig())
         assert not verdict.is_zero
-        assert verdict.witness is not None
-        assert verdict.residual >= math.exp(-2 * cfg.box_halfwidth)
+        assert all(value.is_integer() for value in verdict.witness.values)
+        assert verdict.residual == abs(field.evaluate(verdict.witness)) > 0
 
     def test_seed_determinism(self):
         chart = Chart(2)
@@ -537,8 +555,7 @@ class TestZeroTest:
 
     def test_separation_guard_respected(self):
         chart = Chart(3)
-        cfg = ZeroTestConfig(separation=0.3, seed=3)
-        for point in sample_points(chart, cfg):
+        for point in sample_points(chart, ZeroTestConfig(seed=3), separation=0.3):
             qs = point.values[: chart.n]
             for i in range(chart.n):
                 for j in range(i + 1, chart.n):
@@ -546,13 +563,11 @@ class TestZeroTest:
 
     def test_degenerate_domain(self):
         chart = Chart(3)
-        cfg = ZeroTestConfig(separation=10.0, box_halfwidth=1.0)
         with pytest.raises(DegenerateDomainError):
-            sample_points(chart, cfg)
+            sample_points(chart, ZeroTestConfig(), separation=10.0, box_halfwidth=1.0)
 
     def test_cancellation_scale_tolerance(self):
-        # A sum that cancels catastrophically still reads as zero because the
-        # threshold is relative to the local term scale.
+        # A sum that cancels catastrophically in floats is an exact zero.
         chart = Chart(1)
         big = exp(10 * chart.q(1))
         f = (big + chart.one()) * (big - chart.one()) - big**2 + chart.one()
@@ -560,58 +575,33 @@ class TestZeroTest:
 
     @pytest.mark.parametrize(
         "n, config",
+        # Each case is the config and the sampler's keyword arguments.
         [
-            (3, ZeroTestConfig(separation=5e-2, seed=4, sample_count=300)),
-            (3, ZeroTestConfig(separation=0.9, seed=5, sample_count=40)),
-            (2, ZeroTestConfig(separation=0, box_halfwidth=0.3, seed=6)),
-            (1, ZeroTestConfig(box_halfwidth=1e300, seed=7)),
+            (3, (ZeroTestConfig(seed=4, sample_count=300), {"separation": 5e-2})),
+            (3, (ZeroTestConfig(seed=5, sample_count=40), {"separation": 0.9})),
+            (2, (ZeroTestConfig(seed=6), {"separation": 0, "box_halfwidth": 0.3})),
+            (1, (ZeroTestConfig(seed=7), {"box_halfwidth": 1e300})),
         ],
     )
     def test_draws_match_rng_uniform(self, n, config):
         # The sampler before it was trimmed: one rng.uniform call per coordinate.
-        rng = random.Random(config.seed)
-        h = config.box_halfwidth
+        cfg, sampler = config
+        rng = random.Random(cfg.seed)
+        h, separation = sampler.get("box_halfwidth", 2.0), sampler.get("separation", 1e-2)
         expected = []
-        while len(expected) < config.sample_count:
+        while len(expected) < cfg.sample_count:
             values = [rng.uniform(-h, h) for _ in range(2 * n)]
             qs = values[:n]
-            if any(abs(qs[i] - qs[j]) < config.separation for i in range(n) for j in range(i + 1, n)):
+            if any(abs(qs[i] - qs[j]) < separation for i in range(n) for j in range(i + 1, n)):
                 continue
             expected.append(values)
-        points = sample_points(Chart(n), config)
+        points = sample_points(Chart(n), cfg, **sampler)
         assert [p.values for p in points] == [tuple(v) for v in expected]
         assert points == [Point(v) for v in expected]
 
-    @given(
-        st.sampled_from(["zero", "cancelling", "constant", "raw"]),
-        raw_trees(),
-        st.sampled_from([1e-12, 1e-9, 1e-3, 1.0, 50.0]),
-        st.integers(1, 12),
-        st.integers(0, 50),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_verdict_matches_the_plain_loop(self, kind, tree, tolerance, count, seed):
-        # The plain loop computes every sample's term scale; is_zero skips it
-        # where the sample cannot change the verdict, residual or witness.
-        chart = Chart(2)
-        q1, q2 = chart.q(1), chart.q(2)
-        field = {
-            "zero": chart.zero(),
-            "cancelling": (q1 - q2) ** -1 * (q1 - q2) - 1,  # zero, but not in canonical form
-            "constant": ScalarField(chart, Fraction(seed - 25, 7)),  # the same ratio at every sample
-            "raw": ScalarField(chart, tree),
-        }[kind]
-        cfg = ZeroTestConfig(sample_count=count, tolerance=tolerance, seed=seed)
-        points = sample_points(chart, cfg)
-        try:
-            expected = _plain_loop_verdict(field, points, tolerance, ScalarField.evaluate, ScalarField.term_scale)
-        except EvaluationOverflowError:
-            assume(False)
-        assert is_zero(field, cfg) == expected
-
     def test_degenerate_domain_uses_the_whole_budget(self):
         chart = Chart(2)
-        cfg = ZeroTestConfig(separation=1.0, box_halfwidth=0.5, sample_count=10, seed=1)
+        cfg = ZeroTestConfig(sample_count=10, seed=1)
         draws = []
         original = random.Random.random
 
@@ -622,7 +612,7 @@ class TestZeroTest:
         random.Random.random = counted
         try:
             with pytest.raises(DegenerateDomainError):
-                sample_points(chart, cfg)
+                sample_points(chart, cfg, separation=1.0, box_halfwidth=0.5)
         finally:
             random.Random.random = original
         assert len(draws) == 100 * cfg.sample_count * chart.dim
@@ -631,15 +621,11 @@ class TestZeroTest:
         with pytest.raises(ValueError):
             ZeroTestConfig(sample_count=0)
         with pytest.raises(ValueError):
-            ZeroTestConfig(tolerance=0)
-        with pytest.raises(ValueError):
-            ZeroTestConfig(separation=-1)
+            sample_points(Chart(1), ZeroTestConfig(), separation=-1)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"tolerance": float("nan")},
-            {"tolerance": float("inf")},
             {"separation": float("nan")},
             {"separation": float("inf")},
             {"box_halfwidth": 0},
@@ -652,12 +638,12 @@ class TestZeroTest:
         ],
     )
     def test_non_finite_or_empty_ranges_are_rejected(self, kwargs):
+        # sample_count is a ZeroTestConfig field; box_halfwidth and separation are sample_points arguments.
         with pytest.raises(ValueError):
-            ZeroTestConfig(**kwargs)
-
-    def test_nan_tolerance_cannot_call_a_nonzero_field_zero(self):
-        with pytest.raises(ValueError):
-            is_zero(Chart(1).q(1) + 1, ZeroTestConfig(tolerance=float("nan")))
+            if "sample_count" in kwargs:
+                ZeroTestConfig(**kwargs)
+            else:
+                sample_points(Chart(1), ZeroTestConfig(), **kwargs)
 
 
 TINY = Fraction(1, 10**20)

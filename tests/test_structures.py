@@ -40,7 +40,7 @@ from pqncheck.structures import (
     trace_invariants,
 )
 
-from conftest import CALOGERO_ZERO_TEST, lagrange_identity
+from conftest import lagrange_identity
 
 
 class TestCheckPoisson:
@@ -259,14 +259,14 @@ class TestExactVerdicts:
     @pytest.mark.parametrize(
         "config",
         [
-            ZeroTestConfig(tolerance=1e-30),
-            ZeroTestConfig(tolerance=1.0),
+            ZeroTestConfig(seed=0),
+            ZeroTestConfig(seed=2024),
             ZeroTestConfig(sample_count=1),
             ZeroTestConfig(sample_count=100000),
-            ZeroTestConfig(box_halfwidth=1e-9),
-            ZeroTestConfig(box_halfwidth=1e6),
-            ZeroTestConfig(separation=0.0),
-            ZeroTestConfig(box_halfwidth=0.5, separation=2.0),  # no point passes this guard
+            ZeroTestConfig(seed=-1),
+            ZeroTestConfig(seed=2**70),
+            ZeroTestConfig(sample_count=1, seed=1),
+            ZeroTestConfig(sample_count=100000, seed=99),
         ],
     )
     def test_exact_zero_ignores_the_sampling_settings(self, config):
@@ -276,7 +276,7 @@ class TestExactVerdicts:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_calogero_cells_are_certificates(self, n):
         bundle = calogero(n)
-        matrix = involutivity_matrix(bundle.poisson, trace_invariants(bundle.tensor, n), CALOGERO_ZERO_TEST)
+        matrix = involutivity_matrix(bundle.poisson, trace_invariants(bundle.tensor, n))
         assert {cell.mode for cell in matrix.cells.values()} == {"symbolic", "exact"}
         assert matrix.cell(2, 3).passed and matrix.cell(2, 3).mode == "exact"
 
@@ -292,7 +292,7 @@ class TestExactWitness:
     def test_calogero_witnesses_are_exact(self, n):
         bundle = calogero(n)
         invariants = trace_invariants(bundle.tensor, n)
-        matrix = involutivity_matrix(bundle.poisson, invariants, CALOGERO_ZERO_TEST)
+        matrix = involutivity_matrix(bundle.poisson, invariants)
         assert matrix.nonzero_pairs()
         for j, k in matrix.nonzero_pairs():
             cell = matrix.cell(j, k)
@@ -301,7 +301,7 @@ class TestExactWitness:
             value = _exact_value(bracket, cell.witness)
             assert value != 0
             assert cell.residual == float(abs(value))
-            assert 1 <= cell.samples <= CALOGERO_ZERO_TEST.sample_count
+            assert 1 <= cell.samples <= ZeroTestConfig().sample_count
 
     @pytest.mark.parametrize(
         "text",
@@ -561,7 +561,7 @@ class TestInvolutivity:
     def test_diagonal_is_symbolically_zero(self):
         bundle = calogero(3)
         invariants = trace_invariants(bundle.tensor, 3)
-        matrix = involutivity_matrix(bundle.poisson, invariants, CALOGERO_ZERO_TEST)
+        matrix = involutivity_matrix(bundle.poisson, invariants)
         for j in range(1, 4):
             assert matrix.cell(j, j).mode == "symbolic"
             assert matrix.cell(j, j).passed
@@ -595,6 +595,6 @@ class TestNoZeroPartials:
         monkeypatch.setattr(ScalarField, "partial", counted)
         check_pqn(toda4.structure())
         deform(canonical3.poisson, canonical3.tensor, toda3.omega)
-        involutivity_matrix(calogero3.poisson, trace_invariants(calogero3.tensor, 3), CALOGERO_ZERO_TEST)
+        involutivity_matrix(calogero3.poisson, trace_invariants(calogero3.tensor, 3))
         assert calls > 0
         assert zeros == 0
