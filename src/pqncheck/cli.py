@@ -55,22 +55,6 @@ _KMAX_GUARD = 8
 _ZERO_TEST_KEYS = {"samples": "sample_count", "seed": "seed"}
 
 
-def _parse_fractions(raw: str | list) -> list[Fraction]:
-    """Couplings from a comma-separated string (flag or config) or a config-file list."""
-    if isinstance(raw, str):
-        parts = [part.strip() for part in raw.split(",") if part.strip()]
-    elif isinstance(raw, list):
-        parts = [str(x) for x in raw]
-    else:
-        raise ConfigError(f"cannot parse couplings {raw!r}")
-    try:
-        return [Fraction(part) for part in parts]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse coupling list {raw!r}: {exc}") from exc
-    except ZeroDivisionError as exc:
-        raise ConfigError(f"coupling list {raw!r} has a zero denominator") from exc
-
-
 def _whole_number(value) -> int:
     """``int(value)``, refusing the booleans and fractional floats that ``int`` would truncate."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
@@ -79,9 +63,9 @@ def _whole_number(value) -> int:
 
 
 def _given(value):
-    """A config value as written; no key takes a boolean."""
+    """A value as written; no setting takes a boolean."""
     if isinstance(value, bool):
-        raise ValueError("no key takes a boolean")
+        raise ValueError("no setting takes a boolean")
     return value
 
 
@@ -93,35 +77,41 @@ def _path(value) -> str:
     return os.fspath(_given(value))
 
 
+def _fractions(value: str | list) -> list[Fraction]:
+    """Couplings from a comma-separated string or a config-file list."""
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part.strip()]
+    elif not isinstance(value, list):
+        raise ValueError("expected a comma-separated string or a list")
+    try:
+        return [Fraction(str(part)) for part in value]
+    except ZeroDivisionError:
+        raise ValueError("zero denominator") from None
+
+
+def _format(value) -> str:
+    if value not in ("text", "json"):
+        raise ValueError("expected text or json")
+    return value
+
+
+def _expect(value) -> str:
+    expected = {"PN": "PN", "PQN": "PqN"}.get(_string(value).upper())
+    if expected is None:
+        raise ValueError("expected pn or pqn")
+    return expected
+
+
 def _potentials(value) -> dict[str, str]:
     if not isinstance(value, dict):
-        raise ConfigError("potentials must map 'i,j' pair keys to prefix expressions")
+        raise ValueError("expected a mapping of 'i,j' pair keys to prefix expressions")
     return {str(k): str(v) for k, v in value.items()}
 
 
 def _omega_form(value) -> dict:
     if not isinstance(value, dict):
-        raise ConfigError("omega_form must be a serialized form object")
+        raise ValueError("expected a serialized form object")
     return value
-
-
-#: Every run setting a config file may hold, in the order a report echoes them, and how a file value
-#: is read.  A flag of the same name wins over the file; an unset setting is None.
-_SETTINGS = {
-    "model": _given,
-    "n": _whole_number,
-    "kmax": _whole_number,
-    "f": _given,
-    "potentials": _potentials,
-    "v": _string,
-    "omega": _given,
-    "omega_form": _omega_form,
-    "expect": _string,
-    "format": _given,
-    "out": _path,
-    "samples": _whole_number,
-    "seed": _whole_number,
-}
 
 
 def _load_config_file(path: str) -> dict:
@@ -141,27 +131,18 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> None:
-    """Fill every setting of ``args`` in place: its flag, else its config-file value, else None."""
+    """Read every setting of ``args`` in place from its flag, else its config-file value; unset is None."""
     file_data = _load_config_file(args.config) if args.config else {}
-    for key, read in _SETTINGS.items():
+    for key, (read, _, _) in _SETTINGS.items():
         value = getattr(args, key, None)
-        if value is None and file_data.get(key) is not None:
+        if value is None:
+            value = file_data.get(key)
+        if value is not None:
             try:
-                value = read(file_data[key])
+                value = read(value)
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key!r} has an unusable value {file_data[key]!r}: {exc}") from exc
+                raise ConfigError(f"setting {key!r} has an unusable value {value!r}: {exc}") from exc
         setattr(args, key, value)
-    if args.f is not None:
-        args.f = _parse_fractions(args.f)
-    args.format = args.format or "text"
-    if args.format not in ("text", "json"):
-        raise ConfigError(f"unknown output format {args.format!r}")
-    if args.expect is not None:
-        args.expect = args.expect.upper()
-        if args.expect not in ("PN", "PQN"):
-            raise ConfigError("--expect takes pn or pqn")
-        if args.expect == "PQN":
-            args.expect = "PqN"
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -488,19 +469,36 @@ def cmd_deform(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and entry point
+# settings, argument parsing and entry point
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", help="model or deformation base name")
-    parser.add_argument("--n", type=int, help="particle count")
-    parser.add_argument("--f", help="comma-separated coupling constants, e.g. 1,1,1")
-    parser.add_argument("--seed", type=int, help="seed of the exact zero test's points and of the witness points")
-    parser.add_argument("--samples", type=int, help="most witness points tried per failing field")
-    parser.add_argument("--format", choices=["text", "json"], help="output format (default text)")
-    parser.add_argument("--out", help="write the report to this path instead of stdout")
-    parser.add_argument("--config", help="JSON config file; flags override its keys")
+#: The commands, each with its function and help text.
+_COMMANDS = {
+    "check": (cmd_check, "run structure checks on a model"),
+    "involutivity": (cmd_involutivity, "trace-invariant bracket matrix"),
+    "deform": (cmd_deform, "deform a torsionless base by a closed 2-form"),
+}
+_EVERY = tuple(_COMMANDS)
+
+#: Every run setting, in the order a report echoes them: how its flag text or config-file value is
+#: read, the commands with its flag (none for a config-file-only setting), and the flag's help.  A flag
+#: wins over the file; an unset setting is None.
+_SETTINGS = {
+    "model": (_given, _EVERY, "model or deformation base name"),
+    "n": (_whole_number, _EVERY, "particle count"),
+    "kmax": (_whole_number, ("involutivity",), f"largest trace order (guard: {_KMAX_GUARD})"),
+    "f": (_fractions, _EVERY, "comma-separated coupling constants, e.g. 1,1,1"),
+    "potentials": (_potentials, (), None),
+    "v": (_string, ("check", "involutivity"), "two-particle potential, prefix expression in q1/q2"),
+    "omega": (_given, ("deform",), f"built-in 2-form name: {', '.join(OMEGAS)}"),
+    "omega_form": (_omega_form, (), None),
+    "expect": (_expect, ("check",), "expected class: pn or pqn (defaults to the model's own)"),
+    "format": (_format, _EVERY, "output format: text (default) or json"),
+    "out": (_path, _EVERY, "write the report to this path instead of stdout"),
+    "samples": (_whole_number, _EVERY, "most witness points tried per failing field"),
+    "seed": (_whole_number, _EVERY, "seed of the exact zero test's points and of the witness points"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -517,20 +515,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pqncheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="run structure checks on a model")
-    _add_common(p_check)
-    p_check.add_argument("--expect", help="expected class: pn or pqn (defaults to the model's own)")
-    p_check.add_argument("--v", help="two-particle potential, prefix expression in q1/q2")
-
-    p_inv = sub.add_parser("involutivity", help="trace-invariant bracket matrix")
-    _add_common(p_inv)
-    p_inv.add_argument("--kmax", type=int, help=f"largest trace order (guard: {_KMAX_GUARD})")
-    p_inv.add_argument("--v", help="two-particle potential, prefix expression in q1/q2")
-
-    p_def = sub.add_parser("deform", help="deform a torsionless base by a closed 2-form")
-    _add_common(p_def)
-    p_def.add_argument("--omega", help=f"built-in 2-form name: {', '.join(OMEGAS)}")
+    for command, (_, text) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=text)
+        p_command.add_argument("--config", help="JSON config file; flags override its keys")
+        for key, (_, commands, help_text) in _SETTINGS.items():
+            if command in commands:
+                p_command.add_argument(f"--{key}", help=help_text)
     return parser
 
 
@@ -539,7 +529,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         _merge_config(args)
-        code = {"check": cmd_check, "involutivity": cmd_involutivity, "deform": cmd_deform}[args.command](args)
+        code = _COMMANDS[args.command][0](args)
     except SystemExit as exc:  # --help and --version
         return int(exc.code or 0)
     except ConfigError as exc:

@@ -1084,7 +1084,10 @@ def exact_zero(field: ScalarField, seed: int) -> bool | None:
     (``_integer_form``).  The y_i are exponentials of Q-linearly independent
     linear forms, so they are algebraically independent over C(x), and t is
     transcendental (Hermite-Lindemann): once no sum base is zero, the field
-    is zero exactly when N is.
+    is zero exactly when N is.  With no sum base, the distinct monomials
+    x^a exp(b.x + c) of the canonical polynomial become distinct monomials
+    x^a y^(bL) t^(cL) of N, so such a field is zero exactly when its
+    polynomial is empty: no point is drawn and no degree bound applies.
 
     Points are drawn with ``random.Random(seed)``, each variable from M =
     2**32 consecutive integers, and drawn again where the numerator N_S of a
@@ -1094,9 +1097,9 @@ def exact_zero(field: ScalarField, seed: int) -> bool | None:
     (Schwartz, J. ACM 27, 1980; Zippel, EUROSAM 1979), both degrees bounded
     from the exponents, so k points, the least k with ((deg N + deg G) /
     M)^k <= 2^-64, make a zero verdict wrong with probability at most 2^-64.
-    Returns None, undecided, when deg N + deg G exceeds 2**16, or when
-    ``_EXACT_REDRAWS`` draws in a row hit a zero of some N_S, as all do
-    when a sum base is zero as a function.
+    Returns None, undecided, for a field with a sum base whose deg N +
+    deg G exceeds 2**16, or when ``_EXACT_REDRAWS`` draws in a row hit a
+    zero of some N_S, as all do when a sum base is zero as a function.
     """
     return _exact_decision(field, seed)[0]
 
@@ -1106,6 +1109,8 @@ def _exact_decision(field: ScalarField, seed: int) -> tuple[bool | None, tuple]:
     forms: dict[int, tuple] = {}  # sum id -> its integer form, each base after the bases inside it
     top = _integer_form(field.poly, _rate(field.poly), field.chart.dim, forms)
     form = top, forms
+    if not forms:
+        return not field.poly, form
     degree = top[4] + sum([base[4] for base in forms.values()])
     if degree > _EXACT_MAX_DEGREE:
         return None, form

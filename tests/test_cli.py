@@ -201,6 +201,26 @@ class TestSettingTables:
         assert self.report((*base, *flag, *json_format, "--config", {key: other}), tmp_path, capsys) == by_flag
         assert self.report((*base, *json_format, "--config", {key: other}), tmp_path, capsys) != by_flag
 
+    @pytest.mark.parametrize(
+        "base, key, value",
+        [
+            (("check", "--model", "closed-toda"), "n", "x"),
+            (("check", "--model", "closed-toda", "--n", "3"), "f", "1/0,1,1"),
+            (("check", "--model", "closed-toda", "--n", "3"), "expect", "bogus"),
+            (("check", "--model", "closed-toda", "--n", "3"), "format", "xml"),
+            (("check", "--model", "closed-toda", "--n", "3"), "samples", "x"),
+        ],
+        ids=["n", "f", "expect", "format", "samples"],
+    )
+    def test_flag_and_config_file_values_are_read_alike(self, base, key, value, tmp_path, capsys):
+        errors = []
+        for argv in ((*base, f"--{key}", value), (*base, "--config", {key: value})):
+            assert run_cli(*config_args(argv, tmp_path)) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert len(errors[0].splitlines()) == 1
+        assert errors[0].startswith(f"config error: setting {key!r} has an unusable value {value!r}: ")
+
     @pytest.mark.parametrize("name", list(MODELS))
     def test_every_model_runs(self, name, capsys):
         code = run_cli("check", "--model", name, "--n", "2")
@@ -551,6 +571,7 @@ class TestBadInput:
 
 
 EXP_400 = "(exp (* 400 q1))"
+EXP_100000 = "(exp (* 100000 q1))"
 
 
 class TestNoFloatSampler:
@@ -573,8 +594,17 @@ class TestNoFloatSampler:
             # exp(400 q1) overflows a float at q1 = 2; each run decides it exactly and passes.
             (("check", "--model", "two-particle", "--v", EXP_400), 0),
             (("deform", "--model", "canonical", "--n", "2", "--config", _omega_form(2, [([1, 2], EXP_400)])), 0),
+            # Its drift is one monomial of degree 100000, decided without a point or a degree bound.
+            (("check", "--model", "two-particle", "--v", EXP_100000), 0),
         ],
-        ids=["calogero-4", "toda-deform", "non-closed-deform", "two-particle-exp-400", "deform-exp-400"],
+        ids=[
+            "calogero-4",
+            "toda-deform",
+            "non-closed-deform",
+            "two-particle-exp-400",
+            "deform-exp-400",
+            "two-particle-exp-100000",
+        ],
     )
     def test_runs_end_without_the_sampler(self, refuse_sampler, argv, code, tmp_path):
         assert run_cli(*config_args(argv, tmp_path)) == code
@@ -655,6 +685,26 @@ class TestReportPin:
         assert {cell["residual"] for cell in cells.values()} == {0.0}
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "08c2154aa23a34cf4dc944d27784d6bc08930cfa17d5981fb4927e4d47f83a91"
+
+    def test_calogero_five_involutivity_report_bytes(self, capsys):
+        # The first n at which both zero and nonzero cells need the exact test.
+        assert run_cli("involutivity", "--model", "calogero", "--n", "5", "--kmax", "5", "--format", "json") == 0
+        out = capsys.readouterr().out
+        cells = strict_json(out)["matrix"]["cells"].values()
+        kinds = [(cell["mode"], cell["zero"]) for cell in cells]
+        assert [kinds.count(kind) for kind in [("symbolic", True), ("exact", True), ("exact", False)]] == [13, 2, 10]
+        for cell in cells:
+            if not cell["zero"]:
+                assert cell["residual"] > 0 and all(float(v).is_integer() for v in cell["witness"].values())
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "7d8bb6575a7d3f9380abaa53f0b5e5311bbeba09005b3d32918d960e17a8b755"
+
+    @pytest.mark.parametrize("model, n", [("closed-toda", 7), ("open-toda", 8)])
+    def test_toda_traces_commute_at_scale(self, model, n, capsys):
+        # Every cell is a symbolic zero, through products and partials of exp monomials.
+        assert run_cli("involutivity", "--model", model, "--n", str(n), "--kmax", str(n), "--format", "json") == 0
+        cells = strict_json(capsys.readouterr().out)["matrix"]["cells"].values()
+        assert len(cells) == n * n and {(cell["mode"], cell["zero"]) for cell in cells} == {("symbolic", True)}
 
     def test_calogero_four_involutivity_structure(self, capsys):
         # Everything but the residuals of the nonzero cells, whose floats depend on libm.

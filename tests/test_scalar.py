@@ -512,12 +512,20 @@ class TestZeroTest:
         assert not verdict
 
     def test_undecided_field_is_a_config_error(self):
-        # L = 100000 puts exp(q1) at degree 100000 in y1 = exp(q1 / L).
-        field = parse_prefix("(+ (exp (* 1/100000 q1)) (exp q1))", Chart(1))
+        # L = 100000 puts the sum base exp(q1) + 1 at degree 100000 in y1 = exp(q1 / L).
+        field = parse_prefix("(+ (exp (* 1/100000 q1)) (^ (+ (exp q1) 1) -1))", Chart(1))
         with pytest.raises(ConfigError, match="^is_zero: undecided by the exact zero test"):
             is_zero(field)
         with pytest.raises(ConfigError):
             field.is_zero()
+
+    def test_far_apart_exp_rates_are_decided(self):
+        # L = 100000 puts exp(q1) at degree 100000 in y1 = exp(q1 / L); with no sum base that needs no point.
+        field = parse_prefix("(+ (exp (* 1/100000 q1)) (exp q1))", Chart(1))
+        verdict = is_zero(field)
+        assert not verdict and verdict.samples == 1
+        assert all(x.is_integer() for x in verdict.witness.values)
+        assert verdict.residual == abs(field.evaluate(verdict.witness)) > 0
 
     def test_calogero_brackets_match_the_report_entry(self, calogero4_nonzero_brackets):
         from pqncheck.structures import _zero_axiom
@@ -713,8 +721,21 @@ class TestExactZero:
         assert exact_zero(field + TINY * chart.q(1), 7) is False
 
     def test_huge_degree_is_undecided(self):
-        assert exact_zero(parse_prefix("(+ (^ q1 100000) 1)", Chart(1)), 7) is None
+        # Only with a sum base: a field without one is decided from its polynomial at any degree.
+        assert exact_zero(parse_prefix("(+ (^ q1 100000) 1)", Chart(1)), 7) is False
         assert exact_zero(parse_prefix("(+ (^ (+ q1 1) -70000) (^ (+ q2 1) -70000))", Chart(2)), 7) is None
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(^ q1 70000)", "(exp (* 100000 q1))", "(+ (exp (* 1/100000 q1)) (exp q1))"],
+        ids=["power", "exp-rate", "exp-denominator-lcm"],
+    )
+    def test_sum_free_field_is_decided_without_a_point(self, text, monkeypatch):
+        def refuse(self, bits):
+            raise AssertionError("a point was drawn")
+
+        monkeypatch.setattr(random.Random, "getrandbits", refuse)
+        assert exact_zero(parse_prefix(text, Chart(1)), 7) is False
 
     def test_base_zero_as_a_function_is_undecided_after_bounded_redraws(self, monkeypatch):
         chart = Chart(1)

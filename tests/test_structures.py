@@ -239,8 +239,8 @@ class TestExactVerdicts:
         [
             "(+ (^ (+ q1 1) -70000) (^ (+ q2 1) -70000))",
             "(^ (+ (* (exp q1) (^ (+ (exp q1) 1) -1)) (^ (+ (exp q1) 1) -1) -1) -1)",
-            # L = 100000 puts exp(q1) at degree 100000 in y1 = exp(q1 / L).
-            "(+ (exp (* 1/100000 q1)) (exp q1))",
+            # L = 100000 puts the sum base exp(q1) + 1 at degree 100000 in y1 = exp(q1 / L).
+            "(+ (exp (* 1/100000 q1)) (^ (+ (exp q1) 1) -1))",
         ],
         ids=["degree-bound", "base-zero-as-a-function", "exp-denominator-lcm"],
     )
