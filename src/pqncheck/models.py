@@ -17,8 +17,6 @@ n = 2 case with a general potential V(q1, q2).  Each takes its expected
 half its self-bracket), and its expected structure class from that 3-form.
 For the closed chain it is the paper's 2 f_n exp(q_n - q_1) dq_1 ^ dq_n ^
 sum_i dp_i; for the open chain it is zero.
-The primitive of each potential comes from
-:func:`pqncheck.scalar.univariate_antiderivative`.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from .scalar import (
     parse_prefix,
     parse_prefix_tree,
     substitute,
-    univariate_antiderivative,
 )
 from .structures import GeometricStructure
 
@@ -74,7 +71,7 @@ class ExpectedOutcome(Record):
 
 
 class ModelBundle(Record):
-    __slots__ = _fields = ("name", "chart", "poisson", "tensor", "omega", "expected", "theta")
+    __slots__ = _fields = ("name", "chart", "poisson", "tensor", "omega", "expected")
 
     def __init__(
         self,
@@ -84,9 +81,8 @@ class ModelBundle(Record):
         tensor: Tensor11,
         omega: Form | None,
         expected: ExpectedOutcome,
-        theta: Form | None = None,
     ):
-        self._init(name, chart, poisson, tensor, omega, expected, theta)
+        self._init(name, chart, poisson, tensor, omega, expected)
 
     def phi(self) -> Form:
         if self.expected.phi_closed_form is not None:
@@ -142,14 +138,8 @@ def canonical_pn(n: int) -> ModelBundle:
     """
     chart = Chart(n)
     omega = canonical_deformation_form(chart)
-    # theta with d(theta) = omega: sum (p_i - p_i^2/2) dq_i
-    theta = Form(
-        chart,
-        1,
-        {(chart.q_index(i),): chart.p(i) - chart.p(i) ** 2 / 2 for i in range(1, chart.n + 1)},
-    )
     expected = ExpectedOutcome(involutive_up_to=n, phi_closed_form=Form.zero(chart, 3))
-    return ModelBundle("canonical", chart, canonical_poisson(chart), canonical_nijenhuis(chart), omega, expected, theta)
+    return ModelBundle("canonical", chart, canonical_poisson(chart), canonical_nijenhuis(chart), omega, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +216,6 @@ def _pair_bundle(
     name: str,
     chart: Chart,
     fields: Mapping[tuple[int, int], ScalarField],
-    theta: Form | None = None,
     involutive_up_to: int | None = None,
     non_involutive: bool = False,
 ) -> ModelBundle:
@@ -253,7 +242,7 @@ def _pair_bundle(
     tensor = canonical_nijenhuis(chart) + Tensor11(chart, extra)
     phi = pair_differential_display(chart, fields) + pair_self_bracket_display(chart, fields) * Fraction(1, 2)
     expected = ExpectedOutcome(involutive_up_to=involutive_up_to, phi_closed_form=phi, non_involutive=non_involutive)
-    return ModelBundle(name, chart, canonical_poisson(chart), tensor, omega, expected, theta)
+    return ModelBundle(name, chart, canonical_poisson(chart), tensor, omega, expected)
 
 
 def pair_potential_model(
@@ -273,30 +262,11 @@ def pair_potential_model(
     tensor, and the expected 3-form is the closed-form expression above.
     """
     chart = Chart(n)
-    pairs = _normalize_pairs(n, potentials)
-    diffs: dict[tuple[int, int], Node] = {}  # the tree of q_i - q_j
     fields: dict[tuple[int, int], ScalarField] = {}
-    primitives: dict[tuple[int, int], Node | None] = {}
-    for (i, j), node in pairs.items():
-        diffs[(i, j)] = Sum((Coord(chart.q_index(i)), Product((Const(Fraction(-1)), Coord(chart.q_index(j))))))
-        fields[(i, j)] = ScalarField(chart, substitute(node, {0: diffs[(i, j)]}))
-        primitives[(i, j)] = univariate_antiderivative(node)
-
-    theta: Form | None = None
-    if all(p is not None for p in primitives.values()):
-
-        def theta_terms():
-            # theta = sum_{i<j} p_j dp_i - W_ij(q_i - q_j) dq_i, with W_ij a primitive of V_ij
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    yield (chart.p_index(i),), chart.p(j)
-                    if (i, j) in primitives:
-                        primitive = substitute(primitives[(i, j)], {0: diffs[(i, j)]})
-                        yield (chart.q_index(i),), -ScalarField(chart, primitive)
-
-        theta = Form(chart, 1, theta_terms())
-
-    return _pair_bundle(name, chart, fields, theta, involutive_up_to, non_involutive)
+    for (i, j), node in _normalize_pairs(n, potentials).items():
+        diff = Sum((Coord(chart.q_index(i)), Product((Const(Fraction(-1)), Coord(chart.q_index(j))))))
+        fields[(i, j)] = ScalarField(chart, substitute(node, {0: diff}))
+    return _pair_bundle(name, chart, fields, involutive_up_to, non_involutive)
 
 
 # ---------------------------------------------------------------------------

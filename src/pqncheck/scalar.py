@@ -28,8 +28,6 @@ test compares a float with a threshold, and a field the exact test leaves
 undecided raises ``ConfigError``.  Expression trees are only the boundary:
 parsed input is normalized into a polynomial, and the canonical tree is built
 from it for printing and for float evaluation, which walks it.
-``univariate_antiderivative`` integrates on the same polynomial, so no other
-module reads its layout.
 """
 
 from __future__ import annotations
@@ -326,7 +324,6 @@ Monomial = tuple  # (coords, affine, sums), see above
 Polynomial = dict  # dict[Monomial, int | Fraction]
 
 _UNIT: Monomial = ((), (), ())
-_X: Monomial = (((0, 1),), (), ())
 _CONSTANT = -1  # the index of an affine form's constant term, sorted before every coordinate
 
 
@@ -601,40 +598,6 @@ def _poly_diff(poly: Polynomial, index: int) -> Polynomial:
                 lowered = {(coords, affine, _replace_exponent(sums, pos, e - 1)): coeff * e}
                 _poly_add_into(out, _poly_mul(lowered, inner))
     return out
-
-
-def _slope(poly: Polynomial) -> RationalLike:
-    """The x-coefficient of a polynomial affine in x = Coord(0) alone; 0 for any other polynomial."""
-    if any(mono not in (_UNIT, _X) for mono in poly):
-        return 0
-    return poly.get(_X, 0)
-
-
-def univariate_antiderivative(spec: Node) -> Node | None:
-    """A primitive in x = Coord(0) of a univariate tree, when one exists in the ring.
-
-    Integrates term by term: c b^e becomes c b^(e+1) / ((e+1) b') for a
-    power of x or of an affine sum in x (e != -1), and c exp(a) becomes
-    c exp(a) / a' for an affine a.  Returns None for any other term, such as
-    1/x or x exp(x), whose primitive leaves the ring.  The integration
-    constant is zero.
-    """
-    primitive: Polynomial = {}
-    for (coords, affine, sums), coeff in _poly(spec).items():
-        if len(coords) + bool(affine) + len(sums) > 1:
-            return None
-        if affine:
-            rate, mono = _slope(_affine_poly(affine)), ((), affine, ())
-        elif sums:  # b' is the slope of the sum's own polynomial
-            (sid, e), = sums
-            rate, mono = (e + 1) * _slope(_SUMS[sid].poly), ((), (), ((sid, e + 1),))
-        else:  # a power of a coordinate; a constant is x^0
-            index, e = coords[0] if coords else (0, 0)
-            rate, mono = (e + 1 if index == 0 else 0), (((index, e + 1),), (), ())
-        if not rate:
-            return None
-        primitive[mono] = _exact(Fraction(coeff) / rate)
-    return _poly_to_node(primitive)
 
 
 # ---------------------------------------------------------------------------
@@ -1104,6 +1067,12 @@ def exact_zero(field: ScalarField, seed: int) -> bool | None:
     return _exact_decision(field, seed)[0]
 
 
+def _degree_bound(form: tuple) -> int:
+    """deg N + deg G of an integer form (top, forms), the bound :func:`exact_zero` draws its points by."""
+    top, forms = form
+    return top[4] + sum([base[4] for base in forms.values()])
+
+
 def _exact_decision(field: ScalarField, seed: int) -> tuple[bool | None, tuple]:
     """:func:`exact_zero`'s verdict, and the integer form (top, forms) it evaluated, for :func:`_exact_witness`."""
     forms: dict[int, tuple] = {}  # sum id -> its integer form, each base after the bases inside it
@@ -1111,7 +1080,7 @@ def _exact_decision(field: ScalarField, seed: int) -> tuple[bool | None, tuple]:
     form = top, forms
     if not forms:
         return not field.poly, form
-    degree = top[4] + sum([base[4] for base in forms.values()])
+    degree = _degree_bound(form)
     if degree > _EXACT_MAX_DEGREE:
         return None, form
     rounds = 1
@@ -1140,24 +1109,28 @@ def _exact_witness(field: ScalarField, form: tuple, config: ZeroTestConfig) -> t
     makes N(p, t^p, t) a nonzero integer polynomial, so nonzero at the transcendental
     t = e^(1/L): f(p) != 0.  With no exp in the field or any of its sum bases, N / D is f(p)
     itself, and the residual is |N| / |D| rounded once; a field with an exp takes it from
-    ``ScalarField.evaluate``.  A point with a zero value (a pole, or T a root), or whose
-    residual overflows a float or rounds to 0.0, is passed over; after ``config.sample_count``
-    points the result is (0.0, None, sample_count).
+    ``ScalarField.evaluate``, before N is evaluated, as N may have millions of bits there.
+    A point with a zero value (a pole, or T a root), or whose residual overflows a float or
+    rounds to 0.0, is passed over; after ``config.sample_count`` points the result is
+    (0.0, None, sample_count).
     """
     top, forms = form
     exp_free = not any(affine for poly in (field.poly, *[_SUMS[sid].poly for sid in forms]) for _, affine, _ in poly)
     rng = random.Random(config.seed)
     for tried in range(1, config.sample_count + 1):
         *p, t = [rng.randint(1, _WITNESS_GRID) for _ in range(field.chart.dim + 1)]
-        value = _integer_value(top, forms, [*p, t, *[t**x for x in p]])
-        if value and value[0]:
-            point = Point._wrap(tuple(map(float, p)))
-            try:
-                residual = abs(value[0]) / abs(value[1]) if exp_free else abs(field.evaluate(point))
-            except (OverflowError, EvaluationOverflowError):
+        point = Point._wrap(tuple(map(float, p)))
+        try:
+            residual = None if exp_free else abs(field.evaluate(point))
+            if residual == 0.0:
                 continue
-            if residual:
-                return residual, point, tried
+            value = _integer_value(top, forms, [*p, t, *[t**x for x in p]])
+            if value and value[0]:
+                residual = residual or abs(value[0]) / abs(value[1])
+                if residual:
+                    return residual, point, tried
+        except (OverflowError, EvaluationOverflowError):
+            continue
     return 0.0, None, config.sample_count
 
 
@@ -1165,15 +1138,22 @@ def _nonzero_fields(name: str, fields: Iterable[ScalarField], seed: int) -> tupl
     """The decision of a zero test, with no float evaluation: its mode, and each field proved nonzero.
 
     Fields are ``symbolic`` zeros, else go to :func:`exact_zero`; one it leaves undecided raises
-    ConfigError, whose message starts with ``name``.  A field proved nonzero comes with the integer
-    form that proved it.
+    ConfigError, whose message starts with ``name`` and names the cause.  A field proved nonzero
+    comes with the integer form that proved it.
     """
     pending: list[ScalarField] = [f for f in fields if not f.is_zero_tree]
     if not pending:
         return "symbolic", []
     exact = [(f, *_exact_decision(f, seed)) for f in pending]  # (field, True/False/None, its integer form)
-    if any(zero is None for _, zero, _ in exact):
-        raise ConfigError(f"{name}: undecided by the exact zero test (degree bound past 2**16, or a zero sum base)")
+    for _, zero, form in exact:
+        if zero is None:
+            degree = _degree_bound(form)
+            cause = (
+                f"degree bound {degree} is past 2**16"
+                if degree > _EXACT_MAX_DEGREE
+                else f"a sum base was zero at {_EXACT_REDRAWS} draws in a row"
+            )
+            raise ConfigError(f"{name}: undecided by the exact zero test: {cause}")
     return "exact", [(f, form) for f, zero, form in exact if not zero]
 
 

@@ -52,10 +52,11 @@ class TestCartanD:
             assert cartan_d(cartan_d(a)).is_zero
 
     def test_potential_one_form_differentiates_to_pair_form(self):
-        # d(theta) equals the assembled 2-form for the single exponential pair.
+        # d(p2 dp1 - exp(q1 - q2) dq1) is the assembled 2-form of the single exponential pair.
         bundle = pair_potential_model(2, {(1, 2): "(exp x)"})
-        assert bundle.theta is not None
-        assert cartan_d(bundle.theta) == bundle.omega
+        chart = bundle.chart
+        one_form = Form(chart, 1, {(chart.p_index(1),): chart.p(2), (chart.q_index(1),): -exp(chart.q(1) - chart.q(2))})
+        assert cartan_d(one_form) == bundle.omega
 
     def test_top_degree_differential_vanishes(self, chart2):
         rng = seeded(22)

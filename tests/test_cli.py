@@ -552,6 +552,19 @@ class TestBadInput:
         assert err.startswith("config error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "v, cause",
+        [
+            # The drift -70000 ((q1 + 1)^-70001 + (q2 + 1)^-70001) is the field the model decides first.
+            ("(+ (^ (+ q1 1) -70000) (^ (+ q2 1) -70000))", "degree bound 140004 is past 2**16"),
+            (ZERO_AS_A_FUNCTION_BASE, f"a sum base was zero at {scalar._EXACT_REDRAWS} draws in a row"),
+        ],
+        ids=["degree-bound", "zero-sum-base"],
+    )
+    def test_undecided_field_names_its_cause(self, v, cause, capsys):
+        assert run_cli("check", "--model", "two-particle", "--v", v) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: translation-invariance: undecided by the exact zero test: {cause}\n"
 
     @pytest.mark.parametrize(
         "argv, written",
@@ -699,7 +712,7 @@ class TestReportPin:
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "7d8bb6575a7d3f9380abaa53f0b5e5311bbeba09005b3d32918d960e17a8b755"
 
-    @pytest.mark.parametrize("model, n", [("closed-toda", 7), ("open-toda", 8)])
+    @pytest.mark.parametrize("model, n", [("closed-toda", 7), ("closed-toda", 8), ("open-toda", 8)])
     def test_toda_traces_commute_at_scale(self, model, n, capsys):
         # Every cell is a symbolic zero, through products and partials of exp monomials.
         assert run_cli("involutivity", "--model", model, "--n", str(n), "--kmax", str(n), "--format", "json") == 0

@@ -133,24 +133,6 @@ class TestPairPotential:
         assert koszul_bracket(canonical_poisson(chart), omega, omega) == pair_self_bracket_display(chart, fields)
         assert nijenhuis_d(canonical_nijenhuis(chart), omega) == pair_differential_display(chart, fields)
 
-    @pytest.mark.parametrize(
-        "pots, has_primitive",
-        [
-            ({(1, 2): "(exp x)", (1, 3): "(^ x -2)", (2, 3): "(+ x (^ x 3))"}, True),
-            ({(1, 2): "(^ (+ x 1) -3)", (1, 3): "(* 3 (exp (* -2 x)))", (2, 3): "(+ 5 x)"}, True),
-            # 1/x, x exp(x) and 1/(x^2 + 1) have no primitive in the ring
-            ({(1, 2): "(^ x -1)"}, False),
-            ({(1, 2): "(* x (exp x))"}, False),
-            ({(1, 2): "(^ (+ (* x x) 1) -1)"}, False),
-        ],
-    )
-    def test_primitive_one_form(self, pots, has_primitive):
-        bundle = pair_potential_model(3, pots)
-        if has_primitive:
-            assert cartan_d(bundle.theta) == bundle.omega
-        else:
-            assert bundle.theta is None
-
     def test_unsupported_potential_rejected(self):
         with pytest.raises(UnsupportedExpressionError):
             pair_potential_model(2, {(1, 2): "(exp q1)"})
@@ -301,8 +283,6 @@ def _verify_bundle(bundle):
     """The integration contract: expected metadata agrees with the verdicts."""
     if bundle.omega is not None:
         assert cartan_d(bundle.omega).is_zero
-    if bundle.theta is not None:
-        assert cartan_d(bundle.theta) == bundle.omega
     phi = bundle.phi()
     if bundle.expected.structure_class == "PN":
         assert phi.is_zero

@@ -514,10 +514,19 @@ class TestZeroTest:
     def test_undecided_field_is_a_config_error(self):
         # L = 100000 puts the sum base exp(q1) + 1 at degree 100000 in y1 = exp(q1 / L).
         field = parse_prefix("(+ (exp (* 1/100000 q1)) (^ (+ (exp q1) 1) -1))", Chart(1))
-        with pytest.raises(ConfigError, match="^is_zero: undecided by the exact zero test"):
+        message = r"^is_zero: undecided by the exact zero test: degree bound 200001 is past 2\*\*16$"
+        with pytest.raises(ConfigError, match=message):
             is_zero(field)
         with pytest.raises(ConfigError):
             field.is_zero()
+
+    def test_exp_field_is_evaluated_in_floats_before_its_integer_form(self, monkeypatch):
+        # exp(800 q1) overflows a float on the whole witness grid, so no point reaches the integer form.
+        calls = []
+        integer_value = scalar._integer_value
+        monkeypatch.setattr(scalar, "_integer_value", lambda *args: calls.append(args) or integer_value(*args))
+        assert is_zero(parse_prefix("(exp (* 800 q1))", Chart(1))) == ZeroVerdict(False, 0.0, None, 50)
+        assert not calls
 
     def test_far_apart_exp_rates_are_decided(self):
         # L = 100000 puts exp(q1) at degree 100000 in y1 = exp(q1 / L); with no sum base that needs no point.
