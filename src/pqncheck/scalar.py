@@ -193,13 +193,6 @@ class Point(Record):
     def __len__(self) -> int:
         return len(self.values)
 
-    @classmethod
-    def _wrap(cls, values: tuple) -> "Point":
-        """A point of floats already known to be finite, taken without the checks of ``__init__``."""
-        point = object.__new__(cls)
-        object.__setattr__(point, "values", values)
-        return point
-
     def __getitem__(self, index: int) -> float:
         return self.values[index]
 
@@ -808,26 +801,17 @@ class ScalarField:
             raise IndexError(f"coordinate index {index} out of range for dim {self.chart.dim}")
         return ScalarField._wrap(self.chart, _poly_diff(self.poly, index))
 
-    def _term_values(self, point: Point | Sequence[float]) -> list[float]:
-        """The float value of each term of the polynomial, the canonical tree's top-level terms, at ``point``."""
+    def _coordinates(self, point: Point | Sequence[float]) -> tuple:
+        """The coordinates of ``point`` as floats, checked against the chart's dimension."""
         values = point.values if isinstance(point, Point) else tuple(float(v) for v in point)
         if len(values) != self.chart.dim:
             raise ChartMismatchError(
                 f"point of dimension {len(values)} does not match chart of dimension {self.chart.dim}"
             )
-        root, sums, name = self.root, {}, self.chart.coordinate_name
-        return [_walk(term, values, sums, name) for term in (root.terms if root.__class__ is Sum else (root,))]
-
-    def _sum(self, terms) -> float:
-        try:
-            return math.fsum(terms)
-        except (OverflowError, ValueError) as exc:
-            raise _evaluation_failed(self.root, exc, self.chart.coordinate_name) from exc
+        return values
 
     def evaluate(self, point: Point | Sequence[float]) -> float:
-        terms = self._term_values(point)
-        # A lone term is returned as it is: fsum would turn -0.0 into 0.0.
-        result = self._sum(terms) if len(terms) > 1 else terms[0]
+        result = _walk(self.root, self._coordinates(point), {}, self.chart.coordinate_name)
         if not math.isfinite(result):
             raise EvaluationOverflowError(
                 f"evaluation produced a non-finite value at node {self.to_prefix()}", node=self.root
@@ -840,7 +824,12 @@ class ScalarField:
         The size of what the field's sum cancels there, next to which a float
         value of the field can be judged; no zero test reads it.
         """
-        return self._sum(map(abs, self._term_values(point)))
+        x, root, sums, name = self._coordinates(point), self.root, {}, self.chart.coordinate_name
+        terms = [abs(_walk(term, x, sums, name)) for term in (root.terms if root.__class__ is Sum else (root,))]
+        try:
+            return math.fsum(terms)
+        except (OverflowError, ValueError) as exc:
+            raise _evaluation_failed(root, exc, name) from exc
 
     def is_zero(self, config: "ZeroTestConfig | None" = None) -> "ZeroVerdict":
         return is_zero(self, config)
@@ -853,11 +842,6 @@ class ScalarField:
 def exp(field: ScalarField) -> ScalarField:
     """exp of an affine scalar field."""
     return field.exp()
-
-
-def evaluate(field: ScalarField, point: Point | Sequence[float]) -> float:
-    """Float value of the field at a point (deterministic)."""
-    return field.evaluate(point)
 
 
 def partial(field: ScalarField, index: int) -> ScalarField:
@@ -876,15 +860,16 @@ class ZeroTestConfig(Record):
     ``seed`` seeds :func:`exact_zero` and the witness points of a field it
     proves nonzero, at most ``sample_count`` of them.  These are the CLI's
     ``--seed`` and ``--samples``, and what a report echoes (:meth:`as_dict`).
-    ``sample_count`` must be an ``int`` (not a ``bool``) >= 1; ``ValueError``
-    otherwise.
+    ``sample_count`` must be an ``int`` >= 1 and ``seed`` an ``int``, neither a
+    ``bool``, so that no run seeds itself from the OS; ``ValueError`` otherwise.
     """
 
     __slots__ = _fields = ("sample_count", "seed")
 
     def __init__(self, sample_count: int = 50, seed: int = 7):
-        if isinstance(sample_count, bool) or not isinstance(sample_count, int):
-            raise ValueError(f"sample_count must be an integer, got {sample_count!r}")
+        for name, value in (("sample_count", sample_count), ("seed", seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if sample_count < 1:
             raise ValueError("sample_count must be at least 1")
         self._init(sample_count, seed)
@@ -930,29 +915,18 @@ def sample_points(
         raise ValueError(f"separation must be finite and nonnegative, got {separation!r}")
     if not (box_halfwidth > 0 and math.isfinite(2 * box_halfwidth)):
         raise ValueError(f"box_halfwidth must be positive with a finite box width, got {box_halfwidth!r}")
-    draw = random.Random(config.seed).random
-    h = box_halfwidth
-    low, width = -h, h - -h  # so low + width * draw() is rng.uniform(-h, h)
-    pairs = [(i, j) for i in range(chart.n) for j in range(i + 1, chart.n)] if separation > 0 else []
-    budget = 100 * config.sample_count
+    rng = random.Random(config.seed)
+    pairs = [(i, j) for i in range(chart.n) for j in range(i + 1, chart.n)]
     points: list[Point] = []
-    while len(points) < config.sample_count:
-        # Draw as many candidates as points are missing, each from the next
-        # dim values of the stream, so the draws match one point at a time.
-        count = min(config.sample_count - len(points), budget)
-        if count == 0:
-            raise DegenerateDomainError(
-                f"separation guard {separation} rejected too many samples in a box of half-width {h}"
-            )
-        budget -= count
-        stream = iter([low + width * draw() for _ in range(count * chart.dim)])
-        for values in zip(*[stream] * chart.dim):
-            for i, j in pairs:
-                if abs(values[i] - values[j]) < separation:
-                    break
-            else:
-                points.append(Point._wrap(values))
-    return points
+    for _ in range(100 * config.sample_count):
+        values = [rng.uniform(-box_halfwidth, box_halfwidth) for _ in range(chart.dim)]
+        if all(abs(values[i] - values[j]) >= separation for i, j in pairs):
+            points.append(Point(values))
+            if len(points) == config.sample_count:
+                return points
+    raise DegenerateDomainError(
+        f"separation guard {separation} rejected too many samples in a box of half-width {box_halfwidth}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1119,7 +1093,7 @@ def _exact_witness(field: ScalarField, form: tuple, config: ZeroTestConfig) -> t
     rng = random.Random(config.seed)
     for tried in range(1, config.sample_count + 1):
         *p, t = [rng.randint(1, _WITNESS_GRID) for _ in range(field.chart.dim + 1)]
-        point = Point._wrap(tuple(map(float, p)))
+        point = Point(p)
         try:
             residual = None if exp_free else abs(field.evaluate(point))
             if residual == 0.0:

@@ -133,7 +133,7 @@ def _zero_axiom(
 ) -> AxiomCheck:
     """The zero test of every field (``scalar._zero_verdict``) as the entry of ``axiom``.
 
-    Every zero verdict of a report entry or involutivity cell is made here.
+    Every zero verdict of a report entry or off-diagonal involutivity cell is made here.
     """
     mode, verdict = _zero_verdict(axiom, fields, config)
     return AxiomCheck(axiom, verdict.is_zero, mode, verdict.residual, verdict.witness, verdict.samples, detail)
@@ -509,17 +509,18 @@ def involutivity_matrix(
     """Zero-test {H_j, H_k} for every pair; the matrix mirrors its witnesses.
 
     {H_k, H_j} is minus {H_j, H_k}, so the mirrored cell reuses the verdict of
-    the computed one.  Each invariant is differentiated once, not once per pair.
+    the computed one.  {H_j, H_j} is a symbolic zero, not expanded, as pi is
+    stored antisymmetric.  Each invariant is differentiated once, not once per pair.
     """
     cfg = config or ZeroTestConfig()
     cells: dict[tuple[int, int], AxiomCheck] = {}
     size = len(invariants)
+    if any(h.chart != pi.chart for h in invariants):
+        raise ChartMismatchError("bracket across charts")  # what poisson_bracket raises, also with no pair to expand
     gradients = [differential(h) for h in invariants]
     for j in range(1, size + 1):
-        for k in range(j, size + 1):
+        cells[(j, j)] = AxiomCheck(f"involutivity-H{j}-H{j}", True, "symbolic", 0.0, None, 0)
+        for k in range(j + 1, size + 1):
             bracket = poisson_bracket(pi, gradients[j - 1], gradients[k - 1])
-            cell = _zero_axiom(f"involutivity-H{j}-H{k}", [bracket], cfg)
-            cells[(j, k)] = cell
-            if j != k:
-                cells[(k, j)] = cell
+            cells[(j, k)] = cells[(k, j)] = _zero_axiom(f"involutivity-H{j}-H{k}", [bracket], cfg)
     return InvolutivityMatrix(pi.chart, size, cells)

@@ -601,7 +601,7 @@ class TestZeroTest:
         ],
     )
     def test_draws_match_rng_uniform(self, n, config):
-        # The sampler before it was trimmed: one rng.uniform call per coordinate.
+        # The sampler's loop written out: one rng.uniform call per coordinate, each candidate kept or redrawn.
         cfg, sampler = config
         rng = random.Random(cfg.seed)
         h, separation = sampler.get("box_halfwidth", 2.0), sampler.get("separation", 1e-2)
@@ -637,6 +637,10 @@ class TestZeroTest:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ZeroTestConfig(sample_count=0)
+        # A seed that is not an int would let random.Random seed itself from the OS, or echo a non-integer.
+        for seed in (None, True, 2.5, "7"):
+            with pytest.raises(ValueError):
+                ZeroTestConfig(seed=seed)
         with pytest.raises(ValueError):
             sample_points(Chart(1), ZeroTestConfig(), separation=-1)
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pqncheck.calculus import cartan_d, koszul_bracket
-from pqncheck.errors import ConfigError, HypothesisViolationError
+from pqncheck.errors import ChartMismatchError, ConfigError, HypothesisViolationError
 from pqncheck.exterior import Bivector, Form, Tensor11
 from pqncheck.models import (
     calogero,
@@ -21,7 +21,7 @@ from pqncheck.models import (
     open_toda,
     two_particle_model,
 )
-from pqncheck import scalar
+from pqncheck import scalar, structures
 from pqncheck.randgen import random_tensor
 from pqncheck.calculus import differential, poisson_bracket
 from pqncheck.scalar import Chart, Const, ScalarField, ZeroTestConfig, exp, parse_prefix, substitute
@@ -565,6 +565,26 @@ class TestInvolutivity:
         for j in range(1, 4):
             assert matrix.cell(j, j).mode == "symbolic"
             assert matrix.cell(j, j).passed
+
+    def test_diagonal_cells_are_not_expanded(self, monkeypatch):
+        bundle = closed_toda(4)
+        invariants = trace_invariants(bundle.tensor, 4)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return poisson_bracket(*args)
+
+        monkeypatch.setattr(structures, "poisson_bracket", counted)
+        matrix = involutivity_matrix(bundle.poisson, invariants)
+        assert len(calls) == 6  # the pairs j < k of 4 invariants
+        for j in range(1, 5):
+            assert matrix.cell(j, j) == AxiomCheck(f"involutivity-H{j}-H{j}", True, "symbolic", 0.0, None, 0)
+
+    def test_an_invariant_on_another_chart_is_refused(self):
+        # A lone invariant has no pair to bracket, and is still checked against pi's chart.
+        with pytest.raises(ChartMismatchError):
+            involutivity_matrix(closed_toda(2).poisson, [Chart(1).q(1)])
 
     def test_two_particle_dichotomy(self):
         invariant_bundle = two_particle_model("(exp (+ q1 (* -1 q2)))")
