@@ -108,19 +108,16 @@ class Torsion12(Record):
 
 
 def nijenhuis_torsion(tensor: Tensor11) -> Torsion12:
-    """Torsion T(X,Y) = [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y]), on coordinate pairs."""
-    chart = tensor.chart
-    columns = [tensor.column(j) for j in range(chart.dim)]
-    components: dict[tuple[int, int], VectorField] = {}
-    for j in range(chart.dim):
-        ej = VectorField.basis(chart, j)
-        for k in range(j + 1, chart.dim):
-            ek = VectorField.basis(chart, k)
-            value = lie_bracket(columns[j], columns[k]) - tensor.apply(
-                lie_bracket(columns[j], ek) + lie_bracket(ej, columns[k])
-            )
-            components[(j, k)] = value
-    return Torsion12(chart, components)
+    """Torsion T(X,Y) = [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y]), on coordinate pairs.
+
+    In components T^i_{jk} = N^l_j d_l N^i_k - N^l_k d_l N^i_j - N^i_l (d_j N^l_k - d_k N^l_j).
+    With the (1,1) tensors M_j = sum_l N^l_j d_l N - N d_j N, built from the partials d_l N,
+    this is T(e_j, e_k) = M_j e_k - M_k e_j: each coordinate pair reads two columns.
+    """
+    chart, dim = tensor.chart, tensor.chart.dim
+    dn = [Tensor11(chart, {key: v.partial(l) for key, v in tensor.terms() if l in v.variables}) for l in range(dim)]
+    m = [sum((dn[l] * v for l, v in tensor.column(j).terms()), -(tensor @ dn[j])) for j in range(dim)]
+    return Torsion12(chart, {(j, k): m[j].column(k) - m[k].column(j) for j in range(dim) for k in range(j + 1, dim)})
 
 
 def poisson_bracket(pi: Bivector, f: ScalarField | Form, g: ScalarField | Form) -> ScalarField:

@@ -188,13 +188,15 @@ def _pair_potential(args: argparse.Namespace) -> models.ModelBundle:
     n = _require_n(args)
     if not args.potentials:
         raise ConfigError("pair-potential needs a potentials mapping in the config file")
-    pots = {}
+    pots, keys = {}, {}
     for key, expr in args.potentials.items():
         try:
             i, j = (int(part) for part in key.split(","))
         except ValueError as exc:
             raise ConfigError(f"potential key {key!r} must look like 'i,j'") from exc
-        pots[(i, j)] = expr
+        if (i, j) in keys:
+            raise ConfigError(f"potential keys {keys[i, j]!r} and {key!r} both name the pair ({i}, {j})")
+        pots[(i, j)], keys[(i, j)] = expr, key
     return models.pair_potential_model(n, pots)
 
 

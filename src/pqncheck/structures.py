@@ -220,24 +220,14 @@ def _compatibility_entries(
     # condition 1 holds.  The concomitant is then a tensor (Kosmann-Schwarzbach
     # and Magri, Ann. IHP 53, 1990), so its values on coordinate pairs decide it
     # everywhere.  When condition 1 fails, the overall verdict fails with it.
-    # On (dx_i, e_j), L_{e_j} of a 1-form is d_j of each coefficient and
-    # L_{N e_j} dx_i = d N^i_j, so both come from partials of row i of N.
+    # On (dx_i, e_j) the last two terms are -pi#(i_{e_j} d(dx_i o N)), so the defect is
+    # column j of the (1,1) tensor L_{pi# dx_i} N - pi# o (d(dx_i o N))_flat.
     defects: list[VectorField] = []
     for i in range(dim):
         alpha = dx(chart, i)
-        lie_n = lie_derivative(pi_sharp(pi, alpha), tensor)
-        row = tensor_interior(tensor, alpha)  # dx_i o N = sum_k N^i_k dx_k
-        row_partials: dict[int, list] = {}
-        for key, entry in row.terms():
-            for j in entry.variables:
-                row_partials.setdefault(j, []).append((key, entry.partial(j)))
-        for j in range(dim):
-            value = (
-                lie_n.column(j)
-                - pi_sharp(pi, Form(chart, 1, row_partials.get(j, ())))
-                + pi_sharp(pi, differential(row.coefficient(j)))
-            )
-            defects.append(value)
+        concomitant = lie_derivative(pi_sharp(pi, alpha), tensor)
+        concomitant -= pi_sharp_omega_flat(pi, cartan_d(tensor_interior(tensor, alpha)))
+        defects.extend(concomitant.column(j) for j in range(dim))
     detail = None if cond1.passed else "assumes compatibility-musical, which failed"
     cond2 = _zero_axiom("compatibility-bracket", _vector_components(defects), cfg, detail)
     return cond1, cond2

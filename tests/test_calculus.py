@@ -186,19 +186,23 @@ class TestTorsion:
 
     def test_evaluator_matches_direct_formula(self, chart2):
         rng = seeded(31)
-        n = random_tensor(chart2, rng)
-        t = nijenhuis_torsion(n)
-        x = random_vector_field(chart2, rng)
-        y = random_vector_field(chart2, rng)
-        direct = (
-            lie_bracket(n.apply(x), n.apply(y))
-            - n.apply(lie_bracket(n.apply(x), y))
-            - n.apply(lie_bracket(x, n.apply(y)))
-            + n.apply(n.apply(lie_bracket(x, y)))
-        )
-        evaluated = t(x, y)
-        for a, b in zip(evaluated.components, direct.components):
-            assert (a - b).is_zero_tree
+        # A random tensor, and closed Toda's n = 3 tensor: exp entries and nonzero torsion.
+        toda = closed_toda(3).tensor
+        assert not all(v.is_zero for _, v in nijenhuis_torsion(toda).coordinate_pairs())
+        for n in (random_tensor(chart2, rng), toda):
+            t = nijenhuis_torsion(n)
+            x = random_vector_field(n.chart, rng)
+            y = random_vector_field(n.chart, rng)
+            direct = (
+                lie_bracket(n.apply(x), n.apply(y))
+                - n.apply(lie_bracket(n.apply(x), y))
+                - n.apply(lie_bracket(x, n.apply(y)))
+                + n.apply(n.apply(lie_bracket(x, y)))
+            )
+            evaluated = t(x, y)
+            assert not direct.is_zero
+            for a, b in zip(evaluated.components, direct.components):
+                assert (a - b).is_zero_tree
 
 
 class TestDeformedBracket:

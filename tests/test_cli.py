@@ -165,6 +165,16 @@ class TestConfigFile:
         )
         assert run_cli("check", "--config", str(cfg)) == 0
 
+    def test_two_potential_keys_for_one_pair_are_a_config_error(self, tmp_path, capsys):
+        # "1,2" and "1, 2" both read as the pair (1, 2); neither potential may silently replace the other.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"model": "pair-potential", "n": 3, "potentials": {"1,2": "(^ x -2)", "1, 2": "x"}})
+        )
+        assert run_cli("check", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: potential keys '1,2' and '1, 2' both name the pair (1, 2)\n"
+
 
 # Each setting with a flag: a run without it, its flag value, the same value as a config file holds it,
 # and another file value the flag must win over.
@@ -711,6 +721,28 @@ class TestReportPin:
                 assert cell["residual"] > 0 and all(float(v).is_integer() for v in cell["witness"].values())
         digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
         assert digest == "7d8bb6575a7d3f9380abaa53f0b5e5311bbeba09005b3d32918d960e17a8b755"
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ("check", "--model", "closed-toda", "--n", "16"),
+                "0169fb0873fe8058b49d0b0bb0eef498b25e029778f18a716153c26754737021",
+            ),
+            (
+                ("deform", "--model", "canonical", "--omega", "closed-toda", "--n", "16"),
+                "45eae96eda81421debe4b5830a2aa041ac4695a302ab58c468a62728594eb8f9",
+            ),
+        ],
+        ids=["check", "deform"],
+    )
+    def test_closed_toda_sixteen_report_bytes(self, argv, expected, capsys):
+        # Torsion and the compatibility concomitant over 32 coordinates; every entry is
+        # symbolic, so the bytes do not depend on the platform's libm.
+        assert run_cli(*argv, "--format", "json") == 0
+        out = capsys.readouterr().out
+        assert {e["mode"] for e in strict_json(out)["entries"]} == {"symbolic"}
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
     @pytest.mark.parametrize("model, n", [("closed-toda", 7), ("closed-toda", 8), ("open-toda", 8)])
     def test_toda_traces_commute_at_scale(self, model, n, capsys):

@@ -69,6 +69,16 @@ class TestCheckPoisson:
         assert check_poisson(pi, cfg).as_dict() == check_poisson(pi, cfg).as_dict()
 
 
+def _induced_bivector(pi: Bivector, tensor: Tensor11) -> Bivector:
+    """pi_2 = N pi, whose raising map is N o pi_sharp: pi_2^{ab} = sum_k pi^{ak} N^b_k."""
+    chart = pi.chart
+    rows = [
+        [sum((pi.entry(a, k) * tensor.entry(b, k) for k in range(chart.dim)), chart.zero()) for b in range(chart.dim)]
+        for a in range(chart.dim)
+    ]
+    return Bivector(chart, rows)  # checks antisymmetry entry by entry
+
+
 class TestCompatibility:
     def test_momentum_tensor_compatible(self, canonical2):
         pi, nc = canonical2
@@ -111,6 +121,22 @@ class TestCompatibility:
         bracket = report.entry("compatibility-bracket")
         assert not bracket.passed
         assert bracket.detail is None
+
+    def test_induced_bivector_of_the_open_chain_is_compatible(self):
+        # pi_2 = N pi is not constant: its entries carry the chain's exp couplings.
+        bundle = open_toda(3)
+        pi2 = _induced_bivector(bundle.poisson, bundle.tensor)
+        assert any(value.variables for _, value in pi2.terms())
+        assert check_compatibility(pi2, bundle.tensor).overall
+
+    def test_induced_bivector_of_the_closed_chain_fails_the_bracket_condition(self):
+        bundle = closed_toda(3)
+        report = check_compatibility(_induced_bivector(bundle.poisson, bundle.tensor), bundle.tensor)
+        assert report.entry("compatibility-musical").passed
+        bracket = report.entry("compatibility-bracket")
+        assert (bracket.passed, bracket.mode, bracket.detail) == (False, "exact", None)
+        assert bracket.witness is not None
+        assert bracket.residual > 0
 
     @pytest.mark.parametrize(
         "build, is_pn",
