@@ -16,9 +16,12 @@ operators below only generate raw terms over stored entries.
 
 Matrix conventions (pinned by the two-particle fixtures in the models
 module): a (1,1) tensor acts on column component vectors, entry (i, j) being
-the i-th component of the image of the j-th coordinate field; the bivector
-raises 1-forms through (pi_sharp a)^i = sum_j pi^{ji} a_j, so its matrix has
-(i, j) entry pi^{ji}.
+the i-th component of the image of the j-th coordinate field.  The bivector
+raises 1-forms through (pi_sharp a)^i = sum_j pi^{ji} a_j, so the matrix of
+pi_sharp has (i, j) entry pi^{ji}; a 2-form lowers vector fields through
+(omega_flat X)_i = sum_j X^j omega_{ji}, so the matrix of omega_flat has
+(i, j) entry omega_{ji}.  Both are the transpose of the stored antisymmetric
+entries, and :func:`_musical_matrix` is the one place that builds them.
 """
 
 from __future__ import annotations
@@ -343,12 +346,6 @@ class Tensor11(_Matrix):
     def zero(cls, chart: Chart) -> "Tensor11":
         return cls(chart, {})
 
-    @classmethod
-    def from_columns(cls, chart: Chart, columns: Sequence[VectorField]) -> "Tensor11":
-        if len(columns) != chart.dim:
-            raise ChartMismatchError(f"expected {chart.dim} columns")
-        return cls(chart, (((i, j), value) for j, column in enumerate(columns) for i, value in column.terms()))
-
     def entry(self, i: int, j: int) -> ScalarField:
         return self._get((i, j))
 
@@ -428,12 +425,19 @@ class Bivector(_Matrix):
             yield i, j, value
             yield j, i, -value
 
-    def sharp(self, alpha: Form) -> VectorField:
-        return pi_sharp(self, alpha)
-
     def sharp_matrix(self) -> tuple[tuple[ScalarField, ...], ...]:
         """The matrix of the raising map on column vectors: entry (i, j) = pi^{ji}."""
-        return tuple(zip(*self.entries))
+        return _musical_matrix(self).entries
+
+
+def _musical_matrix(antisymmetric: Bivector | Form) -> Tensor11:
+    """The transpose of stored antisymmetric entries a_{ij} (i < j): entry (j, i) = a_{ij}, (i, j) = -a_{ij}.
+
+    For a bivector pi this is the matrix of pi_sharp; for a 2-form omega it is
+    the matrix of omega_flat, X -> i_X omega.
+    """
+    pairs = antisymmetric.terms()
+    return Tensor11(antisymmetric.chart, (term for (i, j), a in pairs for term in (((j, i), a), ((i, j), -a))))
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +480,6 @@ def interior(vector: VectorField, form: Form) -> Form:
                     yield key[:slot] + key[slot + 1 :], -value if slot % 2 else value
 
     return Form(form.chart, form.degree - 1, terms())
-
-
-def pair_interior(x: VectorField, y: VectorField, form: Form) -> Form:
-    """Contraction with X wedge Y: <i_{X^Y} a, ...> = a(X, Y, ...)."""
-    return interior(y, interior(x, form))
 
 
 def tensor_interior(tensor: Tensor11, form: Form) -> Form:
@@ -531,12 +530,12 @@ def omega_flat(omega: Form, vector: VectorField) -> Form:
 
 
 def pi_sharp_omega_flat(pi: Bivector, omega: Form) -> Tensor11:
-    """The (1,1) tensor X -> pi_sharp(i_X Omega) (columnwise assembly)."""
+    """The (1,1) tensor X -> pi_sharp(i_X Omega): the matrix of pi_sharp times that of omega_flat."""
     if pi.chart != omega.chart:
         raise ChartMismatchError("composition across charts")
-    chart = pi.chart
-    columns = [pi_sharp(pi, interior(VectorField.basis(chart, j), omega)) for j in range(chart.dim)]
-    return Tensor11.from_columns(chart, columns)
+    if omega.degree != 2:
+        raise DegreeError(f"pi_sharp_omega_flat requires a 2-form, got degree {omega.degree}")
+    return _musical_matrix(pi) @ _musical_matrix(omega)
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ChartMismatchError, UnsupportedExpressionError
-from .exterior import Bivector, Form, Tensor11
+from .exterior import Bivector, Form, Tensor11, pi_sharp_omega_flat
 from .scalar import (
     Chart,
     Coord,
@@ -221,28 +221,23 @@ def _pair_bundle(
 ) -> ModelBundle:
     """The pair deformation of the momentum tensor by the potential fields V_ij (i < j).
 
-    The 2-form is sum over i < j of V_ij dq_j ^ dq_i + dp_j ^ dp_i, the tensor
-    is its deformation of the momentum tensor, and the expected 3-form is the
-    differential display plus half the self-bracket display.
+    The 2-form omega is sum over i < j of V_ij dq_j ^ dq_i + dp_j ^ dp_i, the
+    tensor is its deformation N + pi_sharp o omega_flat of the momentum tensor
+    N, and the expected 3-form is the differential display plus half the
+    self-bracket display.
     """
     omega_terms: dict[tuple[int, ...], object] = {}
-    extra: dict[tuple[int, int], object] = {}
     for i in range(1, chart.n + 1):
         for j in range(i + 1, chart.n + 1):
-            qi, qj, pi, pj = chart.q_index(i), chart.q_index(j), chart.p_index(i), chart.p_index(j)
-            omega_terms[pj, pi] = 1
-            extra[qi, pj] = 1
-            extra[qj, pi] = -1
-            v = fields.get((i, j))
-            if v is not None:
-                omega_terms[qj, qi] = v
-                extra[pj, qi] = v
-                extra[pi, qj] = -v
+            omega_terms[chart.p_index(j), chart.p_index(i)] = 1
+            if (i, j) in fields:
+                omega_terms[chart.q_index(j), chart.q_index(i)] = fields[i, j]
     omega = Form(chart, 2, omega_terms)
-    tensor = canonical_nijenhuis(chart) + Tensor11(chart, extra)
+    pi = canonical_poisson(chart)
+    tensor = canonical_nijenhuis(chart) + pi_sharp_omega_flat(pi, omega)
     phi = pair_differential_display(chart, fields) + pair_self_bracket_display(chart, fields) * Fraction(1, 2)
     expected = ExpectedOutcome(involutive_up_to=involutive_up_to, phi_closed_form=phi, non_involutive=non_involutive)
-    return ModelBundle(name, chart, canonical_poisson(chart), tensor, omega, expected)
+    return ModelBundle(name, chart, pi, tensor, omega, expected)
 
 
 def pair_potential_model(

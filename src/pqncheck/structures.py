@@ -35,9 +35,10 @@ from .exterior import (
     Form,
     Tensor11,
     VectorField,
+    _musical_matrix,
     dx,
+    interior,
     lie_derivative,
-    pair_interior,
     pi_sharp,
     pi_sharp_omega_flat,
     tensor_interior,
@@ -199,8 +200,7 @@ def _induced_pairs(pi: Bivector, tensor: Tensor11) -> dict[tuple[int, int], Scal
     ordered pair is kept: the map is antisymmetric only when
     compatibility-musical holds.
     """
-    sharp = Tensor11(pi.chart, (((k, j), value) for j, k, value in pi.nonzero_entries()))
-    return {(j, i): value for (i, j), value in (tensor @ sharp).terms()}
+    return {(j, i): value for (i, j), value in (tensor @ _musical_matrix(pi)).terms()}
 
 
 def _compatibility_entries(
@@ -288,11 +288,10 @@ def check_pqn(structure: GeometricStructure, config: ZeroTestConfig | None = Non
     entries.append(
         _zero_axiom("i_N-phi-closed", _form_components([cartan_d(tensor_interior(tensor, phi))]), cfg)
     )
+    # pi#(i_{e_j ^ e_k} phi) = pi#(i_{e_k} i_{e_j} phi) is column k of pi# o (i_{e_j} phi)_flat.
+    raised = [pi_sharp_omega_flat(pi, interior(VectorField.basis(chart, j), phi)) for j in range(chart.dim)]
     torsion = nijenhuis_torsion(tensor)
-    defects: list[VectorField] = []
-    for (j, k), value in torsion.coordinate_pairs():
-        contracted = pair_interior(VectorField.basis(chart, j), VectorField.basis(chart, k), phi)
-        defects.append(value - pi_sharp(pi, contracted))
+    defects = [value - raised[j].column(k) for (j, k), value in torsion.coordinate_pairs()]
     entries.append(_zero_axiom("torsion-identity", _vector_components(defects), cfg))
     rng = random.Random(cfg.seed)
     square_defects: list[Form] = []

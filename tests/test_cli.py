@@ -744,6 +744,47 @@ class TestReportPin:
         assert {e["mode"] for e in strict_json(out)["entries"]} == {"symbolic"}
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ("check", "--model", "calogero", "--n", "4"),
+                "c32d69e5d436a784d6f6a40651cf20d8350f084dbddf11ff9b59f6634edad201",
+            ),
+            (
+                ("deform", "--model", "open-toda", "--omega", "omega-hat", "--n", "4"),
+                "000fef0fce0b8e472e950f0e5dacb4435156634e1c17b871a2a9730c294d8359",
+            ),
+        ],
+        ids=["calogero-check", "open-toda-deform"],
+    )
+    def test_pair_model_report_bytes(self, argv, expected, capsys):
+        # Both tensors are N + pi# o omega_flat built by the pair-model assembly; every entry is
+        # symbolic, so the bytes do not depend on the platform's libm.
+        assert run_cli(*argv, "--format", "json") == 0
+        out = capsys.readouterr().out
+        assert {e["mode"] for e in strict_json(out)["entries"]} == {"symbolic"}
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
+
+    def test_failing_two_particle_report_bytes(self, capsys):
+        # A momentum-dependent potential fails five entries, each with an exact witness whose
+        # point depends on the order of the fields.  The residuals of the first four are exact
+        # rationals; that of dN-squared-is-phi-bracket evaluates the probe functions' exp terms
+        # in floats at the witness.
+        assert run_cli("check", "--model", "two-particle", "--v", "(* p1 q2)", "--format", "json") == 1
+        out = capsys.readouterr().out
+        failed = [e["axiom"] for e in strict_json(out)["entries"] if e["verdict"] == "fail"]
+        assert failed == [
+            "compatibility-bracket",
+            "phi-closed",
+            "i_N-phi-closed",
+            "torsion-identity",
+            "dN-squared-is-phi-bracket",
+        ]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "479cf2e8d91e4ccd67f3b09853495dadcddf73f6c69d2ae5298c1696cb78e60c"
+        )
+
     @pytest.mark.parametrize("model, n", [("closed-toda", 7), ("closed-toda", 8), ("open-toda", 8)])
     def test_toda_traces_commute_at_scale(self, model, n, capsys):
         # Every cell is a symbolic zero, through products and partials of exp monomials.

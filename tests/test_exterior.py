@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from pqncheck.errors import ChartMismatchError, DegreeError
@@ -15,7 +17,6 @@ from pqncheck.exterior import (
     lie_bracket,
     lie_derivative,
     omega_flat,
-    pair_interior,
     pairing,
     pi_sharp,
     pi_sharp_omega_flat,
@@ -30,14 +31,29 @@ from pqncheck.models import (
     closed_toda,
     two_particle_fixture,
 )
-from pqncheck.randgen import random_form, random_tensor, random_vector_field
+from pqncheck.randgen import random_form, random_scalar_field, random_tensor, random_vector_field
 from pqncheck.scalar import Chart, exp
+from pqncheck.structures import check_poisson
 
 from conftest import seeded
 
 
 def _stored_values(obj):
     return [value for _, value in obj.terms()]
+
+
+def _random_coefficients(chart: Chart, degree: int, rng, count: int = 4) -> dict:
+    """Random coefficients on ``count`` index tuples, with exp and negative-power factors."""
+    keys = list(combinations(range(chart.dim), degree))
+    rng.shuffle(keys)
+    return {key: random_scalar_field(chart, rng, allow_negative_powers=True) for key in keys[:count]}
+
+
+def _columnwise_pi_sharp_omega_flat(pi: Bivector, omega: Form) -> Tensor11:
+    """The reference definition: column j of pi# o omega_flat is pi_sharp(i_{e_j} omega)."""
+    chart = pi.chart
+    columns = [pi_sharp(pi, interior(VectorField.basis(chart, j), omega)) for j in range(chart.dim)]
+    return Tensor11(chart, (((i, j), value) for j, column in enumerate(columns) for i, value in column.terms()))
 
 
 class TestSparseStorage:
@@ -196,7 +212,7 @@ class TestInterior:
         x = VectorField.basis(chart, chart.q_index(1))
         y = VectorField.basis(chart, chart.q_index(3))
         expected = (dp(chart, 1) + dp(chart, 2) + dp(chart, 3)) * (2 * exp(chart.q(3) - chart.q(1)))
-        assert pair_interior(x, y, phi) == expected
+        assert interior(y, interior(x, phi)) == expected
 
 
 class TestTensorInterior:
@@ -278,6 +294,36 @@ class TestMusicalMaps:
 
         assert pi_sharp_omega_flat(pi, canonical_symplectic(chart2)) == -Tensor11.identity(chart2)
         assert pi_sharp_omega_flat(pi, momentum_symplectic(chart2)) == -canonical_nijenhuis(chart2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_product_form_matches_columnwise_definition(self, n, seed):
+        chart = Chart(n)
+        rng = seeded(seed)
+        pi = Bivector.from_upper(chart, _random_coefficients(chart, 2, rng))
+        omega = Form(chart, 2, _random_coefficients(chart, 2, rng))
+        assert any(value.variables for _, value in pi.terms())
+        assert n == 1 or not check_poisson(pi).overall  # every bivector on a plane is Poisson
+        assert pi_sharp_omega_flat(pi, omega) == _columnwise_pi_sharp_omega_flat(pi, omega)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_contraction_is_a_column_of_the_product(self, n, seed):
+        # pi#(i_{e_j ^ e_k} phi) is column k of pi# o (i_{e_j} phi)_flat, as check_pqn reads it.
+        chart = Chart(n)
+        rng = seeded(seed)
+        pi = Bivector.from_upper(chart, _random_coefficients(chart, 2, rng))
+        phi = Form(chart, 3, _random_coefficients(chart, 3, rng))
+        basis = [VectorField.basis(chart, j) for j in range(chart.dim)]
+        for j, e_j in enumerate(basis):
+            raised = pi_sharp_omega_flat(pi, interior(e_j, phi))
+            for k, e_k in enumerate(basis):
+                assert raised.column(k) == pi_sharp(pi, interior(e_k, interior(e_j, phi)))
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_product_form_requires_two_form(self, chart2, degree):
+        with pytest.raises(DegreeError, match="requires a 2-form"):
+            pi_sharp_omega_flat(canonical_poisson(chart2), random_form(chart2, degree, seeded(degree)))
 
 
 class TestLieOperations:

@@ -418,6 +418,13 @@ class TestCheckPqn:
         report = check_pqn(structure)
         assert not report.entry("torsion-identity").passed
 
+    @pytest.mark.parametrize("scale", [1, 2, -1])
+    def test_torsion_identity_fixes_the_scale_of_phi(self, scale):
+        # phi = 0 leaves out the raised term pi#(i_{X^Y} phi); 2 phi and -phi keep it with the wrong weight.
+        bundle = closed_toda(3)
+        structure = GeometricStructure(bundle.chart, bundle.poisson, bundle.tensor, bundle.phi() * scale)
+        assert check_pqn(structure).entry("torsion-identity").passed == (scale == 1)
+
 
 class TestDeform:
     def test_identity_deforms_to_momentum_tensor(self, chart2):
