@@ -116,8 +116,10 @@ def nijenhuis_torsion(tensor: Tensor11) -> Torsion12:
     """
     chart, dim = tensor.chart, tensor.chart.dim
     dn = [Tensor11(chart, {key: v.partial(l) for key, v in tensor.terms() if l in v.variables}) for l in range(dim)]
-    m = [sum((dn[l] * v for l, v in tensor.column(j).terms()), -(tensor @ dn[j])) for j in range(dim)]
-    return Torsion12(chart, {(j, k): m[j].column(k) - m[k].column(j) for j in range(dim) for k in range(j + 1, dim)})
+    m = [sum((dn[l] * v for l, v in column.terms()), -(tensor @ dn[j])) for j, column in enumerate(tensor.columns())]
+    m_columns = [m_j.columns() for m_j in m]
+    pairs = {(j, k): m_columns[j][k] - m_columns[k][j] for j in range(dim) for k in range(j + 1, dim)}
+    return Torsion12(chart, pairs)
 
 
 def poisson_bracket(pi: Bivector, f: ScalarField | Form, g: ScalarField | Form) -> ScalarField:

@@ -10,7 +10,8 @@ One constructor loop builds all four from raw ``(key, coefficient)`` terms:
 it normalizes each key (for forms and bivectors it sorts the index tuple with
 its permutation sign and drops repeated indices, the one place that knows
 wedge anticommutativity), drops zero coefficients, and sums equal keys.  The
-operators below only generate raw terms over stored entries.
+operators below only generate raw terms over stored entries; ``+`` and ``-``
+stream both operands' terms (the second negated for ``-``) into that loop too.
 ``VectorField.components`` and the ``entries`` of ``Tensor11`` and
 ``Bivector`` are read-only dense views.
 
@@ -21,14 +22,15 @@ raises 1-forms through (pi_sharp a)^i = sum_j pi^{ji} a_j, so the matrix of
 pi_sharp has (i, j) entry pi^{ji}; a 2-form lowers vector fields through
 (omega_flat X)_i = sum_j X^j omega_{ji}, so the matrix of omega_flat has
 (i, j) entry omega_{ji}.  Both are the transpose of the stored antisymmetric
-entries, and :func:`_musical_matrix` is the one place that builds them.
+entries, and :func:`_musical_matrix` is the one place that builds them:
+:func:`pi_sharp` applies the matrix it builds for pi.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain
 
 from .errors import ChartMismatchError, DegreeError
 from .scalar import Chart, Record, ScalarField
@@ -89,6 +91,7 @@ class _Sparse(Record):
     """
 
     __slots__ = _fields = ("chart", "coeffs")
+    __hash__ = None  # coeffs is a dict
 
     def _store(self, chart: Chart, terms) -> None:
         """Normalize a mapping or an iterable of raw ``(key, coefficient)`` pairs into ``coeffs``."""
@@ -130,24 +133,13 @@ class _Sparse(Record):
     def terms(self) -> Iterable[tuple]:
         return self.coeffs.items()
 
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.chart == other.chart and self.coeffs == other.coeffs
-
-    def _combine(self, other, op, lone):
-        """op coefficient-wise on shared keys, lone(value) on keys only ``other`` has."""
-        self._require_like(other)
-        out = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            out[key] = op(out[key], value) if key in out else lone(value)
-        return self._like(out)
-
     def __add__(self, other):
-        return self._combine(other, operator.add, lambda value: value)
+        self._require_like(other)
+        return self._like(chain(self.terms(), other.terms()))
 
     def __sub__(self, other):
-        return self._combine(other, operator.sub, operator.neg)
+        self._require_like(other)
+        return self._like(chain(self.terms(), ((key, -value) for key, value in other.terms())))
 
     def __neg__(self):
         return self._like({k: -v for k, v in self.coeffs.items()})
@@ -213,11 +205,6 @@ class Form(_Sparse):
         value = self._get(key)
         return value if sign > 0 else -value
 
-    def __eq__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        return self.degree == other.degree and super().__eq__(other)
-
     def __repr__(self):
         if not self.coeffs:
             return f"Form<deg {self.degree}>(0)"
@@ -227,9 +214,6 @@ class Form(_Sparse):
             basis = "^".join(f"d{names[i]}" for i in key) or "1"
             parts.append(f"({self.coeffs[key].to_prefix()}) {basis}")
         return f"Form<deg {self.degree}>(" + " + ".join(parts) + ")"
-
-    def wedge(self, other: "Form") -> "Form":
-        return wedge(self, other)
 
     def apply(self, vectors: Sequence["VectorField"]) -> ScalarField:
         """Value of the form on a tuple of vector fields (full contraction)."""
@@ -299,8 +283,7 @@ def pairing(alpha: Form, vector: VectorField) -> ScalarField:
         raise DegreeError("pairing requires a 1-form")
     if alpha.chart != vector.chart:
         raise ChartMismatchError("pairing across charts")
-    products = (coeff * vector.coeffs[i] for (i,), coeff in alpha.terms() if i in vector.coeffs)
-    return sum(products, alpha.chart.zero())
+    return interior(vector, alpha).as_scalar()
 
 
 class _Matrix(_Sparse):
@@ -349,8 +332,12 @@ class Tensor11(_Matrix):
     def entry(self, i: int, j: int) -> ScalarField:
         return self._get((i, j))
 
-    def column(self, j: int) -> VectorField:
-        return VectorField(self.chart, {i: value for (i, k), value in self.terms() if k == j})
+    def columns(self) -> list[VectorField]:
+        """Every column, N e_j at position j, from one pass over the stored entries."""
+        columns: list[dict[int, ScalarField]] = [{} for _ in range(self.chart.dim)]
+        for (i, j), value in self.terms():
+            columns[j][i] = value
+        return [VectorField(self.chart, column) for column in columns]
 
     def _rows(self) -> dict[int, list[tuple[int, ScalarField]]]:
         """The stored entries by row, ``{i: [(j, N^i_j), ...]}``, each row in ascending j."""
@@ -510,16 +497,7 @@ def pi_sharp(pi: Bivector, alpha: Form) -> VectorField:
         raise ChartMismatchError("raising across charts")
     if alpha.degree != 1:
         raise DegreeError("pi_sharp acts on 1-forms")
-    coeffs = alpha.coeffs
-
-    def terms():
-        for (i, j), entry in pi.terms():  # pi^{ij} with i < j, and pi^{ji} = -pi^{ij}
-            if (i,) in coeffs:
-                yield j, entry * coeffs[(i,)]
-            if (j,) in coeffs:
-                yield i, -(entry * coeffs[(j,)])
-
-    return VectorField(pi.chart, terms())
+    return _musical_matrix(pi).apply(VectorField(pi.chart, {i: a for (i,), a in alpha.terms()}))
 
 
 def omega_flat(omega: Form, vector: VectorField) -> Form:

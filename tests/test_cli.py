@@ -733,11 +733,16 @@ class TestReportPin:
                 ("deform", "--model", "canonical", "--omega", "closed-toda", "--n", "16"),
                 "45eae96eda81421debe4b5830a2aa041ac4695a302ab58c468a62728594eb8f9",
             ),
+            (
+                ("check", "--model", "open-toda", "--n", "16"),
+                "ce431bc7280bc150cc7e79878f2f0315e89a8fe5c39285ab4fa5de2ef37f5273",
+            ),
         ],
-        ids=["check", "deform"],
+        ids=["check", "deform", "open-toda-check"],
     )
     def test_closed_toda_sixteen_report_bytes(self, argv, expected, capsys):
-        # Torsion and the compatibility concomitant over 32 coordinates; every entry is
+        # Torsion and the compatibility concomitant over 32 coordinates, and for the open
+        # chain's PN report the Jacobi identity of the induced bivector; every entry is
         # symbolic, so the bytes do not depend on the platform's libm.
         assert run_cli(*argv, "--format", "json") == 0
         out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from itertools import combinations
+import operator
+from itertools import combinations, product
 
 import pytest
 
@@ -54,6 +55,108 @@ def _columnwise_pi_sharp_omega_flat(pi: Bivector, omega: Form) -> Tensor11:
     chart = pi.chart
     columns = [pi_sharp(pi, interior(VectorField.basis(chart, j), omega)) for j in range(chart.dim)]
     return Tensor11(chart, (((i, j), value) for j, column in enumerate(columns) for i, value in column.terms()))
+
+
+def _generator_pi_sharp(pi: Bivector, alpha: Form) -> VectorField:
+    """The reference: pi_sharp as a generator over the stored entries, pi^{ji} = -pi^{ij} written out."""
+    coeffs = alpha.coeffs
+
+    def terms():
+        for (i, j), entry in pi.terms():
+            if (i,) in coeffs:
+                yield j, entry * coeffs[(i,)]
+            if (j,) in coeffs:
+                yield i, -(entry * coeffs[(j,)])
+
+    return VectorField(pi.chart, terms())
+
+
+def _sum_pairing(alpha: Form, vector: VectorField):
+    """The reference: <alpha, X> = sum_i alpha_i X^i."""
+    return sum((coeff * vector.coeffs[i] for (i,), coeff in alpha.terms() if i in vector.coeffs), alpha.chart.zero())
+
+
+def _merged_coeffs(a, b, op, lone) -> dict:
+    """The reference merge: op on shared keys in a's order, lone(value) on b's new keys appended, zeros dropped."""
+    out = dict(a.coeffs)
+    for key, value in b.coeffs.items():
+        out[key] = op(out[key], value) if key in out else lone(value)
+    return {key: value for key, value in out.items() if not value.is_zero_tree}
+
+
+#: Each tensor type's stored keys on a chart, and its constructor from a coefficient mapping.
+_SPARSE_TYPES = {
+    "form-0": (lambda dim: [()], lambda chart, coeffs: Form(chart, 0, coeffs)),
+    "form-1": (lambda dim: list(combinations(range(dim), 1)), lambda chart, coeffs: Form(chart, 1, coeffs)),
+    "form-2": (lambda dim: list(combinations(range(dim), 2)), lambda chart, coeffs: Form(chart, 2, coeffs)),
+    "form-3": (lambda dim: list(combinations(range(dim), 3)), lambda chart, coeffs: Form(chart, 3, coeffs)),
+    "vector": (lambda dim: list(range(dim)), VectorField),
+    "tensor": (lambda dim: list(product(range(dim), repeat=2)), Tensor11),
+    "bivector": (lambda dim: list(combinations(range(dim), 2)), Bivector),
+}
+
+
+def _operand_pair(name: str, chart: Chart, rng, cancel):
+    """Two values of one type that share some keys; on one shared key the result of the operator cancels."""
+    keys, build = _SPARSE_TYPES[name]
+    keys = keys(chart.dim)
+    rng.shuffle(keys)
+    a = {key: random_scalar_field(chart, rng, allow_negative_powers=True) for key in keys[: max(1, 2 * len(keys) // 3)]}
+    b = {key: random_scalar_field(chart, rng, allow_negative_powers=True) for key in keys[len(keys) // 3 :]}
+    shared = [key for key in a if key in b]
+    if shared:
+        b[shared[0]] = cancel(a[shared[0]])
+    return build(chart, a), build(chart, b)
+
+
+class TestStreamedOperators:
+    # pi_sharp, pairing, + and - feed raw terms to the one constructor loop; each must
+    # give the values and the key order of its written-out reference.
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pi_sharp_matches_the_per_entry_generator(self, n, seed):
+        chart = Chart(n)
+        rng = seeded(seed)
+        pi = Bivector.from_upper(chart, _random_coefficients(chart, 2, rng))
+        assert any(value.variables for _, value in pi.terms())
+        for _ in range(3):
+            alpha = Form(chart, 1, _random_coefficients(chart, 1, rng, count=rng.randint(1, chart.dim)))
+            raised, expected = pi_sharp(pi, alpha), _generator_pi_sharp(pi, alpha)
+            assert raised == expected
+            assert list(raised.coeffs) == list(expected.coeffs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pairing_is_the_sum_of_products(self, n, seed):
+        chart = Chart(n)
+        rng = seeded(seed)
+        for _ in range(3):
+            alpha = Form(chart, 1, _random_coefficients(chart, 1, rng, count=rng.randint(1, chart.dim)))
+            vector = random_vector_field(chart, rng)
+            assert pairing(alpha, vector) == _sum_pairing(alpha, vector)
+        # products that cancel pair to zero
+        alpha = Form(chart, 1, {(0,): chart.q(1), (chart.dim - 1,): chart.one()})
+        vector = VectorField(chart, {0: chart.one(), chart.dim - 1: -chart.q(1)})
+        assert pairing(alpha, vector).is_zero_tree and _sum_pairing(alpha, vector).is_zero_tree
+
+    @pytest.mark.parametrize(
+        "name, n", [(name, n) for name in sorted(_SPARSE_TYPES) for n in (1, 2, 3) if (name, n) != ("form-3", 1)]
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sum_and_difference_are_coefficient_wise_merges(self, name, n, seed):
+        chart = Chart(n)
+        for op, lone, cancel in ((operator.add, lambda v: v, operator.neg), (operator.sub, operator.neg, lambda v: v)):
+            a, b = _operand_pair(name, chart, seeded(seed), cancel)
+            result, expected = op(a, b), _merged_coeffs(a, b, op, lone)
+            assert len(expected) < len(a.coeffs.keys() | b.coeffs.keys())  # the cancelling key is dropped
+            assert type(result) is type(a)
+            assert result.coeffs == expected
+            assert list(result.coeffs) == list(expected)
+
+    def test_tensor_types_are_unhashable(self, chart2):
+        for value in (dq(chart2, 1), VectorField.basis(chart2, 0), Tensor11.identity(chart2), canonical_poisson(chart2)):
+            with pytest.raises(TypeError):
+                hash(value)
 
 
 class TestSparseStorage:
@@ -318,7 +421,7 @@ class TestMusicalMaps:
         for j, e_j in enumerate(basis):
             raised = pi_sharp_omega_flat(pi, interior(e_j, phi))
             for k, e_k in enumerate(basis):
-                assert raised.column(k) == pi_sharp(pi, interior(e_k, interior(e_j, phi)))
+                assert raised.columns()[k] == pi_sharp(pi, interior(e_k, interior(e_j, phi)))
 
     @pytest.mark.parametrize("degree", [1, 3])
     def test_product_form_requires_two_form(self, chart2, degree):
@@ -392,4 +495,4 @@ class TestBivectorValidation:
         nc = canonical_nijenhuis(chart2)
         assert nc.power(2).trace() == 2 * (chart2.p(1) ** 2 + chart2.p(2) ** 2)
         assert (nc @ Tensor11.identity(chart2)) == nc
-        assert nc.column(0) == VectorField(chart2, [chart2.p(1), 0, 0, 0])
+        assert nc.columns()[0] == VectorField(chart2, [chart2.p(1), 0, 0, 0])

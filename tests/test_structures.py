@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 from pqncheck.calculus import cartan_d, koszul_bracket
 from pqncheck.errors import ChartMismatchError, ConfigError, HypothesisViolationError
-from pqncheck.exterior import Bivector, Form, Tensor11
+from pqncheck.exterior import Bivector, Form, Tensor11, VectorField
 from pqncheck.models import (
     calogero,
     canonical_deformation_form,
@@ -22,7 +23,7 @@ from pqncheck.models import (
     two_particle_model,
 )
 from pqncheck import scalar, structures
-from pqncheck.randgen import random_tensor
+from pqncheck.randgen import random_scalar_field, random_tensor
 from pqncheck.calculus import differential, poisson_bracket
 from pqncheck.scalar import Chart, Const, ScalarField, ZeroTestConfig, exp, parse_prefix, substitute
 from pqncheck.structures import (
@@ -67,6 +68,59 @@ class TestCheckPoisson:
         pi = canonical_poisson(chart2)
         cfg = ZeroTestConfig(seed=5)
         assert check_poisson(pi, cfg).as_dict() == check_poisson(pi, cfg).as_dict()
+
+
+def _dense_jacobiators(chart: Chart, pairs: dict) -> list[ScalarField]:
+    """The reference: the cyclic Jacobi sum of the bracket of ``pairs`` on every coordinate triple."""
+    rows = [VectorField(chart, {b: value for (a, b), value in pairs.items() if a == i}) for i in range(chart.dim)]
+    return [
+        sum((rows[a](pairs[b, c]) for a, b, c in ((i, j, k), (j, k, i), (k, i, j)) if (b, c) in pairs), chart.zero())
+        for i, j, k in combinations(range(chart.dim), 3)
+    ]
+
+
+def _random_pairs(chart: Chart, rng, keys, count: int) -> dict:
+    keys = list(keys)
+    rng.shuffle(keys)
+    return {key: random_scalar_field(chart, rng, allow_negative_powers=True) for key in keys[:count]}
+
+
+def _nonzero(fields) -> list[ScalarField]:
+    return [field for field in fields if not field.is_zero_tree]
+
+
+class TestJacobiTriples:
+    # _bracket_fields lists only the triples a stored, non-constant entry reaches; the fields
+    # it drops are zero polynomials, and the rest keep the ascending order of all triples.
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bivector_triples_match_the_dense_loop(self, n, seed):
+        chart = Chart(n)
+        rng = random.Random(seed)
+        pi = Bivector.from_upper(chart, _random_pairs(chart, rng, combinations(range(chart.dim), 2), 2 * n))
+        pairs = {(i, j): value for i, j, value in pi.nonzero_entries()}
+        _, jacobiators = structures._bracket_fields(chart, pairs)
+        assert _nonzero(jacobiators) == _nonzero(_dense_jacobiators(chart, pairs))
+        assert _nonzero(jacobiators)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_triples_of_pairs_with_diagonal_entries_match_the_dense_loop(self, n, seed):
+        # Not antisymmetric, with entries (b, b), as the induced entries are when compatibility-musical fails.
+        chart = Chart(n)
+        rng = random.Random(seed)
+        pairs = _random_pairs(chart, rng, product(range(chart.dim), repeat=2), 3 * chart.dim)
+        pairs.update(_random_pairs(chart, rng, [(b, b) for b in range(chart.dim)], n))
+        _, jacobiators = structures._bracket_fields(chart, pairs)
+        assert _nonzero(jacobiators) == _nonzero(_dense_jacobiators(chart, pairs))
+        assert _nonzero(jacobiators)
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_induced_pairs_of_a_random_tensor_match_the_dense_loop(self, chart2, index):
+        pairs = structures._induced_pairs(canonical_poisson(chart2), _random_tensor_draw(chart2, index))
+        assert any(b == c for b, c in pairs)
+        _, jacobiators = structures._bracket_fields(chart2, pairs)
+        assert _nonzero(jacobiators) == _nonzero(_dense_jacobiators(chart2, pairs))
 
 
 def _induced_bivector(pi: Bivector, tensor: Tensor11) -> Bivector:
