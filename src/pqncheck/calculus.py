@@ -18,6 +18,7 @@ from .exterior import (
     Form,
     Tensor11,
     VectorField,
+    _musical_matrix,
     interior,
     lie_bracket,
     pi_sharp,
@@ -123,11 +124,12 @@ def nijenhuis_torsion(tensor: Tensor11) -> Torsion12:
 
 
 def poisson_bracket(pi: Bivector, f: ScalarField | Form, g: ScalarField | Form) -> ScalarField:
-    """{f, g} = pi(df, dg) = sum_{ij} pi^{ij} (d_i f)(d_j g).
+    """{f, g} = pi(df, dg) = sum_{ij} pi^{ij} (d_i f)(d_j g) = <dg, pi_sharp df>.
 
-    Either argument may be given by its differential, a 1-form, so a caller
-    that brackets each of several functions with many others takes each
-    function's partials once.
+    The sum runs over the entries of the matrix P of pi_sharp, whose entry
+    (r, c) is pi^{cr}.  Either argument may be given by its differential, a
+    1-form, so a caller that brackets each of several functions with many
+    others takes each function's partials once.
     """
     df, dg = (h if isinstance(h, Form) else differential(h) for h in (f, g))
     if pi.chart != df.chart or pi.chart != dg.chart:
@@ -135,10 +137,10 @@ def poisson_bracket(pi: Bivector, f: ScalarField | Form, g: ScalarField | Form) 
     if df.degree != 1 or dg.degree != 1:
         raise DegreeError("the Poisson bracket takes functions or their differentials")
     out = pi.chart.zero()
-    for i, j, entry in pi.nonzero_entries():
-        fi, gj = df.coeffs.get((i,)), dg.coeffs.get((j,))
-        if fi is not None and gj is not None:
-            out = out + entry * fi * gj
+    for (r, c), entry in _musical_matrix(pi).terms():
+        fc, gr = df.coeffs.get((c,)), dg.coeffs.get((r,))
+        if fc is not None and gr is not None:
+            out = out + entry * fc * gr
     return out
 
 

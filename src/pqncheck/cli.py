@@ -41,7 +41,6 @@ from .scalar import Chart, ZeroTestConfig, parse_prefix
 from .structures import (
     AxiomCheck,
     CheckReport,
-    GeometricStructure,
     check_pn,
     check_pqn,
     deform,
@@ -328,13 +327,12 @@ def _entry_lines(report: CheckReport) -> list[str]:
 def cmd_check(args: argparse.Namespace) -> int:
     bundle = build_bundle(args)
     zero_cfg = _zero_test_config(args)
-    phi = bundle.phi()
-    classification = "PN" if phi.is_zero else "PqN"
+    classification = bundle.expected.structure_class
     if classification == "PN":
         report = check_pn(bundle.poisson, bundle.tensor, zero_cfg)
     else:
-        report = check_pqn(GeometricStructure(bundle.chart, bundle.poisson, bundle.tensor, phi), zero_cfg)
-    expected = args.expect or bundle.expected.structure_class
+        report = check_pqn(bundle.structure(), zero_cfg)
+    expected = args.expect or classification
     class_entry = AxiomCheck(
         "structure-class",
         classification == expected,

@@ -22,8 +22,11 @@ raises 1-forms through (pi_sharp a)^i = sum_j pi^{ji} a_j, so the matrix of
 pi_sharp has (i, j) entry pi^{ji}; a 2-form lowers vector fields through
 (omega_flat X)_i = sum_j X^j omega_{ji}, so the matrix of omega_flat has
 (i, j) entry omega_{ji}.  Both are the transpose of the stored antisymmetric
-entries, and :func:`_musical_matrix` is the one place that builds them:
-:func:`pi_sharp` applies the matrix it builds for pi.
+entries, and :func:`_musical_matrix` is the one place that builds them.  It
+is also where every bracket of functions and pi_sharp read pi: :func:`pi_sharp`
+applies the matrix it builds for pi, and the Poisson bracket and the Jacobi
+checks read {x_b, x_c} as its entry (c, b).  The only other reader of pi's
+stored entries is the contraction of pi with forms, ``calculus._pi_interior``.
 """
 
 from __future__ import annotations
@@ -405,12 +408,6 @@ class Bivector(_Matrix):
 
     def entry(self, i: int, j: int) -> ScalarField:
         return -self._get((j, i)) if i > j else self._get((i, j))
-
-    def nonzero_entries(self) -> Iterable[tuple[int, int, ScalarField]]:
-        """Every nonzero pi^{ij} over ordered pairs: (i, j, pi^{ij}) and (j, i, -pi^{ij})."""
-        for (i, j), value in self.terms():
-            yield i, j, value
-            yield j, i, -value
 
     def sharp_matrix(self) -> tuple[tuple[ScalarField, ...], ...]:
         """The matrix of the raising map on column vectors: entry (i, j) = pi^{ji}."""

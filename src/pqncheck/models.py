@@ -347,7 +347,7 @@ def _two_particle_potential(chart: Chart, v_spec) -> ScalarField:
     """Coerce V(q1, q2): a node over the chart, a prefix string in q1/q2, a field or a rational."""
     if isinstance(v_spec, str):
         return parse_prefix(v_spec, chart)
-    return ScalarField(chart, v_spec.root if isinstance(v_spec, ScalarField) else v_spec)
+    return ScalarField(chart, v_spec)  # a field from another chart raises ChartMismatchError
 
 
 def two_particle_model(v_spec, *, name: str = "two-particle") -> ModelBundle:

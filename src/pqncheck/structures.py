@@ -28,7 +28,7 @@ from .calculus import (
     nijenhuis_torsion,
     poisson_bracket,
 )
-from .errors import ChartMismatchError, HypothesisViolationError
+from .errors import ChartMismatchError, DegreeError, HypothesisViolationError
 from .exterior import (
     Bivector,
     Form,
@@ -159,53 +159,43 @@ def _form_components(forms: Iterable[Form]) -> list[ScalarField]:
 # ---------------------------------------------------------------------------
 
 
-def _symmetric_part(chart: Chart, pairs: dict[tuple[int, int], ScalarField]) -> list[ScalarField]:
-    """pairs[i, j] + pairs[j, i] for i <= j in ascending order: all zero exactly when pairs is antisymmetric."""
-    zero = chart.zero()
-    keys = sorted({(min(key), max(key)) for key in pairs})
-    return [pairs.get((i, j), zero) + pairs.get((j, i), zero) for i, j in keys]
+def _symmetric_part(matrix: Tensor11) -> list[ScalarField]:
+    """M[j, i] + M[i, j] for the stored keys, i <= j ascending: all zero exactly when M is antisymmetric."""
+    keys = sorted({(min(key), max(key)) for key in matrix.coeffs})
+    return [matrix.entry(j, i) + matrix.entry(i, j) for i, j in keys]
 
 
-def _bracket_fields(chart: Chart, pairs: dict) -> tuple[list[ScalarField], list[ScalarField]]:
-    """Antisymmetry and Jacobi identity of {f, g} = sum over ordered pairs of pairs[i, j] (d_i f)(d_j g).
+def _bracket_fields(raising: Tensor11) -> tuple[list[ScalarField], list[ScalarField]]:
+    """Antisymmetry and Jacobi identity of the bracket whose raising map has matrix P.
 
-    On coordinates the bracket reads off the entries: {x_j, x_k} = pairs[j, k],
-    and {x_i, h} = X_i(h) for the row field X_i = sum_b pairs[i, b] d/dx_b.
-    So each Jacobiator differentiates three entries along three rows only.  It is
-    zero unless some pairs[b, c] with b != c mentions a coordinate and row a is
-    stored, so only the triples {a, b, c} so reached are listed, in ascending order.
+    The bracket is {f, g} = <dg, P df>.  On coordinates it reads off the entries:
+    {x_b, x_c} = P[c, b], and {x_a, h} = X_a(h) for the row field X_a = {x_a, .},
+    column a of P.  So each Jacobiator differentiates three entries along three
+    rows only.  It is zero unless some P[c, b] with b != c mentions a coordinate
+    and row a is stored, so only the triples {a, b, c} so reached are listed, in
+    ascending order.
     """
-    rows = Tensor11(chart, (((b, a), value) for (a, b), value in pairs.items())).columns()  # the transpose's columns
+    entries, rows, zero = raising.coeffs, raising.columns(), raising.chart.zero()
     stored = [a for a, row in enumerate(rows) if not row.is_zero]
     reached = (
-        (a, b, c) for (b, c), value in pairs.items() if b != c and value.variables for a in stored if a not in (b, c)
+        (a, b, c) for (c, b), value in entries.items() if b != c and value.variables for a in stored if a not in (b, c)
     )
     jacobiators = [
-        sum((rows[a](pairs[b, c]) for a, b, c in ((i, j, k), (j, k, i), (k, i, j)) if (b, c) in pairs), chart.zero())
+        sum((rows[a](entries[c, b]) for a, b, c in ((i, j, k), (j, k, i), (k, i, j)) if (c, b) in entries), zero)
         for i, j, k in sorted({tuple(sorted(abc)) for abc in reached})
     ]
-    return _symmetric_part(chart, pairs), jacobiators
+    return _symmetric_part(raising), jacobiators
 
 
 def check_poisson(pi: Bivector, config: ZeroTestConfig | None = None) -> CheckReport:
-    """Verify the Jacobi identity of the induced bracket on all coordinate triples."""
+    """Verify antisymmetry and the Jacobi identity of pi's bracket, on the coordinate triples it can fail on."""
     cfg = config or ZeroTestConfig()
-    antisymmetry, jacobiators = _bracket_fields(pi.chart, {(i, j): value for i, j, value in pi.nonzero_entries()})
+    antisymmetry, jacobiators = _bracket_fields(_musical_matrix(pi))
     entries = (
         _zero_axiom("bivector-antisymmetry", antisymmetry, cfg),
         _zero_axiom("jacobi-identity", jacobiators, cfg),
     )
     return CheckReport("poisson", pi.chart, cfg, entries)
-
-
-def _induced_pairs(pi: Bivector, tensor: Tensor11) -> dict[tuple[int, int], ScalarField]:
-    """pi_N^{ji} = sum_k pi^{jk} N^i_k, the entries of the bivector with raising map N o pi_sharp.
-
-    This is the transpose of N P, P being the matrix of pi_sharp.  Every
-    ordered pair is kept: the map is antisymmetric only when
-    compatibility-musical holds.
-    """
-    return {(j, i): value for (i, j), value in (tensor @ _musical_matrix(pi)).terms()}
 
 
 def _compatibility_entries(
@@ -214,10 +204,10 @@ def _compatibility_entries(
     chart = pi.chart
     dim = chart.dim
     # Condition 1: composing the tensor with the raising map equals raising the
-    # transposed action, N P = P N^T for the matrix P of pi_sharp.  Entry (i, j)
-    # of N P - P N^T is pi_N^{ji} + pi_N^{ij}, so this is the antisymmetry of
-    # the induced entries.
-    cond1 = _zero_axiom("compatibility-musical", _symmetric_part(chart, _induced_pairs(pi, tensor)), cfg)
+    # transposed action, N P = P N^T for the matrix P of pi_sharp.  As P^T = -P,
+    # P N^T = -(N P)^T, so this is the antisymmetry of N P, the raising matrix
+    # of the induced bivector.
+    cond1 = _zero_axiom("compatibility-musical", _symmetric_part(tensor @ _musical_matrix(pi)), cfg)
 
     # Condition 2, L_{pi# a}(N) X - pi#(L_X (a o N)) + pi#(L_{NX} a) = 0, on the
     # coordinate pairs (dx_i, e_j) only.  The left side is always C^inf-linear
@@ -266,7 +256,7 @@ def check_pn(pi: Bivector, tensor: Tensor11, config: ZeroTestConfig | None = Non
     torsion = nijenhuis_torsion(tensor)
     torsion_fields = _vector_components(v for _, v in torsion.coordinate_pairs())
     entries.append(_zero_axiom("torsion-vanishes", torsion_fields, cfg))
-    antisymmetry, jacobiators = _bracket_fields(chart, _induced_pairs(pi, tensor))
+    antisymmetry, jacobiators = _bracket_fields(tensor @ _musical_matrix(pi))
     entries.append(_zero_axiom("induced-bivector-poisson", antisymmetry + jacobiators, cfg))
     return CheckReport("pn", chart, cfg, tuple(entries))
 
@@ -327,7 +317,12 @@ class DeformResult(Record):
         self._init(tensor, phi, classification, report)
 
 
-def _require_closed(omega: Form, cfg: ZeroTestConfig) -> AxiomCheck:
+def _require_closed(pi: Bivector, tensor: Tensor11, omega: Form, cfg: ZeroTestConfig) -> AxiomCheck:
+    """The omega-closed entry, once omega is known to be a 2-form on the chart of pi and the tensor."""
+    if omega.degree != 2:
+        raise DegreeError(f"the deforming form must be a 2-form, got degree {omega.degree}")
+    if omega.chart != pi.chart or tensor.chart != pi.chart:
+        raise ChartMismatchError("deformation inputs live on different charts")
     d_omega = cartan_d(omega)
     entry = _zero_axiom("omega-closed", _form_components([d_omega]), cfg)
     if not entry.passed:
@@ -357,14 +352,12 @@ def deform(
     classification of the outcome, and the quasi-Nijenhuis check report of the
     deformed structure.  The caller guarantees that (pi, tensor) is a
     Poisson-Nijenhuis pair; closedness of the 2-form is verified here and its
-    failure raises :class:`HypothesisViolationError` with a witness.
+    failure raises :class:`HypothesisViolationError` with a witness.  A form
+    of another degree raises :class:`DegreeError`, and inputs on different
+    charts :class:`ChartMismatchError`, before anything is computed.
     """
     cfg = config or ZeroTestConfig()
-    if omega.degree != 2:
-        raise ChartMismatchError("the deforming form must be a 2-form")
-    if omega.chart != pi.chart or tensor.chart != pi.chart:
-        raise ChartMismatchError("deformation inputs live on different charts")
-    closed_entry = _require_closed(omega, cfg)
+    closed_entry = _require_closed(pi, tensor, omega, cfg)
     n_hat, phi = _deformation(pi, tensor, omega)
     classification = "PN" if _all_zero("phi-vanishes", _form_components([phi]), cfg.seed) else "PqN"
     pqn_report = check_pqn(GeometricStructure(pi.chart, pi, n_hat, phi), cfg)
@@ -391,7 +384,7 @@ def deform_to_pn(
     """
     cfg = config or ZeroTestConfig()
     pi, tensor = structure.poisson, structure.tensor
-    closed_entry = _require_closed(omega, cfg)
+    closed_entry = _require_closed(pi, tensor, omega, cfg)
     n_hat, phi = _deformation(pi, tensor, omega)
     cancel_entry = _zero_axiom("phi-cancellation", _form_components([phi + structure.torsion_form]), cfg)
     pn_report = check_pn(pi, n_hat, cfg)

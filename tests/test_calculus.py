@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from itertools import combinations
+from functools import partial
+from itertools import combinations, permutations
 
 import pytest
 
@@ -15,6 +16,7 @@ from pqncheck.calculus import (
 )
 from pqncheck.errors import DegreeError
 from pqncheck.exterior import (
+    Bivector,
     Form,
     Tensor11,
     VectorField,
@@ -35,7 +37,7 @@ from pqncheck.models import (
     two_particle_fixture,
 )
 from pqncheck.randgen import random_form, random_scalar_field, random_tensor, random_vector_field
-from pqncheck.scalar import exp, is_zero
+from pqncheck.scalar import Chart, exp, is_zero
 
 from conftest import seeded
 
@@ -295,6 +297,22 @@ class TestPoissonBracket:
         assert poisson_bracket(pi, differential(f), differential(g)) == expected
         with pytest.raises(DegreeError):
             poisson_bracket(pi, cartan_d(dq(bundle.chart, 1) * f), g)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_non_canonical_bivector_matches_the_reference_sum(self, n, seed):
+        # The other cases use canonical pi: constant entries on the (q_i, p_i) pairs only.  A random
+        # pi with a non-constant entry on every pair checks each entry's indices against the sum.
+        chart = Chart(n)
+        rng = seeded(41 + seed)
+        draw = partial(random_scalar_field, chart, rng, allow_negative_powers=True)
+        pi = Bivector.from_upper(chart, {key: draw() for key in combinations(range(chart.dim), 2)})
+        f, g = draw(), draw()
+        pairs = permutations(range(chart.dim), 2)
+        expected = sum((pi.entry(i, j) * f.partial(i) * g.partial(j) for i, j in pairs), chart.zero())
+        assert not expected.is_zero_tree
+        assert poisson_bracket(pi, f, g) == expected
+        assert poisson_bracket(pi, differential(f), differential(g)) == expected
 
     def test_total_momentum_commutes_with_pair_hamiltonians(self):
         # The deformed tensor depends only on coordinate differences, so the

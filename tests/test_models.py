@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pqncheck.calculus import cartan_d, koszul_bracket, nijenhuis_d
-from pqncheck.errors import UnsupportedExpressionError
+from pqncheck.errors import ChartMismatchError, UnsupportedExpressionError
 from pqncheck.exterior import Form, Tensor11
 from pqncheck.models import (
     ExpectedOutcome,
@@ -272,6 +272,16 @@ class TestTwoParticle:
     def test_constant_potential_is_translation_invariant(self):
         bundle = two_particle_model(3)
         assert bundle.expected.involutive_up_to == 2
+
+    def test_field_from_another_chart_is_refused(self):
+        chart3 = Chart(3)
+        with pytest.raises(ChartMismatchError):
+            two_particle_model(chart3.q(1) * chart3.p(1))
+
+    def test_field_on_the_pair_chart_is_kept(self):
+        chart = Chart(2)
+        v = chart.q(1) * chart.q(2)
+        assert two_particle_model(v).tensor == two_particle_model("(* q1 q2)").tensor
 
     def test_drift_that_overflows_a_float_is_decided(self):
         # exp(400 q1) overflows at q1 = 2; the drift is decided exactly and never evaluated.

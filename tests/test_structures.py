@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from pqncheck.calculus import cartan_d, koszul_bracket
-from pqncheck.errors import ChartMismatchError, ConfigError, HypothesisViolationError
-from pqncheck.exterior import Bivector, Form, Tensor11, VectorField
+from pqncheck.errors import ChartMismatchError, ConfigError, DegreeError, HypothesisViolationError
+from pqncheck.exterior import Bivector, Form, Tensor11, VectorField, _musical_matrix
 from pqncheck.models import (
     calogero,
     canonical_deformation_form,
@@ -85,6 +85,11 @@ def _random_pairs(chart: Chart, rng, keys, count: int) -> dict:
     return {key: random_scalar_field(chart, rng, allow_negative_powers=True) for key in keys[:count]}
 
 
+def _transposed(terms) -> dict:
+    """``{(j, i): value}`` for ``((i, j), value)`` terms: the pairs of a bracket from its raising matrix, or back."""
+    return {(j, i): value for (i, j), value in terms}
+
+
 def _nonzero(fields) -> list[ScalarField]:
     return [field for field in fields if not field.is_zero_tree]
 
@@ -98,8 +103,8 @@ class TestJacobiTriples:
         chart = Chart(n)
         rng = random.Random(seed)
         pi = Bivector.from_upper(chart, _random_pairs(chart, rng, combinations(range(chart.dim), 2), 2 * n))
-        pairs = {(i, j): value for i, j, value in pi.nonzero_entries()}
-        _, jacobiators = structures._bracket_fields(chart, pairs)
+        pairs = {(i, j): pi.entry(i, j) for i, j in permutations(range(chart.dim), 2)}
+        _, jacobiators = structures._bracket_fields(_musical_matrix(pi))
         assert _nonzero(jacobiators) == _nonzero(_dense_jacobiators(chart, pairs))
         assert _nonzero(jacobiators)
 
@@ -111,15 +116,16 @@ class TestJacobiTriples:
         rng = random.Random(seed)
         pairs = _random_pairs(chart, rng, product(range(chart.dim), repeat=2), 3 * chart.dim)
         pairs.update(_random_pairs(chart, rng, [(b, b) for b in range(chart.dim)], n))
-        _, jacobiators = structures._bracket_fields(chart, pairs)
+        _, jacobiators = structures._bracket_fields(Tensor11(chart, _transposed(pairs.items())))
         assert _nonzero(jacobiators) == _nonzero(_dense_jacobiators(chart, pairs))
         assert _nonzero(jacobiators)
 
     @pytest.mark.parametrize("index", range(3))
     def test_induced_pairs_of_a_random_tensor_match_the_dense_loop(self, chart2, index):
-        pairs = structures._induced_pairs(canonical_poisson(chart2), _random_tensor_draw(chart2, index))
+        raising = _random_tensor_draw(chart2, index) @ _musical_matrix(canonical_poisson(chart2))
+        pairs = _transposed(raising.terms())
         assert any(b == c for b, c in pairs)
-        _, jacobiators = structures._bracket_fields(chart2, pairs)
+        _, jacobiators = structures._bracket_fields(raising)
         assert _nonzero(jacobiators) == _nonzero(_dense_jacobiators(chart2, pairs))
 
 
@@ -528,6 +534,16 @@ class TestDeform:
             deform(pi, canonical_nijenhuis(chart2), omega)
         assert err.value.witness is not None
 
+    def test_form_of_another_degree_raises_degree_error(self, canonical2):
+        pi, nc = canonical2
+        with pytest.raises(DegreeError):
+            deform(pi, nc, Form(pi.chart, 3, {(0, 1, 2): pi.chart.p(1)}))
+
+    def test_form_from_another_chart_raises(self, canonical2, chart3):
+        pi, nc = canonical2
+        with pytest.raises(ChartMismatchError):
+            deform(pi, nc, canonical_deformation_form(chart3))
+
     def test_solution_of_both_conditions_deforms_identity_to_pn(self, chart2):
         # closed and self-commuting: the deformation of the identity passes
         # the full torsionless check
@@ -558,6 +574,16 @@ class TestDeformToPn:
         n_hat, report = deform_to_pn(bundle.structure(), -bundle.omega)
         assert n_hat == canonical_nijenhuis(bundle.chart)
         assert report.overall
+
+    def test_form_of_another_degree_raises_degree_error(self):
+        bundle = closed_toda(3)
+        with pytest.raises(DegreeError):
+            deform_to_pn(bundle.structure(), Form(bundle.chart, 3, {(0, 1, 2): bundle.chart.p(1)}))
+
+    def test_form_from_another_chart_raises(self):
+        bundle = closed_toda(3)
+        with pytest.raises(ChartMismatchError):
+            deform_to_pn(bundle.structure(), closed_toda(2).omega)
 
     def test_wrong_form_fails_cancellation(self):
         bundle = closed_toda(3)
