@@ -124,9 +124,16 @@ class _Sparse(Record):
         if self.chart != other.chart:
             raise ChartMismatchError(f"{type(self).__name__} operands live on different charts")
 
-    def _get(self, key) -> ScalarField:
-        value = self.coeffs.get(key)
-        return self.chart.zero() if value is None else value
+    def _read(self, raw_key) -> ScalarField:
+        """The coefficient at a raw key, normalized by the constructor's ``_key``.
+
+        A key the constructor refuses raises the same error here; a repeated wedge index reads zero.
+        """
+        key, sign = self._key(raw_key, self.chart.dim)
+        value = self.coeffs.get(key) if sign else None
+        if value is None:
+            return self.chart.zero()
+        return -value if sign < 0 else value
 
     @property
     def is_zero(self) -> bool:
@@ -199,14 +206,10 @@ class Form(_Sparse):
     def as_scalar(self) -> ScalarField:
         if self.degree != 0:
             raise DegreeError(f"only a 0-form is a scalar, got degree {self.degree}")
-        return self._get(())
+        return self._read(())
 
     def coefficient(self, *indices: int) -> ScalarField:
-        key, sign = _sort_with_sign(indices)
-        if sign == 0:
-            return self.chart.zero()
-        value = self._get(key)
-        return value if sign > 0 else -value
+        return self._read(indices)
 
     def __repr__(self):
         if not self.coeffs:
@@ -260,10 +263,10 @@ class VectorField(_Sparse):
     @property
     def components(self) -> tuple[ScalarField, ...]:
         """Dense read-only view: all chart.dim components, zeros included."""
-        return tuple(self._get(i) for i in range(self.chart.dim))
+        return tuple(self._read(i) for i in range(self.chart.dim))
 
     def component(self, index: int) -> ScalarField:
-        return self._get(index)
+        return self._read(index)
 
     def __repr__(self):
         names = self.chart.coordinate_names()
@@ -272,6 +275,8 @@ class VectorField(_Sparse):
 
     def __call__(self, field: ScalarField) -> ScalarField:
         """Directional derivative X(f) = sum_j X^j d_j f of a scalar field."""
+        if field.chart != self.chart:
+            raise ChartMismatchError("directional derivative across charts")
         variables = field.variables
         out = self.chart.zero()
         for j, comp in self.terms():
@@ -293,6 +298,9 @@ class _Matrix(_Sparse):
     """A sparse type keyed by index pairs (i, j), with a dense matrix view."""
 
     __slots__ = ()
+
+    def entry(self, i: int, j: int) -> ScalarField:
+        return self._read((i, j))
 
     @property
     def entries(self) -> tuple[tuple[ScalarField, ...], ...]:
@@ -331,9 +339,6 @@ class Tensor11(_Matrix):
     @classmethod
     def zero(cls, chart: Chart) -> "Tensor11":
         return cls(chart, {})
-
-    def entry(self, i: int, j: int) -> ScalarField:
-        return self._get((i, j))
 
     def columns(self) -> list[VectorField]:
         """Every column, N e_j at position j, from one pass over the stored entries."""
@@ -405,9 +410,6 @@ class Bivector(_Matrix):
             if not 0 <= i < j < chart.dim:
                 raise ValueError(f"upper-triangle key ({i}, {j}) must satisfy 0 <= i < j < {chart.dim}")
         return cls(chart, upper)
-
-    def entry(self, i: int, j: int) -> ScalarField:
-        return -self._get((j, i)) if i > j else self._get((i, j))
 
     def sharp_matrix(self) -> tuple[tuple[ScalarField, ...], ...]:
         """The matrix of the raising map on column vectors: entry (i, j) = pi^{ji}."""

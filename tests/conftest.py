@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -32,6 +33,15 @@ def lagrange_identity(chart: Chart) -> ScalarField:
                 term = term / (qi - qj)
         total = total + term
     return total
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def strict_json(text: str) -> dict:
+    """Parse a report, rejecting the NaN and Infinity that json.dumps writes by default."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 def seeded(seed: int = 20240) -> random.Random:

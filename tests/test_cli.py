@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +10,8 @@ from pqncheck import scalar
 from pqncheck.cli import BASES, MODELS, OMEGAS, main, parse_form, serialize_form, serialize_tensor
 from pqncheck.models import closed_toda
 from pqncheck.scalar import Chart
+
+from conftest import strict_json
 
 
 def run_cli(*argv) -> int:
@@ -27,15 +28,6 @@ def config_args(argv, tmp_path) -> list[str]:
             arg = str(path)
         args.append(arg)
     return args
-
-
-def _reject_constant(name):
-    raise ValueError(f"{name} is not valid JSON")
-
-
-def strict_json(text: str) -> dict:
-    """Parse a report, rejecting the NaN and Infinity that json.dumps writes by default."""
-    return json.loads(text, parse_constant=_reject_constant)
 
 
 def read_json(path) -> dict:
@@ -89,9 +81,6 @@ class TestCheckCommand:
         assert code == 0
         report = read_json(out)
         assert (report["config"]["f"], report["classification"]) == (["1", "1", "0"], "PN")
-
-    def test_expect_mismatch_exits_one(self):
-        assert run_cli("check", "--model", "closed-toda", "--n", "3", "--expect", "pn") == 1
 
     def test_unknown_model_exits_two(self, capsys):
         assert run_cli("check", "--model", "unknown", "--n", "3") == 2
@@ -639,146 +628,31 @@ class TestStrictJson:
         with pytest.raises(ValueError):
             strict_json(f'{{"residual": {constant}}}')
 
-    def test_calogero_involutivity_report(self, capsys):
-        # The one cell that does not cancel in canonical form is decided by exact evaluation.
-        argv = ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--format", "json")
-        assert run_cli(*argv) == 0
-        report = strict_json(capsys.readouterr().out)
-        modes = {cell["mode"] for cell in report["matrix"]["cells"].values()}
-        assert "exact" in modes and "sampled" not in modes
-
 
 class TestReportPin:
-    def test_closed_toda_report_bytes(self, capsys):
-        # Every entry of this report is decided symbolically, so it holds no
-        # sampled floats and its bytes do not depend on the platform's libm.
-        assert run_cli("check", "--model", "closed-toda", "--n", "3", "--seed", "11", "--format", "json") == 0
-        out = capsys.readouterr().out
-        assert {e["mode"] for e in strict_json(out)["entries"]} == {"symbolic"}
-        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == "25e463fb5d6cf1f65120bf77ef029a9371821aeaa99eefb006181b790d5319a3"
+    """What the reports say, beyond the bytes, exit codes and modes that tests/test_report_pins.py pins."""
 
-    def test_toda_deformation_report_bytes(self, capsys):
-        # Also symbolic throughout; unlike the check above it runs the wedge
-        # product and the general branch of the Koszul bracket.
-        argv = ("deform", "--model", "canonical", "--omega", "toda", "--n", "3", "--seed", "13", "--format", "json")
-        assert run_cli(*argv) == 0
-        out = capsys.readouterr().out
-        assert {e["mode"] for e in strict_json(out)["entries"]} == {"symbolic"}
-        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == "7bff8d0e566c7bdb5511cf7593b976d2733a1deb37498abf149d5602afd38445"
-
-    def test_closed_toda_six_involutivity_report_bytes(self, capsys):
-        # All 36 cells are decided symbolically, through products and partials
-        # of exp monomials, so the bytes do not depend on the platform's libm.
-        assert run_cli("involutivity", "--model", "closed-toda", "--n", "6", "--kmax", "6", "--format", "json") == 0
-        out = capsys.readouterr().out
-        cells = strict_json(out)["matrix"]["cells"]
-        assert len(cells) == 36 and {cell["mode"] for cell in cells.values()} == {"symbolic"}
-        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == "07d5746d4bb76212969f3858ad4c455119410b432145ac4053ada80eb695c366"
-
-    @pytest.mark.parametrize(
-        "argv, expected",
-        [
-            (
-                ("check", "--model", "closed-toda", "--n", "3", "--seed", "11"),
-                "621cbeef3c164e34ea71969327ec3702f3f701f811062e70edeafe8bb4ed4072",
-            ),
-            (
-                ("deform", "--model", "canonical", "--omega", "toda", "--n", "3", "--seed", "13"),
-                "ec529020dcae4ebbf42e1cf3dc0030e02801c907c0318f0b7a8406bbd8782334",
-            ),
-        ],
-    )
-    def test_text_report_bytes(self, argv, expected, capsys):
-        # The text forms of the two symbolic reports above.
-        assert run_cli(*argv) == 0
-        out = capsys.readouterr().out
-        assert "mode=sampled" not in out
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
-
-    def test_calogero_three_involutivity_report_bytes(self, capsys):
-        # Its one non-canonical cell is an exact zero, so the report holds no
-        # sampled floats and its bytes do not depend on the platform's libm.
+    def test_calogero_three_involutivity_residuals(self, capsys):
+        # Its one non-canonical cell is an exact zero, so every residual is 0.0.
         assert run_cli("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--format", "json") == 0
-        out = capsys.readouterr().out
-        cells = strict_json(out)["matrix"]["cells"]
-        assert {cell["mode"] for cell in cells.values()} == {"symbolic", "exact"}
+        cells = strict_json(capsys.readouterr().out)["matrix"]["cells"]
         assert {cell["residual"] for cell in cells.values()} == {0.0}
-        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == "08c2154aa23a34cf4dc944d27784d6bc08930cfa17d5981fb4927e4d47f83a91"
 
-    def test_calogero_five_involutivity_report_bytes(self, capsys):
+    def test_calogero_five_involutivity_cells(self, capsys):
         # The first n at which both zero and nonzero cells need the exact test.
         assert run_cli("involutivity", "--model", "calogero", "--n", "5", "--kmax", "5", "--format", "json") == 0
-        out = capsys.readouterr().out
-        cells = strict_json(out)["matrix"]["cells"].values()
+        cells = strict_json(capsys.readouterr().out)["matrix"]["cells"].values()
         kinds = [(cell["mode"], cell["zero"]) for cell in cells]
         assert [kinds.count(kind) for kind in [("symbolic", True), ("exact", True), ("exact", False)]] == [13, 2, 10]
         for cell in cells:
             if not cell["zero"]:
                 assert cell["residual"] > 0 and all(float(v).is_integer() for v in cell["witness"].values())
-        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-        assert digest == "7d8bb6575a7d3f9380abaa53f0b5e5311bbeba09005b3d32918d960e17a8b755"
 
-    @pytest.mark.parametrize(
-        "argv, expected",
-        [
-            (
-                ("check", "--model", "closed-toda", "--n", "16"),
-                "0169fb0873fe8058b49d0b0bb0eef498b25e029778f18a716153c26754737021",
-            ),
-            (
-                ("deform", "--model", "canonical", "--omega", "closed-toda", "--n", "16"),
-                "45eae96eda81421debe4b5830a2aa041ac4695a302ab58c468a62728594eb8f9",
-            ),
-            (
-                ("check", "--model", "open-toda", "--n", "16"),
-                "ce431bc7280bc150cc7e79878f2f0315e89a8fe5c39285ab4fa5de2ef37f5273",
-            ),
-        ],
-        ids=["check", "deform", "open-toda-check"],
-    )
-    def test_closed_toda_sixteen_report_bytes(self, argv, expected, capsys):
-        # Torsion and the compatibility concomitant over 32 coordinates, and for the open
-        # chain's PN report the Jacobi identity of the induced bivector; every entry is
-        # symbolic, so the bytes do not depend on the platform's libm.
-        assert run_cli(*argv, "--format", "json") == 0
-        out = capsys.readouterr().out
-        assert {e["mode"] for e in strict_json(out)["entries"]} == {"symbolic"}
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
-
-    @pytest.mark.parametrize(
-        "argv, expected",
-        [
-            (
-                ("check", "--model", "calogero", "--n", "4"),
-                "c32d69e5d436a784d6f6a40651cf20d8350f084dbddf11ff9b59f6634edad201",
-            ),
-            (
-                ("deform", "--model", "open-toda", "--omega", "omega-hat", "--n", "4"),
-                "000fef0fce0b8e472e950f0e5dacb4435156634e1c17b871a2a9730c294d8359",
-            ),
-        ],
-        ids=["calogero-check", "open-toda-deform"],
-    )
-    def test_pair_model_report_bytes(self, argv, expected, capsys):
-        # Both tensors are N + pi# o omega_flat built by the pair-model assembly; every entry is
-        # symbolic, so the bytes do not depend on the platform's libm.
-        assert run_cli(*argv, "--format", "json") == 0
-        out = capsys.readouterr().out
-        assert {e["mode"] for e in strict_json(out)["entries"]} == {"symbolic"}
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected
-
-    def test_failing_two_particle_report_bytes(self, capsys):
+    def test_failing_two_particle_axioms(self, capsys):
         # A momentum-dependent potential fails five entries, each with an exact witness whose
-        # point depends on the order of the fields.  The residuals of the first four are exact
-        # rationals; that of dN-squared-is-phi-bracket evaluates the probe functions' exp terms
-        # in floats at the witness.
+        # point depends on the order of the fields.
         assert run_cli("check", "--model", "two-particle", "--v", "(* p1 q2)", "--format", "json") == 1
-        out = capsys.readouterr().out
-        failed = [e["axiom"] for e in strict_json(out)["entries"] if e["verdict"] == "fail"]
+        failed = [e["axiom"] for e in strict_json(capsys.readouterr().out)["entries"] if e["verdict"] == "fail"]
         assert failed == [
             "compatibility-bracket",
             "phi-closed",
@@ -786,11 +660,8 @@ class TestReportPin:
             "torsion-identity",
             "dN-squared-is-phi-bracket",
         ]
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-            "479cf2e8d91e4ccd67f3b09853495dadcddf73f6c69d2ae5298c1696cb78e60c"
-        )
 
-    @pytest.mark.parametrize("model, n", [("closed-toda", 7), ("closed-toda", 8), ("open-toda", 8)])
+    @pytest.mark.parametrize("model, n", [("closed-toda", 6), ("closed-toda", 7), ("closed-toda", 8), ("open-toda", 8)])
     def test_toda_traces_commute_at_scale(self, model, n, capsys):
         # Every cell is a symbolic zero, through products and partials of exp monomials.
         assert run_cli("involutivity", "--model", model, "--n", str(n), "--kmax", str(n), "--format", "json") == 0
@@ -798,7 +669,9 @@ class TestReportPin:
         assert len(cells) == n * n and {(cell["mode"], cell["zero"]) for cell in cells} == {("symbolic", True)}
 
     def test_calogero_four_involutivity_structure(self, capsys):
-        # Everything but the residuals of the nonzero cells, whose floats depend on libm.
+        # Calogero has no exp, so the residuals of the nonzero cells are exact values rounded once:
+        # 31/54 at (2, 4) and 7.944386727592045 at (3, 4).  The report's row in
+        # tests/test_report_pins.py pins them with the rest of its bytes.
         argv = ("involutivity", "--model", "calogero", "--n", "4", "--kmax", "4", "--format", "json")
         assert run_cli(*argv) == 0
         report = strict_json(capsys.readouterr().out)

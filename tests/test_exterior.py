@@ -201,6 +201,43 @@ class TestSparseStorage:
         assert Bivector(chart2, iter([((0, 1), q1), ((1, 0), q1), ((2, 2), 1)])).is_zero
 
 
+class TestAccessorKeys:
+    """Each read accessor refuses the keys its constructor refuses, instead of reading them as zero."""
+
+    def test_tensor_entry_out_of_range(self, chart2):
+        t = Tensor11.identity(chart2)
+        assert t.entry(3, 3) == 1 and t.entry(0, 3) == 0
+        for i, j in [(4, 0), (-1, 0), (0, 4)]:
+            with pytest.raises(ChartMismatchError):
+                t.entry(i, j)
+
+    def test_bivector_entry_out_of_range(self, chart2):
+        pi = canonical_poisson(chart2)
+        assert pi.entry(0, 2) == -pi.entry(2, 0) and pi.entry(1, 1) == 0
+        for i, j in [(0, 9), (9, 0), (-1, 2)]:
+            with pytest.raises(ChartMismatchError):
+                pi.entry(i, j)
+
+    def test_vector_component_out_of_range(self, chart2):
+        v = VectorField.basis(chart2, 3)
+        assert v.component(3) == 1 and v.component(0) == 0
+        for index in (4, -1):
+            with pytest.raises(ChartMismatchError):
+                v.component(index)
+
+    def test_form_coefficient_out_of_range(self, chart2):
+        a = Form(chart2, 2, {(2, 0): 1})
+        assert a.coefficient(0, 2) == -1 and a.coefficient(1, 1) == 0
+        with pytest.raises(ChartMismatchError):
+            a.coefficient(0, 7)
+
+    def test_form_coefficient_of_the_wrong_arity(self, chart2):
+        a = Form(chart2, 2, {(0, 1): 1})
+        for indices in [(0,), (0, 1, 2)]:
+            with pytest.raises(DegreeError):
+                a.coefficient(*indices)
+
+
 class TestFormStorage:
     def test_sign_sorting_and_pruning(self, chart2):
         a = Form(chart2, 2, {(2, 0): 1})
@@ -467,6 +504,13 @@ class TestLieOperations:
         assert lie_derivative(x, chart2.q(1) ** 2) == 2 * chart2.q(1) * chart2.p(1)
         as_form = lie_derivative(x, Form.from_scalar(chart2.q(1) ** 2))
         assert as_form == Form.from_scalar(2 * chart2.q(1) * chart2.p(1))
+
+    def test_directional_derivative_across_charts_rejected(self):
+        x, f = VectorField.basis(Chart(1), 0), Chart(2).p(2)
+        with pytest.raises(ChartMismatchError):
+            x(f)
+        with pytest.raises(ChartMismatchError):
+            lie_derivative(x, f)
 
     def test_lie_derivative_of_identity_vanishes(self, chart2):
         x = random_vector_field(chart2, seeded(15))
