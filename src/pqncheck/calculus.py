@@ -1,9 +1,9 @@
 """Differential-graded operators on forms.
 
-Implements the Cartan differential, the deformed Lie bracket and Nijenhuis
-torsion of a (1,1) tensor, the Poisson bracket on functions, and two derived
-differentials built by one commutator with d: d_N = [i_N, d] for a (1,1)
-tensor and d_pi = [i_pi, d] for a bivector.  The Koszul bracket on forms of
+Implements the Cartan differential, the Nijenhuis torsion of a (1,1)
+tensor, the Poisson bracket on functions, and two derived differentials
+built by one commutator with d: d_N = [i_N, d] for a (1,1) tensor and
+d_pi = [i_pi, d] for a bivector.  The Koszul bracket on forms of
 every degree is the derived bracket of d_pi.
 """
 
@@ -20,7 +20,6 @@ from .exterior import (
     VectorField,
     _musical_matrix,
     interior,
-    lie_bracket,
     pi_sharp,
     tensor_interior,
     wedge,
@@ -64,18 +63,11 @@ def _derived_differential(contract: Callable[[Form], Form], form: Form) -> Form:
     return contract(cartan_d(form)) - cartan_d(contract(form))
 
 
-def deformed_lie_bracket(tensor: Tensor11, x: VectorField, y: VectorField) -> VectorField:
-    """The bracket [X,Y]_N = [NX,Y] + [X,NY] - N[X,Y]."""
-    nx = tensor.apply(x)
-    ny = tensor.apply(y)
-    return lie_bracket(nx, y) + lie_bracket(x, ny) - tensor.apply(lie_bracket(x, y))
-
-
 class Torsion12(Record):
     """The Nijenhuis torsion of a (1,1) tensor as a (1,2) tensor field.
 
-    Components are precomputed on coordinate fields and extended tensorially:
-    T(X, Y) = sum_{j<k} (X^j Y^k - X^k Y^j) T(e_j, e_k).
+    It holds T(e_j, e_k) for each coordinate pair j < k, which decides T
+    everywhere: T(X, Y) = sum_{j<k} (X^j Y^k - X^k Y^j) T(e_j, e_k).
     """
 
     __slots__ = _fields = ("chart", "components")
@@ -84,28 +76,8 @@ class Torsion12(Record):
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "components", components)
 
-    def component(self, i: int, j: int, k: int) -> ScalarField:
-        """The scalar component T^i_{jk} (antisymmetric in j, k)."""
-        if j == k:
-            return self.chart.zero()
-        if j < k:
-            return self.components[(j, k)].component(i)
-        return -self.components[(k, j)].component(i)
-
     def coordinate_pairs(self):
         return self.components.items()
-
-    def __call__(self, x: VectorField, y: VectorField) -> VectorField:
-        if x.chart != self.chart or y.chart != self.chart:
-            raise ChartMismatchError("torsion evaluated across charts")
-        out = VectorField.zero(self.chart)
-        for j, xj in x.terms():
-            for k, yk in y.terms():
-                if j < k:
-                    out = out + self.components[(j, k)] * (xj * yk)
-                elif j > k:
-                    out = out - self.components[(k, j)] * (xj * yk)
-        return out
 
 
 def nijenhuis_torsion(tensor: Tensor11) -> Torsion12:

@@ -119,7 +119,7 @@ def _load_config_file(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested past the recursion limit
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("the config file must hold a JSON object")

@@ -15,9 +15,9 @@ stream both operands' terms (the second negated for ``-``) into that loop too.
 ``VectorField.components`` and the ``entries`` of ``Tensor11`` and
 ``Bivector`` are read-only dense views.
 
-Matrix conventions (pinned by the two-particle fixtures in the models
-module): a (1,1) tensor acts on column component vectors, entry (i, j) being
-the i-th component of the image of the j-th coordinate field.  The bivector
+Matrix conventions (pinned by the paper's explicit n = 2 matrices in the
+test suite): a (1,1) tensor acts on column component vectors, entry (i, j)
+being the i-th component of the image of the j-th coordinate field.  The bivector
 raises 1-forms through (pi_sharp a)^i = sum_j pi^{ji} a_j, so the matrix of
 pi_sharp has (i, j) entry pi^{ji}; a 2-form lowers vector fields through
 (omega_flat X)_i = sum_j X^j omega_{ji}, so the matrix of omega_flat has
@@ -285,15 +285,6 @@ class VectorField(_Sparse):
         return out
 
 
-def pairing(alpha: Form, vector: VectorField) -> ScalarField:
-    """Natural pairing <alpha, X> of a 1-form with a vector field."""
-    if alpha.degree != 1:
-        raise DegreeError("pairing requires a 1-form")
-    if alpha.chart != vector.chart:
-        raise ChartMismatchError("pairing across charts")
-    return interior(vector, alpha).as_scalar()
-
-
 class _Matrix(_Sparse):
     """A sparse type keyed by index pairs (i, j), with a dense matrix view."""
 
@@ -365,14 +356,6 @@ class Tensor11(_Matrix):
         rows = other._rows()
         return Tensor11(self.chart, (((i, k), a * b) for (i, j), a in self.terms() for k, b in rows.get(j, ())))
 
-    def power(self, k: int) -> "Tensor11":
-        if k < 0:
-            raise ValueError("tensor powers must be nonnegative")
-        out = Tensor11.identity(self.chart)
-        for _ in range(k):
-            out = out @ self
-        return out
-
     def trace(self) -> ScalarField:
         return sum((value for (i, j), value in self.terms() if i == j), self.chart.zero())
 
@@ -410,10 +393,6 @@ class Bivector(_Matrix):
             if not 0 <= i < j < chart.dim:
                 raise ValueError(f"upper-triangle key ({i}, {j}) must satisfy 0 <= i < j < {chart.dim}")
         return cls(chart, upper)
-
-    def sharp_matrix(self) -> tuple[tuple[ScalarField, ...], ...]:
-        """The matrix of the raising map on column vectors: entry (i, j) = pi^{ji}."""
-        return _musical_matrix(self).entries
 
 
 def _musical_matrix(antisymmetric: Bivector | Form) -> Tensor11:
@@ -499,13 +478,6 @@ def pi_sharp(pi: Bivector, alpha: Form) -> VectorField:
     return _musical_matrix(pi).apply(VectorField(pi.chart, {i: a for (i,), a in alpha.terms()}))
 
 
-def omega_flat(omega: Form, vector: VectorField) -> Form:
-    """Lower a vector field with a 2-form: Omega_flat(X) = i_X Omega."""
-    if omega.degree != 2:
-        raise DegreeError("omega_flat requires a 2-form")
-    return interior(vector, omega)
-
-
 def pi_sharp_omega_flat(pi: Bivector, omega: Form) -> Tensor11:
     """The (1,1) tensor X -> pi_sharp(i_X Omega): the matrix of pi_sharp times that of omega_flat."""
     if pi.chart != omega.chart:
@@ -513,13 +485,6 @@ def pi_sharp_omega_flat(pi: Bivector, omega: Form) -> Tensor11:
     if omega.degree != 2:
         raise DegreeError(f"pi_sharp_omega_flat requires a 2-form, got degree {omega.degree}")
     return _musical_matrix(pi) @ _musical_matrix(omega)
-
-
-def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
-    """Lie bracket of vector fields: [X,Y]^i = X(Y^i) - Y(X^i)."""
-    if x.chart != y.chart:
-        raise ChartMismatchError("bracket across charts")
-    return VectorField(x.chart, {i: x(c) for i, c in y.terms()}) - VectorField(x.chart, {i: y(c) for i, c in x.terms()})
 
 
 def lie_derivative(x: VectorField, target):

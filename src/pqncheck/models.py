@@ -166,21 +166,25 @@ def potential(spec) -> Node:
     raise UnsupportedExpressionError(f"cannot interpret potential spec {spec!r}")
 
 
-def _normalize_pairs(n: int, potentials: Mapping[tuple[int, int], object]) -> dict[tuple[int, int], Node]:
-    out: dict[tuple[int, int], Node] = {}
+def _pair_fields(chart: Chart, potentials: Mapping[tuple[int, int], object]) -> dict[tuple[int, int], ScalarField]:
+    """Each potential V_ij as the field V_ij(q_i - q_j) on the chart."""
+    out: dict[tuple[int, int], ScalarField] = {}
     for (i, j), spec in potentials.items():
-        if not 1 <= i < j <= n:
-            raise ValueError(f"potential pair ({i}, {j}) must satisfy 1 <= i < j <= {n}")
-        node = potential(spec)
+        if not 1 <= i < j <= chart.n:
+            raise ValueError(f"potential pair ({i}, {j}) must satisfy 1 <= i < j <= {chart.n}")
+        diff = Sum((Coord(chart.q_index(i)), Product((Const(Fraction(-1)), Coord(chart.q_index(j))))))
         try:
+            node = potential(spec)
             foreign = any(ScalarField(Chart(1), node).variables)  # an index other than x = 0
+            out[(i, j)] = ScalarField(chart, substitute(node, {0: diff}))
         except ChartMismatchError:  # an index beyond a one-particle chart
             foreign = True
+        except RecursionError:
+            raise UnsupportedExpressionError(f"potential for pair ({i}, {j}) is nested too deeply") from None
         if foreign:
             raise UnsupportedExpressionError(
                 f"potential for pair ({i}, {j}) must be univariate in the symbol x"
             )
-        out[(i, j)] = node
     return out
 
 
@@ -257,11 +261,7 @@ def pair_potential_model(
     tensor, and the expected 3-form is the closed-form expression above.
     """
     chart = Chart(n)
-    fields: dict[tuple[int, int], ScalarField] = {}
-    for (i, j), node in _normalize_pairs(n, potentials).items():
-        diff = Sum((Coord(chart.q_index(i)), Product((Const(Fraction(-1)), Coord(chart.q_index(j))))))
-        fields[(i, j)] = ScalarField(chart, substitute(node, {0: diff}))
-    return _pair_bundle(name, chart, fields, involutive_up_to, non_involutive)
+    return _pair_bundle(name, chart, _pair_fields(chart, potentials), involutive_up_to, non_involutive)
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +343,19 @@ def calogero(n: int) -> ModelBundle:
 # ---------------------------------------------------------------------------
 
 
-def _two_particle_potential(chart: Chart, v_spec) -> ScalarField:
-    """Coerce V(q1, q2): a node over the chart, a prefix string in q1/q2, a field or a rational."""
-    if isinstance(v_spec, str):
-        return parse_prefix(v_spec, chart)
-    return ScalarField(chart, v_spec)  # a field from another chart raises ChartMismatchError
-
-
 def two_particle_model(v_spec, *, name: str = "two-particle") -> ModelBundle:
     """The n = 2 pair structure for a general potential V(q1, q2).
 
     ``v_spec`` is a node tree over the chart coordinates (Coord(0) = q1,
-    Coord(1) = q2), a prefix string in q1/q2, or a rational constant.  The
-    model is involutive exactly when V depends only on q1 - q2; the factory
-    records that as metadata by deciding whether the sum of the two
-    q-partials is zero, as report entries are, with no witness search.
+    Coord(1) = q2), a prefix string in q1/q2, a field on the n = 2 chart,
+    or a rational constant.  The model is involutive exactly when V depends
+    only on q1 - q2; the factory records that as metadata by deciding
+    whether the sum of the two q-partials is zero, as report entries are,
+    with no witness search.
     """
     chart = Chart(2)
-    v = _two_particle_potential(chart, v_spec)
+    # a field from another chart raises ChartMismatchError
+    v = parse_prefix(v_spec, chart) if isinstance(v_spec, str) else ScalarField(chart, v_spec)
     drift = v.partial(chart.q_index(1)) + v.partial(chart.q_index(2))
     translation_invariant = _all_zero("translation-invariance", [drift], ZeroTestConfig().seed)
     return _pair_bundle(
@@ -369,88 +364,4 @@ def two_particle_model(v_spec, *, name: str = "two-particle") -> ModelBundle:
         {(1, 2): v},
         involutive_up_to=2 if translation_invariant else None,
         non_involutive=not translation_invariant,
-    )
-
-
-class TwoParticleFixture(Record):
-    """Literal expected values for the explicit n = 2 formulas."""
-
-    __slots__ = _fields = (
-        "chart", "v", "pi_sharp_matrix", "n_matrix", "n_hat_matrix", "omega", "d_n_omega", "omega_self_bracket"
-    )
-
-    def __init__(
-        self,
-        chart: Chart,
-        v: ScalarField,
-        pi_sharp_matrix: tuple[tuple[ScalarField, ...], ...],
-        n_matrix: tuple[tuple[ScalarField, ...], ...],
-        n_hat_matrix: tuple[tuple[ScalarField, ...], ...],
-        omega: Form,
-        d_n_omega: Form,
-        omega_self_bracket: Form,
-    ):
-        self._init(chart, v, pi_sharp_matrix, n_matrix, n_hat_matrix, omega, d_n_omega, omega_self_bracket)
-
-
-def two_particle_fixture(v_spec=None) -> TwoParticleFixture:
-    """The displayed n = 2 matrices and both induced 3-form pieces.
-
-    The default potential q1*q2 + exp(q1 - q2) exercises both the polynomial
-    and the exponential paths; any bivariate spec may be passed instead.
-    """
-    chart = Chart(2)
-    if v_spec is None:
-        v_spec = Sum(
-            (
-                Product((Coord(0), Coord(1))),
-                Exp(Sum((Coord(0), Product((Const(Fraction(-1)), Coord(1)))))),
-            )
-        )
-    v = _two_particle_potential(chart, v_spec)
-    q1, q2 = chart.q_index(1), chart.q_index(2)
-    one = chart.one()
-    zero = chart.zero()
-    pp1, pp2 = chart.p(1), chart.p(2)
-    pi_sharp_matrix = (
-        (zero, zero, one, zero),
-        (zero, zero, zero, one),
-        (-one, zero, zero, zero),
-        (zero, -one, zero, zero),
-    )
-    n_matrix = (
-        (pp1, zero, zero, zero),
-        (zero, pp2, zero, zero),
-        (zero, zero, pp1, zero),
-        (zero, zero, zero, pp2),
-    )
-    n_hat_matrix = (
-        (pp1, zero, zero, one),
-        (zero, pp2, -one, zero),
-        (zero, -v, pp1, zero),
-        (v, zero, zero, pp2),
-    )
-    omega = Form(chart, 2, {(q2, q1): v, (chart.p_index(2), chart.p_index(1)): 1})
-    d_n_omega = Form(
-        chart,
-        3,
-        {(q1, q2, chart.p_index(1)): v, (q1, q2, chart.p_index(2)): v},
-    )
-    omega_self_bracket = Form(
-        chart,
-        3,
-        {
-            (q1, q2, chart.p_index(1)): 2 * v.partial(q2),
-            (q1, q2, chart.p_index(2)): -2 * v.partial(q1),
-        },
-    )
-    return TwoParticleFixture(
-        chart,
-        v,
-        pi_sharp_matrix,
-        n_matrix,
-        n_hat_matrix,
-        omega,
-        d_n_omega,
-        omega_self_bracket,
     )

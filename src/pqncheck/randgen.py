@@ -1,17 +1,15 @@
-"""Seeded random scalar fields, forms, vector fields, and tensors.
+"""Seeded random scalar fields.
 
-Used by the checkers for function-rescaled probes and by the test suite for
-property checks.  Everything is driven by a caller-supplied ``random.Random``
-so identical seeds give identical objects.
+Used by :func:`pqncheck.structures.check_pqn` for its probe functions.
+Everything is driven by a caller-supplied ``random.Random`` so identical
+seeds give identical fields.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
-from .exterior import Form, Tensor11, VectorField
 from .scalar import Chart, Coord, Exp, Node, Product, ScalarField, Sum, Const
 
 
@@ -48,49 +46,3 @@ def random_scalar_field(
                 factors.append(Power(diff, -rng.randint(1, 2)))
         terms.append(Product(tuple(factors)))
     return ScalarField(chart, Sum(tuple(terms)))
-
-
-def random_form(
-    chart: Chart,
-    degree: int,
-    rng: random.Random,
-    *,
-    max_terms: int = 3,
-    allow_exp: bool = True,
-) -> Form:
-    """A random form of the given degree with a few nonzero components."""
-    keys = list(combinations(range(chart.dim), degree))
-    if not keys:
-        return Form.zero(chart, degree)
-    rng.shuffle(keys)
-    picked = keys[: max(1, min(max_terms, len(keys)))]
-    return Form(
-        chart,
-        degree,
-        {key: random_scalar_field(chart, rng, allow_exp=allow_exp) for key in picked},
-    )
-
-
-def random_vector_field(chart: Chart, rng: random.Random, *, allow_exp: bool = True) -> VectorField:
-    return VectorField(
-        chart,
-        [
-            random_scalar_field(chart, rng, max_terms=2, allow_exp=allow_exp)
-            if rng.random() < 0.7
-            else chart.zero()
-            for _ in range(chart.dim)
-        ],
-    )
-
-
-def random_tensor(chart: Chart, rng: random.Random, *, allow_exp: bool = False) -> Tensor11:
-    entries = [
-        [
-            random_scalar_field(chart, rng, max_terms=1, allow_exp=allow_exp)
-            if rng.random() < 0.4
-            else 0
-            for _ in range(chart.dim)
-        ]
-        for _ in range(chart.dim)
-    ]
-    return Tensor11(chart, entries)

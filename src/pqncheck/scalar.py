@@ -1271,4 +1271,7 @@ def parse_prefix(text: str, chart: Chart) -> ScalarField:
             return Coord(index)
         raise UnsupportedExpressionError(f"unknown symbol {token!r}")
 
-    return ScalarField(chart, parse_prefix_tree(text, resolve))
+    try:
+        return ScalarField(chart, parse_prefix_tree(text, resolve))
+    except RecursionError:  # parsing and normalizing recurse once per level of nesting
+        raise UnsupportedExpressionError(f"expression nested too deeply: {text[:40]!r}...") from None

@@ -228,26 +228,17 @@ def _compatibility_entries(
     return cond1, cond2
 
 
-def check_compatibility(pi: Bivector, tensor: Tensor11, config: ZeroTestConfig | None = None) -> CheckReport:
-    """Check both compatibility conditions between a Poisson bivector and a (1,1) tensor.
+def check_pn(pi: Bivector, tensor: Tensor11, config: ZeroTestConfig | None = None) -> CheckReport:
+    """Poisson-Nijenhuis check: Poisson + compatibility + vanishing torsion.
 
     ``compatibility-musical`` is N pi# = pi# N^T.  ``compatibility-bracket`` is
     the vanishing of the Magri-Morosi concomitant on every coordinate pair
     (dx_i, d/dx_j).  Once the musical condition holds the concomitant is
     C^inf-bilinear, so the coordinate pairs decide it on all pairs of 1-forms
     and vector fields.  When the musical condition fails, the bracket entry
-    carries a ``detail`` saying that it assumes it.
-    """
-    cfg = config or ZeroTestConfig()
-    entries = _compatibility_entries(pi, tensor, cfg)
-    return CheckReport("compatibility", pi.chart, cfg, entries)
-
-
-def check_pn(pi: Bivector, tensor: Tensor11, config: ZeroTestConfig | None = None) -> CheckReport:
-    """Poisson-Nijenhuis check: Poisson + compatibility + vanishing torsion.
-
-    Also verifies that composing the tensor with the Poisson tensor yields a
-    second Poisson bivector (the hallmark of the induced bi-Hamiltonian pair).
+    carries a ``detail`` saying that it assumes it.  Also verifies that
+    composing the tensor with the Poisson tensor yields a second Poisson
+    bivector (the hallmark of the induced bi-Hamiltonian pair).
     """
     cfg = config or ZeroTestConfig()
     chart = pi.chart
@@ -265,10 +256,10 @@ def check_pqn(structure: GeometricStructure, config: ZeroTestConfig | None = Non
     """Poisson quasi-Nijenhuis check.
 
     Entries: Poisson + compatibility (decided on coordinate pairs, which is
-    complete once compatibility-musical holds; see
-    :func:`check_compatibility`); closedness of the 3-form and of its
-    contraction with the tensor; the torsion identity T(X, Y) =
-    pi_sharp(i_{X^Y} phi) on all coordinate pairs; and the square of the
+    complete once compatibility-musical holds; see :func:`check_pn`);
+    closedness of the 3-form and of its contraction with the tensor; the
+    torsion identity T(X, Y) = pi_sharp(i_{X^Y} phi) on all coordinate
+    pairs; and the square of the
     tensor differential acting as the bracket with the 3-form on five random
     functions drawn from the config seed.  That last entry covers functions
     only, and only with probability; it is the one entry whose fields, not

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import json
 import random
+import shlex
 
 import pytest
 
+from pqncheck.cli import main
 from pqncheck.models import canonical_nijenhuis, canonical_poisson
 from pqncheck.scalar import Chart, ScalarField
 
@@ -42,6 +47,15 @@ def _reject_constant(name):
 def strict_json(text: str) -> dict:
     """Parse a report, rejecting the NaN and Infinity that json.dumps writes by default."""
     return json.loads(text, parse_constant=_reject_constant)
+
+
+@functools.cache
+def cli_report(args: str) -> tuple[int, str]:
+    """Exit code and stdout of ``pqncheck <args>``, run in process once per session however many tests read it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(shlex.split(args))
+    return code, out.getvalue()
 
 
 def seeded(seed: int = 20240) -> random.Random:

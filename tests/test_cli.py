@@ -11,7 +11,7 @@ from pqncheck.cli import BASES, MODELS, OMEGAS, main, parse_form, serialize_form
 from pqncheck.models import closed_toda
 from pqncheck.scalar import Chart
 
-from conftest import strict_json
+from conftest import cli_report, strict_json
 
 
 def run_cli(*argv) -> int:
@@ -128,10 +128,23 @@ class TestConfigFile:
         assert run_cli("check", "--config", str(cfg)) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
-    def test_malformed_file_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"not json",
+            b'{"model": "closed-toda", "n": 3, "v": "\xff"}',
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"model": "canonical", "n": ' + b"1" * 5000 + b"}",  # past the interpreter's integer digit limit
+        ],
+        ids=["not-json", "not-utf-8", "array-nested-100000-deep", "integer-of-5000-digits"],
+    )
+    def test_malformed_file_rejected(self, content, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text("not json")
+        cfg.write_bytes(content)
         assert run_cli("check", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {cfg} is not valid JSON: ")
+        assert len(err.splitlines()) == 1
 
     def test_couplings_from_a_config_string(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -470,6 +483,11 @@ HUGE_N = str(10**20)
 ZERO_AS_A_FUNCTION_BASE = "(^ (+ (* (exp q1) (^ (+ (exp q1) 1) -1)) (^ (+ (exp q1) 1) -1) -1) -1)"
 
 
+def _nested(depth: int, atom: str) -> str:
+    """``atom`` inside ``depth`` one-term sums."""
+    return "(+ " * depth + atom + ")" * depth
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv",
@@ -542,6 +560,11 @@ class TestBadInput:
             ("check", "--model", "two-particle", "--v", "(exp 1/0)"),
             ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": {"1,2": "(* 1/0 x)"}}),
             ("deform", "--n", "2", "--config", _omega_form(2, [([1, 3], "1/0")])),
+            # Nested past the recursion limit; the 600-deep potential parses, but q1 - q2 cannot be put in for x.
+            ("check", "--model", "two-particle", "--v", _nested(3000, "q1")),
+            ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": {"1,2": _nested(3000, "x")}}),
+            ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": {"1,2": _nested(600, "x")}}),
+            ("deform", "--n", "2", "--config", _omega_form(2, [([1, 3], _nested(3000, "q1"))])),
         ],
     )
     def test_malformed_expression_is_a_one_line_config_error(self, argv, tmp_path, capsys):
@@ -630,29 +653,35 @@ class TestStrictJson:
 
 
 class TestReportPin:
-    """What the reports say, beyond the bytes, exit codes and modes that tests/test_report_pins.py pins."""
+    """What the reports say, beyond the bytes, exit codes and modes that tests/test_report_pins.py pins.
 
-    def test_calogero_three_involutivity_residuals(self, capsys):
+    Each test reads its command line's one run per session, which ``test_pinned_report`` reads too.
+    """
+
+    def test_calogero_three_involutivity_residuals(self):
         # Its one non-canonical cell is an exact zero, so every residual is 0.0.
-        assert run_cli("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--format", "json") == 0
-        cells = strict_json(capsys.readouterr().out)["matrix"]["cells"]
+        code, out = cli_report("involutivity --model calogero --n 3 --kmax 3 --format json")
+        assert code == 0
+        cells = strict_json(out)["matrix"]["cells"]
         assert {cell["residual"] for cell in cells.values()} == {0.0}
 
-    def test_calogero_five_involutivity_cells(self, capsys):
+    def test_calogero_five_involutivity_cells(self):
         # The first n at which both zero and nonzero cells need the exact test.
-        assert run_cli("involutivity", "--model", "calogero", "--n", "5", "--kmax", "5", "--format", "json") == 0
-        cells = strict_json(capsys.readouterr().out)["matrix"]["cells"].values()
+        code, out = cli_report("involutivity --model calogero --n 5 --kmax 5 --format json")
+        assert code == 0
+        cells = strict_json(out)["matrix"]["cells"].values()
         kinds = [(cell["mode"], cell["zero"]) for cell in cells]
         assert [kinds.count(kind) for kind in [("symbolic", True), ("exact", True), ("exact", False)]] == [13, 2, 10]
         for cell in cells:
             if not cell["zero"]:
                 assert cell["residual"] > 0 and all(float(v).is_integer() for v in cell["witness"].values())
 
-    def test_failing_two_particle_axioms(self, capsys):
+    def test_failing_two_particle_axioms(self):
         # A momentum-dependent potential fails five entries, each with an exact witness whose
         # point depends on the order of the fields.
-        assert run_cli("check", "--model", "two-particle", "--v", "(* p1 q2)", "--format", "json") == 1
-        failed = [e["axiom"] for e in strict_json(capsys.readouterr().out)["entries"] if e["verdict"] == "fail"]
+        code, out = cli_report("check --model two-particle --v '(* p1 q2)' --format json")
+        assert code == 1
+        failed = [e["axiom"] for e in strict_json(out)["entries"] if e["verdict"] == "fail"]
         assert failed == [
             "compatibility-bracket",
             "phi-closed",
@@ -662,19 +691,20 @@ class TestReportPin:
         ]
 
     @pytest.mark.parametrize("model, n", [("closed-toda", 6), ("closed-toda", 7), ("closed-toda", 8), ("open-toda", 8)])
-    def test_toda_traces_commute_at_scale(self, model, n, capsys):
+    def test_toda_traces_commute_at_scale(self, model, n):
         # Every cell is a symbolic zero, through products and partials of exp monomials.
-        assert run_cli("involutivity", "--model", model, "--n", str(n), "--kmax", str(n), "--format", "json") == 0
-        cells = strict_json(capsys.readouterr().out)["matrix"]["cells"].values()
+        code, out = cli_report(f"involutivity --model {model} --n {n} --kmax {n} --format json")
+        assert code == 0
+        cells = strict_json(out)["matrix"]["cells"].values()
         assert len(cells) == n * n and {(cell["mode"], cell["zero"]) for cell in cells} == {("symbolic", True)}
 
-    def test_calogero_four_involutivity_structure(self, capsys):
+    def test_calogero_four_involutivity_structure(self):
         # Calogero has no exp, so the residuals of the nonzero cells are exact values rounded once:
         # 31/54 at (2, 4) and 7.944386727592045 at (3, 4).  The report's row in
         # tests/test_report_pins.py pins them with the rest of its bytes.
-        argv = ("involutivity", "--model", "calogero", "--n", "4", "--kmax", "4", "--format", "json")
-        assert run_cli(*argv) == 0
-        report = strict_json(capsys.readouterr().out)
+        code, out = cli_report("involutivity --model calogero --n 4 --kmax 4 --format json")
+        assert code == 0
+        report = strict_json(out)
         entries = [(e["axiom"], e["verdict"], e["mode"], e["samples"], e.get("detail")) for e in report["entries"]]
         assert entries == [
             ("bracket-H1-H1", "pass", "symbolic", 0, "zero, no claim"),

@@ -15,10 +15,7 @@ from pqncheck.exterior import (
     dq,
     dx,
     interior,
-    lie_bracket,
     lie_derivative,
-    omega_flat,
-    pairing,
     pi_sharp,
     pi_sharp_omega_flat,
     tensor_interior,
@@ -30,13 +27,13 @@ from pqncheck.models import (
     canonical_symplectic,
     canonical_deformation_form,
     closed_toda,
-    two_particle_fixture,
 )
-from pqncheck.randgen import random_form, random_scalar_field, random_tensor, random_vector_field
+from pqncheck.randgen import random_scalar_field
 from pqncheck.scalar import Chart, exp
 from pqncheck.structures import check_poisson
 
 from conftest import seeded
+from reference import lie_bracket, random_form, random_tensor, random_vector_field, two_particle_fixture
 
 
 def _stored_values(obj):
@@ -110,7 +107,7 @@ def _operand_pair(name: str, chart: Chart, rng, cancel):
 
 
 class TestStreamedOperators:
-    # pi_sharp, pairing, + and - feed raw terms to the one constructor loop; each must
+    # pi_sharp, interior, + and - feed raw terms to the one constructor loop; each must
     # give the values and the key order of its written-out reference.
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(4))
@@ -133,11 +130,11 @@ class TestStreamedOperators:
         for _ in range(3):
             alpha = Form(chart, 1, _random_coefficients(chart, 1, rng, count=rng.randint(1, chart.dim)))
             vector = random_vector_field(chart, rng)
-            assert pairing(alpha, vector) == _sum_pairing(alpha, vector)
+            assert interior(vector, alpha).as_scalar() == _sum_pairing(alpha, vector)
         # products that cancel pair to zero
         alpha = Form(chart, 1, {(0,): chart.q(1), (chart.dim - 1,): chart.one()})
         vector = VectorField(chart, {0: chart.one(), chart.dim - 1: -chart.q(1)})
-        assert pairing(alpha, vector).is_zero_tree and _sum_pairing(alpha, vector).is_zero_tree
+        assert interior(vector, alpha).as_scalar().is_zero_tree and _sum_pairing(alpha, vector).is_zero_tree
 
     @pytest.mark.parametrize(
         "name, n", [(name, n) for name in sorted(_SPARSE_TYPES) for n in (1, 2, 3) if (name, n) != ("form-3", 1)]
@@ -400,13 +397,14 @@ class TestMusicalMaps:
         for _ in range(10):
             alpha = random_form(chart2, 1, rng)
             beta = random_form(chart2, 1, rng)
-            total = pairing(beta, pi_sharp(pi, alpha)) + pairing(alpha, pi_sharp(pi, beta))
+            total = (interior(pi_sharp(pi, alpha), beta) + interior(pi_sharp(pi, beta), alpha)).as_scalar()
             assert total.is_zero_tree or total.is_zero(None).is_zero
 
     def test_sharp_matrix_matches_displayed_fixture(self):
         fixture = two_particle_fixture()
-        pi = canonical_poisson(fixture.chart)
-        assert pi.sharp_matrix() == fixture.pi_sharp_matrix
+        chart = fixture.chart
+        columns = [pi_sharp(canonical_poisson(chart), dx(chart, j)).components for j in range(chart.dim)]
+        assert tuple(zip(*columns)) == fixture.pi_sharp_matrix
 
     def test_momentum_tensor_matches_displayed_fixture(self):
         fixture = two_particle_fixture()
@@ -414,16 +412,12 @@ class TestMusicalMaps:
 
     def test_omega_flat(self, chart2):
         omega_c = canonical_symplectic(chart2)
-        assert omega_flat(omega_c, VectorField.basis(chart2, 0)) == -dp(chart2, 1)
+        assert interior(VectorField.basis(chart2, 0), omega_c) == -dp(chart2, 1)
         omega = canonical_deformation_form(chart2)
         for i in (1, 2):
             expected = -(1 - chart2.p(i)) * dp(chart2, i)
-            assert omega_flat(omega, VectorField.basis(chart2, chart2.q_index(i))) == expected
-        assert omega_flat(omega, VectorField.zero(chart2)).is_zero
-
-    def test_omega_flat_requires_two_form(self, chart2):
-        with pytest.raises(DegreeError):
-            omega_flat(dq(chart2, 1), VectorField.basis(chart2, 0))
+            assert interior(VectorField.basis(chart2, chart2.q_index(i)), omega) == expected
+        assert interior(VectorField.zero(chart2), omega).is_zero
 
     def test_raising_composed_with_lowering(self, chart2):
         # the symplectic lowering map composed with the canonical raising map
@@ -537,6 +531,6 @@ class TestBivectorValidation:
 
     def test_tensor_algebra(self, chart2):
         nc = canonical_nijenhuis(chart2)
-        assert nc.power(2).trace() == 2 * (chart2.p(1) ** 2 + chart2.p(2) ** 2)
+        assert (nc @ nc).trace() == 2 * (chart2.p(1) ** 2 + chart2.p(2) ** 2)
         assert (nc @ Tensor11.identity(chart2)) == nc
         assert nc.columns()[0] == VectorField(chart2, [chart2.p(1), 0, 0, 0])

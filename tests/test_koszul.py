@@ -16,12 +16,12 @@ from pqncheck.models import (
     canonical_symplectic,
     closed_toda,
     momentum_symplectic,
-    two_particle_fixture,
 )
-from pqncheck.randgen import random_form, random_scalar_field
+from pqncheck.randgen import random_scalar_field
 from pqncheck.scalar import Chart, exp
 
 from conftest import seeded
+from reference import random_form, two_particle_fixture
 
 
 @pytest.fixture(scope="module")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -30,6 +31,14 @@ def test_only_scalar_reads_the_polynomial_layout():
             if isinstance(node, ast.Attribute) and node.attr in LAYOUT_ATTRIBUTES:
                 readers.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert readers == []
+
+
+def test_every_exported_name_is_documented():
+    # The README's library section is the package's API: test-only code stays out of it and out of src/.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library API\n", 1)[1].split("\n## ", 1)[0]
+    missing = [name for name in pqncheck.__all__ if not re.search(rf"`{re.escape(name)}[`(]", section)]
+    assert missing == []
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

@@ -19,7 +19,6 @@ from pqncheck.models import (
     pair_potential_model,
     pair_self_bracket_display,
     potential,
-    two_particle_fixture,
     two_particle_model,
 )
 from pqncheck.scalar import Chart, Coord, Power, exp
@@ -31,6 +30,7 @@ from pqncheck.structures import (
     trace_invariants,
 )
 
+from reference import two_particle_fixture
 
 
 def test_structure_class_follows_the_three_form():

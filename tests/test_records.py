@@ -10,7 +10,7 @@ import pytest
 
 from pqncheck.calculus import nijenhuis_torsion
 from pqncheck.exterior import VectorField
-from pqncheck.models import ExpectedOutcome, calogero, canonical_nijenhuis, closed_toda, two_particle_fixture
+from pqncheck.models import ExpectedOutcome, calogero, canonical_nijenhuis, closed_toda
 from pqncheck.scalar import Chart, Const, Coord, Exp, Point, Power, Product, Sum, ZeroTestConfig, is_zero
 from pqncheck.structures import AxiomCheck, check_pqn, deform, involutivity_matrix, trace_invariants
 
@@ -42,7 +42,6 @@ def values() -> dict:
         "Torsion12": nijenhuis_torsion(toda.tensor),
         "ModelBundle": toda,
         "ExpectedOutcome": toda.expected,
-        "TwoParticleFixture": two_particle_fixture(),
         "GeometricStructure": toda.structure(),
         "CheckReport": check_pqn(toda.structure()),
         "DeformResult": deform(toda.poisson, canonical_nijenhuis(chart), toda.omega),
@@ -55,7 +54,7 @@ def values() -> dict:
 CLASSES = [
     "Chart", "Point", "Const", "Coord", "Sum", "Product", "Power", "Exp", "ZeroTestConfig", "ZeroVerdict",
     "ScalarField", "Form", "VectorField", "Tensor11", "Bivector", "Torsion12", "ModelBundle", "ExpectedOutcome",
-    "TwoParticleFixture", "GeometricStructure", "CheckReport", "DeformResult", "InvolutivityMatrix", "AxiomCheck",
+    "GeometricStructure", "CheckReport", "DeformResult", "InvolutivityMatrix", "AxiomCheck",
 ]
 
 

@@ -5,8 +5,10 @@ shows and the SHA-256 of its stdout.  The modes of a JSON report are read from
 every entry and every matrix cell, parsed strictly (no NaN or Infinity); those
 of a text report from its ``mode=`` tokens.
 
-``test_pinned_report`` runs the ``tier-1`` rows through ``cli.main``.  The
-script runs every row, the ``ci`` rows too, each in a fresh process::
+``test_pinned_report`` runs the ``tier-1`` rows through ``cli.main``, by
+``conftest.cli_report``, which runs each command line once per session: the
+report tests in ``test_cli.py`` read the same runs.  The script runs every
+row, the ``ci`` rows too, each in a fresh process::
 
     PYTHONPATH=src python tests/test_report_pins.py
 
@@ -27,9 +29,7 @@ from typing import NamedTuple
 
 import pytest
 
-from pqncheck.cli import main
-
-from conftest import strict_json
+from conftest import cli_report, strict_json
 
 TIER_1, CI = "tier-1", "ci"
 SYMBOLIC = frozenset({"symbolic"})
@@ -372,9 +372,9 @@ def observed(pin: Pin, code: int, out: bytes) -> Pin:
 
 
 @pytest.mark.parametrize("pin", [pytest.param(pin, id=pin.args) for pin in PINS if pin.tier == TIER_1])
-def test_pinned_report(pin, capsys):
-    code = main(shlex.split(pin.args))
-    assert observed(pin, code, capsys.readouterr().out.encode("utf-8")) == pin
+def test_pinned_report(pin):
+    code, out = cli_report(pin.args)
+    assert observed(pin, code, out.encode("utf-8")) == pin
 
 
 def run_every_pin() -> int:

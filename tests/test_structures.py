@@ -23,14 +23,13 @@ from pqncheck.models import (
     two_particle_model,
 )
 from pqncheck import scalar, structures
-from pqncheck.randgen import random_scalar_field, random_tensor
+from pqncheck.randgen import random_scalar_field
 from pqncheck.calculus import differential, poisson_bracket
 from pqncheck.scalar import Chart, Const, ScalarField, ZeroTestConfig, exp, parse_prefix, substitute
 from pqncheck.structures import (
     AxiomCheck,
     GeometricStructure,
     _zero_axiom,
-    check_compatibility,
     check_pn,
     check_poisson,
     check_pqn,
@@ -42,6 +41,7 @@ from pqncheck.structures import (
 )
 
 from conftest import lagrange_identity
+from reference import random_tensor
 
 
 class TestCheckPoisson:
@@ -139,33 +139,40 @@ def _induced_bivector(pi: Bivector, tensor: Tensor11) -> Bivector:
     return Bivector(chart, rows)  # checks antisymmetry entry by entry
 
 
+def _compatibility(pi: Bivector, tensor: Tensor11) -> dict[str, AxiomCheck]:
+    """The two compatibility entries of ``check_pn``, by axiom name."""
+    report = check_pn(pi, tensor)
+    return {axiom: report.entry(axiom) for axiom in ("compatibility-musical", "compatibility-bracket")}
+
+
+def _compatible(pi: Bivector, tensor: Tensor11) -> bool:
+    return all(entry.passed for entry in _compatibility(pi, tensor).values())
+
+
 class TestCompatibility:
     def test_momentum_tensor_compatible(self, canonical2):
         pi, nc = canonical2
-        report = check_compatibility(pi, nc)
-        assert report.overall
+        assert _compatible(pi, nc)
 
     def test_identity_compatible(self, chart2):
         pi = canonical_poisson(chart2)
-        report = check_compatibility(pi, Tensor11.identity(chart2))
-        assert report.overall
+        assert _compatible(pi, Tensor11.identity(chart2))
 
     def test_unpaired_diagonal_term_fails_musical_condition(self, chart2):
         pi = canonical_poisson(chart2)
         entries = [[0] * 4 for _ in range(4)]
         entries[0][0] = chart2.p(1)
         tensor = Tensor11(chart2, entries)
-        report = check_compatibility(pi, tensor)
-        assert not report.entry("compatibility-musical").passed
+        report = _compatibility(pi, tensor)
+        assert not report["compatibility-musical"].passed
 
     def test_deformed_chain_tensor_compatible(self):
         bundle = closed_toda(3)
-        report = check_compatibility(bundle.poisson, bundle.tensor)
-        assert report.overall
+        assert _compatible(bundle.poisson, bundle.tensor)
 
     def test_unpaired_diagonal_bracket_entry_assumes_musical_condition(self, chart2):
-        report = check_compatibility(canonical_poisson(chart2), _unpaired_diagonal_tensor(chart2))
-        assert report.entry("compatibility-bracket").detail == "assumes compatibility-musical, which failed"
+        report = _compatibility(canonical_poisson(chart2), _unpaired_diagonal_tensor(chart2))
+        assert report["compatibility-bracket"].detail == "assumes compatibility-musical, which failed"
 
     @pytest.mark.parametrize(
         "diagonal",
@@ -176,9 +183,9 @@ class TestCompatibility:
         # Each q_i and p_i carry the same diagonal entry, so N commutes with
         # pi_sharp; only the coordinate pairs of the bracket condition see it.
         tensor = Tensor11(chart2, {(i, i): value for i, value in enumerate(diagonal(chart2))})
-        report = check_compatibility(canonical_poisson(chart2), tensor)
-        assert report.entry("compatibility-musical").passed
-        bracket = report.entry("compatibility-bracket")
+        report = _compatibility(canonical_poisson(chart2), tensor)
+        assert report["compatibility-musical"].passed
+        bracket = report["compatibility-bracket"]
         assert not bracket.passed
         assert bracket.detail is None
 
@@ -187,13 +194,13 @@ class TestCompatibility:
         bundle = open_toda(3)
         pi2 = _induced_bivector(bundle.poisson, bundle.tensor)
         assert any(value.variables for _, value in pi2.terms())
-        assert check_compatibility(pi2, bundle.tensor).overall
+        assert _compatible(pi2, bundle.tensor)
 
     def test_induced_bivector_of_the_closed_chain_fails_the_bracket_condition(self):
         bundle = closed_toda(3)
-        report = check_compatibility(_induced_bivector(bundle.poisson, bundle.tensor), bundle.tensor)
-        assert report.entry("compatibility-musical").passed
-        bracket = report.entry("compatibility-bracket")
+        report = _compatibility(_induced_bivector(bundle.poisson, bundle.tensor), bundle.tensor)
+        assert report["compatibility-musical"].passed
+        bracket = report["compatibility-bracket"]
         assert (bracket.passed, bracket.mode, bracket.detail) == (False, "exact", None)
         assert bracket.witness is not None
         assert bracket.residual > 0
@@ -209,10 +216,9 @@ class TestCompatibility:
 
         bundle = build()
         monkeypatch.setattr("pqncheck.structures.random_scalar_field", forbidden)
-        assert check_compatibility(bundle.poisson, bundle.tensor).overall
         report = check_pn(bundle.poisson, bundle.tensor)
         assert report.overall == is_pn
-        assert report.entry("compatibility-bracket").passed
+        assert report.entry("compatibility-musical").passed and report.entry("compatibility-bracket").passed
 
 
 class TestCheckPn:
