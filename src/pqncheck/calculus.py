@@ -24,7 +24,7 @@ from .exterior import (
     tensor_interior,
     wedge,
 )
-from .scalar import Chart, Record, ScalarField
+from .scalar import ScalarField
 
 
 def differential(field: ScalarField) -> Form:
@@ -63,36 +63,19 @@ def _derived_differential(contract: Callable[[Form], Form], form: Form) -> Form:
     return contract(cartan_d(form)) - cartan_d(contract(form))
 
 
-class Torsion12(Record):
-    """The Nijenhuis torsion of a (1,1) tensor as a (1,2) tensor field.
+def nijenhuis_torsion(tensor: Tensor11) -> dict[tuple[int, int], VectorField]:
+    """Torsion T(X,Y) = [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y]), as ``{(j, k): T(e_j, e_k)}`` for j < k.
 
-    It holds T(e_j, e_k) for each coordinate pair j < k, which decides T
-    everywhere: T(X, Y) = sum_{j<k} (X^j Y^k - X^k Y^j) T(e_j, e_k).
-    """
-
-    __slots__ = _fields = ("chart", "components")
-
-    def __init__(self, chart: Chart, components: dict[tuple[int, int], VectorField]):
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "components", components)
-
-    def coordinate_pairs(self):
-        return self.components.items()
-
-
-def nijenhuis_torsion(tensor: Tensor11) -> Torsion12:
-    """Torsion T(X,Y) = [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y]), on coordinate pairs.
-
+    The coordinate pairs decide T everywhere: T(X, Y) = sum_{j<k} (X^j Y^k - X^k Y^j) T(e_j, e_k).
     In components T^i_{jk} = N^l_j d_l N^i_k - N^l_k d_l N^i_j - N^i_l (d_j N^l_k - d_k N^l_j).
-    With the (1,1) tensors M_j = sum_l N^l_j d_l N - N d_j N, built from the partials d_l N,
-    this is T(e_j, e_k) = M_j e_k - M_k e_j: each coordinate pair reads two columns.
+    With the (1,1) tensors M_j = sum_l N^l_j d_l N - N d_j N, built from the tensor's kept
+    ``partials`` d_l N, this is T(e_j, e_k) = M_j e_k - M_k e_j: each pair reads two columns.
     """
-    chart, dim = tensor.chart, tensor.chart.dim
-    dn = [Tensor11(chart, {key: v.partial(l) for key, v in tensor.terms() if l in v.variables}) for l in range(dim)]
+    dim = tensor.chart.dim
+    dn = tensor.partials()
     m = [sum((dn[l] * v for l, v in column.terms()), -(tensor @ dn[j])) for j, column in enumerate(tensor.columns())]
     m_columns = [m_j.columns() for m_j in m]
-    pairs = {(j, k): m_columns[j][k] - m_columns[k][j] for j in range(dim) for k in range(j + 1, dim)}
-    return Torsion12(chart, pairs)
+    return {(j, k): m_columns[j][k] - m_columns[k][j] for j in range(dim) for k in range(j + 1, dim)}
 
 
 def poisson_bracket(pi: Bivector, f: ScalarField | Form, g: ScalarField | Form) -> ScalarField:

@@ -254,7 +254,8 @@ def parse_form(chart: Chart, data: dict) -> Form:
                 raise TypeError("indices must be a list")
             return tuple(_whole_number(i) - 1 for i in indices), parse_prefix(str(term["coeff"]), chart)
         except (KeyError, TypeError, ValueError, PqnError) as exc:
-            raise ConfigError(f"malformed form term {term!r}: {exc}") from exc
+            shown = repr(term)  # a bounded prefix: a coefficient may be thousands of characters
+            raise ConfigError(f"malformed form term {shown[:80]}{'...' if len(shown) > 80 else ''}: {exc}") from exc
 
     try:
         return Form(chart, degree, map(parse_term, terms))

@@ -22,11 +22,11 @@ raises 1-forms through (pi_sharp a)^i = sum_j pi^{ji} a_j, so the matrix of
 pi_sharp has (i, j) entry pi^{ji}; a 2-form lowers vector fields through
 (omega_flat X)_i = sum_j X^j omega_{ji}, so the matrix of omega_flat has
 (i, j) entry omega_{ji}.  Both are the transpose of the stored antisymmetric
-entries, and :func:`_musical_matrix` is the one place that builds them.  It
-is also where every bracket of functions and pi_sharp read pi: :func:`pi_sharp`
-applies the matrix it builds for pi, and the Poisson bracket and the Jacobi
-checks read {x_b, x_c} as its entry (c, b).  The only other reader of pi's
-stored entries is the contraction of pi with forms, ``calculus._pi_interior``.
+entries, and :func:`_musical_matrix` is the one place that builds them, once
+per value.  It is also where every bracket of functions and pi_sharp read pi:
+:func:`pi_sharp` applies the matrix kept for pi, and the Poisson bracket and
+the Jacobi checks read {x_b, x_c} as its entry (c, b).  The only other reader
+of pi's stored entries is the contraction of pi with forms, ``calculus._pi_interior``.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class Form(_Sparse):
     coefficient is dropped, and terms with the same sorted tuple are summed.
     """
 
-    __slots__ = ("degree",)
+    __slots__ = ("degree", "_musical")
     _fields = ("chart", "degree", "coeffs")
 
     def __init__(
@@ -312,7 +312,7 @@ class Tensor11(_Matrix):
     of rows), or a mapping or iterable of raw ``((i, j), N^i_j)`` terms.
     """
 
-    __slots__ = ()
+    __slots__ = ("_partials",)
 
     def __init__(self, chart: Chart, entries: Sequence[Sequence[CoeffLike]] | Mapping | Iterable):
         self._store(chart, _matrix_terms(chart, entries) if isinstance(entries, Sequence) else entries)
@@ -330,6 +330,12 @@ class Tensor11(_Matrix):
     @classmethod
     def zero(cls, chart: Chart) -> "Tensor11":
         return cls(chart, {})
+
+    def partials(self) -> tuple["Tensor11", ...]:
+        """The tensors d_l N, one per coordinate l, built on first use and kept (in a slot, not a field)."""
+        if getattr(self, "_partials", None) is None:  # unset until first use; a thread race only builds it twice
+            object.__setattr__(self, "_partials", _partial_tensors(self))
+        return self._partials
 
     def columns(self) -> list[VectorField]:
         """Every column, N e_j at position j, from one pass over the stored entries."""
@@ -370,7 +376,7 @@ class Bivector(_Matrix):
     ``entry(j, i) == -entry(i, j)``.
     """
 
-    __slots__ = ()
+    __slots__ = ("_musical",)
 
     def __init__(self, chart: Chart, entries: Sequence[Sequence[CoeffLike]] | Mapping | Iterable):
         if isinstance(entries, Sequence):
@@ -395,14 +401,24 @@ class Bivector(_Matrix):
         return cls(chart, upper)
 
 
+def _partial_tensors(tensor: Tensor11) -> tuple[Tensor11, ...]:
+    chart, terms = tensor.chart, tensor.terms()
+    return tuple(Tensor11(chart, {key: v.partial(l) for key, v in terms if l in v.variables}) for l in range(chart.dim))
+
+
 def _musical_matrix(antisymmetric: Bivector | Form) -> Tensor11:
     """The transpose of stored antisymmetric entries a_{ij} (i < j): entry (j, i) = a_{ij}, (i, j) = -a_{ij}.
 
     For a bivector pi this is the matrix of pi_sharp; for a 2-form omega it is
-    the matrix of omega_flat, X -> i_X omega.
+    the matrix of omega_flat, X -> i_X omega.  Built on first use and kept on the value, like ``Tensor11.partials``.
     """
-    pairs = antisymmetric.terms()
-    return Tensor11(antisymmetric.chart, (term for (i, j), a in pairs for term in (((j, i), a), ((i, j), -a))))
+    if getattr(antisymmetric, "_musical", None) is None:
+        object.__setattr__(antisymmetric, "_musical", _transpose_entries(antisymmetric))
+    return antisymmetric._musical
+
+
+def _transpose_entries(value: Bivector | Form) -> Tensor11:
+    return Tensor11(value.chart, (term for (i, j), a in value.terms() for term in (((j, i), a), ((i, j), -a))))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +508,8 @@ def lie_derivative(x: VectorField, target):
 
     On forms it is computed by the Cartan formula L_X = i_X d + d i_X; on
     (1,1) tensors by (L_X N)(Y) = [X, NY] - N[X, Y], which in components is
-    X(N) - J N + N J with the Jacobian J^i_j = d_j X^i; on scalars it is X(f).
+    X(N) - J N + N J, with J^i_j = d_j X^i and X(N) = sum_l X^l d_l N from the
+    tensor's ``partials``; on scalars it is X(f).
     """
     from .calculus import cartan_d  # deferred: calculus builds on this module
 
@@ -503,9 +520,9 @@ def lie_derivative(x: VectorField, target):
             return Form.from_scalar(x(target.as_scalar()))
         return interior(x, cartan_d(target)) + cartan_d(interior(x, target))
     if isinstance(target, Tensor11):
-        chart = target.chart
+        chart, partials = target.chart, target.partials()
         jacobian = Tensor11(chart, (((i, j), c.partial(j)) for i, c in x.terms() for j in c.variables))
-        along = Tensor11(chart, {key: x(value) for key, value in target.terms()})
+        along = Tensor11(chart, ((key, c * value) for l, c in x.terms() for key, value in partials[l].terms()))
         return along - jacobian @ target + target @ jacobian
     raise TypeError(f"lie_derivative does not handle {type(target).__name__}")
 

@@ -538,15 +538,16 @@ def normalize(node: Node) -> Node:
 
 
 def substitute(node: Node, mapping: Mapping[int, Node]) -> Node:
-    """Replace coordinates by subtrees (simultaneously).  Returns a raw tree."""
+    """Replace coordinates by subtrees (simultaneously).  Returns a raw tree, one frame per level (no generator)."""
     if isinstance(node, Coord):
         return mapping.get(node.index, node)
     if isinstance(node, Const):
         return node
-    if isinstance(node, Sum):
-        return Sum(tuple(substitute(t, mapping) for t in node.terms))
-    if isinstance(node, Product):
-        return Product(tuple(substitute(f, mapping) for f in node.factors))
+    if isinstance(node, (Sum, Product)):
+        children = []
+        for child in node.terms if isinstance(node, Sum) else node.factors:
+            children.append(substitute(child, mapping))
+        return type(node)(children)
     if isinstance(node, Power):
         return Power(substitute(node.base, mapping), node.exponent)
     if isinstance(node, Exp):

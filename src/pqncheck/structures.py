@@ -244,8 +244,7 @@ def check_pn(pi: Bivector, tensor: Tensor11, config: ZeroTestConfig | None = Non
     chart = pi.chart
     entries: list[AxiomCheck] = list(check_poisson(pi, cfg).entries)
     entries.extend(_compatibility_entries(pi, tensor, cfg))
-    torsion = nijenhuis_torsion(tensor)
-    torsion_fields = _vector_components(v for _, v in torsion.coordinate_pairs())
+    torsion_fields = _vector_components(nijenhuis_torsion(tensor).values())
     entries.append(_zero_axiom("torsion-vanishes", torsion_fields, cfg))
     antisymmetry, jacobiators = _bracket_fields(tensor @ _musical_matrix(pi))
     entries.append(_zero_axiom("induced-bivector-poisson", antisymmetry + jacobiators, cfg))
@@ -276,8 +275,7 @@ def check_pqn(structure: GeometricStructure, config: ZeroTestConfig | None = Non
     )
     # pi#(i_{e_j ^ e_k} phi) = pi#(i_{e_k} i_{e_j} phi) is column k of pi# o (i_{e_j} phi)_flat.
     raised = [pi_sharp_omega_flat(pi, interior(VectorField.basis(chart, j), phi)).columns() for j in range(chart.dim)]
-    torsion = nijenhuis_torsion(tensor)
-    defects = [value - raised[j][k] for (j, k), value in torsion.coordinate_pairs()]
+    defects = [value - raised[j][k] for (j, k), value in nijenhuis_torsion(tensor).items()]
     entries.append(_zero_axiom("torsion-identity", _vector_components(defects), cfg))
     rng = random.Random(cfg.seed)
     square_defects: list[Form] = []

@@ -12,7 +12,6 @@ import random
 from itertools import combinations
 from typing import NamedTuple
 
-from pqncheck.calculus import Torsion12
 from pqncheck.exterior import Form, Tensor11, VectorField
 from pqncheck.randgen import random_scalar_field
 from pqncheck.scalar import Chart, ScalarField, exp
@@ -28,13 +27,13 @@ def deformed_lie_bracket(tensor: Tensor11, x: VectorField, y: VectorField) -> Ve
     return lie_bracket(tensor.apply(x), y) + lie_bracket(x, tensor.apply(y)) - tensor.apply(lie_bracket(x, y))
 
 
-def torsion_at(torsion: Torsion12, x: VectorField, y: VectorField) -> VectorField:
-    """T(X, Y) = sum_{j<k} (X^j Y^k - X^k Y^j) T(e_j, e_k), from the torsion's coordinate pairs.
+def torsion_at(torsion: dict[tuple[int, int], VectorField], x: VectorField, y: VectorField) -> VectorField:
+    """T(X, Y) = sum_{j<k} (X^j Y^k - X^k Y^j) T(e_j, e_k), from ``nijenhuis_torsion``'s coordinate pairs.
 
     The component T^i_{jk} is ``torsion_at(torsion, e_j, e_k).component(i)``.
     """
-    out = VectorField.zero(torsion.chart)
-    for (j, k), value in torsion.coordinate_pairs():
+    out = VectorField.zero(x.chart)
+    for (j, k), value in torsion.items():
         out = out + value * (x.component(j) * y.component(k) - x.component(k) * y.component(j))
     return out
 

@@ -93,7 +93,7 @@ def test_criterion_2_open_toda_pn():
         phi_ok = result.phi.is_zero
         torsion = nijenhuis_torsion(result.tensor)
         torsion_ok = True
-        for _, value in torsion.coordinate_pairs():
+        for value in torsion.values():
             for comp in value.components:
                 if comp.is_zero_tree:
                     continue

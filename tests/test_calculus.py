@@ -158,15 +158,15 @@ class TestNijenhuisD:
 class TestTorsion:
     def test_identity_is_torsionless(self, chart2):
         t = nijenhuis_torsion(Tensor11.identity(chart2))
-        assert all(v.is_zero for _, v in t.coordinate_pairs())
+        assert all(v.is_zero for v in t.values())
 
     def test_momentum_tensor_is_torsionless(self, chart3):
         t = nijenhuis_torsion(canonical_nijenhuis(chart3))
-        assert all(v.is_zero for _, v in t.coordinate_pairs())
+        assert all(v.is_zero for v in t.values())
 
     def test_open_chain_tensor_is_torsionless(self):
         t = nijenhuis_torsion(open_toda(3).tensor)
-        assert all(v.is_zero for _, v in t.coordinate_pairs())
+        assert all(v.is_zero for v in t.values())
 
     def test_antisymmetry_of_components(self, chart2):
         n = random_tensor(chart2, seeded(29))
@@ -196,7 +196,7 @@ class TestTorsion:
         rng = seeded(31)
         # A random tensor, and closed Toda's n = 3 tensor: exp entries and nonzero torsion.
         toda = closed_toda(3).tensor
-        assert not all(v.is_zero for _, v in nijenhuis_torsion(toda).coordinate_pairs())
+        assert not all(v.is_zero for v in nijenhuis_torsion(toda).values())
         for n in (random_tensor(chart2, rng), toda):
             t = nijenhuis_torsion(n)
             x = random_vector_field(n.chart, rng)

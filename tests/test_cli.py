@@ -560,10 +560,9 @@ class TestBadInput:
             ("check", "--model", "two-particle", "--v", "(exp 1/0)"),
             ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": {"1,2": "(* 1/0 x)"}}),
             ("deform", "--n", "2", "--config", _omega_form(2, [([1, 3], "1/0")])),
-            # Nested past the recursion limit; the 600-deep potential parses, but q1 - q2 cannot be put in for x.
+            # Nested past the recursion limit.
             ("check", "--model", "two-particle", "--v", _nested(3000, "q1")),
             ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": {"1,2": _nested(3000, "x")}}),
-            ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": {"1,2": _nested(600, "x")}}),
             ("deform", "--n", "2", "--config", _omega_form(2, [([1, 3], _nested(3000, "q1"))])),
         ],
     )
@@ -573,6 +572,20 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+
+    def test_deeply_nested_form_term_is_quoted_by_a_bounded_prefix(self, tmp_path, capsys):
+        argv = ("deform", "--n", "2", "--config", _omega_form(2, [([1, 3], _nested(3000, "q1"))]))
+        assert run_cli(*config_args(argv, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: malformed form term ")
+        assert len(err.splitlines()) == 1
+        assert len(err.encode("utf-8")) < 300
+
+    def test_potential_nested_as_deep_as_v_is_accepted(self, tmp_path):
+        # Putting q1 - q2 in for x takes one frame per level, as parsing does.
+        potentials = {"potentials": {"1,2": _nested(700, "x")}}
+        argv = ("check", "--model", "pair-potential", "--n", "2", "--config", potentials)
+        assert run_cli(*config_args(argv, tmp_path)) == 0
 
     @pytest.mark.parametrize(
         "v, cause",

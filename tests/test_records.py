@@ -8,8 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from pqncheck.calculus import nijenhuis_torsion
-from pqncheck.exterior import VectorField
+from pqncheck.exterior import Bivector, Form, Tensor11, VectorField, _musical_matrix
 from pqncheck.models import ExpectedOutcome, calogero, canonical_nijenhuis, closed_toda
 from pqncheck.scalar import Chart, Const, Coord, Exp, Point, Power, Product, Sum, ZeroTestConfig, is_zero
 from pqncheck.structures import AxiomCheck, check_pqn, deform, involutivity_matrix, trace_invariants
@@ -39,7 +38,6 @@ def values() -> dict:
         "VectorField": VectorField.basis(chart, 1),
         "Tensor11": toda.tensor,
         "Bivector": toda.poisson,
-        "Torsion12": nijenhuis_torsion(toda.tensor),
         "ModelBundle": toda,
         "ExpectedOutcome": toda.expected,
         "GeometricStructure": toda.structure(),
@@ -53,7 +51,7 @@ def values() -> dict:
 
 CLASSES = [
     "Chart", "Point", "Const", "Coord", "Sum", "Product", "Power", "Exp", "ZeroTestConfig", "ZeroVerdict",
-    "ScalarField", "Form", "VectorField", "Tensor11", "Bivector", "Torsion12", "ModelBundle", "ExpectedOutcome",
+    "ScalarField", "Form", "VectorField", "Tensor11", "Bivector", "ModelBundle", "ExpectedOutcome",
     "GeometricStructure", "CheckReport", "DeformResult", "InvolutivityMatrix", "AxiomCheck",
 ]
 
@@ -65,6 +63,30 @@ def test_copy_and_pickle_round_trip(values, name):
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
         assert type(twin) is type(value)
         assert twin == value
+
+
+# A tensor keeps its partials d_l N, a bivector or 2-form its musical matrix: built on first use, not fields.
+KEPT = {
+    "Tensor11": (lambda toda: Tensor11(toda.chart, toda.tensor.coeffs), lambda tensor: tensor.partials(), "_partials"),
+    "Bivector": (lambda toda: Bivector(toda.chart, toda.poisson.coeffs), _musical_matrix, "_musical"),
+    "Form": (lambda toda: Form(toda.chart, 2, toda.omega.coeffs), _musical_matrix, "_musical"),
+}
+
+
+@pytest.mark.parametrize("name", KEPT)
+def test_kept_derived_value_leaves_equality_copy_and_pickle_alone(name):
+    make, build, slot = KEPT[name]
+    toda = closed_toda(2)
+    fresh, built = make(toda), make(toda)
+    build(built)
+    assert getattr(fresh, slot, None) is None and getattr(built, slot) is not None
+    assert built == fresh and fresh == built
+    assert repr(built) == repr(fresh)
+    assert pickle.dumps(built) == pickle.dumps(fresh)
+    for twin in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built), copy.copy(built)):
+        assert type(twin) is type(fresh)
+        assert twin == fresh
+        assert getattr(twin, slot, None) is None
 
 
 def test_unpickled_field_evaluates_like_the_original(values):

@@ -330,8 +330,8 @@ PINS = [
     Pin("deform --model open-toda --omega omega-hat --n 4 --format json",
         0, SYMBOLIC, TIER_1, "000fef0fce0b8e472e950f0e5dacb4435156634e1c17b871a2a9730c294d8359"),
 
-    # The largest reports, about 95 s together as subprocesses on 2 vCPUs, of which deform at n = 64
-    # takes about 69 s.  Every Toda entry and cell is symbolic.
+    # The largest reports, about 71 s together as subprocesses on 2 vCPUs, of which deform at n = 64
+    # takes about 47 s and check at closed Toda n = 128 about 11 s.  Every Toda entry and cell is symbolic.
     Pin("involutivity --model calogero --n 6 --kmax 6 --format json",
         0, EXACT_AND_SYMBOLIC, CI, "09a8ea4093a8a61c8b48727987f7a7cca1be9eb84f2dc210cb94534a56361966"),
     Pin("involutivity --model closed-toda --n 8 --kmax 8 --format json",
@@ -350,6 +350,8 @@ PINS = [
         0, SYMBOLIC, CI, "385b8bf04e04fe141698945720897a29a7134aa418bf4828e233e018a9e81a5c"),
     Pin("deform --model canonical --omega closed-toda --n 64 --format json",
         0, SYMBOLIC, CI, "f88e26fa349e474aae5549272d248886ba987b0552d04bf26e28fda010f7cf45"),
+    Pin("check --model closed-toda --n 128 --format json",
+        0, SYMBOLIC, CI, "c9118cbd9e6c46a39bcf44209d0ecb6d6f848c893d9f84d9590d881363f55a38"),
 ]
 
 

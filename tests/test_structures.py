@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -22,7 +23,7 @@ from pqncheck.models import (
     open_toda,
     two_particle_model,
 )
-from pqncheck import scalar, structures
+from pqncheck import exterior, scalar, structures
 from pqncheck.randgen import random_scalar_field
 from pqncheck.calculus import differential, poisson_bracket
 from pqncheck.scalar import Chart, Const, ScalarField, ZeroTestConfig, exp, parse_prefix, substitute
@@ -490,6 +491,34 @@ class TestCheckPqn:
         bundle = closed_toda(3)
         structure = GeometricStructure(bundle.chart, bundle.poisson, bundle.tensor, bundle.phi() * scale)
         assert check_pqn(structure).entry("torsion-identity").passed == (scale == 1)
+
+
+@pytest.mark.parametrize(
+    "factory, check",
+    [
+        (closed_toda, lambda bundle: check_pqn(bundle.structure())),
+        (open_toda, lambda bundle: check_pn(bundle.poisson, bundle.tensor)),
+    ],
+    ids=["check_pqn-closed-toda", "check_pn-open-toda"],
+)
+def test_raising_matrix_and_partials_are_built_once(monkeypatch, factory, check):
+    # Every build of a musical matrix or of partial tensors from the model's construction on, by
+    # value identity; the list holds each value, so no identity is reused.
+    builds = []
+
+    def counting(name):
+        build = getattr(exterior, name)
+        return lambda value: builds.append((value, name)) or build(value)
+
+    for name in ("_transpose_entries", "_partial_tensors"):
+        monkeypatch.setattr(exterior, name, counting(name))
+    bundle = factory(4)
+    check(bundle)
+    per_value = Counter((id(value), name) for value, name in builds)
+    assert per_value[id(bundle.poisson), "_transpose_entries"] == 1
+    assert per_value[id(bundle.tensor), "_partial_tensors"] == 1
+    assert set(per_value.values()) == {1}
+    assert len(bundle.tensor.partials()) == bundle.chart.dim
 
 
 class TestDeform:
