@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedExpressionError,
 )
 from .exterior import Bivector, Form, Tensor11
-from .scalar import Chart, ZeroTestConfig, parse_prefix
+from .scalar import Chart, ZeroTestConfig, _quoted, parse_prefix
 from .structures import (
     AxiomCheck,
     CheckReport,
@@ -58,7 +58,10 @@ def _whole_number(value) -> int:
     """``int(value)``, refusing the booleans and fractional floats that ``int`` would truncate."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError("expected a whole number")
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:  # int's own message quotes up to 200 characters of the value again
+        raise ValueError("expected a whole number") from None
 
 
 def _given(value):
@@ -84,8 +87,8 @@ def _fractions(value: str | list) -> list[Fraction]:
         raise ValueError("expected a comma-separated string or a list")
     try:
         return [Fraction(str(part)) for part in value]
-    except ZeroDivisionError:
-        raise ValueError("zero denominator") from None
+    except (ValueError, ZeroDivisionError):  # Fraction's own message quotes the whole part again
+        raise ValueError("expected rational numbers with nonzero denominators") from None
 
 
 def _format(value) -> str:
@@ -140,7 +143,7 @@ def _merge_config(args: argparse.Namespace) -> None:
             try:
                 value = read(value)
             except (TypeError, ValueError) as exc:
-                raise ConfigError(f"setting {key!r} has an unusable value {value!r}: {exc}") from exc
+                raise ConfigError(f"setting {key!r} has an unusable value {_quoted(value)}: {exc}") from exc
         setattr(args, key, value)
 
 
@@ -175,11 +178,11 @@ def _require_n(args: argparse.Namespace) -> int:
     return Chart(args.n).n
 
 
-def _builder(table: dict, name, unknown: str):
-    """The builder ``table`` holds under ``name``, any config-file value; else ConfigError ``unknown: <names>``."""
+def _builder(table: dict, name, kind: str, known: str):
+    """The builder ``table`` holds under ``name``, any config-file value; else ConfigError naming the ``known`` ones."""
     builder = table.get(name) if isinstance(name, str) else None
     if builder is None:
-        raise ConfigError(f"{unknown}: {', '.join(table)}")
+        raise ConfigError(f"unknown {kind} {_quoted(name)}; {known}: {', '.join(table)}")
     return builder
 
 
@@ -192,9 +195,9 @@ def _pair_potential(args: argparse.Namespace) -> models.ModelBundle:
         try:
             i, j = (int(part) for part in key.split(","))
         except ValueError as exc:
-            raise ConfigError(f"potential key {key!r} must look like 'i,j'") from exc
+            raise ConfigError(f"potential key {_quoted(key)} must look like 'i,j'") from exc
         if (i, j) in keys:
-            raise ConfigError(f"potential keys {keys[i, j]!r} and {key!r} both name the pair ({i}, {j})")
+            raise ConfigError(f"potential keys {_quoted(keys[i, j])} and {_quoted(key)} both name the pair ({i}, {j})")
         pots[(i, j)], keys[(i, j)] = expr, key
     return models.pair_potential_model(n, pots)
 
@@ -222,7 +225,7 @@ MODELS = {
 def build_bundle(args: argparse.Namespace) -> models.ModelBundle:
     if args.model is None:
         raise ConfigError(f"--model is required; known models: {', '.join(MODELS)}")
-    return _builder(MODELS, args.model, f"unknown model {args.model!r}; known models")(args)
+    return _builder(MODELS, args.model, "model", "known models")(args)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +257,7 @@ def parse_form(chart: Chart, data: dict) -> Form:
                 raise TypeError("indices must be a list")
             return tuple(_whole_number(i) - 1 for i in indices), parse_prefix(str(term["coeff"]), chart)
         except (KeyError, TypeError, ValueError, PqnError) as exc:
-            shown = repr(term)  # a bounded prefix: a coefficient may be thousands of characters
-            raise ConfigError(f"malformed form term {shown[:80]}{'...' if len(shown) > 80 else ''}: {exc}") from exc
+            raise ConfigError(f"malformed form term {_quoted(term)}: {exc}") from exc
 
     try:
         return Form(chart, degree, map(parse_term, terms))
@@ -430,7 +432,7 @@ OMEGAS = {
 @_config_errors()
 def _base_pair(args: argparse.Namespace) -> tuple[str, Chart, Bivector, Tensor11]:
     name = args.model or next(iter(BASES))
-    return (name, *_builder(BASES, name, f"unknown deformation base {name!r}; known bases")(args))
+    return (name, *_builder(BASES, name, "deformation base", "known bases")(args))
 
 
 @_config_errors()
@@ -442,7 +444,7 @@ def _omega_source(args: argparse.Namespace, chart: Chart) -> Form:
         return omega
     if args.omega is None:
         raise ConfigError(f"deform needs --omega or an omega_form config entry; names: {', '.join(OMEGAS)}")
-    return _builder(OMEGAS, args.omega, f"unknown omega source {args.omega!r}; names")(args, chart)
+    return _builder(OMEGAS, args.omega, "omega source", "names")(args, chart)
 
 
 def cmd_deform(args: argparse.Namespace) -> int:

@@ -345,10 +345,10 @@ class Tensor11(_Matrix):
         return [VectorField(self.chart, column) for column in columns]
 
     def _rows(self) -> dict[int, list[tuple[int, ScalarField]]]:
-        """The stored entries by row, ``{i: [(j, N^i_j), ...]}``, each row in ascending j."""
+        """The stored entries by row, ``{i: [(j, N^i_j), ...]}``, in storage order."""
         rows: dict[int, list[tuple[int, ScalarField]]] = {}
-        for (i, j) in sorted(self.coeffs):
-            rows.setdefault(i, []).append((j, self.coeffs[(i, j)]))
+        for (i, j), value in self.terms():
+            rows.setdefault(i, []).append((j, value))
         return rows
 
     def apply(self, vector: VectorField) -> VectorField:

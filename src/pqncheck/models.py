@@ -39,6 +39,7 @@ from .scalar import (
     Const,
     ZeroTestConfig,
     _all_zero,
+    _quoted,
     parse_prefix,
     parse_prefix_tree,
     substitute,
@@ -158,12 +159,12 @@ def potential(spec) -> Node:
         def resolve(token: str) -> Node:
             if token == _POTENTIAL_SYMBOL:
                 return Coord(0)
-            raise UnsupportedExpressionError(f"unknown symbol {token!r} in a potential")
+            raise UnsupportedExpressionError(f"unknown symbol {_quoted(token)} in a potential")
 
         return parse_prefix_tree(spec, resolve)
     if isinstance(spec, (int, Fraction)):
         return Const(Fraction(spec))
-    raise UnsupportedExpressionError(f"cannot interpret potential spec {spec!r}")
+    raise UnsupportedExpressionError(f"cannot interpret potential spec {_quoted(spec)}")
 
 
 def _pair_fields(chart: Chart, potentials: Mapping[tuple[int, int], object]) -> dict[tuple[int, int], ScalarField]:

@@ -52,6 +52,12 @@ from .errors import (
 RationalLike = Union[int, Fraction]
 
 
+def _quoted(value) -> str:
+    """``repr(value)`` for a message, cut after 80 characters and marked ``...``: an input may be any size."""
+    shown = repr(value)
+    return shown if len(shown) <= 80 else shown[:80] + "..."
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -105,8 +111,10 @@ class Record:
         return type(self), self._values()
 
     def replace(self, **changes):
-        """A copy with the named fields changed, validated again by ``__init__``."""
-        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+        """A copy with the named fields changed, passed by position like ``__reduce__`` and validated again."""
+        if not changes.keys() <= set(self._fields):
+            raise TypeError(f"{type(self).__name__} has only the fields {', '.join(self._fields)}")
+        return type(self)(*[changes.get(name, value) for name, value in zip(self._fields, self._values())])
 
 
 class Chart(Record):
@@ -120,9 +128,9 @@ class Chart(Record):
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 1:
-            raise ValueError(f"particle count must be a positive integer, got {n!r}")
+            raise ValueError(f"particle count must be a positive integer, got {_quoted(n)}")
         if 2 * n > sys.maxsize:
-            raise ValueError(f"particle count {n} is too large: the chart's 2n coordinates cannot be indexed")
+            raise ValueError(f"particle count {_quoted(n)} is too large: its 2n coordinates cannot be indexed")
         object.__setattr__(self, "n", n)
 
     def __eq__(self, other):
@@ -1142,7 +1150,7 @@ def _zero_verdict(name: str, fields: Iterable[ScalarField], config: ZeroTestConf
 
     Every field is decided by :func:`_nonzero_fields`.  A failing verdict is witnessed on each field
     proved nonzero by the exact test's own integer form (:func:`_exact_witness`), and takes residual,
-    witness and points tried from the field with the largest residual.
+    witness and points tried from the field with the largest residual: on a tie, the first in ``fields``.
     """
     mode, nonzero = _nonzero_fields(name, fields, config.seed)
     if not nonzero:
@@ -1211,30 +1219,30 @@ def parse_prefix_tree(text: str, resolve: Callable[[str], Node]) -> Node:
     def parse() -> Node:
         nonlocal pos
         if pos >= len(tokens):
-            raise UnsupportedExpressionError(f"unexpected end of expression: {text!r}")
+            raise UnsupportedExpressionError(f"unexpected end of expression: {_quoted(text)}")
         token = tokens[pos]
         pos += 1
         if token == ")":
-            raise UnsupportedExpressionError(f"unexpected ')' in {text!r}")
+            raise UnsupportedExpressionError(f"unexpected ')' in {_quoted(text)}")
         if token != "(":
             if re.match(_RATIONAL_RE, token):
                 try:
                     return Const(Fraction(token))
                 except ZeroDivisionError:
-                    raise UnsupportedExpressionError(f"zero denominator in {token!r}") from None
+                    raise UnsupportedExpressionError(f"zero denominator in {_quoted(token)}") from None
             node = resolve(token)
             if isinstance(node, Coord):
                 names[node.index] = token
             return node
         if pos >= len(tokens):
-            raise UnsupportedExpressionError(f"unterminated '(' in {text!r}")
+            raise UnsupportedExpressionError(f"unterminated '(' in {_quoted(text)}")
         op = tokens[pos]
         pos += 1
         args: list[Node] = []
         while pos < len(tokens) and tokens[pos] != ")":
             args.append(parse())
         if pos >= len(tokens):
-            raise UnsupportedExpressionError(f"unterminated '(' in {text!r}")
+            raise UnsupportedExpressionError(f"unterminated '(' in {_quoted(text)}")
         pos += 1  # consume ')'
         if op == "+":
             return Sum(tuple(args))
@@ -1250,11 +1258,11 @@ def parse_prefix_tree(text: str, resolve: Callable[[str], Node]) -> Node:
             # Checked here, where the coordinates' names as written are known.
             _affine(_poly(args[0]), lambda index: names.get(index, f"x{index + 1}"))
             return Exp(args[0])
-        raise UnsupportedExpressionError(f"unknown operator {op!r}")
+        raise UnsupportedExpressionError(f"unknown operator {_quoted(op)}")
 
     tree = parse()
     if pos != len(tokens):
-        raise UnsupportedExpressionError(f"trailing tokens in {text!r}")
+        raise UnsupportedExpressionError(f"trailing tokens in {_quoted(text)}")
     return tree
 
 
@@ -1268,11 +1276,11 @@ def parse_prefix(text: str, chart: Chart) -> ScalarField:
             try:
                 index = chart.q_index(i) if m.group(1) == "q" else chart.p_index(i)
             except IndexError as exc:
-                raise UnsupportedExpressionError(f"coordinate {token!r} does not exist: {exc}") from exc
+                raise UnsupportedExpressionError(f"no coordinate {_quoted(token)} on a chart with n={chart.n}") from exc
             return Coord(index)
-        raise UnsupportedExpressionError(f"unknown symbol {token!r}")
+        raise UnsupportedExpressionError(f"unknown symbol {_quoted(token)}")
 
     try:
         return ScalarField(chart, parse_prefix_tree(text, resolve))
     except RecursionError:  # parsing and normalizing recurse once per level of nesting
-        raise UnsupportedExpressionError(f"expression nested too deeply: {text[:40]!r}...") from None
+        raise UnsupportedExpressionError(f"expression nested too deeply: {_quoted(text)}") from None

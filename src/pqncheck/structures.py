@@ -4,9 +4,11 @@ A geometric structure is a chart together with a Poisson candidate, a (1,1)
 tensor, and a 3-form controlling its torsion (the zero form for torsionless
 candidates).  Checkers return :class:`CheckReport` objects: one entry per
 axiom, each the zero test of :func:`pqncheck.scalar.is_zero` on the axiom's
-fields, decided structurally ("symbolic": the normalized difference is the
-zero polynomial) or by exact integer evaluation at seeded points ("exact",
-see :func:`pqncheck.scalar.exact_zero`).  A failing entry's witness is a
+values (scalar fields, forms, vector fields and (1,1) tensors), whose fields
+are the stored coefficients of each value in sorted key order.  A field is
+decided structurally ("symbolic": the normalized difference is the zero
+polynomial) or by exact integer evaluation at seeded points ("exact", see
+:func:`pqncheck.scalar.exact_zero`).  A failing entry's witness is a
 whole-number point where that test's integer form proves a field nonzero,
 and its residual |value| there.  A field the exact test cannot decide ends
 the check with :class:`pqncheck.errors.ConfigError`.  The PN/PqN
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .calculus import (
     cartan_d,
@@ -125,33 +127,27 @@ class CheckReport(Record):
         }
 
 
-def _zero_axiom(
-    axiom: str,
-    fields: Iterable[ScalarField],
-    config: ZeroTestConfig,
-    detail: str | None = None,
-) -> AxiomCheck:
-    """The zero test of every field (``scalar._zero_verdict``) as the entry of ``axiom``.
+def _zero_axiom(axiom: str, values: Iterable, config: ZeroTestConfig, detail: str | None = None) -> AxiomCheck:
+    """The zero test (``scalar._zero_verdict``) of every field of ``values`` as the entry of ``axiom``.
 
-    Every zero verdict of a report entry or off-diagonal involutivity cell is made here.
+    Every zero verdict of a report entry or off-diagonal involutivity cell is made here, on the
+    fields :func:`_verdict_fields` reads from the values.
     """
-    mode, verdict = _zero_verdict(axiom, fields, config)
+    mode, verdict = _zero_verdict(axiom, _verdict_fields(values), config)
     return AxiomCheck(axiom, verdict.is_zero, mode, verdict.residual, verdict.witness, verdict.samples, detail)
 
 
-def _vector_components(vectors: Iterable[VectorField]) -> list[ScalarField]:
-    """The nonzero components of each vector field, in ascending index order."""
-    out: list[ScalarField] = []
-    for v in vectors:
-        out.extend(v.coeffs[i] for i in sorted(v.coeffs))
-    return out
+def _verdict_fields(values: Iterable) -> Iterator[ScalarField]:
+    """A scalar field itself; of a form, vector field or (1,1) tensor, each stored coefficient in sorted key order.
 
-
-def _form_components(forms: Iterable[Form]) -> list[ScalarField]:
-    out: list[ScalarField] = []
-    for f in forms:
-        out.extend(coeff for _, coeff in f.terms())
-    return out
+    The one place a value becomes the fields a verdict reads.  Their order picks the witness of a
+    tie in residual and the field an undecided test names, so no operator's term order reaches it.
+    """
+    for value in values:
+        if isinstance(value, ScalarField):
+            yield value
+        else:
+            yield from (value.coeffs[key] for key in sorted(value.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +195,14 @@ def check_poisson(pi: Bivector, config: ZeroTestConfig | None = None) -> CheckRe
 
 
 def _compatibility_entries(
-    pi: Bivector, tensor: Tensor11, cfg: ZeroTestConfig
+    pi: Bivector, tensor: Tensor11, induced: Tensor11, cfg: ZeroTestConfig
 ) -> tuple[AxiomCheck, AxiomCheck]:
     chart = pi.chart
-    dim = chart.dim
     # Condition 1: composing the tensor with the raising map equals raising the
     # transposed action, N P = P N^T for the matrix P of pi_sharp.  As P^T = -P,
-    # P N^T = -(N P)^T, so this is the antisymmetry of N P, the raising matrix
-    # of the induced bivector.
-    cond1 = _zero_axiom("compatibility-musical", _symmetric_part(tensor @ _musical_matrix(pi)), cfg)
+    # P N^T = -(N P)^T, so this is the antisymmetry of ``induced`` = N P, the
+    # raising matrix of the induced bivector.
+    cond1 = _zero_axiom("compatibility-musical", _symmetric_part(induced), cfg)
 
     # Condition 2, L_{pi# a}(N) X - pi#(L_X (a o N)) + pi#(L_{NX} a) = 0, on the
     # coordinate pairs (dx_i, e_j) only.  The left side is always C^inf-linear
@@ -216,15 +211,14 @@ def _compatibility_entries(
     # and Magri, Ann. IHP 53, 1990), so its values on coordinate pairs decide it
     # everywhere.  When condition 1 fails, the overall verdict fails with it.
     # On (dx_i, e_j) the last two terms are -pi#(i_{e_j} d(dx_i o N)), so the defect is
-    # column j of the (1,1) tensor L_{pi# dx_i} N - pi# o (d(dx_i o N))_flat.
-    defects: list[VectorField] = []
-    for i in range(dim):
+    # column j of the (1,1) tensor L_{pi# dx_i} N - pi# o (d(dx_i o N))_flat; each tensor is tested whole.
+    concomitants: list[Tensor11] = []
+    for i in range(chart.dim):
         alpha = dx(chart, i)
         concomitant = lie_derivative(pi_sharp(pi, alpha), tensor)
-        concomitant -= pi_sharp_omega_flat(pi, cartan_d(tensor_interior(tensor, alpha)))
-        defects.extend(concomitant.columns())
+        concomitants.append(concomitant - pi_sharp_omega_flat(pi, cartan_d(tensor_interior(tensor, alpha))))
     detail = None if cond1.passed else "assumes compatibility-musical, which failed"
-    cond2 = _zero_axiom("compatibility-bracket", _vector_components(defects), cfg, detail)
+    cond2 = _zero_axiom("compatibility-bracket", concomitants, cfg, detail)
     return cond1, cond2
 
 
@@ -243,10 +237,10 @@ def check_pn(pi: Bivector, tensor: Tensor11, config: ZeroTestConfig | None = Non
     cfg = config or ZeroTestConfig()
     chart = pi.chart
     entries: list[AxiomCheck] = list(check_poisson(pi, cfg).entries)
-    entries.extend(_compatibility_entries(pi, tensor, cfg))
-    torsion_fields = _vector_components(nijenhuis_torsion(tensor).values())
-    entries.append(_zero_axiom("torsion-vanishes", torsion_fields, cfg))
-    antisymmetry, jacobiators = _bracket_fields(tensor @ _musical_matrix(pi))
+    induced = tensor @ _musical_matrix(pi)
+    entries.extend(_compatibility_entries(pi, tensor, induced, cfg))
+    entries.append(_zero_axiom("torsion-vanishes", nijenhuis_torsion(tensor).values(), cfg))
+    antisymmetry, jacobiators = _bracket_fields(induced)
     entries.append(_zero_axiom("induced-bivector-poisson", antisymmetry + jacobiators, cfg))
     return CheckReport("pn", chart, cfg, tuple(entries))
 
@@ -268,24 +262,19 @@ def check_pqn(structure: GeometricStructure, config: ZeroTestConfig | None = Non
     chart = structure.chart
     pi, tensor, phi = structure.poisson, structure.tensor, structure.torsion_form
     entries: list[AxiomCheck] = list(check_poisson(pi, cfg).entries)
-    entries.extend(_compatibility_entries(pi, tensor, cfg))
-    entries.append(_zero_axiom("phi-closed", _form_components([cartan_d(phi)]), cfg))
-    entries.append(
-        _zero_axiom("i_N-phi-closed", _form_components([cartan_d(tensor_interior(tensor, phi))]), cfg)
-    )
+    entries.extend(_compatibility_entries(pi, tensor, tensor @ _musical_matrix(pi), cfg))
+    entries.append(_zero_axiom("phi-closed", [cartan_d(phi)], cfg))
+    entries.append(_zero_axiom("i_N-phi-closed", [cartan_d(tensor_interior(tensor, phi))], cfg))
     # pi#(i_{e_j ^ e_k} phi) = pi#(i_{e_k} i_{e_j} phi) is column k of pi# o (i_{e_j} phi)_flat.
     raised = [pi_sharp_omega_flat(pi, interior(VectorField.basis(chart, j), phi)).columns() for j in range(chart.dim)]
     defects = [value - raised[j][k] for (j, k), value in nijenhuis_torsion(tensor).items()]
-    entries.append(_zero_axiom("torsion-identity", _vector_components(defects), cfg))
+    entries.append(_zero_axiom("torsion-identity", defects, cfg))
     rng = random.Random(cfg.seed)
     square_defects: list[Form] = []
     for _ in range(5):
-        f = random_scalar_field(chart, rng, allow_exp=True)
-        f_form = Form.from_scalar(f)
-        lhs = nijenhuis_d(tensor, nijenhuis_d(tensor, f_form))
-        rhs = koszul_bracket(pi, phi, f_form)
-        square_defects.append(lhs - rhs)
-    entries.append(_zero_axiom("dN-squared-is-phi-bracket", _form_components(square_defects), cfg))
+        f = Form.from_scalar(random_scalar_field(chart, rng, allow_exp=True))
+        square_defects.append(nijenhuis_d(tensor, nijenhuis_d(tensor, f)) - koszul_bracket(pi, phi, f))
+    entries.append(_zero_axiom("dN-squared-is-phi-bracket", square_defects, cfg))
     return CheckReport("pqn", chart, cfg, tuple(entries))
 
 
@@ -312,8 +301,7 @@ def _require_closed(pi: Bivector, tensor: Tensor11, omega: Form, cfg: ZeroTestCo
         raise DegreeError(f"the deforming form must be a 2-form, got degree {omega.degree}")
     if omega.chart != pi.chart or tensor.chart != pi.chart:
         raise ChartMismatchError("deformation inputs live on different charts")
-    d_omega = cartan_d(omega)
-    entry = _zero_axiom("omega-closed", _form_components([d_omega]), cfg)
+    entry = _zero_axiom("omega-closed", [cartan_d(omega)], cfg)
     if not entry.passed:
         raise HypothesisViolationError(
             "the deforming 2-form is not closed", witness=entry.witness, residual=entry.residual
@@ -348,7 +336,7 @@ def deform(
     cfg = config or ZeroTestConfig()
     closed_entry = _require_closed(pi, tensor, omega, cfg)
     n_hat, phi = _deformation(pi, tensor, omega)
-    classification = "PN" if _all_zero("phi-vanishes", _form_components([phi]), cfg.seed) else "PqN"
+    classification = "PN" if _all_zero("phi-vanishes", _verdict_fields([phi]), cfg.seed) else "PqN"
     pqn_report = check_pqn(GeometricStructure(pi.chart, pi, n_hat, phi), cfg)
     report = CheckReport(
         "deform",
@@ -375,7 +363,7 @@ def deform_to_pn(
     pi, tensor = structure.poisson, structure.tensor
     closed_entry = _require_closed(pi, tensor, omega, cfg)
     n_hat, phi = _deformation(pi, tensor, omega)
-    cancel_entry = _zero_axiom("phi-cancellation", _form_components([phi + structure.torsion_form]), cfg)
+    cancel_entry = _zero_axiom("phi-cancellation", [phi + structure.torsion_form], cfg)
     pn_report = check_pn(pi, n_hat, cfg)
     report = CheckReport(
         "deform-to-pn",
@@ -435,7 +423,7 @@ def recursion_check(
     entries = []
     for k in range(1, k_max):
         defect = differential(invariants[k]) - tensor_interior(tensor, differential(invariants[k - 1]))
-        entries.append(_zero_axiom(f"recursion-H{k}-H{k + 1}", _form_components([defect]), cfg))
+        entries.append(_zero_axiom(f"recursion-H{k}-H{k + 1}", [defect], cfg))
     return CheckReport("recursion", tensor.chart, cfg, tuple(entries))
 
 

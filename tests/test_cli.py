@@ -483,6 +483,10 @@ HUGE_N = str(10**20)
 ZERO_AS_A_FUNCTION_BASE = "(^ (+ (* (exp q1) (^ (+ (exp q1) 1) -1)) (^ (+ (exp q1) 1) -1) -1) -1)"
 
 
+# An input a config error must quote by a bounded prefix, not whole.
+LONG = "z" * 12000
+
+
 def _nested(depth: int, atom: str) -> str:
     """``atom`` inside ``depth`` one-term sums."""
     return "(+ " * depth + atom + ")" * depth
@@ -528,6 +532,14 @@ class TestBadInput:
             ("involutivity", "--model", "pair-potential", "--config", {"n": 10**20, "potentials": {"1,2": "x"}}),
             ("deform", "--model", "canonical", "--omega", "toda", "--n", HUGE_N),
             ("deform", "--model", "open-toda", "--omega", "toda", "--n", HUGE_N),
+            # Inputs of 12,000 characters, each quoted by a bounded prefix.
+            ("check", "--model", "two-particle", "--v", f"(+ q1 {LONG})"),
+            ("check", "--model", "two-particle", "--v", "(+ q1" + " q2" * 4000),
+            ("check", "--model", "two-particle", "--v", "q1" + " q2" * 4000),
+            ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": {"1,2": f"(+ x {LONG})"}}),
+            ("check", "--model", LONG, "--n", "2"),
+            ("check", "--model", "closed-toda", "--n", "7" * 12000),
+            ("check", "--model", "closed-toda", "--n", LONG),
         ],
     )
     def test_rejected_value_is_a_one_line_config_error(self, argv, tmp_path, capsys):
@@ -536,6 +548,7 @@ class TestBadInput:
         assert len(err.splitlines()) == 1
         assert err.startswith("config error: ")
         assert "Traceback" not in err
+        assert len(err.encode("utf-8")) < 300
 
     @pytest.mark.parametrize(
         "argv",

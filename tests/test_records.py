@@ -122,6 +122,12 @@ def test_records_refuse_assignment(values, name, field):
         delattr(values[name], field)
 
 
+@pytest.mark.parametrize("name", [name for name in CLASSES if name != "ScalarField"])
+def test_replace_with_no_change_is_equal(values, name):
+    value = values[name]
+    assert value.replace() == value
+
+
 def test_replace_validates_again():
     with pytest.raises(ValueError, match="sample_count"):
         ZeroTestConfig().replace(sample_count=0)

@@ -330,8 +330,9 @@ PINS = [
     Pin("deform --model open-toda --omega omega-hat --n 4 --format json",
         0, SYMBOLIC, TIER_1, "000fef0fce0b8e472e950f0e5dacb4435156634e1c17b871a2a9730c294d8359"),
 
-    # The largest reports, about 71 s together as subprocesses on 2 vCPUs, of which deform at n = 64
-    # takes about 47 s and check at closed Toda n = 128 about 11 s.  Every Toda entry and cell is symbolic.
+    # The 11 largest reports, about 82 s together as subprocesses on 2 vCPUs, of which deform at n = 64
+    # takes about 48 s and check at closed and open Toda n = 128 about 10 s each.  Every Toda entry and
+    # cell is symbolic.
     Pin("involutivity --model calogero --n 6 --kmax 6 --format json",
         0, EXACT_AND_SYMBOLIC, CI, "09a8ea4093a8a61c8b48727987f7a7cca1be9eb84f2dc210cb94534a56361966"),
     Pin("involutivity --model closed-toda --n 8 --kmax 8 --format json",
@@ -352,6 +353,8 @@ PINS = [
         0, SYMBOLIC, CI, "f88e26fa349e474aae5549272d248886ba987b0552d04bf26e28fda010f7cf45"),
     Pin("check --model closed-toda --n 128 --format json",
         0, SYMBOLIC, CI, "c9118cbd9e6c46a39bcf44209d0ecb6d6f848c893d9f84d9590d881363f55a38"),
+    Pin("check --model open-toda --n 128 --format json",
+        0, SYMBOLIC, CI, "35e768bc7474d35afe90a0f640e157365a3e65bad44be429e6f46c979b0beacf"),
 ]
 
 

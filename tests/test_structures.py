@@ -521,6 +521,54 @@ def test_raising_matrix_and_partials_are_built_once(monkeypatch, factory, check)
     assert len(bundle.tensor.partials()) == bundle.chart.dim
 
 
+@pytest.mark.parametrize(
+    "factory, check",
+    [
+        (closed_toda, lambda bundle: check_pqn(bundle.structure())),
+        (open_toda, lambda bundle: check_pn(bundle.poisson, bundle.tensor)),
+    ],
+    ids=["check_pqn-closed-toda", "check_pn-open-toda"],
+)
+def test_tensor_composes_with_the_raising_matrix_once(monkeypatch, factory, check):
+    bundle = factory(4)
+    raising, matmul = _musical_matrix(bundle.poisson), Tensor11.__matmul__
+    right_operands = []
+
+    def counting(left, right):
+        right_operands.append(right)
+        return matmul(left, right)
+
+    monkeypatch.setattr(Tensor11, "__matmul__", counting)
+    check(bundle)
+    assert sum(right is raising for right in right_operands) == 1
+
+
+class TestVerdictFieldOrder:
+    """A value's fields reach the zero test in sorted key order, whatever order its terms were stored in."""
+
+    @pytest.fixture
+    def tied(self, chart2):
+        # q1 - 11 is zero at the first point the witness search tries and 7/5 q2 is not: both reach
+        # residual 7, at different points, so the field read first supplies the entry.
+        return parse_prefix("(+ q1 -11)", chart2), parse_prefix("(* 7/5 q2)", chart2)
+
+    @pytest.mark.parametrize("kind", ["form", "vector", "tensor"])
+    def test_entry_reads_coefficients_in_sorted_key_order(self, chart2, tied, kind):
+        a, b = tied
+        value = {
+            "form": lambda: Form(chart2, 2, {(1, 3): a, (0, 2): b}),
+            "vector": lambda: VectorField(chart2, {3: a, 0: b}),
+            "tensor": lambda: Tensor11(chart2, {(1, 0): a, (0, 2): b}),
+        }[kind]()
+        config = ZeroTestConfig()
+        entry = _zero_axiom("x", [value], config)
+        assert entry == _zero_axiom("x", [value.coeffs[key] for key in sorted(value.coeffs)], config)
+        assert entry != _zero_axiom("x", [value.coeffs[key] for key in sorted(value.coeffs, reverse=True)], config)
+        rebuilt = value.replace(coeffs=dict(reversed(value.coeffs.items())))
+        assert rebuilt == value and list(rebuilt.coeffs) != list(value.coeffs)
+        assert _zero_axiom("x", [rebuilt], config) == entry
+
+
 class TestDeform:
     def test_identity_deforms_to_momentum_tensor(self, chart2):
         pi = canonical_poisson(chart2)
