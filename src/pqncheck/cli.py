@@ -25,7 +25,7 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import __version__, models
 from .errors import (
@@ -37,7 +37,7 @@ from .errors import (
     UnsupportedExpressionError,
 )
 from .exterior import Bivector, Form, Tensor11
-from .scalar import Chart, ZeroTestConfig, _quoted, parse_prefix
+from .scalar import Chart, ZeroTestConfig, _cut, _quoted, parse_prefix
 from .structures import (
     AxiomCheck,
     CheckReport,
@@ -120,10 +120,10 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except OSError as exc:  # its own text repeats the path whole
+        raise ConfigError(f"cannot read config file {_cut(path)}: {exc.strerror}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested past the recursion limit
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config file {_cut(path)} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("the config file must hold a JSON object")
     unknown = set(data) - set(_SETTINGS)
@@ -269,7 +269,7 @@ def serialize_tensor(tensor: Tensor11) -> dict:
     return {"matrix": [[entry.to_prefix() for entry in row] for row in tensor.entries]}
 
 
-def _emit(args: argparse.Namespace, zero_cfg: ZeroTestConfig, passed: bool, body: dict, lines: list[str]) -> int:
+def _emit(args: argparse.Namespace, zero_cfg: ZeroTestConfig, passed: bool, body: dict) -> int:
     """Write a report under the run's header with its overall verdict; return the exit code."""
     payload = {
         "tool_version": __version__,
@@ -277,49 +277,70 @@ def _emit(args: argparse.Namespace, zero_cfg: ZeroTestConfig, passed: bool, body
         **body,
         "overall": "pass" if passed else "fail",
     }
-    if args.format == "json":
-        content = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    else:
-        content = "\n".join(lines + [f"OVERALL: {'PASS' if passed else 'FAIL'}"]) + "\n"
+    content = json.dumps(payload, sort_keys=True, indent=2) + "\n" if args.format == "json" else _text(payload)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(content)
-        except OSError as exc:
-            raise ConfigError(f"cannot write the report to {args.out}: {exc}") from exc
+        except OSError as exc:  # its own text repeats the path whole
+            raise ConfigError(f"cannot write the report to {_cut(args.out)}: {exc.strerror}") from exc
     else:
         sys.stdout.write(content)
     return 0 if passed else 1
 
 
-def _emit_report(
-    args: argparse.Namespace,
-    zero_cfg: ZeroTestConfig,
-    report: CheckReport,
-    body: dict,
-    lines: list[str],
-    phi: Form | None = None,
-) -> int:
-    """The tail of every command: the report's entries, then ``phi`` if given, then the verdict."""
-    body = {**body, "entries": [entry.as_dict(report.chart) for entry in report.entries]}
-    lines = lines + _entry_lines(report)
-    if phi is not None:
-        body["phi"] = serialize_form(phi)
-        lines.append(f"phi terms: {len(phi.coeffs)}")
-    return _emit(args, zero_cfg, report.overall, body, lines)
+def _emit_report(args: argparse.Namespace, zero_cfg: ZeroTestConfig, report: CheckReport, body: dict) -> int:
+    """The tail of every command but a failed deformation: ``body`` with the report's entries, then the verdict."""
+    entries = [entry.as_dict(report.chart) for entry in report.entries]
+    return _emit(args, zero_cfg, report.overall, {**body, "entries": entries})
 
 
-def _entry_lines(report: CheckReport) -> list[str]:
-    lines = []
-    for entry in report.entries:
-        status = "PASS" if entry.passed else "FAIL"
-        line = f"{status:4s} {entry.axiom:32s} mode={entry.mode:8s} residual={entry.residual:.3e}"
-        if entry.witness is not None and not entry.passed:
-            line += f" witness={entry.witness.labelled(report.chart)}"
-        if entry.detail:
-            line += f" ({entry.detail})"
-        lines.append(line)
-    return lines
+def _setting_text(value) -> str:
+    """A setting as a text header shows it: couplings comma-separated, a mapping as compact JSON."""
+    if isinstance(value, list):
+        return ",".join(value)
+    return json.dumps(value, sort_keys=True, separators=(",", ":")) if isinstance(value, dict) else str(value)
+
+
+def _chart_order(witness: dict | None) -> dict | None:
+    """A witness point keyed in its chart's coordinate order, q1..qn then p1..pn."""
+    return None if witness is None else {name: witness[name] for name in Chart(len(witness) // 2).coordinate_names()}
+
+
+def _text(payload: dict) -> str:
+    """The text report of the JSON ``payload``, read from it alone, whatever the order of its keys."""
+    return "".join(f"{line}\n" for line in _text_lines(payload))
+
+
+def _text_lines(payload: dict) -> Iterator[str]:
+    """A header naming the command, settings and outcome; then each part the payload holds; then the verdict."""
+    config = payload["config"]
+    settings = [f"{key}={_setting_text(config[key])}" for key in _SETTINGS if key in config]
+    settings += [f"{field}={config['zero_test'][field]}" for field in _ZERO_TEST_KEYS.values()]
+    if "matrix" in payload:
+        outcome = f"involutivity up to k={payload['matrix']['size']}"
+    else:
+        base = f", base={payload['base']}" if "base" in payload else ""
+        outcome = payload.get("error") or f"classified {payload['classification']}{base}"
+    yield f"{' '.join([config['command'], *settings])}: {outcome}"
+    if "matrix" in payload:
+        size, cells = payload["matrix"]["size"], payload["matrix"]["cells"]
+        yield "      " + " ".join(f"H{k:<10d}" for k in range(1, size + 1))
+        for j in range(1, size + 1):
+            row = (cells[f"{j},{k}"] for k in range(1, size + 1))
+            marks = (f"{'0' if cell['zero'] else 'X'}:{cell['residual']:.1e}" for cell in row)
+            yield f"H{j:<4d} " + " ".join(f"{mark:<11s}" for mark in marks)
+    for entry in payload.get("entries", ()):
+        verdict, witness, detail = entry["verdict"], entry["witness"], entry.get("detail")
+        line = f"{verdict.upper():4s} {entry['axiom']:32s} mode={entry['mode']:8s} residual={entry['residual']:.3e}"
+        if witness is not None and verdict == "fail":
+            line += f" witness={_chart_order(witness)}"
+        yield line + (f" ({detail})" if detail else "")
+    if "phi" in payload:
+        yield f"phi terms: {len(payload['phi']['terms'])}"
+    if "error" in payload:
+        yield f"FAIL omega-closed: witness={_chart_order(payload['witness'])} residual={payload['residual']:.3e}"
+    yield f"OVERALL: {payload['overall'].upper()}"
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +357,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         report = check_pqn(bundle.structure(), zero_cfg)
     expected = args.expect or classification
-    class_entry = AxiomCheck(
-        "structure-class",
-        classification == expected,
-        "symbolic",
-        0.0,
-        None,
-        0,
-        detail=f"computed {classification}, expected {expected}",
-    )
+    detail = f"computed {classification}, expected {expected}"
+    class_entry = AxiomCheck("structure-class", classification == expected, "symbolic", 0.0, None, 0, detail)
     report = CheckReport(report.name, report.chart, report.config, report.entries + (class_entry,))
-    lines = [f"model {bundle.name} (n={bundle.chart.n}): classified {classification}"]
-    return _emit_report(args, zero_cfg, report, {"classification": classification}, lines)
+    return _emit_report(args, zero_cfg, report, {"classification": classification})
 
 
 def cmd_involutivity(args: argparse.Namespace) -> int:
@@ -382,17 +395,7 @@ def cmd_involutivity(args: argparse.Namespace) -> int:
         detail = f"worst cell ({j}, {k}); nonzero pairs: {matrix.nonzero_pairs()}"
         entries.append(worst.replace(axiom="non-involutivity-witnessed", passed=not worst.passed, detail=detail))
     report = CheckReport("involutivity", bundle.chart, zero_cfg, tuple(entries))
-    lines = [f"model {bundle.name} (n={bundle.chart.n}): involutivity up to k={k_max}"]
-    header = "      " + " ".join(f"H{k:<10d}" for k in range(1, k_max + 1))
-    lines.append(header)
-    for j in range(1, k_max + 1):
-        cells = []
-        for k in range(1, k_max + 1):
-            cell = matrix.cell(j, k)
-            mark = "0" if cell.passed else "X"
-            cells.append(f"{mark}:{cell.residual:.1e}")
-        lines.append(f"H{j:<4d} " + " ".join(f"{c:<11s}" for c in cells))
-    return _emit_report(args, zero_cfg, report, {"matrix": matrix.as_dict()}, lines)
+    return _emit_report(args, zero_cfg, report, {"matrix": matrix.as_dict()})
 
 
 def _chart_base(args: argparse.Namespace, tensor) -> tuple[Chart, Bivector, Tensor11]:
@@ -455,20 +458,11 @@ def cmd_deform(args: argparse.Namespace) -> int:
         result = deform(pi, base_tensor, omega, zero_cfg)
     except HypothesisViolationError as exc:
         witness = exc.witness.labelled(chart) if exc.witness is not None else None
-        body = {
-            "error": "the deforming 2-form is not closed",
-            "witness": witness,
-            "residual": exc.residual,
-        }
-        lines = [f"FAIL omega-closed: witness={witness} residual={exc.residual:.3e}"]
-        return _emit(args, zero_cfg, False, body, lines)
-    body = {
-        "classification": result.classification,
-        "base": base_name,
-        "n_hat": serialize_tensor(result.tensor),
-    }
-    lines = [f"deform base={base_name} (n={chart.n}): classified {result.classification}"]
-    return _emit_report(args, zero_cfg, result.report, body, lines, result.phi)
+        body = {"error": "the deforming 2-form is not closed", "witness": witness, "residual": exc.residual}
+        return _emit(args, zero_cfg, False, body)
+    body = {"classification": result.classification, "base": base_name, "n_hat": serialize_tensor(result.tensor)}
+    body["phi"] = serialize_form(result.phi)
+    return _emit_report(args, zero_cfg, result.report, body)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +502,7 @@ class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are config errors, so they print on one line."""
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ConfigError(_cut(message, 160))  # argparse quotes a flag or command whole
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -44,18 +44,19 @@ from .scalar import (
     parse_prefix_tree,
     substitute,
 )
-from .structures import GeometricStructure
+from .structures import GeometricStructure, _structure_class
 
 
 class ExpectedOutcome(Record):
     """What the checkers should conclude for a model.
 
     ``phi_closed_form`` is the induced 3-form in closed form, and the
-    structure class follows from it: ``"PN"`` exactly when it is missing or
-    zero, ``"PqN"`` otherwise.  ``involutive_up_to = k`` claims that H_1..H_k
-    pairwise Poisson-commute; ``non_involutive`` claims that some pair within
-    the default scan depth does not.  ``None``/``False`` make no claim either
-    way.
+    structure class follows from it by the rule :func:`structures.deform`
+    classifies by: ``"PN"`` exactly when it is missing or decided zero by the
+    exact zero test at the default seed, ``"PqN"`` otherwise.
+    ``involutive_up_to = k`` claims that H_1..H_k pairwise Poisson-commute;
+    ``non_involutive`` claims that some pair within the default scan depth
+    does not.  ``None``/``False`` make no claim either way.
     """
 
     __slots__ = _fields = ("involutive_up_to", "phi_closed_form", "non_involutive")
@@ -67,8 +68,7 @@ class ExpectedOutcome(Record):
 
     @property
     def structure_class(self) -> str:
-        """``"PN"`` when the closed-form 3-form is missing or zero, else ``"PqN"``."""
-        return "PN" if self.phi_closed_form is None or self.phi_closed_form.is_zero else "PqN"
+        return _structure_class(self.phi_closed_form, ZeroTestConfig().seed)
 
 
 class ModelBundle(Record):

@@ -52,10 +52,14 @@ from .errors import (
 RationalLike = Union[int, Fraction]
 
 
+def _cut(text: str, limit: int = 80) -> str:
+    """``text`` for a message, cut after ``limit`` characters and marked ``...``: an input may be any size."""
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def _quoted(value) -> str:
-    """``repr(value)`` for a message, cut after 80 characters and marked ``...``: an input may be any size."""
-    shown = repr(value)
-    return shown if len(shown) <= 80 else shown[:80] + "..."
+    """``repr(value)`` for a message, cut as :func:`_cut` cuts it."""
+    return _cut(repr(value))
 
 
 def _as_fraction(value) -> Fraction:

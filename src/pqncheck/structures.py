@@ -12,8 +12,8 @@ polynomial) or by exact integer evaluation at seeded points ("exact", see
 whole-number point where that test's integer form proves a field nonzero,
 and its residual |value| there.  A field the exact test cannot decide ends
 the check with :class:`pqncheck.errors.ConfigError`.  The PN/PqN
-classification of :func:`deform` reads the same decision without a witness
-search.  Reports are deterministic given the seed.
+classification of :func:`deform` and of a model's expected outcome reads the
+same decision without a witness search.  Reports are deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -309,6 +309,11 @@ def _require_closed(pi: Bivector, tensor: Tensor11, omega: Form, cfg: ZeroTestCo
     return entry
 
 
+def _structure_class(phi: Form | None, seed: int) -> str:
+    """``"PN"`` when the 3-form is missing or decided zero by the exact zero test, else ``"PqN"``."""
+    return "PN" if phi is None or _all_zero("phi-vanishes", _verdict_fields([phi]), seed) else "PqN"
+
+
 def _deformation(pi: Bivector, tensor: Tensor11, omega: Form) -> tuple[Tensor11, Form]:
     """The deformed tensor N + pi_sharp o omega_flat and its 3-form d_N omega + 1/2 [omega, omega]_pi."""
     n_hat = tensor + pi_sharp_omega_flat(pi, omega)
@@ -336,7 +341,6 @@ def deform(
     cfg = config or ZeroTestConfig()
     closed_entry = _require_closed(pi, tensor, omega, cfg)
     n_hat, phi = _deformation(pi, tensor, omega)
-    classification = "PN" if _all_zero("phi-vanishes", _verdict_fields([phi]), cfg.seed) else "PqN"
     pqn_report = check_pqn(GeometricStructure(pi.chart, pi, n_hat, phi), cfg)
     report = CheckReport(
         "deform",
@@ -344,7 +348,7 @@ def deform(
         cfg,
         (closed_entry,) + pqn_report.entries,
     )
-    return DeformResult(n_hat, phi, classification, report)
+    return DeformResult(n_hat, phi, _structure_class(phi, cfg.seed), report)
 
 
 def deform_to_pn(

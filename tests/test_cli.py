@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pqncheck import scalar
+from pqncheck import cli, scalar
 from pqncheck.cli import BASES, MODELS, OMEGAS, main, parse_form, serialize_form, serialize_tensor
 from pqncheck.models import closed_toda
 from pqncheck.scalar import Chart
@@ -19,10 +19,10 @@ def run_cli(*argv) -> int:
 
 
 def config_args(argv, tmp_path) -> list[str]:
-    """The CLI arguments with each dict written to a JSON config file in its place."""
+    """The CLI arguments with each dict or list written to a JSON config file in its place."""
     args = []
     for arg in argv:
-        if isinstance(arg, dict):
+        if isinstance(arg, (dict, list)):
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(arg), encoding="utf-8")
             arg = str(path)
@@ -92,6 +92,17 @@ class TestCheckCommand:
 
     def test_two_particle_via_flag(self):
         assert run_cli("check", "--model", "two-particle", "--v", "(* q1 q2)") == 0
+
+    def test_potential_zero_as_a_function_is_classified_pn(self, tmp_path):
+        # Its 3-form is zero as a function though not in canonical form; the exact test decides it.
+        out = tmp_path / "report.json"
+        v = "(+ (* (+ (^ q1 2) (* -1 (^ q2 2))) (^ (+ q1 (* -1 q2)) -1)) (* -1 q1) (* -1 q2))"
+        argv = ("check", "--model", "two-particle", "--v", v, "--expect", "pn", "--format", "json", "--out", str(out))
+        assert run_cli(*argv) == 0
+        report = read_json(out)
+        assert report["classification"] == "PN"
+        assert report["entries"][-1]["detail"] == "computed PN, expected PN"
+        assert "torsion-vanishes" in {e["axiom"] for e in report["entries"]}
 
     def test_text_format_lists_entries(self, capsys):
         assert run_cli("check", "--model", "canonical", "--n", "2") == 0
@@ -417,6 +428,24 @@ class TestDeformCommand:
         assert run_cli("deform", "--config", str(cfg)) == 1
         assert "omega-closed" in capsys.readouterr().out
 
+    def test_non_closed_form_text_report_renders_its_json(self, tmp_path, capsys):
+        # The header echoes the form and a mapping as compact JSON, whatever order the JSON report keys them in.
+        omega_form = {"degree": 2, "terms": [{"indices": [1, 2], "coeff": "p1"}]}
+        config = {"omega_form": omega_form, "potentials": {"1,2": "x"}}
+        argv = config_args(("deform", "--n", "2", "--config", config), tmp_path)
+        assert run_cli(*argv, "--format", "json") == 1
+        payload = strict_json(capsys.readouterr().out)
+        payload["config"]["format"] = "text"
+        assert run_cli(*argv, "--format", "text") == 1
+        text = capsys.readouterr().out
+        assert text == cli._text(payload)
+        assert text.splitlines() == [
+            'deform n=2 potentials={"1,2":"x"} omega_form={"degree":2,"terms":[{"coeff":"p1","indices":[1,2]}]} '
+            "format=text sample_count=50 seed=7: the deforming 2-form is not closed",
+            "FAIL omega-closed: witness={'q1': 11.0, 'q2': 5.0, 'p1': 13.0, 'p2': 2.0} residual=1.000e+00",
+            "OVERALL: FAIL",
+        ]
+
     def test_custom_closed_form_from_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
@@ -540,6 +569,24 @@ class TestBadInput:
             ("check", "--model", LONG, "--n", "2"),
             ("check", "--model", "closed-toda", "--n", "7" * 12000),
             ("check", "--model", "closed-toda", "--n", LONG),
+            ("check", "--model", "closed-toda", "--n", "3", f"--{LONG}"),
+            (LONG,),
+            # Paths no file can have; the OSError's own text would repeat each whole.
+            ("check", "--config", "z" * 5000),
+            ("check", "--model", "canonical", "--n", "1", "--out", "z" * 5000),
+            # A value of a type its setting does not take, in a config file.
+            ("check", "--n", "3", "--config", {"model": True}),
+            ("check", "--model", "closed-toda", "--n", "3", "--config", {"f": 5}),
+            ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": ["1,2", "x"]}),
+            ("deform", "--n", "2", "--config", {"omega_form": 5}),
+            # A malformed potential key, a config file holding a list, and a config file that cannot be read.
+            ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": {"1-2": "x"}}),
+            ("check", "--model", "closed-toda", "--n", "3", "--config", [{"model": "closed-toda"}]),
+            ("check", "--model", "closed-toda", "--n", "3", "--config", "/nonexistent/dir/cfg.json"),
+            # A particle count the model fixes otherwise, no model, and no trace order.
+            ("check", "--model", "two-particle", "--n", "3", "--v", "(* q1 q2)"),
+            ("check", "--n", "3"),
+            ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "0"),
         ],
     )
     def test_rejected_value_is_a_one_line_config_error(self, argv, tmp_path, capsys):

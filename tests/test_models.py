@@ -43,6 +43,19 @@ def test_structure_class_follows_the_three_form():
         ExpectedOutcome(structure_class="PqN")
 
 
+# (q1^2 - q2^2) / (q1 - q2) - q1 - q2: zero as a function, but not in canonical form.
+ZERO_AS_A_FUNCTION_V = "(+ (* (+ (^ q1 2) (* -1 (^ q2 2))) (^ (+ q1 (* -1 q2)) -1)) (* -1 q1) (* -1 q2))"
+
+
+def test_structure_class_is_the_exact_decision_deform_makes():
+    bundle = two_particle_model(ZERO_AS_A_FUNCTION_V)
+    assert not bundle.expected.phi_closed_form.is_zero
+    assert bundle.expected.structure_class == "PN"
+    chart = bundle.chart
+    result = deform(canonical_poisson(chart), canonical_nijenhuis(chart), bundle.omega)
+    assert (result.tensor, result.classification) == (bundle.tensor, "PN")
+
+
 class TestCanonical:
     def test_single_particle_is_momentum_times_identity(self):
         bundle = canonical_pn(1)
