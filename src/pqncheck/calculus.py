@@ -17,7 +17,6 @@ from .exterior import (
     Bivector,
     Form,
     Tensor11,
-    VectorField,
     _musical_matrix,
     interior,
     pi_sharp,
@@ -63,19 +62,20 @@ def _derived_differential(contract: Callable[[Form], Form], form: Form) -> Form:
     return contract(cartan_d(form)) - cartan_d(contract(form))
 
 
-def nijenhuis_torsion(tensor: Tensor11) -> dict[tuple[int, int], VectorField]:
-    """Torsion T(X,Y) = [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y]), as ``{(j, k): T(e_j, e_k)}`` for j < k.
+def nijenhuis_torsion(tensor: Tensor11) -> list[Form]:
+    """Torsion T(X,Y) = [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y]), as its component 2-forms T^i(X, Y) = T(X, Y)^i.
 
-    The coordinate pairs decide T everywhere: T(X, Y) = sum_{j<k} (X^j Y^k - X^k Y^j) T(e_j, e_k).
     In components T^i_{jk} = N^l_j d_l N^i_k - N^l_k d_l N^i_j - N^i_l (d_j N^l_k - d_k N^l_j).
     With the (1,1) tensors M_j = sum_l N^l_j d_l N - N d_j N, built from the tensor's kept
-    ``partials`` d_l N, this is T(e_j, e_k) = M_j e_k - M_k e_j: each pair reads two columns.
+    ``partials`` d_l N, this is T^i = sum_{j,k} M_j[i, k] dx_j ^ dx_k, antisymmetrized by the 2-form storage.
     """
-    dim = tensor.chart.dim
     dn = tensor.partials()
     m = [sum((dn[l] * v for l, v in column.terms()), -(tensor @ dn[j])) for j, column in enumerate(tensor.columns())]
-    m_columns = [m_j.columns() for m_j in m]
-    return {(j, k): m_columns[j][k] - m_columns[k][j] for j in range(dim) for k in range(j + 1, dim)}
+    terms: list[list] = [[] for _ in range(tensor.chart.dim)]
+    for j, m_j in enumerate(m):
+        for (i, k), value in m_j.terms():
+            terms[i].append(((j, k), value))
+    return [Form(tensor.chart, 2, component) for component in terms]
 
 
 def poisson_bracket(pi: Bivector, f: ScalarField | Form, g: ScalarField | Form) -> ScalarField:

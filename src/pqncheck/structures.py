@@ -35,10 +35,8 @@ from .exterior import (
     Bivector,
     Form,
     Tensor11,
-    VectorField,
     _musical_matrix,
     dx,
-    interior,
     lie_derivative,
     pi_sharp,
     pi_sharp_omega_flat,
@@ -239,7 +237,7 @@ def check_pn(pi: Bivector, tensor: Tensor11, config: ZeroTestConfig | None = Non
     entries: list[AxiomCheck] = list(check_poisson(pi, cfg).entries)
     induced = tensor @ _musical_matrix(pi)
     entries.extend(_compatibility_entries(pi, tensor, induced, cfg))
-    entries.append(_zero_axiom("torsion-vanishes", nijenhuis_torsion(tensor).values(), cfg))
+    entries.append(_zero_axiom("torsion-vanishes", nijenhuis_torsion(tensor), cfg))
     antisymmetry, jacobiators = _bracket_fields(induced)
     entries.append(_zero_axiom("induced-bivector-poisson", antisymmetry + jacobiators, cfg))
     return CheckReport("pn", chart, cfg, tuple(entries))
@@ -248,15 +246,14 @@ def check_pn(pi: Bivector, tensor: Tensor11, config: ZeroTestConfig | None = Non
 def check_pqn(structure: GeometricStructure, config: ZeroTestConfig | None = None) -> CheckReport:
     """Poisson quasi-Nijenhuis check.
 
-    Entries: Poisson + compatibility (decided on coordinate pairs, which is
-    complete once compatibility-musical holds; see :func:`check_pn`);
-    closedness of the 3-form and of its contraction with the tensor; the
-    torsion identity T(X, Y) = pi_sharp(i_{X^Y} phi) on all coordinate
-    pairs; and the square of the
-    tensor differential acting as the bracket with the 3-form on five random
-    functions drawn from the config seed.  That last entry covers functions
-    only, and only with probability; it is the one entry whose fields, not
-    just its sample points, depend on the seed.
+    Entries: Poisson + compatibility (decided on coordinate pairs, complete once
+    compatibility-musical holds; see :func:`check_pn`); closedness of the 3-form and of
+    its contraction with the tensor; the torsion identity T(X, Y) = pi_sharp(i_{X^Y} phi),
+    as the 2-form identity T^i = [phi, x_i]_pi on each coordinate x_i; and d_N^2 f = [phi, f]_pi
+    on five random functions drawn from the config seed, the one entry whose fields depend on
+    the seed.  That entry adds no condition: d_N^2 f - [phi, f]_pi = sum_i (d_i f) (T^i - [phi, x_i]_pi),
+    so it fails only when the torsion identity fails.  It cross-checks ``nijenhuis_d`` and
+    ``koszul_bracket`` against ``nijenhuis_torsion``.
     """
     cfg = config or ZeroTestConfig()
     chart = structure.chart
@@ -265,9 +262,9 @@ def check_pqn(structure: GeometricStructure, config: ZeroTestConfig | None = Non
     entries.extend(_compatibility_entries(pi, tensor, tensor @ _musical_matrix(pi), cfg))
     entries.append(_zero_axiom("phi-closed", [cartan_d(phi)], cfg))
     entries.append(_zero_axiom("i_N-phi-closed", [cartan_d(tensor_interior(tensor, phi))], cfg))
-    # pi#(i_{e_j ^ e_k} phi) = pi#(i_{e_k} i_{e_j} phi) is column k of pi# o (i_{e_j} phi)_flat.
-    raised = [pi_sharp_omega_flat(pi, interior(VectorField.basis(chart, j), phi)).columns() for j in range(chart.dim)]
-    defects = [value - raised[j][k] for (j, k), value in nijenhuis_torsion(tensor).items()]
+    # Component i of T(X, Y) = pi#(i_{X^Y} phi) is the 2-form identity T^i = [phi, x_i]_pi = -i_{pi# dx_i} phi.
+    coordinates = [Form.from_scalar(chart.coordinate(i)) for i in range(chart.dim)]
+    defects = [t - koszul_bracket(pi, phi, x) for t, x in zip(nijenhuis_torsion(tensor), coordinates)]
     entries.append(_zero_axiom("torsion-identity", defects, cfg))
     rng = random.Random(cfg.seed)
     square_defects: list[Form] = []

@@ -27,15 +27,9 @@ def deformed_lie_bracket(tensor: Tensor11, x: VectorField, y: VectorField) -> Ve
     return lie_bracket(tensor.apply(x), y) + lie_bracket(x, tensor.apply(y)) - tensor.apply(lie_bracket(x, y))
 
 
-def torsion_at(torsion: dict[tuple[int, int], VectorField], x: VectorField, y: VectorField) -> VectorField:
-    """T(X, Y) = sum_{j<k} (X^j Y^k - X^k Y^j) T(e_j, e_k), from ``nijenhuis_torsion``'s coordinate pairs.
-
-    The component T^i_{jk} is ``torsion_at(torsion, e_j, e_k).component(i)``.
-    """
-    out = VectorField.zero(x.chart)
-    for (j, k), value in torsion.items():
-        out = out + value * (x.component(j) * y.component(k) - x.component(k) * y.component(j))
-    return out
+def torsion_at(torsion: list[Form], x: VectorField, y: VectorField) -> VectorField:
+    """T(X, Y), whose component i is T^i(X, Y), from ``nijenhuis_torsion``'s component 2-forms T^i."""
+    return VectorField(x.chart, [component.apply([x, y]) for component in torsion])
 
 
 class TwoParticleFixture(NamedTuple):

@@ -93,10 +93,8 @@ def test_criterion_2_open_toda_pn():
         phi_ok = result.phi.is_zero
         torsion = nijenhuis_torsion(result.tensor)
         torsion_ok = True
-        for value in torsion.values():
-            for comp in value.components:
-                if comp.is_zero_tree:
-                    continue
+        for value in torsion:
+            for comp in value.coeffs.values():
                 verdict = comp.is_zero(cfg)
                 torsion_ok = torsion_ok and verdict.is_zero
                 worst = max(worst, verdict.residual)

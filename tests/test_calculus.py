@@ -158,15 +158,15 @@ class TestNijenhuisD:
 class TestTorsion:
     def test_identity_is_torsionless(self, chart2):
         t = nijenhuis_torsion(Tensor11.identity(chart2))
-        assert all(v.is_zero for v in t.values())
+        assert all(v.is_zero for v in t)
 
     def test_momentum_tensor_is_torsionless(self, chart3):
         t = nijenhuis_torsion(canonical_nijenhuis(chart3))
-        assert all(v.is_zero for v in t.values())
+        assert all(v.is_zero for v in t)
 
     def test_open_chain_tensor_is_torsionless(self):
         t = nijenhuis_torsion(open_toda(3).tensor)
-        assert all(v.is_zero for v in t.values())
+        assert all(v.is_zero for v in t)
 
     def test_antisymmetry_of_components(self, chart2):
         n = random_tensor(chart2, seeded(29))
@@ -196,7 +196,7 @@ class TestTorsion:
         rng = seeded(31)
         # A random tensor, and closed Toda's n = 3 tensor: exp entries and nonzero torsion.
         toda = closed_toda(3).tensor
-        assert not all(v.is_zero for v in nijenhuis_torsion(toda).values())
+        assert not all(v.is_zero for v in nijenhuis_torsion(toda))
         for n in (random_tensor(chart2, rng), toda):
             t = nijenhuis_torsion(n)
             x = random_vector_field(n.chart, rng)
@@ -211,6 +211,63 @@ class TestTorsion:
             assert not direct.is_zero
             for a, b in zip(evaluated.components, direct.components):
                 assert (a - b).is_zero_tree
+
+
+def _random_pqn_inputs(chart: Chart, rng) -> tuple[Tensor11, Bivector, Form]:
+    """A random (1,1) tensor, bivector (seldom Poisson) and 3-form, with exp terms and negative powers."""
+    draw = partial(random_scalar_field, chart, rng, max_terms=2, allow_negative_powers=True)
+    pairs = [(i, j) for i in range(chart.dim) for j in range(chart.dim)]
+    tensor = Tensor11(chart, {key: draw() for key in pairs if rng.random() < 0.4})
+    pi = Bivector.from_upper(chart, {key: draw() for key in combinations(range(chart.dim), 2) if rng.random() < 0.5})
+    phi = Form(chart, 3, {key: draw() for key in combinations(range(chart.dim), 3) if rng.random() < 0.3})
+    return tensor, pi, phi
+
+
+def _coordinates(chart: Chart) -> list[Form]:
+    return [Form.from_scalar(chart.coordinate(i)) for i in range(chart.dim)]
+
+
+class TestTorsionIdentities:
+    """The identities the torsion entries rest on, by exact equality of the canonical polynomials.
+
+    (a) The component T^i of the torsion is d_N^2 x_i.  (b) d_N^2 f - [phi, f]_pi is
+    sum_i (d_i f) (T^i - [phi, x_i]_pi), for any pi and phi: the fields of check_pqn's
+    dN-squared-is-phi-bracket entry are combinations of those of its torsion-identity entry.
+    """
+
+    @staticmethod
+    def _assert_components_are_the_square(tensor: Tensor11) -> None:
+        torsion = nijenhuis_torsion(tensor)
+        assert len(torsion) == tensor.chart.dim
+        for t, x in zip(torsion, _coordinates(tensor.chart)):
+            assert t == nijenhuis_d(tensor, nijenhuis_d(tensor, x))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_components_are_the_square_of_the_tensor_differential(self, n, seed):
+        tensor, _, _ = _random_pqn_inputs(Chart(n), seeded(60 + seed))
+        assert not all(t.is_zero for t in nijenhuis_torsion(tensor))
+        self._assert_components_are_the_square(tensor)
+
+    @pytest.mark.parametrize("factory", [closed_toda, open_toda, calogero])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_model_components_are_the_square_of_the_tensor_differential(self, factory, n):
+        self._assert_components_are_the_square(factory(n).tensor)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_square_minus_phi_bracket_is_the_torsion_identity_along_df(self, n, seed):
+        chart = Chart(n)
+        rng = seeded(70 + seed)
+        tensor, pi, phi = _random_pqn_inputs(chart, rng)
+        # times a coordinate, so that f is never constant
+        f = random_scalar_field(chart, rng, allow_negative_powers=True) * chart.coordinate(rng.randrange(chart.dim))
+        f_form = Form.from_scalar(f)
+        lhs = nijenhuis_d(tensor, nijenhuis_d(tensor, f_form)) - koszul_bracket(pi, phi, f_form)
+        defects = [t - koszul_bracket(pi, phi, x) for t, x in zip(nijenhuis_torsion(tensor), _coordinates(chart))]
+        rhs = sum((defect * f.partial(i) for i, defect in enumerate(defects)), Form.zero(chart, 2))
+        assert not lhs.is_zero
+        assert lhs == rhs
 
 
 class TestDeformedBracket:

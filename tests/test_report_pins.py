@@ -166,6 +166,11 @@ PINS = [
         0, SYMBOLIC, TIER_1, "c32d69e5d436a784d6f6a40651cf20d8350f084dbddf11ff9b59f6634edad201"),
     Pin("check --model calogero --n 4 --format text",
         0, SYMBOLIC, TIER_1, "a7c01958ceb8d0490f8875d8b967c5e5a1b630b3e9669dd33b061752c4f2fe4d"),
+    # The torsion identity on fields with sum bases (the pair terms (q_i - q_j)^-2) beyond n = 4.
+    Pin("check --model calogero --n 8 --format json",
+        0, SYMBOLIC, TIER_1, "58a86b7454e8bd32d6b56f14ed2c94e586df61170e2fbfa10d98516053aac535"),
+    Pin("check --model calogero --n 8 --format text",
+        0, SYMBOLIC, TIER_1, "ed0e02611d481947931addecf9df0250a7ac88beb11fb60f4c29fa7f0501a5f1"),
     Pin("check --model open-toda --n 8 --format json",
         0, SYMBOLIC, TIER_1, "1e327585d48101de2a1f1ebd9b2e5fa7a086cc2579a4109e495dae510ff0a829"),
     Pin("check --model open-toda --n 8 --format text",

@@ -222,6 +222,11 @@ class TestCompatibility:
         assert report.entry("compatibility-musical").passed and report.entry("compatibility-bracket").passed
 
 
+def _failing_entries(report) -> set[str]:
+    """The axioms whose entries fail in the report's payload."""
+    return {entry["axiom"] for entry in report.as_dict()["entries"] if entry["verdict"] == "fail"}
+
+
 class TestCheckPn:
     def test_momentum_tensor(self, canonical2):
         pi, nc = canonical2
@@ -238,6 +243,17 @@ class TestCheckPn:
     def test_open_chain(self):
         bundle = open_toda(3)
         assert check_pn(bundle.poisson, bundle.tensor).overall
+
+    def test_negated_tensor_entry_fails_torsion_vanishes(self):
+        bundle = open_toda(3)
+        q1 = bundle.chart.q_index(1)
+        tensor = Tensor11(bundle.chart, {key: -v if key == (q1, q1) else v for key, v in bundle.tensor.terms()})
+        assert _failing_entries(check_pn(bundle.poisson, tensor)) == {
+            "compatibility-musical",
+            "compatibility-bracket",
+            "torsion-vanishes",
+            "induced-bivector-poisson",
+        }
 
     def test_closed_chain_fails_torsion(self):
         bundle = closed_toda(3)
@@ -488,9 +504,11 @@ class TestCheckPqn:
     @pytest.mark.parametrize("scale", [1, 2, -1])
     def test_torsion_identity_fixes_the_scale_of_phi(self, scale):
         # phi = 0 leaves out the raised term pi#(i_{X^Y} phi); 2 phi and -phi keep it with the wrong weight.
+        # dN-squared-is-phi-bracket fails with it: its fields are combinations of the torsion identity's.
         bundle = closed_toda(3)
         structure = GeometricStructure(bundle.chart, bundle.poisson, bundle.tensor, bundle.phi() * scale)
-        assert check_pqn(structure).entry("torsion-identity").passed == (scale == 1)
+        wrong = {"torsion-identity", "dN-squared-is-phi-bracket"}
+        assert _failing_entries(check_pqn(structure)) == (set() if scale == 1 else wrong)
 
 
 @pytest.mark.parametrize(
