@@ -66,16 +66,19 @@ def nijenhuis_torsion(tensor: Tensor11) -> list[Form]:
     """Torsion T(X,Y) = [NX,NY] - N([NX,Y] + [X,NY] - N[X,Y]), as its component 2-forms T^i(X, Y) = T(X, Y)^i.
 
     In components T^i_{jk} = N^l_j d_l N^i_k - N^l_k d_l N^i_j - N^i_l (d_j N^l_k - d_k N^l_j).
-    With the (1,1) tensors M_j = sum_l N^l_j d_l N - N d_j N, built from the tensor's kept
-    ``partials`` d_l N, this is T^i = sum_{j,k} M_j[i, k] dx_j ^ dx_k, antisymmetrized by the 2-form storage.
+    So T^i = sum_{j,k} (N^l_j d_l N^i_k - (N d_j N)^i_k) dx_j ^ dx_k, antisymmetrized by the 2-form
+    storage: the raw terms of both products, from the tensor's kept ``partials`` d_l N, go straight
+    into the term list of T^i, and no tensor of the bracketed sum is built.
     """
-    dn = tensor.partials()
-    m = [sum((dn[l] * v for l, v in column.terms()), -(tensor @ dn[j])) for j, column in enumerate(tensor.columns())]
-    terms: list[list] = [[] for _ in range(tensor.chart.dim)]
-    for j, m_j in enumerate(m):
-        for (i, k), value in m_j.terms():
-            terms[i].append(((j, k), value))
-    return [Form(tensor.chart, 2, component) for component in terms]
+    chart, dn = tensor.chart, tensor.partials()
+    terms: list[list] = [[] for _ in range(chart.dim)]
+    for (l, j), v in tensor.terms():
+        for (i, k), value in dn[l].terms():
+            terms[i].append(((j, k), v * value))
+    for j, dn_j in enumerate(dn):
+        for (i, k), value in (tensor @ dn_j).terms():
+            terms[i].append(((j, k), -value))
+    return [Form(chart, 2, component) for component in terms]
 
 
 def poisson_bracket(pi: Bivector, f: ScalarField | Form, g: ScalarField | Form) -> ScalarField:

@@ -523,6 +523,8 @@ def lie_derivative(x: VectorField, target):
         chart, partials = target.chart, target.partials()
         jacobian = Tensor11(chart, (((i, j), c.partial(j)) for i, c in x.terms() for j in c.variables))
         along = Tensor11(chart, ((key, c * value) for l, c in x.terms() for key, value in partials[l].terms()))
+        if jacobian.is_zero:  # X has constant components, as pi_sharp dx_i has for a constant pi
+            return along
         return along - jacobian @ target + target @ jacobian
     raise TypeError(f"lie_derivative does not handle {type(target).__name__}")
 

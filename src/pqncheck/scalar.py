@@ -844,7 +844,7 @@ class ScalarField:
         except (OverflowError, ValueError) as exc:
             raise _evaluation_failed(root, exc, name) from exc
 
-    def is_zero(self, config: "ZeroTestConfig | None" = None) -> "ZeroVerdict":
+    def is_zero(self, config: "ZeroTestConfig | None" = None) -> "AxiomCheck":
         return is_zero(self, config)
 
     def exp(self) -> "ScalarField":
@@ -892,23 +892,43 @@ class ZeroTestConfig(Record):
         return dict(zip(self._fields, self._values()))
 
 
-class ZeroVerdict(Record):
-    """Outcome of the zero test of a field, as a report entry states it.
+class AxiomCheck(Record):
+    """Verdict for one axiom: how it was decided and, if it fails, a whole-number witness point.
 
-    ``is_zero`` is the exact verdict.  A field proved nonzero is witnessed at
-    a whole-number point ``witness``, where ``residual`` is |f|, after
-    ``samples`` points tried; with no witness within ``sample_count`` points,
-    ``witness`` is None and ``residual`` 0.0.  A zero verdict has residual
-    0.0, no witness and 0 samples.
+    A failing verdict's residual is |value| at the witness, and ``samples`` counts the points
+    tried; with no witness within ``sample_count`` points, the residual is 0.0.  A passing
+    verdict has residual 0.0, no witness and 0 samples.  Its truth value is ``passed``.
     """
 
-    __slots__ = _fields = ("is_zero", "residual", "witness", "samples")
+    __slots__ = _fields = ("axiom", "passed", "mode", "residual", "witness", "samples", "detail")
 
-    def __init__(self, is_zero: bool, residual: float, witness: Point | None, samples: int):
-        self._init(is_zero, residual, witness, samples)
+    def __init__(
+        self,
+        axiom: str,
+        passed: bool,
+        mode: str,  # "symbolic" | "exact"
+        residual: float,
+        witness: Point | None,
+        samples: int,
+        detail: str | None = None,
+    ):
+        self._init(axiom, passed, mode, residual, witness, samples, detail)
 
     def __bool__(self) -> bool:
-        return self.is_zero
+        return self.passed
+
+    def as_dict(self, chart: Chart) -> dict:
+        data = {
+            "axiom": self.axiom,
+            "verdict": "pass" if self.passed else "fail",
+            "mode": self.mode,
+            "residual": self.residual,
+            "witness": self.witness.labelled(chart) if self.witness is not None else None,
+            "samples": self.samples,
+        }
+        if self.detail is not None:
+            data["detail"] = self.detail
+        return data
 
 
 def sample_points(
@@ -1149,8 +1169,10 @@ def _all_zero(name: str, fields: Iterable[ScalarField], seed: int) -> bool:
     return not _nonzero_fields(name, fields, seed)[1]
 
 
-def _zero_verdict(name: str, fields: Iterable[ScalarField], config: ZeroTestConfig) -> tuple[str, ZeroVerdict]:
-    """The zero test of every report entry: its mode, ``symbolic`` or ``exact``, and its verdict.
+def _zero_verdict(
+    name: str, fields: Iterable[ScalarField], config: ZeroTestConfig, detail: str | None = None
+) -> AxiomCheck:
+    """The zero test of every report entry: the :class:`AxiomCheck` of axiom ``name``, mode ``symbolic`` or ``exact``.
 
     Every field is decided by :func:`_nonzero_fields`.  A failing verdict is witnessed on each field
     proved nonzero by the exact test's own integer form (:func:`_exact_witness`), and takes residual,
@@ -1158,17 +1180,18 @@ def _zero_verdict(name: str, fields: Iterable[ScalarField], config: ZeroTestConf
     """
     mode, nonzero = _nonzero_fields(name, fields, config.seed)
     if not nonzero:
-        return mode, ZeroVerdict(True, 0.0, None, 0)
+        return AxiomCheck(name, True, mode, 0.0, None, 0, detail)
     residual, witness, samples = max((_exact_witness(*found, config) for found in nonzero), key=lambda w: w[0])
-    return mode, ZeroVerdict(False, residual, witness, samples)
+    return AxiomCheck(name, False, mode, residual, witness, samples, detail)
 
 
-def is_zero(field: ScalarField, config: ZeroTestConfig | None = None) -> ZeroVerdict:
-    """Whether a field is zero, with the verdict, witness and residual a report entry gives it.
+def is_zero(field: ScalarField, config: ZeroTestConfig | None = None) -> AxiomCheck:
+    """Whether a field is zero: the entry a report would carry for it, under the axiom name ``is_zero``.
 
-    A field the exact test leaves undecided raises :class:`pqncheck.errors.ConfigError`.
+    Its truth value is the verdict; a field the exact test leaves undecided raises
+    :class:`pqncheck.errors.ConfigError`.
     """
-    return _zero_verdict("is_zero", [field], config or ZeroTestConfig())[1]
+    return _zero_verdict("is_zero", [field], config or ZeroTestConfig())
 
 
 # ---------------------------------------------------------------------------

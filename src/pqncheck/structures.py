@@ -43,7 +43,7 @@ from .exterior import (
     tensor_interior,
 )
 from .randgen import random_scalar_field
-from .scalar import Chart, Point, Record, ScalarField, ZeroTestConfig, _all_zero, _zero_verdict
+from .scalar import AxiomCheck, Chart, Record, ScalarField, ZeroTestConfig, _all_zero, _zero_verdict
 
 
 class GeometricStructure(Record):
@@ -61,41 +61,6 @@ class GeometricStructure(Record):
     @classmethod
     def torsionless(cls, pi: Bivector, tensor: Tensor11) -> "GeometricStructure":
         return cls(pi.chart, pi, tensor, Form.zero(pi.chart, 3))
-
-
-class AxiomCheck(Record):
-    """Verdict for one axiom: how it was decided and, if it fails, a whole-number witness point.
-
-    A failing verdict's residual is |value| at the witness, and ``samples`` counts the points
-    tried; with no witness within ``sample_count`` points, the residual is 0.0.
-    """
-
-    __slots__ = _fields = ("axiom", "passed", "mode", "residual", "witness", "samples", "detail")
-
-    def __init__(
-        self,
-        axiom: str,
-        passed: bool,
-        mode: str,  # "symbolic" | "exact"
-        residual: float,
-        witness: Point | None,
-        samples: int,
-        detail: str | None = None,
-    ):
-        self._init(axiom, passed, mode, residual, witness, samples, detail)
-
-    def as_dict(self, chart: Chart) -> dict:
-        data = {
-            "axiom": self.axiom,
-            "verdict": "pass" if self.passed else "fail",
-            "mode": self.mode,
-            "residual": self.residual,
-            "witness": self.witness.labelled(chart) if self.witness is not None else None,
-            "samples": self.samples,
-        }
-        if self.detail is not None:
-            data["detail"] = self.detail
-        return data
 
 
 class CheckReport(Record):
@@ -131,8 +96,7 @@ def _zero_axiom(axiom: str, values: Iterable, config: ZeroTestConfig, detail: st
     Every zero verdict of a report entry or off-diagonal involutivity cell is made here, on the
     fields :func:`_verdict_fields` reads from the values.
     """
-    mode, verdict = _zero_verdict(axiom, _verdict_fields(values), config)
-    return AxiomCheck(axiom, verdict.is_zero, mode, verdict.residual, verdict.witness, verdict.samples, detail)
+    return _zero_verdict(axiom, _verdict_fields(values), config, detail)
 
 
 def _verdict_fields(values: Iterable) -> Iterator[ScalarField]:

@@ -387,7 +387,7 @@ class TestPoissonBracket:
         pi = bundle.poisson
         for k in (1, 2):
             bracket = poisson_bracket(pi, invariants[0], invariants[k])
-            assert bracket.is_zero_tree or is_zero(bracket).is_zero
+            assert bracket.is_zero_tree or is_zero(bracket).passed
 
     def test_energy_pair_is_involutive_for_closed_chain(self):
         from pqncheck.structures import trace_invariants
@@ -395,4 +395,4 @@ class TestPoissonBracket:
         bundle = closed_toda(3)
         invariants = trace_invariants(bundle.tensor, 3)
         bracket = poisson_bracket(bundle.poisson, invariants[1], invariants[2])
-        assert is_zero(bracket).is_zero
+        assert is_zero(bracket).passed

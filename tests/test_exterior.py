@@ -512,12 +512,14 @@ class TestLieOperations:
 
     def test_lie_derivative_of_tensor_is_tensorial_in_lower_slot(self, chart2):
         rng = seeded(16)
-        x = random_vector_field(chart2, rng)
+        random_x = random_vector_field(chart2, rng)
         n = random_tensor(chart2, rng)
         y = random_vector_field(chart2, rng)
-        derived = lie_derivative(x, n)
-        direct = lie_bracket(x, n.apply(y)) - n.apply(lie_bracket(x, y))
-        assert derived.apply(y) == direct
+        # A basis field has constant components: its Jacobian is empty, and L_X N is X(N) alone.
+        for x in (random_x, VectorField.basis(chart2, 2)):
+            derived = lie_derivative(x, n)
+            direct = lie_bracket(x, n.apply(y)) - n.apply(lie_bracket(x, y))
+            assert derived.apply(y) == direct
 
 
 class TestBivectorValidation:

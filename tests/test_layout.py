@@ -16,8 +16,9 @@ from pqncheck.models import closed_toda
 from pqncheck.scalar import Chart, parse_prefix
 from pqncheck.structures import involutivity_matrix, trace_invariants
 
-#: Attributes that expose the ring's polynomial layout: ``ScalarField.poly``,
-#: ``Sum.poly`` and ``Exp.affine``.
+#: Attributes that expose the ring's polynomial layout: ``ScalarField.poly`` and
+#: ``scalar._SumBase.poly``, a sum base's polynomial; ``affine`` would name an exp's
+#: affine exponent.
 LAYOUT_ATTRIBUTES = {"poly", "affine"}
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from pqncheck.exterior import Bivector, Form, Tensor11, VectorField, _musical_matrix
 from pqncheck.models import ExpectedOutcome, calogero, canonical_nijenhuis, closed_toda
-from pqncheck.scalar import Chart, Const, Coord, Exp, Point, Power, Product, Sum, ZeroTestConfig, is_zero
+from pqncheck.scalar import Chart, Const, Coord, Exp, Point, Power, Product, Sum, ZeroTestConfig
 from pqncheck.structures import AxiomCheck, check_pqn, deform, involutivity_matrix, trace_invariants
 
 
@@ -32,7 +32,6 @@ def values() -> dict:
         "Power": Power(Sum((x, Const(-1))), -2),
         "Exp": Exp(Sum((x, Product((Const(-1), y))))),
         "ZeroTestConfig": ZeroTestConfig(sample_count=3),
-        "ZeroVerdict": is_zero(chart.q(1), ZeroTestConfig(sample_count=3)),
         "ScalarField": inverse_square,
         "Form": toda.omega,
         "VectorField": VectorField.basis(chart, 1),
@@ -50,7 +49,7 @@ def values() -> dict:
 
 
 CLASSES = [
-    "Chart", "Point", "Const", "Coord", "Sum", "Product", "Power", "Exp", "ZeroTestConfig", "ZeroVerdict",
+    "Chart", "Point", "Const", "Coord", "Sum", "Product", "Power", "Exp", "ZeroTestConfig",
     "ScalarField", "Form", "VectorField", "Tensor11", "Bivector", "ModelBundle", "ExpectedOutcome",
     "GeometricStructure", "CheckReport", "DeformResult", "InvolutivityMatrix", "AxiomCheck",
 ]

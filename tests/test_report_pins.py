@@ -338,8 +338,8 @@ PINS = [
     Pin("deform --model open-toda --omega omega-hat --n 4 --format json",
         0, SYMBOLIC, TIER_1, "000fef0fce0b8e472e950f0e5dacb4435156634e1c17b871a2a9730c294d8359"),
 
-    # The 11 largest reports, about 82 s together as subprocesses on 2 vCPUs, of which deform at n = 64
-    # takes about 48 s and check at closed and open Toda n = 128 about 10 s each.  Every Toda entry and
+    # The 12 largest reports, about 68 s together as subprocesses on 2 vCPUs, of which deform at n = 64
+    # takes about 45 s and check at closed and open Toda n = 128 about 5 s each.  Every Toda entry and
     # cell is symbolic.
     Pin("involutivity --model calogero --n 6 --kmax 6 --format json",
         0, EXACT_AND_SYMBOLIC, CI, "09a8ea4093a8a61c8b48727987f7a7cca1be9eb84f2dc210cb94534a56361966"),
@@ -347,6 +347,9 @@ PINS = [
         0, SYMBOLIC, CI, "5c94d1161edf82b91ec2cf726332add76ffd8a6b89f6e0d7ade4e7c41132621b"),
     Pin("involutivity --model open-toda --n 8 --kmax 8 --format json",
         0, SYMBOLIC, CI, "dddbee726731a9615308d642d8c14e90969b41c51a49e45e75da060f0b2759f4"),
+    # The torsion and compatibility entries on sum-base fields, beyond the tier-1 Calogero n = 8 rows.
+    Pin("check --model calogero --n 16 --format json",
+        0, SYMBOLIC, CI, "7bfdfe3b20526b84ba333cfd88ebc6f2d7387241404cdc57c5bea074c84b7069"),
     Pin("check --model closed-toda --n 32 --format json",
         0, SYMBOLIC, CI, "4f317ec7bf3afb03c784eb830b05ebc62c5c79ce5bf992b42d9160ccff8dd520"),
     Pin("deform --model canonical --omega closed-toda --n 32 --format json",

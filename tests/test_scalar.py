@@ -17,6 +17,7 @@ from pqncheck.errors import (
 )
 from pqncheck import scalar
 from pqncheck.scalar import (
+    AxiomCheck,
     Chart,
     Const,
     Coord,
@@ -27,7 +28,6 @@ from pqncheck.scalar import (
     ScalarField,
     Sum,
     ZeroTestConfig,
-    ZeroVerdict,
     exact_zero,
     exp,
     is_zero,
@@ -495,20 +495,20 @@ class TestZeroTest:
     def test_structural_zero_passes(self):
         chart = Chart(2)
         verdict = is_zero(chart.p(1) - chart.p(1))
-        assert verdict.is_zero
-        assert verdict.residual == 0.0
+        assert verdict == AxiomCheck("is_zero", True, "symbolic", 0.0, None, 0)
+        assert verdict
 
     def test_identity_outside_canonical_form_is_an_exact_zero(self):
         chart = Chart(2)
         q1, q2 = chart.q(1), chart.q(2)
         field = (q1 - q2) ** -1 * (q1 - q2) - 1
         assert not field.is_zero_tree
-        assert is_zero(field) == ZeroVerdict(True, 0.0, None, 0)
+        assert is_zero(field) == AxiomCheck("is_zero", True, "exact", 0.0, None, 0)
 
     def test_tiny_nonzero_field_is_not_zero(self):
         # Its float value on the witness grid, about 1e-19, is far below any float tolerance.
         verdict = is_zero(parse_prefix("(* 1/100000000000000000000 q1)", Chart(1)))
-        assert verdict == ZeroVerdict(False, 1.1e-19, Point((11.0, 5.0)), 1)
+        assert verdict == AxiomCheck("is_zero", False, "exact", 1.1e-19, Point((11.0, 5.0)), 1)
         assert not verdict
 
     def test_undecided_field_is_a_config_error(self):
@@ -525,7 +525,8 @@ class TestZeroTest:
         calls = []
         integer_value = scalar._integer_value
         monkeypatch.setattr(scalar, "_integer_value", lambda *args: calls.append(args) or integer_value(*args))
-        assert is_zero(parse_prefix("(exp (* 800 q1))", Chart(1))) == ZeroVerdict(False, 0.0, None, 50)
+        verdict = is_zero(parse_prefix("(exp (* 800 q1))", Chart(1)))
+        assert verdict == AxiomCheck("is_zero", False, "exact", 0.0, None, 50)
         assert not calls
 
     def test_far_apart_exp_rates_are_decided(self):
@@ -541,22 +542,17 @@ class TestZeroTest:
 
         cfg = ZeroTestConfig()
         for field in calogero4_nonzero_brackets:
-            entry = _zero_axiom("f", [field], cfg)
             verdict = is_zero(field, cfg)
-            assert (verdict.is_zero, verdict.residual, verdict.witness, verdict.samples) == (
-                entry.passed,
-                entry.residual,
-                entry.witness,
-                entry.samples,
-            )
-            assert not verdict.is_zero and all(value.is_integer() for value in verdict.witness.values)
+            assert verdict == _zero_axiom("is_zero", [field], cfg)
+            assert verdict.mode == "exact"
+            assert not verdict and all(value.is_integer() for value in verdict.witness.values)
             assert field.is_zero(cfg) == verdict
 
     def test_positive_function_fails_with_witness(self):
         chart = Chart(2)
         field = exp(chart.q(1) - chart.q(2))
         verdict = is_zero(field, ZeroTestConfig())
-        assert not verdict.is_zero
+        assert not verdict.passed
         assert all(value.is_integer() for value in verdict.witness.values)
         assert verdict.residual == abs(field.evaluate(verdict.witness)) > 0
 

@@ -41,8 +41,8 @@ from pqncheck.structures import (
     trace_invariants,
 )
 
-from conftest import lagrange_identity
-from reference import random_tensor
+from conftest import lagrange_identity, seeded
+from reference import random_form, random_tensor
 
 
 class TestCheckPoisson:
@@ -667,6 +667,27 @@ class TestDeform:
         via_momentum = deform(pi, canonical_nijenhuis(bundle.chart), bundle.omega)
         assert via_identity.tensor == via_momentum.tensor == bundle.tensor
         assert koszul_bracket(pi, omega_hat, omega_hat).is_zero
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("base", ["canonical", "open-toda"])
+    def test_exact_form_deforms_a_pn_pair_into_a_pqn_structure(self, base, n):
+        # The paper's theorem as an oracle: a PN pair deformed by omega = d theta, theta a random 1-form,
+        # passes every entry.  As pi is nondegenerate, doubling a nonzero phi breaks the torsion identity.
+        chart, toda = Chart(n), open_toda(n)
+        pi, tensor = {
+            "canonical": (canonical_poisson(chart), canonical_nijenhuis(chart)),
+            "open-toda": (toda.poisson, toda.tensor),
+        }[base]
+        doubled = 0
+        for seed in range(8):
+            omega = cartan_d(random_form(chart, 1, seeded(seed), max_terms=2))
+            result = deform(pi, tensor, omega)
+            assert _failing_entries(result.report) == set(), seed
+            if result.classification == "PqN":
+                report = check_pqn(GeometricStructure(chart, pi, result.tensor, 2 * result.phi))
+                assert "torsion-identity" in _failing_entries(report), seed
+                doubled += 1
+        assert doubled > 0
 
 
 class TestDeformToPn:
