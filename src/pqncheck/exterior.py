@@ -529,16 +529,6 @@ def lie_derivative(x: VectorField, target):
     raise TypeError(f"lie_derivative does not handle {type(target).__name__}")
 
 
-def dq(chart: Chart, i: int) -> Form:
-    """The coordinate 1-form dq_i (1-based)."""
-    return Form(chart, 1, {(chart.q_index(i),): 1})
-
-
-def dp(chart: Chart, i: int) -> Form:
-    """The coordinate 1-form dp_i (1-based)."""
-    return Form(chart, 1, {(chart.p_index(i),): 1})
-
-
 def dx(chart: Chart, index: int) -> Form:
     """The coordinate 1-form with 0-based index."""
     return Form(chart, 1, {(index,): 1})

@@ -4,11 +4,11 @@ Each factory returns a :class:`ModelBundle`: the Poisson bivector, the (1,1)
 tensor, the deforming 2-form where one exists, and the expected outcome
 metadata that the test suite compares against the checker verdicts.
 
-Pair potentials are univariate expression trees in the placeholder
-coordinate ``Coord(0)``; the factory substitutes the difference q_i - q_j
-before assembling anything.  A potential whose normalized form mentions any
-other coordinate is rejected.  Strings in the prefix grammar with the symbol
-``x`` are accepted too, e.g. ``"(exp x)"`` or ``"(^ x -2)"``.
+A pair potential is a prefix string in the one symbol ``x``, e.g.
+``"(exp x)"`` or ``"(^ x -2)"``, or a rational.  Each string is parsed once
+per pair into ring operations, with ``x`` read as the field q_i - q_j, so the
+potential is univariate by construction.  The Toda chains and the Calogero
+system build their fields V_ij(q_i - q_j) with ring operations directly.
 
 Every pair-potential model, the Toda chains and the Calogero system
 included, is built by one assembly, and so is the two-particle model, its
@@ -24,26 +24,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import ChartMismatchError, UnsupportedExpressionError
+from .errors import UnsupportedExpressionError
 from .exterior import Bivector, Form, Tensor11, pi_sharp_omega_flat
-from .scalar import (
-    Chart,
-    Coord,
-    Exp,
-    Node,
-    Power,
-    Product,
-    Record,
-    ScalarField,
-    Sum,
-    Const,
-    ZeroTestConfig,
-    _all_zero,
-    _quoted,
-    parse_prefix,
-    parse_prefix_tree,
-    substitute,
-)
+from .scalar import Chart, Record, ScalarField, ZeroTestConfig, _all_zero, _parse, _quoted, parse_prefix
 from .structures import GeometricStructure, _structure_class
 
 
@@ -150,43 +133,19 @@ def canonical_pn(n: int) -> ModelBundle:
 _POTENTIAL_SYMBOL = "x"
 
 
-def potential(spec) -> Node:
-    """Coerce a potential spec (node, prefix string with ``x``, or rational) to a node."""
-    if isinstance(spec, Node):
-        return spec
+def potential(spec, x: ScalarField) -> ScalarField:
+    """A potential spec as a field: a prefix string in the symbol ``x``, read as the field ``x``, or a rational."""
     if isinstance(spec, str):
 
-        def resolve(token: str) -> Node:
-            if token == _POTENTIAL_SYMBOL:
-                return Coord(0)
-            raise UnsupportedExpressionError(f"unknown symbol {_quoted(token)} in a potential")
+        def resolve(token: str) -> ScalarField:
+            if token != _POTENTIAL_SYMBOL:
+                raise UnsupportedExpressionError(f"unknown symbol {_quoted(token)} in a potential")
+            return x
 
-        return parse_prefix_tree(spec, resolve)
+        return _parse(spec, x.chart, resolve)
     if isinstance(spec, (int, Fraction)):
-        return Const(Fraction(spec))
+        return x.chart.constant(spec)
     raise UnsupportedExpressionError(f"cannot interpret potential spec {_quoted(spec)}")
-
-
-def _pair_fields(chart: Chart, potentials: Mapping[tuple[int, int], object]) -> dict[tuple[int, int], ScalarField]:
-    """Each potential V_ij as the field V_ij(q_i - q_j) on the chart."""
-    out: dict[tuple[int, int], ScalarField] = {}
-    for (i, j), spec in potentials.items():
-        if not 1 <= i < j <= chart.n:
-            raise ValueError(f"potential pair ({i}, {j}) must satisfy 1 <= i < j <= {chart.n}")
-        diff = Sum((Coord(chart.q_index(i)), Product((Const(Fraction(-1)), Coord(chart.q_index(j))))))
-        try:
-            node = potential(spec)
-            foreign = any(ScalarField(Chart(1), node).variables)  # an index other than x = 0
-            out[(i, j)] = ScalarField(chart, substitute(node, {0: diff}))
-        except ChartMismatchError:  # an index beyond a one-particle chart
-            foreign = True
-        except RecursionError:
-            raise UnsupportedExpressionError(f"potential for pair ({i}, {j}) is nested too deeply") from None
-        if foreign:
-            raise UnsupportedExpressionError(
-                f"potential for pair ({i}, {j}) must be univariate in the symbol x"
-            )
-    return out
 
 
 def pair_differential_display(chart: Chart, fields: Mapping[tuple[int, int], ScalarField]) -> Form:
@@ -262,7 +221,12 @@ def pair_potential_model(
     tensor, and the expected 3-form is the closed-form expression above.
     """
     chart = Chart(n)
-    return _pair_bundle(name, chart, _pair_fields(chart, potentials), involutive_up_to, non_involutive)
+    fields: dict[tuple[int, int], ScalarField] = {}
+    for (i, j), spec in potentials.items():
+        if not 1 <= i < j <= chart.n:
+            raise ValueError(f"potential pair ({i}, {j}) must satisfy 1 <= i < j <= {chart.n}")
+        fields[i, j] = potential(spec, chart.q(i) - chart.q(j))
+    return _pair_bundle(name, chart, fields, involutive_up_to, non_involutive)
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +234,29 @@ def pair_potential_model(
 # ---------------------------------------------------------------------------
 
 
-def _toda_potentials(n: int, couplings: Sequence[Fraction]) -> dict[tuple[int, int], Node]:
-    x = Coord(0)
-    pots: dict[tuple[int, int], Node] = {}
-    for i in range(1, n):
-        if couplings[i - 1] != 0:
-            pots[(i, i + 1)] = Product((Const(couplings[i - 1]), Exp(x)))
-    if len(couplings) == n and couplings[n - 1] != 0:
-        wrap = Product((Const(couplings[n - 1]), Exp(Product((Const(Fraction(-1)), x)))))
-        if (1, n) in pots:  # n = 2: both couplings act on the single pair
-            pots[(1, n)] = Sum((pots[(1, n)], wrap))
-        else:
-            pots[(1, n)] = wrap
-    return pots
+def _toda_fields(
+    n: int, couplings: Sequence[object] | None, count: int
+) -> tuple[Chart, list[Fraction], dict[tuple[int, int], ScalarField]]:
+    """The chart, the ``count`` couplings f_i as fractions (all 1 by default) and the chain's pair fields.
+
+    Edge i joins particles i and i + 1 by f_i exp(q_i - q_{i+1}); with n couplings, edge n is the
+    wrap f_n exp(q_n - q_1) on the pair (1, n), added to edge 1 when n = 2.  A zero coupling adds
+    no field.
+    """
+    if n < 2:
+        raise ValueError("the lattice needs at least two particles")
+    chart = Chart(n)  # refuses an n too large to index before the couplings are sized by it
+    f = [Fraction(c) for c in (couplings if couplings is not None else [1] * count)]
+    if len(f) != count:
+        raise ValueError(f"expected {count} couplings, got {len(f)}")
+    fields: dict[tuple[int, int], ScalarField] = {}
+    for i, c in enumerate(f, 1):
+        if c:
+            j = i % n + 1
+            edge = c * (chart.q(i) - chart.q(j)).exp()
+            pair = (min(i, j), max(i, j))
+            fields[pair] = fields[pair] + edge if pair in fields else edge
+    return chart, f, fields
 
 
 def closed_toda(n: int, couplings: Sequence[object] | None = None) -> ModelBundle:
@@ -293,25 +267,14 @@ def closed_toda(n: int, couplings: Sequence[object] | None = None) -> ModelBundl
     the open chain.  Involutivity of the trace invariants is claimed when all
     couplings are 1.
     """
-    if n < 2:
-        raise ValueError("the lattice needs at least two particles")
-    Chart(n)  # refuses an n too large to index before the couplings are sized by it
-    f = [Fraction(c) for c in (couplings if couplings is not None else [1] * n)]
-    if len(f) != n:
-        raise ValueError(f"expected {n} couplings, got {len(f)}")
-    involutive = n if all(c == 1 for c in f) else None
-    return pair_potential_model(n, _toda_potentials(n, f), name="closed-toda", involutive_up_to=involutive)
+    chart, f, fields = _toda_fields(n, couplings, n)
+    return _pair_bundle("closed-toda", chart, fields, involutive_up_to=n if all(c == 1 for c in f) else None)
 
 
 def open_toda(n: int, couplings: Sequence[object] | None = None) -> ModelBundle:
     """Non-periodic exponential chain: torsionless for any coupling constants."""
-    if n < 2:
-        raise ValueError("the lattice needs at least two particles")
-    Chart(n)  # refuses an n too large to index before the couplings are sized by it
-    f = [Fraction(c) for c in (couplings if couplings is not None else [1] * (n - 1))]
-    if len(f) != n - 1:
-        raise ValueError(f"expected {n - 1} couplings, got {len(f)}")
-    return pair_potential_model(n, _toda_potentials(n, f), name="open-toda", involutive_up_to=n)
+    chart, _, fields = _toda_fields(n, couplings, n - 1)
+    return _pair_bundle("open-toda", chart, fields, involutive_up_to=n)
 
 
 def das_okubo_omega_hat(n: int, couplings: Sequence[object] | None = None) -> Form:
@@ -328,15 +291,9 @@ def calogero(n: int) -> ModelBundle:
     """
     if n < 2:
         raise ValueError("the system needs at least two particles")
-    Chart(n)  # refuses an n too large to index before the pair table is sized by it
-    pots = {(i, j): Power(Coord(0), -2) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-    return pair_potential_model(
-        n,
-        pots,
-        name="calogero",
-        involutive_up_to=n if n <= 3 else None,
-        non_involutive=(n == 4),
-    )
+    chart = Chart(n)  # refuses an n too large to index before the pair table is sized by it
+    fields = {(i, j): (chart.q(i) - chart.q(j)) ** -2 for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    return _pair_bundle("calogero", chart, fields, involutive_up_to=n if n <= 3 else None, non_involutive=n == 4)
 
 
 # ---------------------------------------------------------------------------
@@ -347,9 +304,8 @@ def calogero(n: int) -> ModelBundle:
 def two_particle_model(v_spec, *, name: str = "two-particle") -> ModelBundle:
     """The n = 2 pair structure for a general potential V(q1, q2).
 
-    ``v_spec`` is a node tree over the chart coordinates (Coord(0) = q1,
-    Coord(1) = q2), a prefix string in q1/q2, a field on the n = 2 chart,
-    or a rational constant.  The model is involutive exactly when V depends
+    ``v_spec`` is a prefix string in q1/q2, a field on the n = 2 chart, or a
+    rational constant.  The model is involutive exactly when V depends
     only on q1 - q2; the factory records that as metadata by deciding
     whether the sum of the two q-partials is zero, as report entries are,
     with no witness search.

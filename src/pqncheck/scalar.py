@@ -25,9 +25,9 @@ point of a field it proved nonzero; the residual there is the exact value
 rounded once, and only a field with an exp takes it from a float evaluation.
 ``is_zero`` gives that decision, the one every report entry states: no zero
 test compares a float with a threshold, and a field the exact test leaves
-undecided raises ``ConfigError``.  Expression trees are only the boundary:
-parsed input is normalized into a polynomial, and the canonical tree is built
-from it for printing and for float evaluation, which walks it.
+undecided raises ``ConfigError``.  Expression trees are output only: input
+is parsed straight into ring operations, and the canonical tree is built from
+the polynomial for printing and for float evaluation, which walks it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import (
     ChartMismatchError,
@@ -172,7 +172,7 @@ class Chart(Record):
     def coordinate(self, index: int) -> "ScalarField":
         if not 0 <= index < self.dim:
             raise IndexError(f"coordinate index {index} out of range for dim {self.dim}")
-        return ScalarField(self, Coord(index))
+        return ScalarField._wrap(self, {(((index, 1),), (), ()): 1})
 
     def q(self, i: int) -> "ScalarField":
         return self.coordinate(self.q_index(i))
@@ -270,7 +270,7 @@ class Power(Node):
 
 
 class Exp(Node):
-    """exp of an affine combination of coordinates (checked during normalization)."""
+    """exp of an affine combination of coordinates, as the canonical tree prints it."""
 
     __slots__ = _fields = ("argument",)
 
@@ -321,8 +321,8 @@ def _node_key(node: Node):
 #           interned content-normalized multi-term polynomial (``_SumBase``).
 # A product of monomials merges each part's pairs (``_merge``): it builds no
 # tree and sorts nothing by ``_node_key``.  Trees and their keys appear only
-# at the edges: ``_poly`` reads an input tree, and ``_term_nodes`` builds the
-# canonical tree, in tree-key order, for printing.
+# in output: ``_term_nodes`` builds the canonical tree, in tree-key order, for
+# printing and evaluation.
 # ---------------------------------------------------------------------------
 
 Monomial = tuple  # (coords, affine, sums), see above
@@ -401,14 +401,12 @@ def _poly_scale(poly: Polynomial, scale: RationalLike) -> Polynomial:
     return {mono: _exact(coeff * scale) for mono, coeff in poly.items()}
 
 
-def _affine(poly: Polynomial, name: Callable[[int], str] | None = None) -> tuple:
-    """The affine form of a polynomial of degree at most one in the coordinates; ``name`` names them in errors."""
+def _affine(poly: Polynomial, written: Callable[[], str]) -> tuple:
+    """The affine form of a polynomial of degree at most one in the coordinates; ``written()`` quotes it in errors."""
     pairs = []
     for (coords, affine, sums), coeff in poly.items():
         if affine or sums or len(coords) > 1 or coords and coords[0][1] != 1:
-            raise UnsupportedExpressionError(
-                f"exp argument must be affine in the coordinates, got {_render(_poly_to_node(poly), name)}"
-            )
+            raise UnsupportedExpressionError(f"exp argument must be affine in the coordinates, got {_cut(written())}")
         pairs.append((coords[0][0] if coords else _CONSTANT, coeff))
     return tuple(sorted(pairs))
 
@@ -466,28 +464,6 @@ def _poly_int_pow(poly: Polynomial, exponent: int) -> Polynomial:
     return {((), (), ((_sum_id(monic), exponent),)): _exact(content**exponent)}
 
 
-def _poly(node: Node) -> Polynomial:
-    if isinstance(node, Const):
-        return {} if node.value == 0 else {_UNIT: _exact(node.value)}
-    if isinstance(node, Coord):
-        return {(((node.index, 1),), (), ()): 1}
-    if isinstance(node, Sum):
-        out: Polynomial = {}
-        for term in node.terms:
-            _poly_add_into(out, _poly(term))
-        return out
-    if isinstance(node, Product):
-        out = {_UNIT: 1}
-        for factor in node.factors:
-            out = _poly_mul(out, _poly(factor))
-        return out
-    if isinstance(node, Power):
-        return _poly_int_pow(_poly(node.base), node.exponent)
-    if isinstance(node, Exp):
-        return _exp_poly(_affine(_poly(node.argument)))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
 @lru_cache(maxsize=4096)
 def _exp_factor(affine: tuple) -> tuple:
     """The tree key and canonical ``Exp`` node of an affine form, built once per form."""
@@ -542,29 +518,6 @@ def _term_nodes(poly: Polynomial) -> list[Node]:
 def _poly_to_node(poly: Polynomial) -> Node:
     terms = _term_nodes(poly)
     return terms[0] if len(terms) == 1 else Sum(tuple(terms))
-
-
-def normalize(node: Node) -> Node:
-    """Canonical form of an expression tree.  Idempotent."""
-    return _poly_to_node(_poly(node))
-
-
-def substitute(node: Node, mapping: Mapping[int, Node]) -> Node:
-    """Replace coordinates by subtrees (simultaneously).  Returns a raw tree, one frame per level (no generator)."""
-    if isinstance(node, Coord):
-        return mapping.get(node.index, node)
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, (Sum, Product)):
-        children = []
-        for child in node.terms if isinstance(node, Sum) else node.factors:
-            children.append(substitute(child, mapping))
-        return type(node)(children)
-    if isinstance(node, Power):
-        return Power(substitute(node.base, mapping), node.exponent)
-    if isinstance(node, Exp):
-        return Exp(substitute(node.argument, mapping))
-    raise TypeError(f"not an expression node: {node!r}")
 
 
 def _variables(poly: Polynomial) -> tuple[int, ...]:
@@ -660,27 +613,23 @@ class ScalarField:
     ``int`` or ``Fraction`` coefficients, and every operator reads and writes
     it directly, without building a tree.  The canonical tree ``root`` is built
     from it once, on first use, for printing and float evaluation only, and so
-    is ``variables``, the coordinates the polynomial mentions.  Immutable; all
-    arithmetic returns new fields.  Safe to share across threads; a pickle
-    holds the tree, not process-local sum ids.
+    is ``variables``, the coordinates the polynomial mentions.  ``value`` is
+    a field on ``chart`` or an exact rational; every other field is built by
+    ring operations.  Immutable; all arithmetic returns new fields.  Safe to
+    share across threads; a pickle holds the chart and the canonical prefix
+    text, not process-local sum ids.
     """
 
     __slots__ = ("chart", "poly", "_root", "_variables")
 
-    def __init__(self, chart: Chart, tree):
+    def __init__(self, chart: Chart, value):
         variables = None
-        if isinstance(tree, ScalarField):
-            if tree.chart != chart:
+        if isinstance(value, ScalarField):
+            if value.chart != chart:
                 raise ChartMismatchError("scalar field belongs to a different chart")
-            poly, variables = tree.poly, tree._variables
-        elif isinstance(tree, Node):
-            poly = _poly(tree)
-            variables = _variables(poly)
-            if variables and not (0 <= variables[0] and variables[-1] < chart.dim):
-                bad = variables[0] if variables[0] < 0 else variables[-1]
-                raise ChartMismatchError(f"coordinate index {bad} out of range for chart of dimension {chart.dim}")
+            poly, variables = value.poly, value._variables
         else:
-            value = _as_fraction(tree)
+            value = _as_fraction(value)
             poly = {_UNIT: _exact(value)} if value else {}
         for name, value in zip(self.__slots__, (chart, poly, None, variables)):
             object.__setattr__(self, name, value)
@@ -698,8 +647,8 @@ class ScalarField:
         return obj
 
     def __reduce__(self):
-        # Rebuilt from the canonical tree, because sum ids are local to a process; the caches refill on use.
-        return ScalarField, (self.chart, self.root)
+        # Parsed again from the canonical text, because sum ids are local to a process; the caches refill on use.
+        return parse_prefix, (self.to_prefix(), self.chart)
 
     # -- structure ----------------------------------------------------------
 
@@ -755,7 +704,7 @@ class ScalarField:
             if other.chart != self.chart:
                 raise ChartMismatchError("cannot combine scalar fields from different charts")
             return other
-        if isinstance(other, (int, Fraction, Node)):
+        if isinstance(other, (int, Fraction)):
             return ScalarField(self.chart, other)
         return None
 
@@ -849,7 +798,7 @@ class ScalarField:
 
     def exp(self) -> "ScalarField":
         """exp of this field; the field must be affine in the coordinates."""
-        return ScalarField._wrap(self.chart, _exp_poly(_affine(self.poly, self.chart.coordinate_name)))
+        return ScalarField._wrap(self.chart, _exp_poly(_affine(self.poly, self.to_prefix)))
 
 
 def exp(field: ScalarField) -> ScalarField:
@@ -1231,19 +1180,18 @@ def _render(node: Node, name: Callable[[int], str] | None) -> str:
     return render(node)
 
 
-def parse_prefix_tree(text: str, resolve: Callable[[str], Node]) -> Node:
-    """Parse the prefix grammar into a raw node tree.
+def _parse(text: str, chart: Chart, resolve: Callable[[str], ScalarField]) -> ScalarField:
+    """A field from the prefix grammar, built by ring operations as it is read.
 
-    ``resolve`` maps non-numeric atoms (coordinate names or extra symbols) to
-    nodes; it should raise on unknown names.
+    ``resolve`` maps each non-numeric atom (a coordinate name or another symbol) to a field
+    on ``chart``; it should raise on unknown names.
     """
     tokens = re.findall(_TOKEN_RE, text)
     if not tokens:
         raise UnsupportedExpressionError("empty expression")
     pos = 0
-    names: dict[int, str] = {}  # coordinate index -> the token it was written as
 
-    def parse() -> Node:
+    def parse() -> ScalarField:
         nonlocal pos
         if pos >= len(tokens):
             raise UnsupportedExpressionError(f"unexpected end of expression: {_quoted(text)}")
@@ -1254,60 +1202,65 @@ def parse_prefix_tree(text: str, resolve: Callable[[str], Node]) -> Node:
         if token != "(":
             if re.match(_RATIONAL_RE, token):
                 try:
-                    return Const(Fraction(token))
+                    return chart.constant(Fraction(token))
                 except ZeroDivisionError:
                     raise UnsupportedExpressionError(f"zero denominator in {_quoted(token)}") from None
-            node = resolve(token)
-            if isinstance(node, Coord):
-                names[node.index] = token
-            return node
+            return resolve(token)
         if pos >= len(tokens):
             raise UnsupportedExpressionError(f"unterminated '(' in {_quoted(text)}")
         op = tokens[pos]
         pos += 1
-        args: list[Node] = []
+        first = pos  # the first token of the arguments
+        args: list[ScalarField] = []
         while pos < len(tokens) and tokens[pos] != ")":
             args.append(parse())
         if pos >= len(tokens):
             raise UnsupportedExpressionError(f"unterminated '(' in {_quoted(text)}")
         pos += 1  # consume ')'
+        # A sum or product is formed on the polynomials and wrapped once, not once per argument.
         if op == "+":
-            return Sum(tuple(args))
+            poly: Polynomial = {}
+            for arg in args:
+                _poly_add_into(poly, arg.poly)
+            return ScalarField._wrap(chart, poly)
         if op == "*":
-            return Product(tuple(args))
+            poly = {_UNIT: 1}
+            for arg in args:
+                poly = _poly_mul(poly, arg.poly)
+            return ScalarField._wrap(chart, poly)
         if op == "^":
-            if len(args) != 2 or not isinstance(args[1], Const) or args[1].value.denominator != 1:
+            # The exponent is the last argument, written as one integer literal token.
+            k = args[1].constant_value if len(args) == 2 and re.match(_RATIONAL_RE, tokens[pos - 2]) else None
+            if k is None or k.denominator != 1:
                 raise UnsupportedExpressionError("(^ base k) requires an integer exponent")
-            return Power(args[0], int(args[1].value))
+            return args[0] ** int(k)
         if op == "exp":
             if len(args) != 1:
                 raise UnsupportedExpressionError("(exp a) takes exactly one argument")
-            # Checked here, where the coordinates' names as written are known.
-            _affine(_poly(args[0]), lambda index: names.get(index, f"x{index + 1}"))
-            return Exp(args[0])
+            end = pos - 1  # the argument as written is tokens[first:end]
+            affine = _affine(args[0].poly, lambda: " ".join(tokens[first:end]).replace("( ", "(").replace(" )", ")"))
+            return ScalarField._wrap(chart, _exp_poly(affine))
         raise UnsupportedExpressionError(f"unknown operator {_quoted(op)}")
 
-    tree = parse()
+    try:
+        field = parse()
+    except RecursionError:  # parsing recurses once per level of nesting
+        raise UnsupportedExpressionError(f"expression nested too deeply: {_quoted(text)}") from None
     if pos != len(tokens):
         raise UnsupportedExpressionError(f"trailing tokens in {_quoted(text)}")
-    return tree
+    return field
 
 
 def parse_prefix(text: str, chart: Chart) -> ScalarField:
     """Parse a prefix expression over a chart's coordinates into a ScalarField."""
 
-    def resolve(token: str) -> Node:
+    def resolve(token: str) -> ScalarField:
         m = re.match(_COORD_RE, token)
-        if m:
-            i = int(m.group(2))
-            try:
-                index = chart.q_index(i) if m.group(1) == "q" else chart.p_index(i)
-            except IndexError as exc:
-                raise UnsupportedExpressionError(f"no coordinate {_quoted(token)} on a chart with n={chart.n}") from exc
-            return Coord(index)
-        raise UnsupportedExpressionError(f"unknown symbol {_quoted(token)}")
+        if m is None:
+            raise UnsupportedExpressionError(f"unknown symbol {_quoted(token)}")
+        try:
+            return chart.q(int(m.group(2))) if m.group(1) == "q" else chart.p(int(m.group(2)))
+        except IndexError as exc:
+            raise UnsupportedExpressionError(f"no coordinate {_quoted(token)} on a chart with n={chart.n}") from exc
 
-    try:
-        return ScalarField(chart, parse_prefix_tree(text, resolve))
-    except RecursionError:  # parsing and normalizing recurse once per level of nesting
-        raise UnsupportedExpressionError(f"expression nested too deeply: {_quoted(text)}") from None
+    return _parse(text, chart, resolve)

@@ -1,20 +1,58 @@
 """Reference code and fixtures that only the tests use.
 
-The CLI and the checkers never call these: the Lie bracket of vector fields,
-the deformed bracket, the torsion evaluated on any pair of vector fields, the
-paper's explicit n = 2 matrices, and random forms, vector fields and tensors.
+The CLI and the checkers never call these: the coordinate 1-forms dq_i and
+dp_i, a field's exact value from its printed tree, the Lie bracket of vector
+fields, the deformed bracket, the torsion evaluated on any pair of vector
+fields, the paper's explicit n = 2 matrices, and random forms, vector fields
+and tensors.
 They are oracles and inputs for property checks of the package's operators.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
 from pqncheck.exterior import Form, Tensor11, VectorField
 from pqncheck.randgen import random_scalar_field
-from pqncheck.scalar import Chart, ScalarField, exp
+from pqncheck.scalar import Chart, Const, Coord, Point, Power, Product, ScalarField, Sum, exp
+
+
+def dq(chart: Chart, i: int) -> Form:
+    """The coordinate 1-form dq_i (1-based)."""
+    return Form(chart, 1, {(chart.q_index(i),): 1})
+
+
+def dp(chart: Chart, i: int) -> Form:
+    """The coordinate 1-form dp_i (1-based)."""
+    return Form(chart, 1, {(chart.p_index(i),): 1})
+
+
+def exact_value(field: ScalarField, point: Point) -> Fraction:
+    """A field's exact value at a point of whole numbers, from a ``Fraction`` walk of its canonical tree.
+
+    The oracle reads only the printed tree, not the ring.  A field with an exp has no exact value
+    there, and raises ``TypeError``.
+    """
+    values = [Fraction(value) for value in point.values]
+
+    def walk(node) -> Fraction:
+        if isinstance(node, Const):
+            return node.value
+        if isinstance(node, Coord):
+            return values[node.index]
+        if isinstance(node, Sum):
+            return sum([walk(term) for term in node.terms], Fraction(0))
+        if isinstance(node, Product):
+            return math.prod([walk(factor) for factor in node.factors], start=Fraction(1))
+        if isinstance(node, Power):
+            return walk(node.base) ** node.exponent
+        raise TypeError(f"no exact value for {node!r}")
+
+    return walk(field.root)
 
 
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:

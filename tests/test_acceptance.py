@@ -175,7 +175,7 @@ def test_criterion_5_two_particle_fixtures():
     fixture = two_particle_fixture()
     chart = fixture.chart
     pi = canonical_poisson(chart)
-    bundle = two_particle_model(fixture.v.root)
+    bundle = two_particle_model(fixture.v.to_prefix())
     sharp_columns = [pi_sharp(pi, dx(chart, j)).components for j in range(chart.dim)]
     ok_matrices = (
         tuple(zip(*sharp_columns)) == fixture.pi_sharp_matrix

@@ -19,8 +19,6 @@ from pqncheck.exterior import (
     Form,
     Tensor11,
     VectorField,
-    dp,
-    dq,
     lie_derivative,
     tensor_interior,
     wedge,
@@ -39,6 +37,7 @@ from pqncheck.scalar import Chart, exp, is_zero
 from conftest import seeded
 from reference import (
     deformed_lie_bracket,
+    dq,
     lie_bracket,
     random_form,
     random_tensor,

@@ -12,6 +12,7 @@ from pqncheck.models import closed_toda
 from pqncheck.scalar import Chart
 
 from conftest import cli_report, strict_json
+from reference import dp, dq
 
 
 def run_cli(*argv) -> int:
@@ -45,7 +46,7 @@ class TestFormSerialization:
 
     def test_indices_are_one_based(self):
         chart = Chart(2)
-        from pqncheck.exterior import dq, dp, wedge
+        from pqncheck.exterior import wedge
 
         data = serialize_form(wedge(dq(chart, 1), dp(chart, 2)))
         assert data["terms"][0]["indices"] == [1, 4]
@@ -549,6 +550,8 @@ class TestBadInput:
             ("involutivity", "--model", "calogero", "--n", "3", "--kmax", "3", "--config", {"separation": "nan"}),
             ("check", "--model", "closed-toda", "--n", "x"),
             ("check", "--model", "two-particle", "--v", "(+ (^ (+ q1 1) -70000) (^ (+ q2 1) -70000))"),
+            # A 29-character exp argument that expands to 495 terms is quoted as written.
+            ("check", "--model", "two-particle", "--v", "(exp (^ (+ q1 q2 p1 p2 1) 8))"),
             ("check", "--model", "closed-toda", "--n", "3", "--f", "1/0,1,1"),
             ("check", "--model", "closed-toda", "--n", "3", "--config", {"f": ["1/0", 1, 1]}),
             ("check", "--model", "closed-toda", "--n", "3", "--bogus"),

@@ -9,7 +9,7 @@ from pqncheck.calculus import (
     nijenhuis_d,
     poisson_bracket,
 )
-from pqncheck.exterior import Bivector, Form, dq, pi_sharp_omega_flat, wedge
+from pqncheck.exterior import Bivector, Form, pi_sharp_omega_flat, wedge
 from pqncheck.models import (
     canonical_deformation_form,
     canonical_poisson,
@@ -21,7 +21,7 @@ from pqncheck.randgen import random_scalar_field
 from pqncheck.scalar import Chart, exp
 
 from conftest import seeded
-from reference import random_form, two_particle_fixture
+from reference import dq, random_form, two_particle_fixture
 
 
 @pytest.fixture(scope="module")

@@ -34,6 +34,23 @@ def test_only_scalar_reads_the_polynomial_layout():
     assert readers == []
 
 
+#: The expression-tree node classes: the canonical tree is an output of ``scalar.py`` alone.
+NODE_CLASSES = {"Node", "Const", "Coord", "Sum", "Product", "Power", "Exp"}
+
+
+def test_only_scalar_imports_the_tree_nodes():
+    # Fields are built by ring operations; no other module builds or reads a tree.
+    package = Path(pqncheck.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "scalar.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                importers += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name in NODE_CLASSES]
+    assert importers == []
+
+
 def test_every_exported_name_is_documented():
     # The README's library section is the package's API: test-only code stays out of it and out of src/.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -21,7 +21,7 @@ from pqncheck.models import (
     potential,
     two_particle_model,
 )
-from pqncheck.scalar import Chart, Coord, Power, exp
+from pqncheck.scalar import Chart, Coord, Power, exp, parse_prefix
 from pqncheck.structures import (
     check_pn,
     check_pqn,
@@ -101,7 +101,7 @@ class TestPairPotential:
         assert result.phi.is_zero and result.tensor == bundle.tensor
 
     def test_inverse_square_block(self):
-        bundle = pair_potential_model(2, {(1, 2): Power(Coord(0), -2)})
+        bundle = pair_potential_model(2, {(1, 2): "(^ x -2)"})
         chart = bundle.chart
         assert bundle.tensor.entry(3, 0) == (chart.q(1) - chart.q(2)) ** -2
 
@@ -151,18 +151,14 @@ class TestPairPotential:
             pair_potential_model(2, {(1, 2): "(exp q1)"})
         with pytest.raises(UnsupportedExpressionError):
             pair_potential_model(2, {(1, 2): object()})
+        with pytest.raises(UnsupportedExpressionError, match="cannot interpret"):
+            pair_potential_model(2, {(1, 2): Power(Coord(0), -2)})  # a tree is not an input
 
-    @pytest.mark.parametrize("foreign", [Coord(1), Coord(7)])
+    @pytest.mark.parametrize("foreign", ["(+ x q2)", "(* x p7)"])
     def test_potential_with_a_foreign_coordinate_rejected(self, foreign):
-        # Coord(7) lies beyond the one-particle chart of the symbol x
-        with pytest.raises(UnsupportedExpressionError, match="univariate"):
+        # x is the one symbol a potential reads; p7 lies beyond the chart too
+        with pytest.raises(UnsupportedExpressionError, match="unknown symbol"):
             pair_potential_model(2, {(1, 2): foreign})
-
-    def test_foreign_coordinate_that_cancels_is_accepted(self):
-        from pqncheck.scalar import Const, Product, Sum
-
-        cancelled = Sum((Coord(0), Coord(1), Product((Const(Fraction(-1)), Coord(1)))))
-        assert pair_potential_model(2, {(1, 2): cancelled}).omega == pair_potential_model(2, {(1, 2): "x"}).omega
 
     def test_bad_pair_keys_rejected(self):
         with pytest.raises(ValueError):
@@ -171,11 +167,11 @@ class TestPairPotential:
             pair_potential_model(2, {(1, 3): "(exp x)"})
 
     def test_potential_coercion(self):
-        from pqncheck.scalar import Const
-
-        assert potential(5) == Const(Fraction(5))
-        assert potential("(^ x -2)") == Power(Coord(0), -2)
-        assert potential(Power(Coord(0), -2)) == Power(Coord(0), -2)
+        chart = Chart(3)
+        x = chart.q(1) - chart.q(3)
+        assert potential(5, x) == chart.constant(5)
+        assert potential("(^ x -2)", x) == parse_prefix("(^ (+ q1 (* -1 q3)) -2)", chart)
+        assert potential("(exp (* 2 x))", x) == exp(2 * x)
 
 
 @pytest.mark.parametrize(
@@ -260,7 +256,7 @@ class TestCalogero:
 class TestTwoParticle:
     def test_fixture_matrices_match_model(self):
         fixture = two_particle_fixture()
-        bundle = two_particle_model(fixture.v.root)
+        bundle = two_particle_model(fixture.v.to_prefix())
         assert Tensor11(fixture.chart, fixture.n_hat_matrix) == bundle.tensor
         assert bundle.omega == fixture.omega
         assert bundle.expected.phi_closed_form == fixture.d_n_omega + fixture.omega_self_bracket * Fraction(1, 2)

@@ -31,10 +31,8 @@ from pqncheck.scalar import (
     exact_zero,
     exp,
     is_zero,
-    normalize,
     parse_prefix,
     sample_points,
-    substitute,
     to_prefix,
 )
 
@@ -111,7 +109,7 @@ class TestEvaluate:
         f = chart.p(1) + (chart.q(1) - chart.q(2)) ** -2
         with pytest.raises(EvaluationOverflowError) as err:
             f.evaluate([1.0, 1.0, 0.0, 0.0])
-        assert err.value.node == Power(normalize(Sum((Coord(0), Product((Const(-1), Coord(1)))))), -2)
+        assert err.value.node == Power((chart.q(1) - chart.q(2)).root, -2)
         assert "(^ (+ q1 (* -1 q2)) -2)" in str(err.value)
 
     def test_wrong_dimension(self):
@@ -194,6 +192,11 @@ class TestPartial:
 _DIM = 4
 
 
+def _read(tree, chart=Chart(2)):
+    """The field a raw tree denotes, read from its prefix text: trees are not an input of the ring."""
+    return parse_prefix(to_prefix(tree, chart), chart)
+
+
 def _affine(draw):
     terms = [Const(Fraction(draw(st.integers(-2, 2))))]
     for _ in range(draw(st.integers(1, 2))):
@@ -226,14 +229,13 @@ class TestNormalization:
     @given(raw_trees())
     @settings(max_examples=200, deadline=None)
     def test_idempotent(self, tree):
-        once = normalize(tree)
-        assert normalize(once) == once
+        once = _read(tree)
+        assert _read(once.root).root == once.root
 
     @given(raw_trees())
     @settings(max_examples=100, deadline=None)
     def test_normalization_preserves_value(self, tree):
-        chart = Chart(2)
-        field = ScalarField(chart, tree)
+        field = _read(tree)
         point = [0.37, -0.61, 0.93, -1.17]
         raw = _eval_raw(tree, point)
         assert field.evaluate(point) == pytest.approx(raw, rel=1e-9, abs=1e-9)
@@ -241,8 +243,7 @@ class TestNormalization:
     @given(raw_trees(), raw_trees(), st.integers(-1, 2))
     @settings(max_examples=100, deadline=None)
     def test_operators_match_normalized_raw_trees(self, a, b, k):
-        chart = Chart(2)
-        f, g = ScalarField(chart, a), ScalarField(chart, b)
+        f, g = _read(a), _read(b)
         cases = [
             (f + g, Sum((a, b))),
             (f - g, Sum((a, Product((Const(Fraction(-1)), b))))),
@@ -252,8 +253,8 @@ class TestNormalization:
             cases.append((f**k, Power(a, k)))
         point = [0.37, -0.61, 0.93, -1.17]
         for result, raw in cases:
-            assert result.root == normalize(raw)
-            expected = ScalarField(chart, raw)
+            expected = _read(raw)
+            assert result.root == expected.root
             assert result.evaluate(point) == expected.evaluate(point)
             assert result.term_scale(point) == expected.term_scale(point)
 
@@ -261,7 +262,7 @@ class TestNormalization:
     @settings(max_examples=100, deadline=None)
     def test_integral_coefficients_are_ints(self, a, b, k, index):
         chart = Chart(2)
-        f, g = ScalarField(chart, a), ScalarField(chart, b)
+        f, g = _read(a, chart), _read(b, chart)
         results = [f, g, f + g, f - g, f * g, f.partial(index), f - f, ScalarField(chart, Fraction(6, 3))]
         if k >= 0 or not f.is_zero_tree:
             results.append(f**k)
@@ -286,7 +287,7 @@ class TestNormalization:
     @settings(max_examples=100, deadline=None)
     def test_partials_vanish_off_the_variables(self, tree):
         chart = Chart(2)
-        field = ScalarField(chart, tree)
+        field = _read(tree, chart)
         # f**-1 of a sum adds a negative-power sum base
         for f in [field] if field.is_zero_tree else [field, field**-1]:
             assert list(f.variables) == sorted(set(f.variables))
@@ -296,10 +297,16 @@ class TestNormalization:
 
     def test_out_of_range_coordinate_inside_a_base_rejected(self):
         chart = Chart(1)
-        with pytest.raises(ChartMismatchError):
-            ScalarField(chart, Exp(Coord(2)))
-        with pytest.raises(ChartMismatchError):
-            ScalarField(chart, Power(Sum((Coord(0), Coord(3))), -1))
+        for text in ("(exp q2)", "(^ (+ q1 p2) -1)"):
+            with pytest.raises(UnsupportedExpressionError, match="no coordinate"):
+                parse_prefix(text, chart)
+
+    def test_a_tree_is_not_an_input(self):
+        # Fields come from ring operations; a tree is only printed and walked.
+        with pytest.raises(TypeError):
+            ScalarField(Chart(1), Exp(Coord(0)))
+        with pytest.raises(TypeError):
+            Chart(1).q(1) + Coord(0)
 
     def test_exp_argument_must_be_affine(self):
         chart = Chart(1)
@@ -320,11 +327,11 @@ class TestNormalization:
         with pytest.raises(UnsupportedExpressionError):
             chart.zero() ** -1
 
-    def test_substitute(self):
-        tree = Power(Coord(0), -2)
-        replaced = substitute(tree, {0: Sum((Coord(0), Product((Const(Fraction(-1)), Coord(1)))))})
+    def test_atoms_resolve_to_fields(self):
+        # An atom reads as the field resolve gives it, here x as q1 - p1, as a pair potential's x is read.
         chart = Chart(1)
-        assert ScalarField(chart, replaced) == (chart.q(1) - chart.p(1)) ** -2
+        x = chart.q(1) - chart.p(1)
+        assert scalar._parse("(^ x -2)", chart, {"x": x}.__getitem__) == x**-2
 
 
 def _eval_raw(tree, values):
@@ -417,7 +424,7 @@ def _assert_matches_tree_walk(field, values) -> bool:
 @st.composite
 def _fields(draw):
     """Raw trees, and their inverse and inverse square, whose sums become negative-power bases."""
-    field = ScalarField(Chart(2), draw(raw_trees()))
+    field = _read(draw(raw_trees()))
     exponent = draw(st.sampled_from([1, -1, -2]))
     assume(exponent > 0 or not field.is_zero_tree)
     return field**exponent
@@ -780,6 +787,20 @@ class TestPrefixGrammar:
 
     def test_chartless_rendering(self):
         assert to_prefix(Coord(0)) == "x1"
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_canonical_text_reads_back_as_the_field(self, n):
+        # A pickle holds a field's canonical prefix text, so reading it back must give the field itself.
+        from pqncheck.randgen import random_scalar_field
+
+        chart, rng = Chart(n), seeded(n)
+        for _ in range(100):
+            f, g = (random_scalar_field(chart, rng, allow_negative_powers=True) for _ in range(2))
+            fields = [f, f * g, f.partial(rng.randrange(chart.dim))]
+            if not g.is_zero_tree:
+                fields += [f / g, g**-1]
+            for h in fields:
+                assert parse_prefix(h.to_prefix(), chart) == h
 
 
 class TestFieldBasics:

@@ -26,7 +26,7 @@ from pqncheck.models import (
 from pqncheck import exterior, scalar, structures
 from pqncheck.randgen import random_scalar_field
 from pqncheck.calculus import differential, poisson_bracket
-from pqncheck.scalar import Chart, Const, ScalarField, ZeroTestConfig, exp, parse_prefix, substitute
+from pqncheck.scalar import Chart, ScalarField, ZeroTestConfig, exp, parse_prefix
 from pqncheck.structures import (
     AxiomCheck,
     GeometricStructure,
@@ -42,7 +42,7 @@ from pqncheck.structures import (
 )
 
 from conftest import lagrange_identity, seeded
-from reference import random_form, random_tensor
+from reference import exact_value, random_form, random_tensor
 
 
 class TestCheckPoisson:
@@ -390,12 +390,6 @@ class TestExactVerdicts:
         assert matrix.cell(2, 3).passed and matrix.cell(2, 3).mode == "exact"
 
 
-def _exact_value(field: ScalarField, point) -> Fraction:
-    """The field's exact value at a point of whole numbers: each coordinate replaced by its constant."""
-    constants = {index: Const(Fraction(value)) for index, value in enumerate(point.values)}
-    return ScalarField(field.chart, substitute(field.root, constants)).constant_value
-
-
 class TestExactWitness:
     @pytest.mark.parametrize("n", [4, 5])
     def test_calogero_witnesses_are_exact(self, n):
@@ -407,7 +401,7 @@ class TestExactWitness:
             cell = matrix.cell(j, k)
             bracket = poisson_bracket(bundle.poisson, differential(invariants[j - 1]), differential(invariants[k - 1]))
             assert all(value.is_integer() for value in cell.witness.values)
-            value = _exact_value(bracket, cell.witness)
+            value = exact_value(bracket, cell.witness)
             assert value != 0
             assert cell.residual == float(abs(value))
             assert 1 <= cell.samples <= ZeroTestConfig().sample_count
@@ -432,7 +426,7 @@ class TestExactWitness:
         field = parse_prefix(f"(* 1/{10**480} (+ (^ q1 400) (* -1 (^ q2 400))))", chart2)
         entry = _zero_axiom("field", [field], ZeroTestConfig())
         assert (entry.passed, entry.samples) == (False, 1)
-        assert entry.residual == float(abs(_exact_value(field, entry.witness))) > 0
+        assert entry.residual == float(abs(exact_value(field, entry.witness))) > 0
 
     def test_residual_of_a_field_with_an_exp_is_its_float_value(self, chart2):
         field = parse_prefix("(* 1/3 (exp (* 1/2 q1)) (^ (+ q1 (* -1 q2)) -1))", chart2)
