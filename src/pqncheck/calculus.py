@@ -17,7 +17,6 @@ from .exterior import (
     Bivector,
     Form,
     Tensor11,
-    _musical_matrix,
     interior,
     pi_sharp,
     tensor_interior,
@@ -27,8 +26,8 @@ from .scalar import ScalarField
 
 
 def differential(field: ScalarField) -> Form:
-    """The 1-form df."""
-    return Form(field.chart, 1, {(i,): field.partial(i) for i in field.variables})
+    """The 1-form df, as d of the 0-form f."""
+    return cartan_d(Form.from_scalar(field))
 
 
 def cartan_d(form: Form) -> Form:
@@ -82,24 +81,18 @@ def nijenhuis_torsion(tensor: Tensor11) -> list[Form]:
 
 
 def poisson_bracket(pi: Bivector, f: ScalarField | Form, g: ScalarField | Form) -> ScalarField:
-    """{f, g} = pi(df, dg) = sum_{ij} pi^{ij} (d_i f)(d_j g) = <dg, pi_sharp df>.
+    """{f, g} = pi(df, dg) = <dg, pi_sharp df>: df raised by pi, then contracted into dg.
 
-    The sum runs over the entries of the matrix P of pi_sharp, whose entry
-    (r, c) is pi^{cr}.  Either argument may be given by its differential, a
-    1-form, so a caller that brackets each of several functions with many
-    others takes each function's partials once.
+    Either argument may be given by its differential, a 1-form, so a caller
+    that brackets each of several functions with many others takes each
+    function's partials once.
     """
     df, dg = (h if isinstance(h, Form) else differential(h) for h in (f, g))
     if pi.chart != df.chart or pi.chart != dg.chart:
         raise ChartMismatchError("bracket across charts")
     if df.degree != 1 or dg.degree != 1:
         raise DegreeError("the Poisson bracket takes functions or their differentials")
-    out = pi.chart.zero()
-    for (r, c), entry in _musical_matrix(pi).terms():
-        fc, gr = df.coeffs.get((c,)), dg.coeffs.get((r,))
-        if fc is not None and gr is not None:
-            out = out + entry * fc * gr
-    return out
+    return interior(pi_sharp(pi, df), dg).as_scalar()
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,10 @@ pi_sharp has (i, j) entry pi^{ji}; a 2-form lowers vector fields through
 (i, j) entry omega_{ji}.  Both are the transpose of the stored antisymmetric
 entries, and :func:`_musical_matrix` is the one place that builds them, once
 per value.  It is also where every bracket of functions and pi_sharp read pi:
-:func:`pi_sharp` applies the matrix kept for pi, and the Poisson bracket and
-the Jacobi checks read {x_b, x_c} as its entry (c, b).  The only other reader
-of pi's stored entries is the contraction of pi with forms, ``calculus._pi_interior``.
+:func:`pi_sharp` applies the matrix kept for pi, the Poisson bracket
+{f, g} = <dg, pi_sharp df> goes through it, and the Jacobi checks read
+{x_b, x_c} as its entry (c, b).  The only other reader of pi's stored entries
+is the contraction of pi with forms, ``calculus._pi_interior``.
 """
 
 from __future__ import annotations
@@ -312,7 +313,7 @@ class Tensor11(_Matrix):
     of rows), or a mapping or iterable of raw ``((i, j), N^i_j)`` terms.
     """
 
-    __slots__ = ("_partials",)
+    __slots__ = ("_partials", "_row_index")
 
     def __init__(self, chart: Chart, entries: Sequence[Sequence[CoeffLike]] | Mapping | Iterable):
         self._store(chart, _matrix_terms(chart, entries) if isinstance(entries, Sequence) else entries)
@@ -345,11 +346,13 @@ class Tensor11(_Matrix):
         return [VectorField(self.chart, column) for column in columns]
 
     def _rows(self) -> dict[int, list[tuple[int, ScalarField]]]:
-        """The stored entries by row, ``{i: [(j, N^i_j), ...]}``, in storage order."""
-        rows: dict[int, list[tuple[int, ScalarField]]] = {}
-        for (i, j), value in self.terms():
-            rows.setdefault(i, []).append((j, value))
-        return rows
+        """The stored entries by row, ``{i: [(j, N^i_j), ...]}``, in storage order, kept like ``partials``."""
+        if getattr(self, "_row_index", None) is None:
+            rows: dict[int, list[tuple[int, ScalarField]]] = {}
+            for (i, j), value in self.terms():
+                rows.setdefault(i, []).append((j, value))
+            object.__setattr__(self, "_row_index", rows)
+        return self._row_index
 
     def apply(self, vector: VectorField) -> VectorField:
         if vector.chart != self.chart:
@@ -427,15 +430,12 @@ def _transpose_entries(value: Bivector | Form) -> Tensor11:
 
 
 def wedge(a: Form, b: Form) -> Form:
-    """Wedge product; degrees above the chart dimension collapse to zero."""
+    """Wedge product; above the chart dimension every pair of keys shares an index, so the product is zero."""
     if a.chart != b.chart:
         raise ChartMismatchError("wedge across charts")
-    degree = a.degree + b.degree
-    if degree > a.chart.dim:
-        return Form.zero(a.chart, degree)
     return Form(
         a.chart,
-        degree,
+        a.degree + b.degree,
         (
             (key_a + key_b, coeff_a * coeff_b)
             for key_a, coeff_a in a.terms()
@@ -466,12 +466,10 @@ def interior(vector: VectorField, form: Form) -> Form:
 def tensor_interior(tensor: Tensor11, form: Form) -> Form:
     """Degree-zero derivation i_N: sum over slots of the form with N inserted once.
 
-    At degree 1 this is the transpose action a -> a o N; on 0-forms it is 0.
+    At degree 1 this is the transpose action a -> a o N; a 0-form has no slot, so it maps to 0.
     """
     if tensor.chart != form.chart:
         raise ChartMismatchError("tensor contraction across charts")
-    if form.degree == 0:
-        return Form.zero(form.chart, 0)
     rows = tensor._rows()
 
     def terms():
@@ -527,8 +525,3 @@ def lie_derivative(x: VectorField, target):
             return along
         return along - jacobian @ target + target @ jacobian
     raise TypeError(f"lie_derivative does not handle {type(target).__name__}")
-
-
-def dx(chart: Chart, index: int) -> Form:
-    """The coordinate 1-form with 0-based index."""
-    return Form(chart, 1, {(index,): 1})

@@ -67,8 +67,6 @@ def _as_fraction(value) -> Fraction:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}: {value!r}")
 
 
@@ -649,6 +647,13 @@ class ScalarField:
     def __reduce__(self):
         # Parsed again from the canonical text, because sum ids are local to a process; the caches refill on use.
         return parse_prefix, (self.to_prefix(), self.chart)
+
+    def __copy__(self):
+        """The field itself: it is immutable, so only a pickle goes through the text."""
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     # -- structure ----------------------------------------------------------
 

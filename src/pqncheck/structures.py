@@ -36,7 +36,6 @@ from .exterior import (
     Form,
     Tensor11,
     _musical_matrix,
-    dx,
     lie_derivative,
     pi_sharp,
     pi_sharp_omega_flat,
@@ -176,7 +175,7 @@ def _compatibility_entries(
     # column j of the (1,1) tensor L_{pi# dx_i} N - pi# o (d(dx_i o N))_flat; each tensor is tested whole.
     concomitants: list[Tensor11] = []
     for i in range(chart.dim):
-        alpha = dx(chart, i)
+        alpha = differential(chart.coordinate(i))
         concomitant = lie_derivative(pi_sharp(pi, alpha), tensor)
         concomitants.append(concomitant - pi_sharp_omega_flat(pi, cartan_d(tensor_interior(tensor, alpha))))
     detail = None if cond1.passed else "assumes compatibility-musical, which failed"

@@ -1,7 +1,7 @@
 """Reference code and fixtures that only the tests use.
 
-The CLI and the checkers never call these: the coordinate 1-forms dq_i and
-dp_i, a field's exact value from its printed tree, the Lie bracket of vector
+The CLI and the checkers never call these: the coordinate 1-forms dx_i, dq_i
+and dp_i, a field's exact value from its printed tree, the Lie bracket of vector
 fields, the deformed bracket, the torsion evaluated on any pair of vector
 fields, the paper's explicit n = 2 matrices, and random forms, vector fields
 and tensors.
@@ -19,6 +19,11 @@ from typing import NamedTuple
 from pqncheck.exterior import Form, Tensor11, VectorField
 from pqncheck.randgen import random_scalar_field
 from pqncheck.scalar import Chart, Const, Coord, Point, Power, Product, ScalarField, Sum, exp
+
+
+def dx(chart: Chart, index: int) -> Form:
+    """The coordinate 1-form with 0-based index."""
+    return Form(chart, 1, {(index,): 1})
 
 
 def dq(chart: Chart, i: int) -> Form:

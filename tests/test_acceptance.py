@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from pqncheck.calculus import cartan_d, koszul_bracket, nijenhuis_d, poisson_bracket
-from pqncheck.exterior import Form, Tensor11, dx, pi_sharp, pi_sharp_omega_flat, wedge
+from pqncheck.exterior import Form, Tensor11, pi_sharp, pi_sharp_omega_flat, wedge
 from pqncheck.models import (
     calogero,
     canonical_deformation_form,
@@ -33,7 +33,7 @@ from pqncheck.structures import (
 )
 
 from conftest import CALOGERO_SEPARATION, seeded
-from reference import random_form, two_particle_fixture
+from reference import dx, random_form, two_particle_fixture
 
 
 def _criterion(number: int, description: str, ok: bool, detail: str = "") -> None:

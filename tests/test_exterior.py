@@ -11,7 +11,6 @@ from pqncheck.exterior import (
     Form,
     Tensor11,
     VectorField,
-    dx,
     interior,
     lie_derivative,
     pi_sharp,
@@ -31,7 +30,7 @@ from pqncheck.scalar import Chart, exp
 from pqncheck.structures import check_poisson
 
 from conftest import seeded
-from reference import dp, dq, lie_bracket, random_form, random_tensor, random_vector_field, two_particle_fixture
+from reference import dp, dq, dx, lie_bracket, random_form, random_tensor, random_vector_field, two_particle_fixture
 
 
 def _stored_values(obj):

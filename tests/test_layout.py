@@ -59,6 +59,24 @@ def test_every_exported_name_is_documented():
     assert missing == []
 
 
+def test_readme_library_tour_runs_and_gives_the_results_it_states():
+    # Each ```python block runs in a fresh namespace; an expression statement's trailing comment starts
+    # with the literal it evaluates to, as in ``report.overall  # True``.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        namespace: dict = {}
+        lines = block.splitlines()
+        for statement in ast.parse(block).body:
+            if not isinstance(statement, ast.Expr):
+                exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+                continue
+            stated = lines[statement.end_lineno - 1].partition("#")[2].split(",")[0].strip()
+            value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+            assert value == ast.literal_eval(stated), ast.unparse(statement)
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # Every CLI run is a fresh process.  Importing dataclasses pulls in inspect,
     # ast, dis and tokenize, and each @dataclass generates its methods with exec:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import math
 import random
 import struct
@@ -809,6 +810,19 @@ class TestFieldBasics:
         assert (chart.constant(Fraction(1, 3)) * 3).constant_value == 1
         with pytest.raises(TypeError):
             chart.constant(0.5)
+
+    def test_text_is_not_an_exact_rational(self):
+        # Text is parsed by parse_prefix, never read as a number.
+        chart = Chart(1)
+        for make in (lambda: ScalarField(chart, "q1"), lambda: ScalarField(chart, "1/0"), lambda: chart.constant("1/2")):
+            with pytest.raises(TypeError, match="expected an exact rational, got str"):
+                make()
+
+    def test_copy_of_a_field_is_the_field(self):
+        # A field is immutable, so copying needs no round trip through its text; pickling keeps that path.
+        h = parse_prefix("(+ (* 3 q1 (exp (+ q1 (* -1 q2)))) (* 1/2 (^ (+ q1 (* -1 q2)) -2)))", Chart(2))
+        assert copy.copy(h) is h and copy.deepcopy(h) is h
+        assert copy.deepcopy([h])[0] is h
 
     def test_cross_chart_rejected(self):
         f = Chart(1).q(1)
