@@ -101,9 +101,10 @@ def poisson_bracket(pi: Bivector, f: ScalarField | Form, g: ScalarField | Form) 
 #
 #     [a, b] = (-1)^|a| (d_pi(a ^ b) - d_pi a ^ b - (-1)^|a| a ^ d_pi b),
 #
-# which on 1-forms is L_{pi# a} b - L_{pi# b} a - d<b, pi# a>.  A function
-# argument f reduces it to an interior product, far cheaper than expanding d_pi
-# on a wedge product:  [f, a] = i_{pi# df} a  and  [a, f] = (-1)^|a| i_{pi# df} a.
+# which on 1-forms is L_{pi# a} b - L_{pi# b} a - d<b, pi# a>.  With a 0-form f
+# and any form c it is one interior product, far cheaper than expanding d_pi on a
+# wedge:  [f, c] = i_{pi# df} c  and  [c, f] = (-1)^|c| i_{pi# df} c, with df the
+# Cartan d of the 0-form itself.  Two 0-forms bracket to the zero 0-form.
 # ---------------------------------------------------------------------------
 
 
@@ -138,11 +139,10 @@ def koszul_bracket(pi: Bivector, a: Form, b: Form) -> Form:
         raise ChartMismatchError("bracket across charts")
     if a.degree == 0 and b.degree == 0:
         return Form.zero(pi.chart, 0)
-    if a.degree == 0:
-        return interior(pi_sharp(pi, differential(a.as_scalar())), b)
-    if b.degree == 0:
-        out = interior(pi_sharp(pi, differential(b.as_scalar())), a)
-        return -out if a.degree % 2 else out
+    if a.degree == 0 or b.degree == 0:
+        f, c = (a, b) if a.degree == 0 else (b, a)
+        out = interior(pi_sharp(pi, cartan_d(f)), c)
+        return -out if f is b and a.degree % 2 else out
     whole = _koszul_differential(pi, wedge(a, b))
     left = wedge(_koszul_differential(pi, a), b)
     right = wedge(a, _koszul_differential(pi, b))

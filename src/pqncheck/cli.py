@@ -82,7 +82,7 @@ def _path(value) -> str:
 def _fractions(value: str | list) -> list[Fraction]:
     """Couplings from a comma-separated string or a config-file list."""
     if isinstance(value, str):
-        value = [part for part in value.split(",") if part.strip()]
+        value = value.split(",")  # an empty part is refused below, not dropped
     elif not isinstance(value, list):
         raise ValueError("expected a comma-separated string or a list")
     try:
@@ -133,18 +133,28 @@ def _load_config_file(path: str) -> dict:
 
 
 def _merge_config(args: argparse.Namespace) -> None:
-    """Read every setting of ``args`` in place from its flag, else its config-file value; unset is None."""
+    """Read every setting of ``args`` in place from its flag, else its config-file value; unset is None.
+
+    A setting the command never reads (only a config file can give one) is refused, and so are ``f``,
+    ``v`` and ``potentials`` unless the run's model or 2-form is among their ``_READERS``.
+    """
     file_data = _load_config_file(args.config) if args.config else {}
-    for key, (read, _, _) in _SETTINGS.items():
+    for key, (read, commands, _) in _SETTINGS.items():
         value = getattr(args, key, None)
         if value is None:
             value = file_data.get(key)
         if value is not None:
+            if args.command not in commands:
+                raise ConfigError(f"{args.command} does not read setting {key!r}")
             try:
                 value = read(value)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"setting {key!r} has an unusable value {_quoted(value)}: {exc}") from exc
         setattr(args, key, value)
+    names = {args.model, args.omega}
+    for key, readers in _READERS.items():
+        if getattr(args, key) is not None and names.isdisjoint(readers):
+            raise ConfigError(f"this run does not read setting {key!r}; it is read only by {', '.join(readers)}")
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -441,6 +451,8 @@ def _base_pair(args: argparse.Namespace) -> tuple[str, Chart, Bivector, Tensor11
 @_config_errors()
 def _omega_source(args: argparse.Namespace, chart: Chart) -> Form:
     if args.omega_form is not None:
+        if args.omega is not None:
+            raise ConfigError("give the 2-form by omega or by omega_form, not both")
         omega = parse_form(chart, args.omega_form)
         if omega.degree != 2:
             raise ConfigError(f"omega_form must be a 2-form, got degree {omega.degree}")
@@ -479,22 +491,29 @@ _COMMANDS = {
 _EVERY = tuple(_COMMANDS)
 
 #: Every run setting, in the order a report echoes them: how its flag text or config-file value is
-#: read, the commands with its flag (none for a config-file-only setting), and the flag's help.  A flag
-#: wins over the file; an unset setting is None.
+#: read, the commands that read it, and the help of its flag on those commands (None for a
+#: config-file-only setting).  A flag wins over the file; an unset setting is None.
 _SETTINGS = {
     "model": (_given, _EVERY, "model or deformation base name"),
     "n": (_whole_number, _EVERY, "particle count"),
     "kmax": (_whole_number, ("involutivity",), f"largest trace order (guard: {_KMAX_GUARD})"),
     "f": (_fractions, _EVERY, "comma-separated coupling constants, e.g. 1,1,1"),
-    "potentials": (_potentials, (), None),
+    "potentials": (_potentials, ("check", "involutivity"), None),
     "v": (_string, ("check", "involutivity"), "two-particle potential, prefix expression in q1/q2"),
     "omega": (_given, ("deform",), f"built-in 2-form name: {', '.join(OMEGAS)}"),
-    "omega_form": (_omega_form, (), None),
+    "omega_form": (_omega_form, ("deform",), None),
     "expect": (_expect, ("check",), "expected class: pn or pqn (defaults to the model's own)"),
     "format": (_format, _EVERY, "output format: text (default) or json"),
     "out": (_path, _EVERY, "write the report to this path instead of stdout"),
     "samples": (_whole_number, _EVERY, "most witness points tried per failing field"),
     "seed": (_whole_number, _EVERY, "seed of the exact zero test's points and of the witness points"),
+}
+
+#: The models, deformation bases and 2-forms that read each setting only some runs read.
+_READERS = {
+    "f": ("open-toda", "closed-toda", "omega-hat", "toda"),
+    "v": ("two-particle",),
+    "potentials": ("pair-potential",),
 }
 
 
@@ -516,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p_command = sub.add_parser(command, help=text)
         p_command.add_argument("--config", help="JSON config file; flags override its keys")
         for key, (_, commands, help_text) in _SETTINGS.items():
-            if command in commands:
+            if command in commands and help_text:
                 p_command.add_argument(f"--{key}", help=help_text)
     return parser
 

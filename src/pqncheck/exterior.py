@@ -504,24 +504,25 @@ def pi_sharp_omega_flat(pi: Bivector, omega: Form) -> Tensor11:
 def lie_derivative(x: VectorField, target):
     """Lie derivative along X of a scalar field, a form, or a (1,1) tensor.
 
-    On forms it is computed by the Cartan formula L_X = i_X d + d i_X; on
-    (1,1) tensors by (L_X N)(Y) = [X, NY] - N[X, Y], which in components is
-    X(N) - J N + N J, with J^i_j = d_j X^i and X(N) = sum_l X^l d_l N from the
-    tensor's ``partials``; on scalars it is X(f).
+    Each is X on the coefficients plus the action of the Jacobian J^i_j = d_j X^i.  On a form a,
+    L_X dx_i = dX^i = sum_j J^i_j dx_j makes it X(a) + i_J a: X applied to each coefficient plus
+    the derivation ``tensor_interior`` of J, which maps a 0-form to 0.  On a (1,1) tensor,
+    (L_X N)(Y) = [X, NY] - N[X, Y] is X(N) - J N + N J, with X(N) = sum_l X^l d_l N from the
+    tensor's ``partials``.  On a scalar field it is X(f).  A target on another chart raises
+    :class:`ChartMismatchError`.
     """
-    from .calculus import cartan_d  # deferred: calculus builds on this module
-
+    if not isinstance(target, (ScalarField, Form, Tensor11)):
+        raise TypeError(f"lie_derivative does not handle {type(target).__name__}")
+    if x.chart != target.chart:
+        raise ChartMismatchError("Lie derivative across charts")
     if isinstance(target, ScalarField):
         return x(target)
+    jacobian = Tensor11(x.chart, (((i, j), c.partial(j)) for i, c in x.terms() for j in c.variables))
     if isinstance(target, Form):
-        if target.degree == 0:
-            return Form.from_scalar(x(target.as_scalar()))
-        return interior(x, cartan_d(target)) + cartan_d(interior(x, target))
-    if isinstance(target, Tensor11):
-        chart, partials = target.chart, target.partials()
-        jacobian = Tensor11(chart, (((i, j), c.partial(j)) for i, c in x.terms() for j in c.variables))
-        along = Tensor11(chart, ((key, c * value) for l, c in x.terms() for key, value in partials[l].terms()))
-        if jacobian.is_zero:  # X has constant components, as pi_sharp dx_i has for a constant pi
-            return along
-        return along - jacobian @ target + target @ jacobian
-    raise TypeError(f"lie_derivative does not handle {type(target).__name__}")
+        along = Form(target.chart, target.degree, ((key, x(c)) for key, c in target.terms()))
+        return along + tensor_interior(jacobian, target)
+    partials = target.partials()
+    along = Tensor11(target.chart, ((key, c * value) for l, c in x.terms() for key, value in partials[l].terms()))
+    if jacobian.is_zero:  # X has constant components, as pi_sharp dx_i has for a constant pi
+        return along
+    return along - jacobian @ target + target @ jacobian

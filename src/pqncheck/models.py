@@ -204,21 +204,15 @@ def _pair_bundle(
     return ModelBundle(name, chart, pi, tensor, omega, expected)
 
 
-def pair_potential_model(
-    n: int,
-    potentials: Mapping[tuple[int, int], object],
-    *,
-    name: str = "pair-potential",
-    involutive_up_to: int | None = None,
-    non_involutive: bool = False,
-) -> ModelBundle:
+def pair_potential_model(n: int, potentials: Mapping[tuple[int, int], object]) -> ModelBundle:
     """Deformation of the free-particle structure by pairwise single-variable potentials.
 
     ``potentials`` maps 1-based pairs (i, j) with i < j to univariate specs
     V_ij; unlisted pairs interact only through the momentum part of the
     2-form.  The assembled 2-form is sum over i < j of V_ij(q_i - q_j)
     dq_j ^ dq_i + dp_j ^ dp_i, the tensor is its deformation of the momentum
-    tensor, and the expected 3-form is the closed-form expression above.
+    tensor, and the expected 3-form is the closed-form expression above.  No
+    involutivity is claimed either way.
     """
     chart = Chart(n)
     fields: dict[tuple[int, int], ScalarField] = {}
@@ -226,7 +220,7 @@ def pair_potential_model(
         if not 1 <= i < j <= chart.n:
             raise ValueError(f"potential pair ({i}, {j}) must satisfy 1 <= i < j <= {chart.n}")
         fields[i, j] = potential(spec, chart.q(i) - chart.q(j))
-    return _pair_bundle(name, chart, fields, involutive_up_to, non_involutive)
+    return _pair_bundle("pair-potential", chart, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +295,7 @@ def calogero(n: int) -> ModelBundle:
 # ---------------------------------------------------------------------------
 
 
-def two_particle_model(v_spec, *, name: str = "two-particle") -> ModelBundle:
+def two_particle_model(v_spec) -> ModelBundle:
     """The n = 2 pair structure for a general potential V(q1, q2).
 
     ``v_spec`` is a prefix string in q1/q2, a field on the n = 2 chart, or a
@@ -315,10 +309,5 @@ def two_particle_model(v_spec, *, name: str = "two-particle") -> ModelBundle:
     v = parse_prefix(v_spec, chart) if isinstance(v_spec, str) else ScalarField(chart, v_spec)
     drift = v.partial(chart.q_index(1)) + v.partial(chart.q_index(2))
     translation_invariant = _all_zero("translation-invariance", [drift], ZeroTestConfig().seed)
-    return _pair_bundle(
-        name,
-        chart,
-        {(1, 2): v},
-        involutive_up_to=2 if translation_invariant else None,
-        non_involutive=not translation_invariant,
-    )
+    claim = 2 if translation_invariant else None
+    return _pair_bundle("two-particle", chart, {(1, 2): v}, claim, non_involutive=not translation_invariant)

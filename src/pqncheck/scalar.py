@@ -129,7 +129,7 @@ class Chart(Record):
     __slots__ = _fields = ("n",)
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"particle count must be a positive integer, got {_quoted(n)}")
         if 2 * n > sys.maxsize:
             raise ValueError(f"particle count {_quoted(n)} is too large: its 2n coordinates cannot be indexed")

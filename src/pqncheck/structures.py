@@ -255,30 +255,32 @@ class DeformResult(Record):
         self._init(tensor, phi, classification, report)
 
 
-def _require_closed(pi: Bivector, tensor: Tensor11, omega: Form, cfg: ZeroTestConfig) -> AxiomCheck:
-    """The omega-closed entry, once omega is known to be a 2-form on the chart of pi and the tensor."""
-    if omega.degree != 2:
-        raise DegreeError(f"the deforming form must be a 2-form, got degree {omega.degree}")
-    if omega.chart != pi.chart or tensor.chart != pi.chart:
-        raise ChartMismatchError("deformation inputs live on different charts")
-    entry = _zero_axiom("omega-closed", [cartan_d(omega)], cfg)
-    if not entry.passed:
-        raise HypothesisViolationError(
-            "the deforming 2-form is not closed", witness=entry.witness, residual=entry.residual
-        )
-    return entry
-
-
 def _structure_class(phi: Form | None, seed: int) -> str:
     """``"PN"`` when the 3-form is missing or decided zero by the exact zero test, else ``"PqN"``."""
     return "PN" if phi is None or _all_zero("phi-vanishes", _verdict_fields([phi]), seed) else "PqN"
 
 
-def _deformation(pi: Bivector, tensor: Tensor11, omega: Form) -> tuple[Tensor11, Form]:
-    """The deformed tensor N + pi_sharp o omega_flat and its 3-form d_N omega + 1/2 [omega, omega]_pi."""
+def _deformation(
+    pi: Bivector, tensor: Tensor11, omega: Form, cfg: ZeroTestConfig
+) -> tuple[AxiomCheck, Tensor11, Form]:
+    """The omega-closed entry, the deformed tensor N + pi_sharp o omega_flat, and the 3-form
+    phi = d_N omega + 1/2 [omega, omega]_pi, for both :func:`deform` and :func:`deform_to_pn`.
+
+    Before anything is built, a form of another degree raises :class:`DegreeError`, inputs on
+    different charts :class:`ChartMismatchError`, and a form the zero test finds not closed
+    :class:`HypothesisViolationError` with its witness.
+    """
+    if omega.degree != 2:
+        raise DegreeError(f"the deforming form must be a 2-form, got degree {omega.degree}")
+    if omega.chart != pi.chart or tensor.chart != pi.chart:
+        raise ChartMismatchError("deformation inputs live on different charts")
+    closed = _zero_axiom("omega-closed", [cartan_d(omega)], cfg)
+    if not closed.passed:
+        witness, residual = closed.witness, closed.residual
+        raise HypothesisViolationError("the deforming 2-form is not closed", witness=witness, residual=residual)
     n_hat = tensor + pi_sharp_omega_flat(pi, omega)
     phi = nijenhuis_d(tensor, omega) + koszul_bracket(pi, omega, omega) * Fraction(1, 2)
-    return n_hat, phi
+    return closed, n_hat, phi
 
 
 def deform(
@@ -299,15 +301,9 @@ def deform(
     charts :class:`ChartMismatchError`, before anything is computed.
     """
     cfg = config or ZeroTestConfig()
-    closed_entry = _require_closed(pi, tensor, omega, cfg)
-    n_hat, phi = _deformation(pi, tensor, omega)
+    closed_entry, n_hat, phi = _deformation(pi, tensor, omega, cfg)
     pqn_report = check_pqn(GeometricStructure(pi.chart, pi, n_hat, phi), cfg)
-    report = CheckReport(
-        "deform",
-        pi.chart,
-        cfg,
-        (closed_entry,) + pqn_report.entries,
-    )
+    report = CheckReport("deform", pi.chart, cfg, (closed_entry,) + pqn_report.entries)
     return DeformResult(n_hat, phi, _structure_class(phi, cfg.seed), report)
 
 
@@ -325,16 +321,10 @@ def deform_to_pn(
     """
     cfg = config or ZeroTestConfig()
     pi, tensor = structure.poisson, structure.tensor
-    closed_entry = _require_closed(pi, tensor, omega, cfg)
-    n_hat, phi = _deformation(pi, tensor, omega)
+    closed_entry, n_hat, phi = _deformation(pi, tensor, omega, cfg)
     cancel_entry = _zero_axiom("phi-cancellation", [phi + structure.torsion_form], cfg)
     pn_report = check_pn(pi, n_hat, cfg)
-    report = CheckReport(
-        "deform-to-pn",
-        pi.chart,
-        cfg,
-        (closed_entry, cancel_entry) + pn_report.entries,
-    )
+    report = CheckReport("deform-to-pn", pi.chart, cfg, (closed_entry, cancel_entry) + pn_report.entries)
     return n_hat, report
 
 

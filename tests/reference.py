@@ -2,9 +2,9 @@
 
 The CLI and the checkers never call these: the coordinate 1-forms dx_i, dq_i
 and dp_i, a field's exact value from its printed tree, the Lie bracket of vector
-fields, the deformed bracket, the torsion evaluated on any pair of vector
-fields, the paper's explicit n = 2 matrices, and random forms, vector fields
-and tensors.
+fields, the Lie derivative of forms by the Cartan formula, the deformed bracket,
+the torsion evaluated on any pair of vector fields, the paper's explicit n = 2
+matrices, and random forms, vector fields and tensors.
 They are oracles and inputs for property checks of the package's operators.
 """
 
@@ -16,7 +16,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from pqncheck.exterior import Form, Tensor11, VectorField
+from pqncheck.calculus import cartan_d
+from pqncheck.exterior import Form, Tensor11, VectorField, interior
 from pqncheck.randgen import random_scalar_field
 from pqncheck.scalar import Chart, Const, Coord, Point, Power, Product, ScalarField, Sum, exp
 
@@ -63,6 +64,13 @@ def exact_value(field: ScalarField, point: Point) -> Fraction:
 def lie_bracket(x: VectorField, y: VectorField) -> VectorField:
     """Lie bracket of vector fields: [X,Y]^i = X(Y^i) - Y(X^i)."""
     return VectorField(x.chart, {i: x(c) for i, c in y.terms()}) - VectorField(x.chart, {i: y(c) for i, c in x.terms()})
+
+
+def cartan_lie_derivative(x: VectorField, form: Form) -> Form:
+    """L_X a by the Cartan formula i_X d a + d i_X a; on a 0-form f it is X(f)."""
+    if form.degree == 0:
+        return Form.from_scalar(x(form.as_scalar()))
+    return interior(x, cartan_d(form)) + cartan_d(interior(x, form))
 
 
 def deformed_lie_bracket(tensor: Tensor11, x: VectorField, y: VectorField) -> VectorField:

@@ -245,6 +245,55 @@ class TestSettingTables:
         assert len(errors[0].splitlines()) == 1
         assert errors[0].startswith(f"config error: setting {key!r} has an unusable value {value!r}: ")
 
+    @pytest.mark.parametrize(
+        "base, key, value",
+        [
+            (("check", "--model", "canonical", "--n", "2"), "kmax", 3),
+            (("check", "--model", "canonical", "--n", "2"), "omega", "zero"),
+            (("check", "--model", "canonical", "--n", "2"), "omega_form", {"degree": 2, "terms": []}),
+            (("involutivity", "--model", "calogero", "--n", "3"), "expect", "pqn"),
+            (("involutivity", "--model", "calogero", "--n", "3"), "omega", "zero"),
+            (("deform", "--model", "canonical", "--omega", "zero", "--n", "2"), "kmax", 2),
+            (("deform", "--model", "canonical", "--omega", "zero", "--n", "2"), "expect", "pn"),
+            (("deform", "--model", "canonical", "--omega", "zero", "--n", "2"), "v", "q1"),
+            (("deform", "--model", "canonical", "--omega", "zero", "--n", "2"), "potentials", {"1,2": "x"}),
+        ],
+    )
+    def test_a_setting_the_command_does_not_read_is_refused(self, base, key, value, tmp_path, capsys):
+        assert run_cli(*config_args((*base, "--config", {key: value}), tmp_path)) == 2
+        assert capsys.readouterr().err == f"config error: {base[0]} does not read setting {key!r}\n"
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (("check", "--model", "canonical", "--n", "2", "--f", "1,2"), "f"),
+            (("check", "--model", "closed-toda", "--n", "3", "--v", "q1"), "v"),
+            (("involutivity", "--model", "calogero", "--n", "3", "--v", "q1"), "v"),
+            (("check", "--model", "calogero", "--n", "3", "--config", {"potentials": {"1,2": "x"}}), "potentials"),
+            (("deform", "--model", "canonical", "--omega", "omega-c", "--n", "2", "--f", "1,2,3"), "f"),
+            (("deform", "--n", "2", "--f", "1,1", "--config", {"omega_form": {"degree": 2, "terms": []}}), "f"),
+        ],
+    )
+    def test_a_setting_neither_model_nor_form_reads_is_refused(self, argv, key, tmp_path, capsys):
+        readers = {"f": "open-toda, closed-toda, omega-hat, toda", "v": "two-particle", "potentials": "pair-potential"}
+        assert run_cli(*config_args(argv, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: this run does not read setting {key!r}; it is read only by {readers[key]}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("deform", "--model", "canonical", "--omega", "toda", "--n", "3", "--f", "1,1,1"),
+            ("deform", "--model", "open-toda", "--omega", "zero", "--n", "3", "--f", "1,2"),
+            ("deform", "--model", "identity", "--omega", "omega-hat", "--n", "3", "--f", "1,2"),
+            ("deform", "--model", "canonical", "--omega", "open-toda", "--n", "3", "--f", "1,2"),
+            ("check", "--model", "open-toda", "--n", "3", "--f", "1,2"),
+        ],
+    )
+    def test_a_setting_the_model_or_form_reads_is_accepted(self, argv, capsys):
+        assert run_cli(*argv, "--format", "json") == 0
+        assert strict_json(capsys.readouterr().out)["config"]["f"]
+
     @pytest.mark.parametrize("name", list(MODELS))
     def test_every_model_runs(self, name, capsys):
         code = run_cli("check", "--model", name, "--n", "2")
@@ -430,9 +479,9 @@ class TestDeformCommand:
         assert "omega-closed" in capsys.readouterr().out
 
     def test_non_closed_form_text_report_renders_its_json(self, tmp_path, capsys):
-        # The header echoes the form and a mapping as compact JSON, whatever order the JSON report keys them in.
+        # The header echoes the form, a mapping, as compact JSON, whatever order the JSON report keys it in.
         omega_form = {"degree": 2, "terms": [{"indices": [1, 2], "coeff": "p1"}]}
-        config = {"omega_form": omega_form, "potentials": {"1,2": "x"}}
+        config = {"omega_form": omega_form}
         argv = config_args(("deform", "--n", "2", "--config", config), tmp_path)
         assert run_cli(*argv, "--format", "json") == 1
         payload = strict_json(capsys.readouterr().out)
@@ -441,7 +490,7 @@ class TestDeformCommand:
         text = capsys.readouterr().out
         assert text == cli._text(payload)
         assert text.splitlines() == [
-            'deform n=2 potentials={"1,2":"x"} omega_form={"degree":2,"terms":[{"coeff":"p1","indices":[1,2]}]} '
+            'deform n=2 omega_form={"degree":2,"terms":[{"coeff":"p1","indices":[1,2]}]} '
             "format=text sample_count=50 seed=7: the deforming 2-form is not closed",
             "FAIL omega-closed: witness={'q1': 11.0, 'q2': 5.0, 'p1': 13.0, 'p2': 2.0} residual=1.000e+00",
             "OVERALL: FAIL",
@@ -554,6 +603,9 @@ class TestBadInput:
             ("check", "--model", "two-particle", "--v", "(exp (^ (+ q1 q2 p1 p2 1) 8))"),
             ("check", "--model", "closed-toda", "--n", "3", "--f", "1/0,1,1"),
             ("check", "--model", "closed-toda", "--n", "3", "--config", {"f": ["1/0", 1, 1]}),
+            # An empty coupling, which would otherwise read as f=1,1,1.
+            ("check", "--model", "closed-toda", "--n", "3", "--f", "1,,1,1"),
+            ("check", "--model", "closed-toda", "--n", "3", "--f", ",1,1,1,"),
             ("check", "--model", "closed-toda", "--n", "3", "--bogus"),
             (),
             # A particle count whose 2n coordinates no index can reach, refused before anything is sized by it.
@@ -582,6 +634,8 @@ class TestBadInput:
             ("check", "--model", "closed-toda", "--n", "3", "--config", {"f": 5}),
             ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": ["1,2", "x"]}),
             ("deform", "--n", "2", "--config", {"omega_form": 5}),
+            # Two sources of the 2-form, one of which the run would not read.
+            ("deform", "--n", "2", "--omega", "zero", "--config", {"omega_form": {"degree": 2, "terms": []}}),
             # A malformed potential key, a config file holding a list, and a config file that cannot be read.
             ("check", "--model", "pair-potential", "--n", "2", "--config", {"potentials": {"1-2": "x"}}),
             ("check", "--model", "closed-toda", "--n", "3", "--config", [{"model": "closed-toda"}]),

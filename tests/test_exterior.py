@@ -26,11 +26,21 @@ from pqncheck.models import (
     closed_toda,
 )
 from pqncheck.randgen import random_scalar_field
-from pqncheck.scalar import Chart, exp
+from pqncheck.scalar import Chart, exp, is_zero
 from pqncheck.structures import check_poisson
 
 from conftest import seeded
-from reference import dp, dq, dx, lie_bracket, random_form, random_tensor, random_vector_field, two_particle_fixture
+from reference import (
+    cartan_lie_derivative,
+    dp,
+    dq,
+    dx,
+    lie_bracket,
+    random_form,
+    random_tensor,
+    random_vector_field,
+    two_particle_fixture,
+)
 
 
 def _stored_values(obj):
@@ -489,6 +499,26 @@ class TestLieOperations:
         assert lie_derivative(VectorField.basis(chart2, 0), dq(chart2, 1)).is_zero
         x = VectorField(chart2, [chart2.p(1), 0, 0, 0])
         assert lie_derivative(x, dq(chart2, 1)) == dp(chart2, 1)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_lie_derivative_on_forms_is_the_cartan_formula(self, degree, chart2):
+        # X on the coefficients plus the Jacobian's action, against i_X d a + d i_X a, for
+        # fields with exp factors and negative powers of q1 - q2.
+        rng = seeded(70 + degree)
+        texts = []
+        for _ in range(4):
+            fields = [random_scalar_field(chart2, rng, max_terms=2, allow_negative_powers=True) for _ in range(4)]
+            x, a = VectorField(chart2, fields), random_form(chart2, degree, rng)
+            difference = lie_derivative(x, a) - cartan_lie_derivative(x, a)
+            assert all(is_zero(value) for value in difference.coeffs.values())
+            texts += [field.to_prefix() for field in fields]
+        assert any("(exp " in text for text in texts) and any(" -1)" in text or " -2)" in text for text in texts)
+
+    def test_lie_derivative_across_charts_rejected(self, chart2):
+        x = VectorField.basis(Chart(1), 0)
+        for target in (Form.zero(chart2, 1), canonical_nijenhuis(chart2), chart2.p(1)):
+            with pytest.raises(ChartMismatchError):
+                lie_derivative(x, target)
 
     def test_lie_derivative_on_scalars(self, chart2):
         x = VectorField(chart2, [chart2.p(1), 0, 0, 0])

@@ -51,6 +51,18 @@ def test_only_scalar_imports_the_tree_nodes():
     assert importers == []
 
 
+def test_exterior_imports_nothing_above_scalar():
+    # The calculus, the checkers, the models and the CLI build on exterior, never the other way round.
+    path = Path(pqncheck.__file__).parent / "exterior.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module.rpartition(".")[2]} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.rpartition(".")[2] for a in node.names}
+    assert imported & {"calculus", "structures", "models", "cli"} == set()
+
+
 def test_every_exported_name_is_documented():
     # The README's library section is the package's API: test-only code stays out of it and out of src/.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

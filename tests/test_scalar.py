@@ -54,6 +54,11 @@ class TestChart:
         with pytest.raises(ValueError, match="too large"):
             Chart(10**20)  # its 2n coordinates cannot be indexed
 
+    def test_rejects_a_bool(self):
+        # A bool is an int, but no particle count; ZeroTestConfig refuses one too.
+        with pytest.raises(ValueError, match="got True"):
+            Chart(True)
+
     def test_point_validation(self):
         with pytest.raises(ValueError):
             Point((1.0, float("inf")))
